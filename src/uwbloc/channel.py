@@ -198,6 +198,30 @@ def _signature_group_delay_bound(sig: MaterialSignature) -> float:
     return float(np.max(np.abs(dphi)) / (2.0 * math.pi))
 
 
+def _filter(
+    w: Waveform,
+    sig: MaterialSignature,
+    pad: int,
+    taps: tuple[tuple[float, float], ...] = (),
+) -> Waveform:
+    """Filter by the tap sum times the signature response, zero-padded by ``pad``.
+
+    The output spans the padded FFT length; ``add_awgn`` measures power over it.
+    """
+    n = _fast_len(w.samples.size + pad)
+    spec = np.fft.rfft(w.samples, n=n)
+    f = np.fft.rfftfreq(n, d=w.dt)
+    att = np.interp(f, sig.freq_hz, sig.attenuation_db)
+    phase = np.interp(f, sig.freq_hz, sig.phase_rad)
+    h = 10.0 ** (-att / 20.0) * np.exp(1j * phase)
+    if taps:
+        taps_h = np.zeros(f.size, dtype=complex)
+        for tap_delay, gain in taps:
+            taps_h += gain * np.exp(-2j * math.pi * f * tap_delay)
+        h = taps_h * h
+    return Waveform(np.fft.irfft(spec * h, n=n), w.dt, w.t0)
+
+
 def apply_signature(w: Waveform, sig: MaterialSignature) -> Waveform:
     """Filter a waveform by a material's frequency response.
 
@@ -212,14 +236,7 @@ def apply_signature(w: Waveform, sig: MaterialSignature) -> Waveform:
             f"signature grid [{sig.freq_hz[0]:.3g}, {sig.freq_hz[-1]:.3g}] Hz does not "
             f"cover the waveform band [0, {nyquist:.3g}] Hz")
     pad = int(math.ceil(_signature_group_delay_bound(sig) / w.dt)) + 64
-    n = _fast_len(w.samples.size + 2 * pad)
-    spec = np.fft.rfft(w.samples, n=n)
-    f = np.fft.rfftfreq(n, d=w.dt)
-    att = np.interp(f, sig.freq_hz, sig.attenuation_db)
-    phase = np.interp(f, sig.freq_hz, sig.phase_rad)
-    h = 10.0 ** (-att / 20.0) * np.exp(1j * phase)
-    out = np.fft.irfft(spec * h, n=n)
-    return Waveform(out, w.dt, w.t0)
+    return _filter(w, sig, 2 * pad)
 
 
 def propagate(
@@ -239,17 +256,7 @@ def propagate(
     delayed = delay(w, distance_m / SPEED_OF_LIGHT)
     pad = int(math.ceil(cir.delay_spread / w.dt)) + 64
     pad += int(math.ceil(_signature_group_delay_bound(sig) / w.dt)) + 64
-    n = _fast_len(delayed.samples.size + pad)
-    spec = np.fft.rfft(delayed.samples, n=n)
-    f = np.fft.rfftfreq(n, d=w.dt)
-    h = np.zeros(f.size, dtype=complex)
-    for tap_delay, gain in cir.taps:
-        h += gain * np.exp(-2j * math.pi * f * tap_delay)
-    att = np.interp(f, sig.freq_hz, sig.attenuation_db)
-    phase = np.interp(f, sig.freq_hz, sig.phase_rad)
-    h *= 10.0 ** (-att / 20.0) * np.exp(1j * phase)
-    out = np.fft.irfft(spec * h, n=n)
-    return Waveform(out, w.dt, w.t0)
+    return _filter(delayed, sig, pad, cir.taps)
 
 
 # -- serialization ----------------------------------------------------------

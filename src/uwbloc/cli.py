@@ -19,44 +19,19 @@ from .pulses import DesignConfig, InfeasibleDesignError, design_pulses, pulse_se
 from .simulate import (
     ConfigError,
     SimConfig,
-    config_from_json,
+    _read_config,
     emit_csv,
     run_trial,
     sweep_snr,
     trial_seed,
 )
-from .spectrum import mask_from_json, mask_to_json, psd
+from .spectrum import mask_to_json, psd
 from .waveform import waveform_from_csv, waveform_from_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
-
-_DESIGN_KEYS = {f.name for f in dataclasses.fields(DesignConfig)}
-
-
-def _load_sim_config(path: str | None) -> SimConfig:
-    return config_from_json(path) if path else SimConfig()
-
-
-def _load_design_config(path: str | None) -> DesignConfig:
-    if not path:
-        return DesignConfig()
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    unknown = set(obj) - _DESIGN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown design config keys: {sorted(unknown)}")
-    if "mask" in obj:
-        obj["mask"] = mask_from_json(obj["mask"])
-    try:
-        return DesignConfig(**obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid design config: {exc}") from exc
-
 
 def _load_waveform(path: str):
     p = Path(path)
@@ -66,7 +41,7 @@ def _load_waveform(path: str):
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    cfg = _load_design_config(args.config)
+    cfg = _read_config(DesignConfig, args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     out = Path(args.out)
@@ -105,7 +80,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 
 def _cmd_locate(args: argparse.Namespace) -> int:
-    cfg = _load_sim_config(args.config)
+    cfg = _read_config(SimConfig, args.config)
     snr = args.snr[0] if args.snr else cfg.snr_grid_db[-1]
     seed = args.seed if args.seed is not None else trial_seed(cfg.master_seed, 0, 0)
     res = run_trial(cfg, snr, seed)
@@ -133,7 +108,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_sim_config(args.config)
+    cfg = _read_config(SimConfig, args.config)
     updates: dict = {}
     if args.seed is not None:
         updates["master_seed"] = args.seed
@@ -196,7 +171,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_cir(args: argparse.Namespace) -> int:
-    cfg = _load_sim_config(args.config)
+    cfg = _read_config(SimConfig, args.config)
     seed = args.seed if args.seed is not None else cfg.master_seed
     cir = sample_cir(cfg.channel, seed)
     out = Path(args.out)

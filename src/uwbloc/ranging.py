@@ -19,6 +19,7 @@ fractions of a picosecond under multipath and noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,12 +154,16 @@ def toa_dirty_template(
     if template is not None:
         # two-pass calibration: a first pass against the zero-phase reference
         # estimates the sub-sample phase, a second pass against a reference
-        # shifted to that phase cancels the interpolator's phase-dependent bias
-        coarse = offset - _reference_notch(template, n, symbol_count, refine)
+        # shifted to that phase cancels the interpolator's phase-dependent bias.
+        # Only the zero-phase reference is cached, so no estimate depends on
+        # which estimates ran before it.
+        m_ref = min(symbol_count, _REFERENCE_SYMBOLS)
+        coarse = offset - _zero_phase_notch(
+            template.samples.tobytes(), template.dt, n, m_ref, refine)
         if refine:
             phase = coarse % 1.0
-            ref = _reference_notch(template, n, symbol_count, refine, frac_shift=phase)
-            offset = offset - ref + phase
+            shifted = delay(template, phase * template.dt).samples
+            offset = offset - _reference_notch(shifted, template, n, m_ref, refine) + phase
         else:
             offset = coarse
     offset %= n
@@ -203,7 +208,7 @@ def _notch_position(
     notch = int((start + np.nonzero(ring < thr)[0][0]) % n)
     offset = float(notch)
     if refine and template is not None:
-        bank = _density_bank(template)
+        bank = _density_bank(template.samples.tobytes(), template.dt)
         width = bank.shape[1]
         signs = (-1.0) ** np.arange(pair_count)
         rel = np.arange(-width - 8, width + 9)
@@ -215,32 +220,27 @@ def _notch_position(
 
 
 _PHASE_BANK_SIZE = 32
-_bank_cache: dict[tuple, np.ndarray] = {}
 
 
-def _density_bank(template: Waveform) -> np.ndarray:
-    """Sample-energy profiles of the pulse at a grid of sub-sample phases.
+@lru_cache(maxsize=32)
+def _density_bank(samples: bytes, dt: float) -> np.ndarray:
+    """Sample-energy profiles of a pulse (raw float64 bytes) at sub-sample phases.
 
     Row i holds the squared samples of the pulse delayed by i/size of a
     sample, zero-padded to a common width; rows are unit-normalized so the
     alignment search is a pure shape match.
     """
-    key = (template.samples.tobytes(), template.dt)
-    hit = _bank_cache.get(key)
-    if hit is not None:
-        return hit
+    template = Waveform(np.frombuffer(samples), dt)
     rows = []
     for i in range(_PHASE_BANK_SIZE):
         frac = i / _PHASE_BANK_SIZE
-        samples = template.samples if i == 0 else delay(template, frac * template.dt).samples
-        rows.append(samples**2)
+        shifted = template.samples if i == 0 else delay(template, frac * template.dt).samples
+        rows.append(shifted**2)
     width = max(r.size for r in rows)
     bank = np.zeros((_PHASE_BANK_SIZE, width))
     for i, row in enumerate(rows):
         bank[i, : row.size] = row / np.linalg.norm(row)
-    if len(_bank_cache) > 32:
-        _bank_cache.clear()
-    _bank_cache[key] = bank
+    bank.flags.writeable = False  # shared by every caller through the cache
     return bank
 
 
@@ -274,40 +274,33 @@ def _bank_align(deriv: np.ndarray, bank: np.ndarray, rel: np.ndarray) -> float:
     return float(rel[lag]) + (pi + frac) / nb
 
 
-_reference_cache: dict[tuple, float] = {}
-
 # symbols in the synthetic calibration burst: one full training-pattern period
 _REFERENCE_SYMBOLS = 4
 
 
 def _reference_notch(
-    template: Waveform, n: int, symbol_count: int, refine: bool, frac_shift: float = 0.0
+    p: np.ndarray, template: Waveform, n: int, m_ref: int, refine: bool
 ) -> float:
-    """Notch position of a clean burst of the template arriving at frac_shift.
+    """Notch position of a clean burst of the pulse samples ``p``.
 
     Running the identical machinery on a synthetic reference makes the
     calibration exact: every discretization and interpolation effect cancels
-    in the subtraction. ``frac_shift`` (samples) moves the reference arrival
-    off-grid with the same band-limited interpolator the simulation uses.
+    in the subtraction. An off-grid reference arrival passes ``p`` delayed
+    with the same band-limited interpolator the simulation uses.
     """
-    m_ref = min(symbol_count, _REFERENCE_SYMBOLS) if symbol_count >= 2 else symbol_count
-    key = (template.samples.tobytes(), template.dt, n, m_ref, refine, round(frac_shift, 6))
-    hit = _reference_cache.get(key)
-    if hit is not None:
-        return hit
-    p = template.samples
-    if frac_shift > 0.0:
-        p = delay(template, frac_shift * template.dt).samples
     if p.size > n:
         raise ValueError("template is longer than the symbol duration")
     ref = np.zeros((m_ref + 1) * n)
     for k in range(m_ref):
         ref[k * n : k * n + p.size] = TDT_TRAINING_PATTERN[k % 4] * p
-    pos = _notch_position(ref, n, m_ref, refine, template).offset
-    if len(_reference_cache) > 256:
-        _reference_cache.clear()
-    _reference_cache[key] = pos
-    return pos
+    return _notch_position(ref, n, m_ref, refine, template).offset
+
+
+@lru_cache(maxsize=32)
+def _zero_phase_notch(samples: bytes, dt: float, n: int, m_ref: int, refine: bool) -> float:
+    """``_reference_notch`` of a pulse (raw float64 bytes) arriving on the sample grid."""
+    template = Waveform(np.frombuffer(samples), dt)
+    return _reference_notch(template.samples, template, n, m_ref, refine)
 
 
 def range_from_toa(est: ToaEstimate, emit_epoch: float) -> float:

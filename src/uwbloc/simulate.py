@@ -8,17 +8,19 @@ per-anchor channel realizations) derives from
 sweep reuses the same scenarios and the error-vs-SNR curves are paired
 comparisons rather than scenario lotteries. Sub-streams are spawned inside
 the trial in a fixed order. Two sweeps with the same master seed therefore
-produce byte-identical CSV files, serial or parallel.
+produce byte-identical CSV files.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -30,12 +32,15 @@ from .positioning import (
     NoRealSolutionError,
     PositionFix,
     RoomBounds,
+    anchors_from_json,
+    anchors_to_json,
     bancroft_solve,
     position_error,
     select_solution,
 )
 from .pulses import PulseSet, load_pulse_set
 from .ranging import BurstSpec, make_burst, range_from_toa, toa_dirty_template
+from .spectrum import mask_from_json, mask_to_json
 from .waveform import Waveform, add_awgn
 
 __all__ = [
@@ -102,6 +107,14 @@ class SimConfig:
             raise ConfigError("symbol_count must be >= 2")
         if self.symbol_duration <= 0 or self.placement_inset < 0:
             raise ConfigError("symbol_duration must be positive and inset non-negative")
+        # ToA is read modulo one symbol, so a longer range would alias to a short one
+        ambiguity_m = SPEED_OF_LIGHT * self.symbol_duration
+        corners = itertools.product(*zip(self.room.minimum, self.room.maximum))
+        reach_m = max(math.dist(a.position, c) for c in corners for a in self.anchors)
+        if reach_m >= ambiguity_m:
+            raise ConfigError(
+                f"an anchor is {reach_m:.2f} m from a room corner, at or beyond the "
+                f"{ambiguity_m:.2f} m range ambiguity c*symbol_duration")
 
 
 @dataclass(frozen=True)
@@ -315,8 +328,64 @@ def parse_sweep_csv(path: str | Path) -> list[SweepRow]:
 
 # -- configuration files ------------------------------------------------------
 
-_CHANNEL_KEYS = {f.name for f in fields(ChannelProfile)}
-_CONFIG_KEYS = {f.name for f in fields(SimConfig)}
+# JSON forms of the config fields that are not plain JSON values, by field name;
+# list() because the list decoders read a file when handed a string
+_FIELD_CODECS = {
+    "room": (lambda r: {"min": list(r.minimum), "max": list(r.maximum)},
+             lambda obj: RoomBounds(tuple(obj["min"]), tuple(obj["max"]))),
+    "anchors": (anchors_to_json, lambda obj: tuple(anchors_from_json(list(obj)))),
+    "mask": (mask_to_json, lambda obj: mask_from_json(list(obj))),
+}
+
+
+def _fields_to_json(cfg) -> dict:
+    """JSON object of a config dataclass, one key per field."""
+    obj = {}
+    for f in fields(cfg):
+        val = getattr(cfg, f.name)
+        if f.name in _FIELD_CODECS:
+            val = _FIELD_CODECS[f.name][0](val)
+        elif is_dataclass(val):
+            val = _fields_to_json(val)
+        elif isinstance(val, tuple):
+            val = list(val)
+        obj[f.name] = val
+    return obj
+
+
+def _fields_from_json(cls: type, obj: object):
+    """Inverse of ``_fields_to_json``; unknown keys are rejected so typos fail loudly."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{cls.__name__} config must be a JSON object")
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} config keys: {sorted(unknown)}")
+    types = get_type_hints(cls)
+    kwargs = {}
+    for key, val in obj.items():
+        if key in _FIELD_CODECS:
+            val = _FIELD_CODECS[key][1](val)
+        elif is_dataclass(types[key]):
+            val = _fields_from_json(types[key], val)
+        elif isinstance(val, list):
+            val = tuple(val)
+        kwargs[key] = val
+    return cls(**kwargs)
+
+
+def _read_config(cls: type, source: str | Path | dict | None):
+    """Read a config dataclass from a JSON file or a parsed object; None gives the defaults."""
+    if not source:
+        return cls()
+    try:
+        obj = source if isinstance(source, dict) else json.loads(Path(source).read_text())
+        return _fields_from_json(cls, obj)
+    except ConfigError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {source}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {cls.__name__} config value: {exc}") from exc
 
 
 def config_from_json(source: str | Path | dict) -> SimConfig:
@@ -324,63 +393,11 @@ def config_from_json(source: str | Path | dict) -> SimConfig:
 
     Unknown keys are rejected so typos fail loudly.
     """
-    if isinstance(source, dict):
-        obj = source
-    else:
-        try:
-            obj = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {source}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(obj) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs: dict = {}
-    try:
-        if "room" in obj:
-            kwargs["room"] = RoomBounds(tuple(obj["room"]["min"]), tuple(obj["room"]["max"]))
-        if "anchors" in obj:
-            kwargs["anchors"] = tuple(
-                Anchor(str(a["id"]), (float(a["x"]), float(a["y"]), float(a["z"])))
-                for a in obj["anchors"]
-            )
-        if "channel" in obj:
-            bad = set(obj["channel"]) - _CHANNEL_KEYS
-            if bad:
-                raise ConfigError(f"unknown channel keys: {sorted(bad)}")
-            kwargs["channel"] = ChannelProfile(**obj["channel"])
-        for key in _CONFIG_KEYS - {"room", "anchors", "channel"}:
-            if key in obj:
-                val = obj[key]
-                kwargs[key] = tuple(val) if isinstance(val, list) else val
-        return SimConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
+    return _read_config(SimConfig, source)
 
 
 def config_to_json(cfg: SimConfig, path: str | Path | None = None) -> dict:
-    obj = {
-        "room": {"min": list(cfg.room.minimum), "max": list(cfg.room.maximum)},
-        "anchors": [
-            {"id": a.id, "x": a.position[0], "y": a.position[1], "z": a.position[2]}
-            for a in cfg.anchors
-        ],
-        "pulse_set": cfg.pulse_set,
-        "channel": {k: getattr(cfg.channel, k) for k in sorted(_CHANNEL_KEYS)},
-        "symbol_duration": cfg.symbol_duration,
-        "symbol_count": cfg.symbol_count,
-        "snr_grid_db": list(cfg.snr_grid_db),
-        "trials": cfg.trials,
-        "master_seed": cfg.master_seed,
-        "out_dir": cfg.out_dir,
-        "floor_only": cfg.floor_only,
-        "placement_inset": cfg.placement_inset,
-        "orthogonal_assignment": cfg.orthogonal_assignment,
-        "refine_toa": cfg.refine_toa,
-    }
+    obj = _fields_to_json(cfg)
     if path is not None:
         Path(path).write_text(json.dumps(obj, indent=2))
     return obj

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from uwbloc.channel import material_response, signature_to_csv
 from uwbloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
+from uwbloc.pulses import DesignConfig
 from uwbloc.simulate import SimConfig, config_to_json, parse_sweep_csv
+from uwbloc.spectrum import mask_to_json
 from uwbloc.waveform import waveform_to_csv, waveform_to_json
 
 
@@ -91,12 +94,18 @@ class TestCirCommand:
         assert data[-1, 0] > 50e-9
 
 
+def full_design_config(**overrides) -> dict:
+    """A design config JSON object naming every DesignConfig field."""
+    cfg = dataclasses.replace(DesignConfig(), **overrides)
+    obj = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    obj["mask"] = mask_to_json(cfg.mask)
+    return obj
+
+
 class TestDesignCommand:
     def test_tiny_design_run(self, tmp_path, capsys):
-        cfg = {
-            "pulse_count": 1, "basis_count": 8, "spline_order": 3,
-            "population": 40, "generations": 40, "seed": 5,
-        }
+        cfg = full_design_config(
+            pulse_count=1, basis_count=8, spline_order=3, population=40, generations=40, seed=5)
         cfg_path = tmp_path / "design.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "design_out"
@@ -122,4 +131,11 @@ class TestDesignCommand:
     def test_unknown_design_key(self, tmp_path):
         cfg_path = tmp_path / "design.json"
         cfg_path.write_text(json.dumps({"n_pulses": 2}))
+        assert main(["design", "--config", str(cfg_path)]) == EXIT_CONFIG
+        cfg_path.write_text(json.dumps({**full_design_config(), "n_pulses": 2}))
+        assert main(["design", "--config", str(cfg_path)]) == EXIT_CONFIG
+
+    def test_malformed_mask_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "design.json"
+        cfg_path.write_text(json.dumps({"mask": [{"f_lo_hz": 0.0}]}))
         assert main(["design", "--config", str(cfg_path)]) == EXIT_CONFIG

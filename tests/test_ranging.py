@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import uwbloc
 
 from uwbloc.channel import SPEED_OF_LIGHT, ChannelProfile, material_response, propagate, sample_cir
 from uwbloc.ranging import (
@@ -147,6 +153,30 @@ class TestToaDirtyTemplate:
         obj = _dirty_template_objective(g, n, SYMBOLS)
         t_med = template_median_offset(pulse)
         assert int(np.argmin(obj)) * DT == pytest.approx(true + t_med, abs=1.0 * DT)
+
+    def test_estimate_independent_of_earlier_nearby_phase(self, pulse, tmp_path):
+        # two arrivals 4e-7 samples apart: their sub-sample phases agree to
+        # six decimals, so a phase-keyed calibration cache would be shared
+        first = received(pulse, 137.3712345 * DT)
+        second = received(pulse, 137.3712349 * DT)
+        np.save(tmp_path / "rx.npy", second.samples)
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from uwbloc.ranging import toa_dirty_template\n"
+            "from uwbloc.simulate import load_default_pulse_set\n"
+            "from uwbloc.waveform import Waveform\n"
+            f"rx = Waveform(np.load(sys.argv[1]), {DT!r}, {second.t0!r})\n"
+            "pulse = load_default_pulse_set().pulses[0]\n"
+            f"print(repr(toa_dirty_template(rx, {TSYM!r}, {SYMBOLS}, template=pulse).toa))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(uwbloc.__file__))}
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "rx.npy")],
+            capture_output=True, text=True, check=True, env=env, timeout=120)
+        toa_dirty_template(first, TSYM, SYMBOLS, template=pulse)
+        after_first = toa_dirty_template(second, TSYM, SYMBOLS, template=pulse)
+        assert repr(after_first.toa) == fresh.stdout.strip()
 
 
 class TestRangeFromToa:

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwbloc.channel import SPEED_OF_LIGHT, ChannelProfile
+from uwbloc.positioning import Anchor, RoomBounds
 from uwbloc.simulate import (
     ConfigError,
     SimConfig,
@@ -62,6 +65,74 @@ class TestConfig:
             SimConfig(anchors=default_anchors()[:3])
         with pytest.raises(ConfigError):
             config_from_json({"trials": "many"})
+        with pytest.raises(ConfigError):
+            config_from_json({"anchors": "anchors.json"})
+        with pytest.raises(ConfigError):
+            config_from_json({"channel": [20, 40]})
+
+    def test_range_aliasing_room_rejected(self):
+        # ToA wraps at c * symbol_duration = 14.99 m; the default room's
+        # worst anchor-to-corner distance is 9 m, a 20 x 20 x 3 m room's 28.4 m
+        room = RoomBounds((0.0, 0.0, 0.0), (20.0, 20.0, 3.0))
+        anchors = tuple(Anchor(f"a{i}", (x, y, 3.0))
+                        for i, (x, y) in enumerate([(0, 0), (20, 0), (0, 20), (20, 20)]))
+        SimConfig()
+        with pytest.raises(ConfigError, match="ambiguity"):
+            SimConfig(room=room, anchors=anchors)
+        with pytest.raises(ConfigError, match="ambiguity"):
+            config_from_json({"room": {"min": [0, 0, 0], "max": [20, 20, 3]},
+                              "anchors": [{"id": a.id, "x": a.position[0], "y": a.position[1],
+                                           "z": a.position[2]} for a in anchors]})
+        SimConfig(room=room, anchors=anchors, symbol_duration=100e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_field_round_trips(self, data):
+        channel_kwargs = {
+            "tap_count_min": data.draw(st.integers(1, 19)),
+            "tap_count_max": data.draw(st.integers(41, 80)),
+            "mean_tap_spacing": data.draw(_other_than(_floats(1e-12, 1e-6), 5e-9)),
+            "decay_constant": data.draw(_other_than(_floats(1e-12, 1e-6), 20e-9)),
+            "delay_spread_target": data.draw(_other_than(_floats(1e-12, 1e-6), 60e-9)),
+            "gain_law": "rayleigh",  # the only supported law
+            "mpc_relative_gain": data.draw(_other_than(_floats(1e-3, 10.0), 0.35)),
+            "min_excess_delay": data.draw(_other_than(_floats(0.0, 1e-6), 2e-9)),
+        }
+        lo = data.draw(st.tuples(*[_floats(-5.0, 5.0)] * 3))
+        hi = tuple(v + data.draw(_floats(0.5, 4.0)) for v in lo)
+        anchor_xyz = st.tuples(*[_floats(a - 1.0, b + 1.0) for a, b in zip(lo, hi)])
+        anchors = data.draw(st.lists(
+            st.builds(Anchor, st.text(max_size=6), anchor_xyz), min_size=4, max_size=6))
+        kwargs = {
+            "room": RoomBounds(lo, hi),
+            "anchors": tuple(anchors),
+            "pulse_set": data.draw(st.text(min_size=1, max_size=20)),
+            "channel": ChannelProfile(**channel_kwargs),
+            "symbol_duration": data.draw(_other_than(_floats(40e-9, 1e-6), 50e-9)),
+            "symbol_count": data.draw(_other_than(st.integers(2, 500), 20)),
+            "snr_grid_db": tuple(data.draw(st.lists(_floats(-50.0, 100.0), min_size=1))),
+            "trials": data.draw(_other_than(st.integers(1, 10**6), 100)),
+            "master_seed": data.draw(_other_than(st.integers(0, 2**63), 12345)),
+            "out_dir": data.draw(_other_than(st.text(), "out")),
+            "floor_only": False,
+            "placement_inset": data.draw(_other_than(_floats(0.0, 1.0), 0.1)),
+            "orthogonal_assignment": False,
+            "refine_toa": False,
+            "bias_gate_m": data.draw(_other_than(_floats(0.0, 10.0), 0.3)),
+            "bounds_tolerance_m": data.draw(_other_than(_floats(0.0, 10.0), 0.25)),
+        }
+        assert set(channel_kwargs) == {f.name for f in dataclasses.fields(ChannelProfile)}
+        assert set(kwargs) == {f.name for f in dataclasses.fields(SimConfig)}
+        cfg = SimConfig(**kwargs)
+        assert config_from_json(json.loads(json.dumps(config_to_json(cfg)))) == cfg
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _other_than(strategy, default):
+    return strategy.filter(lambda v: v != default)
 
 
 class TestTrialSeeds:
