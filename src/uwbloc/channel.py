@@ -215,11 +215,29 @@ def _filter(
     phase = np.interp(f, sig.freq_hz, sig.phase_rad)
     h = 10.0 ** (-att / 20.0) * np.exp(1j * phase)
     if taps:
-        taps_h = np.zeros(f.size, dtype=complex)
-        for tap_delay, gain in taps:
-            taps_h += gain * np.exp(-2j * math.pi * f * tap_delay)
-        h = taps_h * h
+        h = _tap_sum(taps, 1.0 / (n * w.dt), f.size) * h
     return Waveform(np.fft.irfft(spec * h, n=n), w.dt, w.t0)
+
+
+# Bins per block of the phasor product in ``_tap_sum``; near sqrt(bins) keeps
+# both exponential tables small for the ~12k-bin grids ``propagate`` uses.
+_PHASOR_BLOCK = 128
+
+
+def _tap_sum(taps: tuple[tuple[float, float], ...], df: float, bins: int) -> np.ndarray:
+    """H[k] = sum over taps of gain * exp(-2 pi i k df delay), for k < bins.
+
+    With k = B*b + j the phasor factors into a per-block term and a
+    within-block term, so the tap sum is one (blocks x taps) @ (taps x B)
+    complex matrix product: taps * (bins/B + B) exponentials instead of
+    taps * bins. A lone unit tap at delay 0 gives exactly 1 on every bin.
+    """
+    delays, gains = np.asarray(taps, dtype=float).T
+    rate = -2j * math.pi * df * delays
+    blocks = -(-bins // _PHASOR_BLOCK)
+    within = np.exp(np.outer(rate, np.arange(_PHASOR_BLOCK)))
+    across = gains[:, None] * np.exp(np.outer(rate, _PHASOR_BLOCK * np.arange(blocks)))
+    return (across.T @ within).ravel()[:bins]
 
 
 def apply_signature(w: Waveform, sig: MaterialSignature) -> Waveform:

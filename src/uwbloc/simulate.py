@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
@@ -147,10 +148,19 @@ class SweepResult:
     trials: dict[float, tuple[TrialResult, ...]]
 
 
+@lru_cache(maxsize=1)
 def load_default_pulse_set() -> PulseSet:
-    """The pulse set shipped with the package (regenerable via the CLI)."""
+    """The pulse set shipped with the package (regenerable via the CLI).
+
+    Loaded and verified once per process; its arrays are read-only because
+    every caller shares the one cached set.
+    """
     data = resources.files("uwbloc").joinpath("data/default_pulse_set.json").read_text()
-    return load_pulse_set(json.loads(data))
+    ps = load_pulse_set(json.loads(data))
+    for arr in (ps.coeffs, ps.effectiveness, ps.objective_history,
+                *(p.samples for p in ps.pulses)):
+        arr.flags.writeable = False
+    return ps
 
 
 def _resolve_pulses(cfg: SimConfig, pulse_set: PulseSet | None) -> PulseSet:
@@ -185,9 +195,11 @@ def run_trial(
 
     ``seed`` drives the noise; ``scenario`` (defaulting to ``seed``) drives
     the target draw and the channel realizations, so a sweep can hold the
-    scenario fixed while varying SNR. Solver failures (degenerate geometry,
-    no real root, all candidates rejected) are recorded in the result rather
-    than raised. Fully deterministic for fixed (cfg, snr_db, seed, scenario).
+    scenario fixed while varying SNR. Failures are recorded in the result
+    rather than raised: an anchor without a usable ToA gets NaN ToA and range
+    entries and skips the solve; solver failures (degenerate geometry, no
+    real root, all candidates rejected) leave the trial without a fix. Fully
+    deterministic for fixed (cfg, snr_db, seed, scenario).
     """
     ps = _resolve_pulses(cfg, pulse_set)
     scen_streams = np.random.SeedSequence(
@@ -207,6 +219,7 @@ def run_trial(
     min_len = (cfg.symbol_count + 1) * n_sym
 
     toas, ranges, toa_errs, range_errs = [], [], [], []
+    failure: str | None = None
     for idx, anchor in enumerate(cfg.anchors):
         pulse = ps.pulses[idx % ps.pulse_count] if cfg.orthogonal_assignment else ps.pulses[0]
         burst = make_burst(BurstSpec(pulse, cfg.symbol_duration, cfg.symbol_count))
@@ -220,30 +233,33 @@ def run_trial(
                 np.concatenate([rx.samples, np.zeros(min_len - rx.samples.size)]),
                 rx.dt, rx.t0)
         rx = add_awgn(rx, snr_db, noise_seed)
-        est = toa_dirty_template(
-            rx, cfg.symbol_duration, cfg.symbol_count,
-            template=pulse, refine=cfg.refine_toa)
-        rng_m = range_from_toa(est, emit_epoch=0.0)
-        true_flight = dist / SPEED_OF_LIGHT
-        toas.append(est.toa)
+        try:
+            est = toa_dirty_template(
+                rx, cfg.symbol_duration, cfg.symbol_count,
+                template=pulse, refine=cfg.refine_toa)
+            toa, rng_m = est.toa, range_from_toa(est, emit_epoch=0.0)
+        except ValueError as exc:  # no usable signal at this anchor
+            failure = failure or f"{type(exc).__name__}: {exc}"
+            toa = rng_m = math.nan
+        toas.append(toa)
         ranges.append(rng_m)
-        toa_errs.append(est.toa - true_flight)
+        toa_errs.append(toa - dist / SPEED_OF_LIGHT)
         range_errs.append(rng_m - dist)
 
     fix: PositionFix | None = None
-    failure: str | None = None
     pos_err: float | None = None
-    try:
-        candidates = bancroft_solve(list(cfg.anchors), ranges)
-        fix = select_solution(candidates, cfg.room, tolerance=cfg.bounds_tolerance_m)
-        if abs(fix.clock_bias) > cfg.bias_gate_m:
-            raise NoValidFixError(
-                f"clock bias {fix.clock_bias:.3f} m exceeds the {cfg.bias_gate_m} m "
-                f"sanity gate for a synchronized system")
-        pos_err = position_error(fix, truth)
-    except (DegenerateGeometryError, NoRealSolutionError, NoValidFixError, ValueError) as exc:
-        failure = f"{type(exc).__name__}: {exc}"
-        fix = None
+    if failure is None:
+        try:
+            candidates = bancroft_solve(list(cfg.anchors), ranges)
+            fix = select_solution(candidates, cfg.room, tolerance=cfg.bounds_tolerance_m)
+            if abs(fix.clock_bias) > cfg.bias_gate_m:
+                raise NoValidFixError(
+                    f"clock bias {fix.clock_bias:.3f} m exceeds the {cfg.bias_gate_m} m "
+                    f"sanity gate for a synchronized system")
+            pos_err = position_error(fix, truth)
+        except (DegenerateGeometryError, NoRealSolutionError, NoValidFixError, ValueError) as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+            fix = None
 
     return TrialResult(
         trial_id=trial_id,
@@ -264,8 +280,9 @@ def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
 
     Rows are ordered by ascending SNR. range NMSE is normalized by
     (c * symbol_duration)^2 and position NMSE by the room diagonal squared.
-    Failed fixes are excluded from position means and surfaced via
-    fix_failure_rate.
+    Failed trials are excluded from position means and surfaced via
+    fix_failure_rate; the NaN entries of anchors without a ToA are excluded
+    from the ToA and range NMSE.
     """
     ps = _resolve_pulses(cfg, pulse_set)
     diag2 = float(np.sum((np.asarray(cfg.room.maximum) - np.asarray(cfg.room.minimum)) ** 2))
@@ -280,15 +297,16 @@ def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
             )
             for ti in range(cfg.trials)
         ]
-        toa_sq = [e**2 for r in results for e in r.toa_err_s]
-        rng_sq = [e**2 for r in results for e in r.range_err_m]
+        toa_sq = [e**2 for r in results for e in r.toa_err_s if not math.isnan(e)]
+        rng_sq = [e**2 for r in results for e in r.range_err_m if not math.isnan(e)]
         pos_errs = [r.position_error_m for r in results if r.position_error_m is not None]
         failures = sum(1 for r in results if r.failure is not None)
         rows.append(
             SweepRow(
                 snr_db=snr,
-                toa_nmse=float(np.mean(toa_sq) / tsym2),
-                range_nmse=float(np.mean(rng_sq) / (SPEED_OF_LIGHT**2 * tsym2)),
+                toa_nmse=float(np.mean(toa_sq) / tsym2) if toa_sq else math.nan,
+                range_nmse=(float(np.mean(rng_sq) / (SPEED_OF_LIGHT**2 * tsym2))
+                            if rng_sq else math.nan),
                 mean_position_error_m=float(np.mean(pos_errs)) if pos_errs else math.nan,
                 position_nmse=float(np.mean(np.square(pos_errs)) / diag2) if pos_errs else math.nan,
                 fix_failure_rate=failures / len(results),

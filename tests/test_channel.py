@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uwbloc.channel import (
     SPEED_OF_LIGHT,
@@ -14,6 +16,8 @@ from uwbloc.channel import (
     sample_cir,
     signature_from_csv,
     signature_to_csv,
+    _filter,
+    _tap_sum,
 )
 from uwbloc.detection import phase_nonlinearity
 from uwbloc.waveform import Waveform, cross_correlate, delay, energy
@@ -157,6 +161,53 @@ class TestApplySignature:
         sig = MaterialSignature(freq, np.zeros(64), np.zeros(64))
         with pytest.raises(ValueError):
             apply_signature(w, sig)
+
+
+def reference_tap_sum(taps, n, dt):
+    """The per-tap sum: one complex exponential over the whole rfft grid per tap."""
+    f = np.fft.rfftfreq(n, d=dt)
+    h = np.zeros(f.size, dtype=complex)
+    for tap_delay, gain in taps:
+        h += gain * np.exp(-2j * np.pi * f * tap_delay)
+    return h
+
+
+class TestTapSum:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        taps=st.lists(st.tuples(st.floats(0.0, 150e-9), st.floats(-1.0, 1.0)),
+                      min_size=1, max_size=40),
+        n=st.integers(2, 26000),
+    )
+    @example(taps=[(150e-9, 1.0)] * 40, n=24576)  # one coherent delay at the longest reach
+    @example(taps=[(0.0, 1.0), (37e-9, -0.5)], n=2 * 128 * 5)  # bin count one past a block
+    def test_matches_per_tap_sum(self, taps, n):
+        ref = reference_tap_sum(taps, n, DT)
+        got = _tap_sum(tuple(taps), 1.0 / (n * DT), n // 2 + 1)
+        # 1e-12 of the gain sum, plus the rounding of each tap's phase 2*pi*f*delay
+        # (thousands of radians at 150 ns), which a float64 per-tap sum carries too
+        f_max = 0.5 / DT
+        phase_ulps = 4 * np.finfo(float).eps * 2 * np.pi * f_max
+        tol = sum(abs(g) * (1e-12 + phase_ulps * d) for d, g in taps)
+        assert np.max(np.abs(got - ref)) <= tol
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sampled_channels_within_1e12(self, seed):
+        taps = sample_cir(ChannelProfile(), seed).taps
+        n = 24576
+        ref = reference_tap_sum(taps, n, DT)
+        got = _tap_sum(taps, 1.0 / (n * DT), n // 2 + 1)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("bins", [1, 127, 128, 129, 12289])
+    def test_unit_los_tap_is_exactly_one(self, bins):
+        assert np.array_equal(_tap_sum(((0.0, 1.0),), 1.0 / (24576 * DT), bins), np.ones(bins))
+
+    def test_unit_los_tap_filters_like_no_taps(self):
+        w = probe_pulse()
+        fs = material_response("free_space")
+        with_tap = _filter(w, fs, 512, ((0.0, 1.0),))
+        assert np.array_equal(with_tap.samples, _filter(w, fs, 512).samples)
 
 
 class TestPropagate:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uwbloc import simulate
 from uwbloc.channel import SPEED_OF_LIGHT, ChannelProfile
 from uwbloc.positioning import Anchor, RoomBounds
 from uwbloc.simulate import (
@@ -17,6 +18,7 @@ from uwbloc.simulate import (
     config_to_json,
     default_anchors,
     emit_csv,
+    load_default_pulse_set,
     parse_sweep_csv,
     run_trial,
     sweep_snr,
@@ -211,6 +213,44 @@ class TestRunTrial:
         assert res.fix is None and res.position_error_m is None
         assert len(res.range_m) == 4  # ranging results survive the failure
 
+    def test_toa_failure_recorded_not_raised(self, default_pulses, monkeypatch):
+        estimate = simulate.toa_dirty_template
+        calls = []
+
+        def dead_second_anchor(*args, **kwargs):
+            calls.append(None)
+            if len(calls) % 4 == 2:
+                raise ValueError("objective carries no timing structure; no usable signal")
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "toa_dirty_template", dead_second_anchor)
+        cfg = SimConfig(snr_grid_db=(30.0,), trials=2)
+        res = run_trial(cfg, 30.0, seed=5, pulse_set=default_pulses)
+        assert res.failure == "ValueError: objective carries no timing structure; no usable signal"
+        assert res.fix is None and res.position_error_m is None
+        for entries in (res.toa_s, res.range_m, res.toa_err_s, res.range_err_m):
+            assert math.isnan(entries[1])
+            assert all(math.isfinite(e) for i, e in enumerate(entries) if i != 1)
+
+        result = sweep_snr(cfg, default_pulses)
+        row = result.rows[0]
+        assert row.fix_failure_rate == 1.0
+        assert math.isnan(row.mean_position_error_m)
+        finite = [e for t in result.trials[30.0] for i, e in enumerate(t.toa_err_s) if i != 1]
+        expect_toa = np.mean(np.square(finite)) / cfg.symbol_duration**2
+        assert row.toa_nmse == pytest.approx(expect_toa, rel=1e-12)
+        assert math.isfinite(row.range_nmse)
+
+
+class TestDefaultPulseSet:
+    def test_loaded_once_and_read_only(self):
+        ps = load_default_pulse_set()
+        assert load_default_pulse_set() is ps
+        with pytest.raises(ValueError):
+            ps.coeffs[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            ps.pulses[0].samples[0] += 1.0
+
 
 class TestSweep:
     def test_rows_ordered_and_aggregated(self, default_pulses, tiny_cfg):
@@ -220,6 +260,21 @@ class TestSweep:
         assert set(result.trials) == set(snrs)
         for snr, trials in result.trials.items():
             assert len(trials) == tiny_cfg.trials
+
+    def test_one_run_trial_per_snr_and_trial(self, default_pulses, tiny_cfg, monkeypatch):
+        # the benchmark times each (SNR, trial) as one run_trial span
+        run = simulate.run_trial
+        seen = []
+
+        def counting(*args, **kwargs):
+            res = run(*args, **kwargs)
+            seen.append((res.snr_db, res.trial_id))
+            return res
+
+        monkeypatch.setattr(simulate, "run_trial", counting)
+        sweep_snr(tiny_cfg, default_pulses)
+        assert sorted(seen) == [(snr, ti) for snr in sorted(tiny_cfg.snr_grid_db)
+                                for ti in range(tiny_cfg.trials)]
 
     def test_single_trial_equals_run_trial(self, default_pulses):
         cfg = SimConfig(snr_grid_db=(25.0,), trials=1)
