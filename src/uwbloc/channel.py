@@ -10,14 +10,13 @@ the free-space single-tap case composes exactly with ``waveform.delay``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .waveform import Waveform, delay
+from .waveform import Waveform, delay, write_csv
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -280,11 +279,8 @@ def propagate(
 # -- serialization ----------------------------------------------------------
 
 def signature_to_csv(sig: MaterialSignature, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "attenuation_db", "phase_rad"])
-        for f, a, p in zip(sig.freq_hz, sig.attenuation_db, sig.phase_rad):
-            writer.writerow([f"{f:.12e}", f"{a:.12e}", f"{p:.12e}"])
+    write_csv(path, ["freq_hz", "attenuation_db", "phase_rad"],
+              zip(sig.freq_hz, sig.attenuation_db, sig.phase_rad), digits=12)
 
 
 def signature_from_csv(path: str | Path) -> MaterialSignature:
@@ -293,8 +289,4 @@ def signature_from_csv(path: str | Path) -> MaterialSignature:
 
 
 def cir_to_csv(cir: ChannelRealization, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delay_s", "gain"])
-        for d, g in cir.taps:
-            writer.writerow([f"{d:.12e}", f"{g:.12e}"])
+    write_csv(path, ["delay_s", "gain"], cir.taps, digits=12)

@@ -7,7 +7,6 @@ optimization, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -26,7 +25,7 @@ from .simulate import (
     trial_seed,
 )
 from .spectrum import mask_to_json, psd
-from .waveform import waveform_from_csv, waveform_from_json
+from .waveform import waveform_from_csv, waveform_from_json, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,25 +49,14 @@ def _cmd_design(args: argparse.Namespace) -> int:
     pulse_set_to_json(ps, out / "pulse_set.json")
     mask_to_json(cfg.mask, out / "mask.json")
 
-    with open(out / "pulses.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"pulse_{i}" for i in range(ps.pulse_count)])
-        times = ps.pulses[0].times
-        for j, t in enumerate(times):
-            writer.writerow([f"{t:.9e}"] + [f"{p.samples[j]:.9e}" for p in ps.pulses])
-
-    with open(out / "psd_mask.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["freq_hz"] + [f"psd_{i}_dbm_mhz" for i in range(ps.pulse_count)] + ["mask_dbm_mhz"])
-        spectra = [psd(p, cfg.nfft) for p in ps.pulses]
-        freq = spectra[0][0]
-        limits = cfg.mask.limit_at(freq)
-        for j in range(freq.size):
-            writer.writerow(
-                [f"{freq[j]:.9e}"]
-                + [f"{dens[j]:.9e}" for _, dens in spectra]
-                + [f"{limits[j]:.9e}"])
+    labels = range(ps.pulse_count)
+    write_csv(out / "pulses.csv", ["t"] + [f"pulse_{i}" for i in labels],
+              zip(ps.pulses[0].times, *(p.samples for p in ps.pulses)))
+    spectra = [psd(p, cfg.nfft) for p in ps.pulses]
+    freq = spectra[0][0]
+    write_csv(out / "psd_mask.csv",
+              ["freq_hz"] + [f"psd_{i}_dbm_mhz" for i in labels] + ["mask_dbm_mhz"],
+              zip(freq, *(dens for _, dens in spectra), cfg.mask.limit_at(freq)))
 
     print(json.dumps({
         "pulse_set": str(out / "pulse_set.json"),
@@ -124,19 +112,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     result = sweep_snr(cfg)
     emit_csv(result, out / "sweep.csv")
-    with open(out / "fixes.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "snr_db", "x", "y", "z", "bias", "residual", "err_m"])
-        for snr in sorted(result.trials):
-            for res in result.trials[snr]:
-                if res.fix is None:
-                    continue
-                writer.writerow([
-                    res.trial_id, f"{snr:.9e}",
-                    f"{res.fix.position[0]:.9e}", f"{res.fix.position[1]:.9e}",
-                    f"{res.fix.position[2]:.9e}", f"{res.fix.clock_bias:.9e}",
-                    f"{res.fix.residual_rms:.9e}", f"{res.position_error_m:.9e}",
-                ])
+    write_csv(out / "fixes.csv", ["trial", "snr_db", "x", "y", "z", "bias", "residual", "err_m"], (
+        [res.trial_id, float(snr), *res.fix.position, res.fix.clock_bias,
+         res.fix.residual_rms, res.position_error_m]
+        for snr in sorted(result.trials) for res in result.trials[snr] if res.fix is not None))
     for row in result.rows:
         print(f"snr {row.snr_db:5.1f} dB  mean position error "
               f"{row.mean_position_error_m * 100:7.3f} cm  failures {row.fix_failure_rate:.2%}")

@@ -17,13 +17,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .spectrum import HZ_PER_MHZ, SpectralMask, effectiveness, fcc_like_mask, mask_violation, psd
-from .waveform import Waveform, energy
+from .spectrum import (
+    HZ_PER_MHZ,
+    SpectralMask,
+    _one_sided_weights,
+    effectiveness,
+    fcc_like_mask,
+    mask_violation,
+    psd,
+)
+from .waveform import Waveform
 
 __all__ = [
     "InfeasibleDesignError",
@@ -219,12 +227,7 @@ class _Evaluator:
         if self.mask_integral <= 0.0:
             raise InfeasibleDesignError(
                 "mask allows zero power; design infeasible", {}, np.empty(0))
-        # one-sided spectral weights matching psd()
-        w = np.full(freq.shape, 2.0)
-        w[0] = 1.0
-        if cfg.nfft % 2 == 0:
-            w[-1] = 1.0
-        self.weights = w[self.band] * HZ_PER_MHZ
+        self.weights = _one_sided_weights(cfg.nfft)[self.band] * HZ_PER_MHZ
 
     def shape_metrics(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-candidate (budget energy, xi_l, normalized Gram) at best scale."""
@@ -350,45 +353,13 @@ def design_pulses(cfg: DesignConfig) -> PulseSet:
     coeffs = best * np.sqrt(e_s / row_energy)[:, None]
     coeffs = _project_zero_sum(coeffs)
 
-    pulses = tuple(synthesize_pulse(coeffs[i], cfg.basis, cfg.dt) for i in range(l_count))
-    xi = np.empty(l_count)
-    worst_viol = -np.inf
-    for i, pw in enumerate(pulses):
-        freq, dens = psd(pw, cfg.nfft)
-        xi[i] = effectiveness(freq, dens, cfg.mask)
-        worst_viol = max(worst_viol, mask_violation(freq, dens, cfg.mask))
-    gram = _gram(pulses)
-    off = _max_off_diagonal(gram / e_s)
-    rowsum = float(np.max(np.abs(coeffs.sum(axis=1))))
-
-    report = {
-        "mask_violation_db": worst_viol,
-        "max_gram_off_diagonal": off,
-        "max_row_sum": rowsum,
-        "min_effectiveness": float(xi.min()),
-        "energy_es": e_s,
-    }
-    feasible = (
-        worst_viol <= cfg.tol_mask_db
-        and off <= cfg.tol_orthogonality
-        and rowsum < 1e-9
-        and np.all(xi > 0.0)
-    )
-    if not feasible:
+    ps, report, failures = _audit(
+        coeffs, cfg.basis, cfg.dt, e_s, cfg.mask, cfg.nfft, cfg.tol_orthogonality, cfg.tol_mask_db)
+    if failures:
         raise InfeasibleDesignError(
-            f"design did not reach feasibility in {cfg.generations} generations: {report}",
-            report,
-            coeffs,
-        )
-    return PulseSet(
-        coeffs=coeffs,
-        basis=cfg.basis,
-        pulses=pulses,
-        energy_es=e_s,
-        effectiveness=xi,
-        objective=float(xi.sum()),
-        objective_history=history,
-    )
+            f"design did not reach feasibility in {cfg.generations} generations: "
+            + "; ".join(failures), report, coeffs)
+    return replace(ps, objective_history=history)
 
 
 def _gram(pulses: tuple[Waveform, ...]) -> np.ndarray:
@@ -396,11 +367,45 @@ def _gram(pulses: tuple[Waveform, ...]) -> np.ndarray:
     return mat @ mat.T * pulses[0].dt
 
 
-def _max_off_diagonal(g: np.ndarray) -> float:
-    if g.shape[0] < 2:
-        return 0.0
-    off = g - np.diag(np.diag(g))
-    return float(np.max(np.abs(off)))
+def _audit(
+    coeffs: np.ndarray, basis: BSplineBasis, dt: float, e_s: float, mask: SpectralMask | None,
+    nfft: int, tol_orthogonality: float, tol_mask_db: float,
+) -> tuple[PulseSet, dict, list[str]]:
+    """Build the pulse set of a coefficient matrix and check every invariant.
+
+    Returns the set (with an empty objective history), a report and the
+    invariants it breaks, empty for a valid set. The report holds the largest
+    |row sum| of the coefficients, the largest off-diagonal entry and diagonal
+    error of the Gram matrix over Es, the worst mask exceedance in dB and each
+    pulse's effectiveness. Without a mask the last two are NaN: unknown, so
+    they break nothing.
+    """
+    pulses = tuple(synthesize_pulse(row, basis, dt) for row in coeffs)
+    gram = _gram(pulses) / e_s
+    xi = np.full(len(pulses), math.nan)
+    worst = math.nan
+    if mask is not None:
+        worst = -math.inf
+        for i, pw in enumerate(pulses):
+            freq, dens = psd(pw, nfft)
+            xi[i] = effectiveness(freq, dens, mask)
+            worst = max(worst, mask_violation(freq, dens, mask))
+    rowsum = float(np.max(np.abs(coeffs.sum(axis=1))))
+    off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
+    energy_err = float(np.max(np.abs(np.diag(gram) - 1.0)))
+    checks = (
+        (not rowsum < 1e-9, f"coefficient rows are not zero-sum (max |sum| {rowsum:.3g})"),
+        (not off <= tol_orthogonality,
+         f"pulses are not orthogonal within {tol_orthogonality:g} (max off-diagonal {off:.3g})"),
+        (not energy_err <= 0.02,
+         f"Es does not match the pulse energies (max relative error {energy_err:.3g})"),
+        (worst > tol_mask_db, f"pulses exceed the mask by {worst:.3g} dB"),
+        (np.any(xi <= 0.0), "a pulse uses none of the mask's power budget"),
+    )
+    report = {"max_row_sum": rowsum, "max_gram_off_diagonal": off, "max_energy_error": energy_err,
+              "mask_violation_db": worst, "effectiveness": xi}
+    ps = PulseSet(coeffs, basis, pulses, e_s, xi, float(xi.sum()), np.empty(0))
+    return ps, report, [msg for broken, msg in checks if broken]
 
 
 def orthogonality_matrix(ps: PulseSet) -> np.ndarray:
@@ -426,17 +431,13 @@ def pulse_set_to_json(ps: PulseSet, path: str | Path | None = None) -> dict:
     return obj
 
 
-def load_pulse_set(
-    source: str | Path | dict,
-    mask: SpectralMask | None = None,
-    nfft: int = 4096,
-    tol_orthogonality: float = 0.05,
-    tol_mask_db: float = 0.5,
-) -> PulseSet:
+def load_pulse_set(source: str | Path | dict, mask: SpectralMask | None = None) -> PulseSet:
     """Re-synthesize a stored pulse set and re-verify its invariants.
 
-    Checks zero-sum rows and Gram structure always; mask compliance when a
-    mask is supplied.
+    Checks zero-sum rows, the Gram structure and Es always, with the
+    tolerances and FFT size of ``DesignConfig``; mask compliance only when a
+    mask is supplied. Without a mask the effectiveness and objective are NaN
+    (unknown).
     """
     if isinstance(source, dict):
         obj = source
@@ -448,30 +449,9 @@ def load_pulse_set(
     dt = float(obj["dt"])
     if coeffs.ndim != 2 or coeffs.shape[1] != basis.count_ns:
         raise ValueError("coefficient matrix does not match basis count")
-    rowsum = float(np.max(np.abs(coeffs.sum(axis=1))))
-    if rowsum >= 1e-9:
-        raise ValueError(f"stored coefficients violate zero-sum rows (max |sum| = {rowsum:g})")
-    pulses = tuple(synthesize_pulse(coeffs[i], basis, dt) for i in range(coeffs.shape[0]))
-    gram = _gram(pulses) / e_s
-    if _max_off_diagonal(gram) > tol_orthogonality:
-        raise ValueError(
-            f"stored pulses are not orthogonal within tolerance "
-            f"(max off-diagonal {_max_off_diagonal(gram):.3g})")
-    if np.max(np.abs(np.diag(gram) - 1.0)) > 0.02:
-        raise ValueError("stored Es does not match pulse energies")
-    xi = np.zeros(coeffs.shape[0])
-    if mask is not None:
-        for i, pw in enumerate(pulses):
-            freq, dens = psd(pw, nfft)
-            if mask_violation(freq, dens, mask) > tol_mask_db:
-                raise ValueError(f"stored pulse {i} violates the mask")
-            xi[i] = effectiveness(freq, dens, mask)
-    return PulseSet(
-        coeffs=coeffs,
-        basis=basis,
-        pulses=pulses,
-        energy_es=e_s,
-        effectiveness=xi,
-        objective=float(xi.sum()),
-        objective_history=np.empty(0),
-    )
+    ps, _, failures = _audit(
+        coeffs, basis, dt, e_s, mask, DesignConfig.nfft,
+        DesignConfig.tol_orthogonality, DesignConfig.tol_mask_db)
+    if failures:
+        raise ValueError("stored pulse set is invalid: " + "; ".join(failures))
+    return ps

@@ -34,7 +34,6 @@ __all__ = [
     "template_median_offset",
     "toa_dirty_template",
     "range_from_toa",
-    "toa_nmse",
 ]
 
 TDT_TRAINING_PATTERN = (1.0, 1.0, -1.0, -1.0)
@@ -105,10 +104,13 @@ def _dirty_template_objective(g: np.ndarray, n: int, symbol_count: int) -> np.nd
 def template_median_offset(template: Waveform) -> float:
     """Arrival-to-notch calibration constant of a known pulse, in seconds.
 
-    The dirty-template notch bottoms out where the slice boundary splits the
-    pulse energy in half; this returns that median-energy point, interpolated
-    on the exclusive cumulative energy curve (matching the discrete objective,
-    whose slice at offset k excludes samples before k).
+    The notch-geometry cross-check: the estimator calibrates against a
+    synthetic reference burst instead, and this closed form says where that
+    reference's notch must sit. The dirty-template notch bottoms out where
+    the slice boundary splits the pulse energy in half; this returns that
+    median-energy point, interpolated on the exclusive cumulative energy
+    curve (matching the discrete objective, whose slice at offset k excludes
+    samples before k).
     """
     e_samples = template.samples**2
     q = np.concatenate([[0.0], np.cumsum(e_samples)])
@@ -286,13 +288,11 @@ def _reference_notch(
     Running the identical machinery on a synthetic reference makes the
     calibration exact: every discretization and interpolation effect cancels
     in the subtraction. An off-grid reference arrival passes ``p`` delayed
-    with the same band-limited interpolator the simulation uses.
+    with the same band-limited interpolator the simulation uses. The burst
+    gets one silent symbol appended: the estimator reads one symbol past it.
     """
-    if p.size > n:
-        raise ValueError("template is longer than the symbol duration")
-    ref = np.zeros((m_ref + 1) * n)
-    for k in range(m_ref):
-        ref[k * n : k * n + p.size] = TDT_TRAINING_PATTERN[k % 4] * p
+    burst = make_burst(BurstSpec(Waveform(p, template.dt), n * template.dt, m_ref))
+    ref = np.concatenate([burst.samples, np.zeros(n)])
     return _notch_position(ref, n, m_ref, refine, template).offset
 
 
@@ -309,12 +309,3 @@ def range_from_toa(est: ToaEstimate, emit_epoch: float) -> float:
     if flight < 0:
         raise ValueError(f"negative flight time: {flight}")
     return SPEED_OF_LIGHT * flight
-
-
-def toa_nmse(estimates, truth: float, symbol_duration: float) -> float:
-    """Mean squared ToA error normalized by the symbol duration squared."""
-    vals = [est.toa if isinstance(est, ToaEstimate) else float(est) for est in estimates]
-    if not vals:
-        raise ValueError("need at least one estimate")
-    err = np.asarray(vals) - truth
-    return float(np.mean(err**2) / symbol_duration**2)

@@ -42,7 +42,7 @@ from .positioning import (
 from .pulses import PulseSet, load_pulse_set
 from .ranging import BurstSpec, make_burst, range_from_toa, toa_dirty_template
 from .spectrum import mask_from_json, mask_to_json
-from .waveform import Waveform, add_awgn
+from .waveform import Waveform, add_awgn, write_csv
 
 __all__ = [
     "ConfigError",
@@ -102,6 +102,9 @@ class SimConfig:
             raise ConfigError("trials must be >= 1")
         if not self.snr_grid_db:
             raise ConfigError("snr grid must be non-empty")
+        if len(set(self.snr_grid_db)) != len(self.snr_grid_db):
+            # a sweep keys its trials by SNR point, so a repeat would overwrite one
+            raise ConfigError(f"snr grid repeats a point: {list(self.snr_grid_db)}")
         if len(self.anchors) < 4:
             raise ConfigError("need at least 4 anchors")
         if self.symbol_count < 2:
@@ -319,21 +322,9 @@ def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
 def emit_csv(table: SweepResult | list[SweepRow] | tuple[SweepRow, ...], path: str | Path) -> None:
     """Write one row per SNR point with >= 9 significant digits."""
     rows = table.rows if isinstance(table, SweepResult) else table
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([
-                "snr_db", "toa_nmse", "range_nmse",
-                "mean_position_error_m", "position_nmse", "fix_failure_rate",
-            ])
-            for r in rows:
-                writer.writerow([
-                    f"{r.snr_db:.9e}", f"{r.toa_nmse:.9e}", f"{r.range_nmse:.9e}",
-                    f"{r.mean_position_error_m:.9e}", f"{r.position_nmse:.9e}",
-                    f"{r.fix_failure_rate:.9e}",
-                ])
-    except OSError as exc:
-        raise OSError(f"failed writing sweep CSV to {path}: {exc}") from exc
+    names = [f.name for f in fields(SweepRow)]
+    # float() because an SNR point read from a JSON config may be an int
+    write_csv(path, names, ([float(getattr(r, n)) for n in names] for r in rows))
 
 
 def parse_sweep_csv(path: str | Path) -> list[SweepRow]:

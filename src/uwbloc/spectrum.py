@@ -119,6 +119,18 @@ def fcc_like_mask(
     return SpectralMask(tuple(segs))
 
 
+def _one_sided_weights(nfft: int) -> np.ndarray:
+    """Weights folding an nfft-point rfft into a one-sided spectrum.
+
+    Every bin counts twice except DC and, for even nfft, the Nyquist bin.
+    """
+    weights = np.full(nfft // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if nfft % 2 == 0:
+        weights[-1] = 1.0
+    return weights
+
+
 def psd(w: Waveform, nfft: int) -> tuple[np.ndarray, np.ndarray]:
     """One-sided periodogram of a pulse in dBm/MHz.
 
@@ -131,12 +143,7 @@ def psd(w: Waveform, nfft: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"nfft ({nfft}) must be >= sample count ({n})")
     spec = np.fft.rfft(w.samples, n=nfft) * w.dt
     esd = np.abs(spec) ** 2
-    # one-sided: double everything except DC and (for even nfft) Nyquist
-    weights = np.full(esd.shape, 2.0)
-    weights[0] = 1.0
-    if nfft % 2 == 0:
-        weights[-1] = 1.0
-    lin = esd * weights * HZ_PER_MHZ
+    lin = esd * _one_sided_weights(nfft) * HZ_PER_MHZ
     density = np.full(lin.shape, DB_FLOOR)
     nz = lin > 10.0 ** (DB_FLOOR / 10.0)
     density[nz] = 10.0 * np.log10(lin[nz])

@@ -23,6 +23,7 @@ __all__ = [
     "delay",
     "add_awgn",
     "cross_correlate",
+    "write_csv",
     "waveform_to_csv",
     "waveform_from_csv",
     "waveform_to_json",
@@ -192,13 +193,22 @@ def cross_correlate(a: Waveform, b: Waveform) -> tuple[np.ndarray, np.ndarray]:
 
 # -- serialization ----------------------------------------------------------
 
-def waveform_to_csv(w: Waveform, path: str | Path) -> None:
-    """Write `t,amplitude` rows with a header line."""
+def write_csv(path: str | Path, header: list[str], rows, digits: int = 9) -> None:
+    """Write a table: the header line, then one line per row.
+
+    Float cells are written in exponent form with ``digits`` digits after the
+    point; int cells are written unchanged.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "amplitude"])
-        for t, x in zip(w.times, w.samples):
-            writer.writerow([f"{t:.12e}", f"{x:.12e}"])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{x:.{digits}e}" if isinstance(x, float) else x for x in row])
+
+
+def waveform_to_csv(w: Waveform, path: str | Path) -> None:
+    """Write `t,amplitude` rows with a header line."""
+    write_csv(path, ["t", "amplitude"], zip(w.times, w.samples), digits=12)
 
 
 def waveform_from_csv(path: str | Path) -> Waveform:

@@ -1,15 +1,20 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from uwbloc.channel import material_response, signature_to_csv
 from uwbloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
-from uwbloc.pulses import DesignConfig
+from uwbloc.pulses import DesignConfig, load_pulse_set
 from uwbloc.simulate import SimConfig, config_to_json, parse_sweep_csv
 from uwbloc.spectrum import mask_to_json
 from uwbloc.waveform import waveform_to_csv, waveform_to_json
+
+
+# a table cell written by write_csv with the default 9 digits
+E9 = r"-?\d\.\d{9}e[+-]\d{2,3}"
 
 
 @pytest.fixture()
@@ -28,6 +33,18 @@ class TestSweepCommand:
         fixes = (tmp_path / "out" / "fixes.csv").read_text().splitlines()
         assert fixes[0] == "trial,snr_db,x,y,z,bias,residual,err_m"
         assert len(fixes) >= 2
+        # one row per trial with a fix: an integer trial id, then floats in .9e
+        assert len(fixes) - 1 == round(sum(2 * (1.0 - r.fix_failure_rate) for r in rows))
+        for line in fixes[1:]:
+            trial, *cells = line.split(",")
+            assert trial in ("0", "1")
+            assert len(cells) == 7 and all(re.fullmatch(E9, c) for c in cells)
+            assert float(cells[0]) in (20.0, 30.0)
+
+    def test_repeated_snr_point_exit_code(self, tmp_path):
+        code = main(["sweep", "--snr", "30", "30", "--trials", "1", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_overrides(self, tiny_config_path, tmp_path):
         out = tmp_path / "alt"
@@ -110,12 +127,24 @@ class TestDesignCommand:
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "design_out"
         assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
-        assert (out / "pulse_set.json").exists()
-        assert (out / "pulses.csv").exists()
-        assert (out / "psd_mask.csv").exists()
         assert (out / "mask.json").exists()
         summary = json.loads(capsys.readouterr().out)
         assert summary["objective"] > 0
+
+        pulse = load_pulse_set(out / "pulse_set.json").pulses[0]
+        pulses_csv = (out / "pulses.csv").read_text().splitlines()
+        assert pulses_csv[0] == "t,pulse_0"
+        assert len(pulses_csv) == 1 + len(pulse)  # one row per sample
+        psd_csv = (out / "psd_mask.csv").read_text().splitlines()
+        assert psd_csv[0] == "freq_hz,psd_0_dbm_mhz,mask_dbm_mhz"
+        assert len(psd_csv) == 1 + cfg["nfft"] // 2 + 1  # one row per rfft bin
+        for table, width in ((pulses_csv, 2), (psd_csv, 3)):
+            for line in table[1:]:
+                cells = line.split(",")
+                assert len(cells) == width and all(re.fullmatch(E9, c) for c in cells)
+        data = np.loadtxt(out / "pulses.csv", delimiter=",", skiprows=1)
+        assert np.allclose(data[:, 0], pulse.times, rtol=1e-9, atol=0.0)
+        assert np.allclose(data[:, 1], pulse.samples, rtol=1e-9, atol=1e-300)
 
     def test_infeasible_exit_code(self, tmp_path):
         cfg = {

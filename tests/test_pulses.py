@@ -15,7 +15,7 @@ from uwbloc.pulses import (
     pulse_set_to_json,
     synthesize_pulse,
 )
-from uwbloc.spectrum import SpectralMask, fcc_like_mask, mask_violation, psd
+from uwbloc.spectrum import SpectralMask, effectiveness, fcc_like_mask, mask_violation, psd
 from uwbloc.waveform import Waveform, energy
 
 
@@ -139,6 +139,9 @@ class TestDesign:
         assert ps.objective == pytest.approx(float(ps.effectiveness.sum()))
         for p in ps.pulses:
             assert energy(p) == pytest.approx(ps.energy_es, rel=1e-9)
+        # the loader audits a stored set exactly as the designer audited it
+        back = load_pulse_set(pulse_set_to_json(ps), mask=cfg.mask)
+        assert np.array_equal(back.effectiveness, ps.effectiveness)
 
     def test_deterministic_given_seed(self):
         a = design_pulses(small_config())
@@ -208,6 +211,24 @@ class TestPulseSetIO:
         tight = fcc_like_mask(passband_dbm_mhz=-81.3, stopband_dbm_mhz=-91.3)
         with pytest.raises(ValueError):
             load_pulse_set(obj, mask=tight)
+
+    def test_loader_rejects_non_finite_energy(self, default_pulses):
+        obj = pulse_set_to_json(default_pulses)
+        obj["Es"] = math.nan
+        with pytest.raises(ValueError, match="Es"):
+            load_pulse_set(obj)
+
+    def test_effectiveness_unknown_without_mask(self, default_pulses):
+        back = load_pulse_set(pulse_set_to_json(default_pulses))
+        assert np.all(np.isnan(back.effectiveness))
+        assert math.isnan(back.objective)
+
+    def test_effectiveness_measured_against_mask(self, default_pulses):
+        mask = fcc_like_mask()
+        back = load_pulse_set(pulse_set_to_json(default_pulses), mask=mask)
+        expect = np.array([effectiveness(*psd(p, 4096), mask) for p in default_pulses.pulses])
+        assert np.array_equal(back.effectiveness, expect)
+        assert back.objective == float(expect.sum())
 
     def test_default_set_satisfies_invariants(self, default_pulses):
         gram = orthogonality_matrix(default_pulses)

@@ -16,7 +16,6 @@ from uwbloc.ranging import (
     range_from_toa,
     template_median_offset,
     toa_dirty_template,
-    toa_nmse,
 )
 from uwbloc.waveform import Waveform, add_awgn, delay, energy
 
@@ -198,20 +197,3 @@ class TestRangeFromToa:
         est = ToaEstimate(toa=1e-9, objective_peak=1.0, grid_resolution=DT)
         with pytest.raises(ValueError):
             range_from_toa(est, 2e-9)
-
-
-class TestToaNmse:
-    def test_exact_estimates(self):
-        assert toa_nmse([10e-9, 10e-9], 10e-9, TSYM) == 0.0
-
-    def test_half_symbol_error(self):
-        assert toa_nmse([10e-9 + TSYM / 2], 10e-9, TSYM) == pytest.approx(0.25)
-
-    def test_accepts_estimates(self):
-        ests = [ToaEstimate(11e-9, 1.0, DT), ToaEstimate(9e-9, 1.0, DT)]
-        expect = np.mean([1e-9**2, 1e-9**2]) / TSYM**2
-        assert toa_nmse(ests, 10e-9, TSYM) == pytest.approx(expect)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            toa_nmse([], 10e-9, TSYM)

@@ -72,6 +72,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_json({"channel": [20, 40]})
 
+    def test_repeated_snr_point_rejected(self):
+        # a sweep keys its trials by SNR point, so a repeat would lose one point's trials
+        with pytest.raises(ConfigError, match="repeats"):
+            SimConfig(snr_grid_db=(30.0, 30.0), trials=2)
+        with pytest.raises(ConfigError):
+            config_from_json({"snr_grid_db": [20, 30, 30.0]})
+
     def test_range_aliasing_room_rejected(self):
         # ToA wraps at c * symbol_duration = 14.99 m; the default room's
         # worst anchor-to-corner distance is 9 m, a 20 x 20 x 3 m room's 28.4 m
@@ -112,7 +119,7 @@ class TestConfig:
             "channel": ChannelProfile(**channel_kwargs),
             "symbol_duration": data.draw(_other_than(_floats(40e-9, 1e-6), 50e-9)),
             "symbol_count": data.draw(_other_than(st.integers(2, 500), 20)),
-            "snr_grid_db": tuple(data.draw(st.lists(_floats(-50.0, 100.0), min_size=1))),
+            "snr_grid_db": tuple(data.draw(st.lists(_floats(-50.0, 100.0), min_size=1, unique=True))),
             "trials": data.draw(_other_than(st.integers(1, 10**6), 100)),
             "master_seed": data.draw(_other_than(st.integers(0, 2**63), 12345)),
             "out_dir": data.draw(_other_than(st.text(), "out")),

@@ -15,6 +15,7 @@ from uwbloc.waveform import (
     waveform_from_json,
     waveform_to_csv,
     waveform_to_json,
+    write_csv,
 )
 
 DT = 50e-12
@@ -234,6 +235,13 @@ class TestSerialization:
         assert back.dt == pytest.approx(w.dt, rel=1e-9)
         assert back.t0 == pytest.approx(w.t0, abs=1e-15)
         assert np.allclose(back.samples, w.samples, atol=1e-11)
+
+    def test_write_csv_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["n", "x"], [(3, 1.0 / 3.0), (4, np.float64(-2.5))])
+        assert path.read_bytes() == b"n,x\r\n3,3.333333333e-01\r\n4,-2.500000000e+00\r\n"
+        write_csv(path, ["x"], [(1.0 / 3.0,)], digits=12)
+        assert path.read_text().splitlines() == ["x", "3.333333333333e-01"]
 
     def test_json_round_trip(self, tmp_path):
         w = Waveform(np.array([0.5, -1.25, 2.0]), DT, t0=1e-9)
