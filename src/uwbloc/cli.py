@@ -69,7 +69,9 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 def _cmd_locate(args: argparse.Namespace) -> int:
     cfg = _read_config(SimConfig, args.config)
-    snr = args.snr[0] if args.snr else cfg.snr_grid_db[-1]
+    if args.snr is not None:  # validated as a one-point grid, like sweep's --snr
+        cfg = dataclasses.replace(cfg, snr_grid_db=(args.snr,))
+    snr = cfg.snr_grid_db[-1]
     seed = args.seed if args.seed is not None else trial_seed(cfg.master_seed, 0, 0)
     res = run_trial(cfg, snr, seed)
     out = {
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("locate", help="run one positioning trial, print verbose JSON")
     p.add_argument("--config", help="simulation config JSON")
     p.add_argument("--seed", type=int)
-    p.add_argument("--snr", type=float, nargs="+")
+    p.add_argument("--snr", type=float, help="SNR of the trial (dB)")
     p.set_defaults(func=_cmd_locate)
 
     p = sub.add_parser("sweep", help="Monte-Carlo SNR sweep, write CSV tables")

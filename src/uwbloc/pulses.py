@@ -110,10 +110,13 @@ class BSplineBasis:
         """Total support of the synthesized pulse: (Ns - 1 + m) * T."""
         return (self.count_ns - 1 + self.order_m) * self.knot_spacing
 
+    def sample_count(self, dt: float) -> int:
+        """Number of samples n of a synthesized pulse on the grid of step dt."""
+        return int(math.floor(self.support / dt + 1e-9)) + 1
+
     def sample_matrix(self, dt: float) -> np.ndarray:
         """(Ns, n) matrix of each shifted basis function on the sample grid."""
-        n = int(math.floor(self.support / dt + 1e-9)) + 1
-        t = np.arange(n) * dt
+        t = np.arange(self.sample_count(dt)) * dt
         rows = [
             bspline_eval(self.order_m, self.knot_spacing, t - k * self.knot_spacing)
             for k in range(self.count_ns)
@@ -167,6 +170,9 @@ class DesignConfig:
                 raise ValueError(f"{name} must be positive")
         if self.elitism < 1:
             raise ValueError("elitism must be >= 1")
+        n = self.basis.sample_count(self.dt)
+        if self.nfft < n:
+            raise ValueError(f"nfft ({self.nfft}) must be >= the pulse's sample count ({n})")
 
     @property
     def knot_spacing(self) -> float:
@@ -210,42 +216,63 @@ def _project_zero_sum(pop: np.ndarray) -> np.ndarray:
 
 
 class _Evaluator:
-    """Batched fitness evaluation for a (P, L, Ns) population."""
+    """Batched fitness evaluation for a (P, L, Ns) population.
+
+    A pulse of n samples has the power spectrum |X_k|^2 = r_0 + 2 sum_{m>=1}
+    r_m cos(2 pi k m / nfft) of its autocorrelation r (Wiener-Khinchin), so
+    candidates are scored from their n lags by one (lags x in-band bins)
+    matrix product, with no nfft-point transform per pulse. ``psd``, which
+    the audit of every design uses, stays FFT-based as an independent check.
+    """
 
     def __init__(self, cfg: DesignConfig):
         self.cfg = cfg
         self.phi = cfg.basis.sample_matrix(cfg.dt)
         freq = np.fft.rfftfreq(cfg.nfft, d=cfg.dt)
         limits_db = cfg.mask.limit_at(freq)
-        self.band = ~np.isnan(limits_db)
-        if not np.any(self.band):
+        band = ~np.isnan(limits_db)
+        if not np.any(band):
             raise InfeasibleDesignError(
                 "mask does not cover the sampled band", {}, np.empty(0))
-        self.limits_lin = 10.0 ** (limits_db[self.band] / 10.0)
-        self.df_mhz = float(freq[1] - freq[0]) / HZ_PER_MHZ
+        limits_lin = 10.0 ** (limits_db[band] / 10.0)
+        df_mhz = float(freq[1] - freq[0]) / HZ_PER_MHZ
         self.mask_integral = cfg.mask.integral_linear()
         if self.mask_integral <= 0.0:
             raise InfeasibleDesignError(
                 "mask allows zero power; design infeasible", {}, np.empty(0))
-        self.weights = _one_sided_weights(cfg.nfft)[self.band] * HZ_PER_MHZ
+        # density per MHz at each in-band bin from the lags of a unit-energy
+        # pulse; k*m is reduced modulo nfft so each cosine argument is < 2 pi
+        lags = np.arange(self.phi.shape[1])
+        phase = np.outer(lags, np.flatnonzero(band)) % cfg.nfft * (2.0 * math.pi / cfg.nfft)
+        lag_weights = np.where(lags == 0, 1.0, 2.0) * cfg.dt**2
+        bin_weights = _one_sided_weights(cfg.nfft)[band] * HZ_PER_MHZ
+        dens = lag_weights[:, None] * np.cos(phase) * bin_weights
+        allowed = limits_lin > 0.0
+        self.dens_over_limit = dens[:, allowed] / limits_lin[allowed]
+        # bins of a -inf dB segment: any power there leaves no compliant energy
+        self.dens_forbidden = dens[:, ~allowed]
+        self.dens_total = dens.sum(axis=1) * df_mhz
 
     def shape_metrics(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-candidate (budget energy, xi_l, normalized Gram) at best scale."""
         cfg = self.cfg
         pulses = pop @ self.phi  # (P, L, n)
-        energies = np.sum(pulses**2, axis=-1) * cfg.dt  # (P, L)
-        spec = np.fft.rfft(pulses, n=cfg.nfft, axis=-1) * cfg.dt
-        lin = (np.abs(spec[..., self.band]) ** 2) * self.weights  # per MHz
+        n = pulses.shape[-1]
+        rows = pulses.reshape(-1, n)  # one 2-D product below, not P small ones
+        padded = np.concatenate([rows, np.zeros_like(rows)], axis=-1)
+        shifted = np.lib.stride_tricks.sliding_window_view(padded, n, axis=-1)[:, :n, :]
+        lagged = np.einsum("rt,rmt->rm", rows, shifted)  # autocorrelation at lags 0..n-1
+        energies = lagged[:, 0] * cfg.dt
         ok = energies > 1e-30
         safe_e = np.where(ok, energies, 1.0)
-        d1 = lin / safe_e[..., None]  # unit-energy density
-        with np.errstate(divide="ignore"):
-            budget_l = np.min(
-                np.where(d1 > 0.0, self.limits_lin / np.where(d1 > 0, d1, 1.0), np.inf),
-                axis=-1,
-            )
+        r_n = lagged / safe_e[:, None]  # lags of the unit-energy pulse
+        # budget_l = min over bins with power of limit / density = 1 / max(density / limit)
+        peak = np.max(r_n @ self.dens_over_limit, axis=-1, initial=0.0)
+        peak[np.any(r_n @ self.dens_forbidden > 0.0, axis=-1)] = np.inf
+        budget_l = np.divide(1.0, peak, out=np.full_like(peak, np.inf), where=peak > 0.0)
+        inband = r_n @ self.dens_total  # fraction of unit energy in band
+        ok, budget_l, inband = (a.reshape(pulses.shape[:2]) for a in (ok, budget_l, inband))
         budget = np.min(np.where(ok, budget_l, 0.0), axis=-1)  # (P,)
-        inband = np.sum(d1, axis=-1) * self.df_mhz  # fraction of unit energy in band
         xi = budget[:, None] * inband / self.mask_integral  # (P, L)
         gram = pulses @ pulses.transpose(0, 2, 1) * cfg.dt  # (P, L, L)
         diag = np.sqrt(np.clip(np.einsum("pll->pl", gram), 1e-300, None))

@@ -105,6 +105,9 @@ class SimConfig:
         if len(set(self.snr_grid_db)) != len(self.snr_grid_db):
             # a sweep keys its trials by SNR point, so a repeat would overwrite one
             raise ConfigError(f"snr grid repeats a point: {list(self.snr_grid_db)}")
+        if any(math.isnan(snr) or snr == -math.inf for snr in self.snr_grid_db):
+            # +inf stays valid: it runs a noiseless trial
+            raise ConfigError(f"snr points must be numbers or +inf: {list(self.snr_grid_db)}")
         if len(self.anchors) < 4:
             raise ConfigError("need at least 4 anchors")
         if self.symbol_count < 2:

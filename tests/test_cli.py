@@ -46,6 +46,12 @@ class TestSweepCommand:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_non_numeric_snr_point_exit_code(self, tmp_path):
+        for snr in ("nan", "-inf"):
+            code = main(["sweep", f"--snr={snr}", "--trials", "1", "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_overrides(self, tiny_config_path, tmp_path):
         out = tmp_path / "alt"
         code = main([
@@ -75,6 +81,13 @@ class TestLocateCommand:
         assert out["snr_db"] == 30.0
         assert len(out["toa_s"]) == 4
         assert out["fix"] is None or "position" in out["fix"]
+
+    def test_one_snr_point(self, tiny_config_path, capsys):
+        # one trial has one SNR: a second value is an argument error, not ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["locate", "--config", str(tiny_config_path), "--snr", "30", "40"])
+        assert exc.value.code == EXIT_CONFIG
+        assert main(["locate", "--config", str(tiny_config_path), "--snr", "nan"]) == EXIT_CONFIG
 
 
 class TestDetectCommand:
@@ -163,6 +176,14 @@ class TestDesignCommand:
         assert main(["design", "--config", str(cfg_path)]) == EXIT_CONFIG
         cfg_path.write_text(json.dumps({**full_design_config(), "n_pulses": 2}))
         assert main(["design", "--config", str(cfg_path)]) == EXIT_CONFIG
+
+    def test_nfft_shorter_than_pulse_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "design.json"
+        cfg_path.write_text(json.dumps({"nfft": 16, "generations": 2, "population": 10}))
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert "nfft" in capsys.readouterr().err
+        assert not (out / "pulse_set.json").exists()
 
     def test_malformed_mask_exit_code(self, tmp_path):
         cfg_path = tmp_path / "design.json"

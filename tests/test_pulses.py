@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwbloc.pulses import (
+    DEFAULT_DT,
     BSplineBasis,
     DesignConfig,
     InfeasibleDesignError,
+    _Evaluator,
     bspline_eval,
     design_pulses,
     load_pulse_set,
@@ -15,7 +19,15 @@ from uwbloc.pulses import (
     pulse_set_to_json,
     synthesize_pulse,
 )
-from uwbloc.spectrum import SpectralMask, effectiveness, fcc_like_mask, mask_violation, psd
+from uwbloc.spectrum import (
+    HZ_PER_MHZ,
+    SpectralMask,
+    _one_sided_weights,
+    effectiveness,
+    fcc_like_mask,
+    mask_violation,
+    psd,
+)
 from uwbloc.waveform import Waveform, energy
 
 
@@ -163,6 +175,91 @@ class TestDesign:
             DesignConfig(basis_count=2, spline_order=4)
         with pytest.raises(ValueError):
             DesignConfig(pulse_count=0)
+
+    def test_nfft_shorter_than_pulse_rejected(self):
+        n = DesignConfig().basis.sample_count(DEFAULT_DT)
+        assert n == DesignConfig().basis.sample_matrix(DEFAULT_DT).shape[1] == 26
+        DesignConfig(nfft=n)
+        for nfft in (n - 1, 16, 0):
+            with pytest.raises(ValueError, match="nfft"):
+                DesignConfig(nfft=nfft)
+
+    def test_default_design_reproduces_packaged_set(self, default_pulses):
+        # the packaged set is the default design at this seed, to rounding
+        ps = design_pulses(DesignConfig(seed=20260808))
+        scale = np.max(np.abs(default_pulses.coeffs))
+        assert np.max(np.abs(ps.coeffs - default_pulses.coeffs)) <= 1e-12 * scale
+        assert ps.energy_es == pytest.approx(default_pulses.energy_es, rel=1e-12, abs=0.0)
+
+
+def fft_shape_metrics(ev, pop):
+    """Reference scorer: each pulse's zero-padded rFFT, as the designer once scored it."""
+    cfg = ev.cfg
+    freq = np.fft.rfftfreq(cfg.nfft, d=cfg.dt)
+    limits_db = cfg.mask.limit_at(freq)
+    band = ~np.isnan(limits_db)
+    limits_lin = 10.0 ** (limits_db[band] / 10.0)
+    weights = _one_sided_weights(cfg.nfft)[band] * HZ_PER_MHZ
+    df_mhz = float(freq[1] - freq[0]) / HZ_PER_MHZ
+    pulses = pop @ ev.phi
+    energies = np.sum(pulses**2, axis=-1) * cfg.dt
+    spec = np.fft.rfft(pulses, n=cfg.nfft, axis=-1) * cfg.dt
+    lin = (np.abs(spec[..., band]) ** 2) * weights
+    ok = energies > 1e-30
+    d1 = lin / np.where(ok, energies, 1.0)[..., None]
+    with np.errstate(divide="ignore"):
+        budget_l = np.min(
+            np.where(d1 > 0.0, limits_lin / np.where(d1 > 0, d1, 1.0), np.inf), axis=-1)
+    budget = np.min(np.where(ok, budget_l, 0.0), axis=-1)
+    inband = np.sum(d1, axis=-1) * df_mhz
+    xi = np.where(ok, budget[:, None] * inband / ev.mask_integral, 0.0)
+    gram = pulses @ pulses.transpose(0, 2, 1) * cfg.dt
+    diag = np.sqrt(np.clip(np.einsum("pll->pl", gram), 1e-300, None))
+    return budget, xi, gram / (diag[:, :, None] * diag[:, None, :])
+
+
+MASKS = {
+    "default": fcc_like_mask(),
+    "notched": fcc_like_mask(notch=(1.0e9, 1.3e9, -65.0)),
+    "forbidden_notch": fcc_like_mask(notch=(1.0e9, 1.3e9, -math.inf)),
+    "forbidden_stopband": fcc_like_mask(stopband_dbm_mhz=-math.inf),
+}
+
+
+class TestLagDomainScorer:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        order=st.integers(1, 6), extra_basis=st.integers(0, 16), pulse_count=st.integers(1, 4),
+        population=st.integers(1, 6), nfft_extra=st.integers(0, 700),
+        mask=st.sampled_from(sorted(MASKS)), zero=st.sampled_from(["none", "pulse", "candidate"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_fft_reference(self, order, extra_basis, pulse_count, population,
+                                   nfft_extra, mask, zero, seed):
+        cfg = DesignConfig(pulse_count=pulse_count, basis_count=order + extra_basis,
+                           spline_order=order, mask=MASKS[mask], nfft=26 + nfft_extra)
+        ev = _Evaluator(cfg)
+        pop = np.random.default_rng(seed).normal(size=(population, pulse_count, cfg.basis_count))
+        pop -= pop.mean(axis=-1, keepdims=True)
+        if zero == "pulse":
+            pop[0, -1] = 0.0
+        elif zero == "candidate":
+            pop[-1] = 0.0
+        budget, xi, gram = ev.shape_metrics(pop)
+        ref_budget, ref_xi, ref_gram = fft_shape_metrics(ev, pop)
+        assert np.allclose(budget, ref_budget, rtol=1e-12, atol=0.0)
+        assert np.allclose(xi, ref_xi, rtol=1e-12, atol=0.0)
+        assert np.allclose(gram, ref_gram, rtol=1e-12, atol=0.0)
+        if zero != "none":
+            assert budget[0 if zero == "pulse" else -1] == 0.0
+
+    @pytest.mark.parametrize("mask", ["forbidden_notch", "forbidden_stopband"])
+    def test_power_in_a_minus_inf_segment_leaves_no_budget(self, mask, rng):
+        ev = _Evaluator(DesignConfig(mask=MASKS[mask]))
+        pop = rng.normal(size=(3, 4, 30))
+        pop -= pop.mean(axis=-1, keepdims=True)
+        budget, xi, _ = ev.shape_metrics(pop)
+        assert np.all(budget == 0.0) and np.all(xi == 0.0)
 
 
 class TestOrthogonalityMatrix:

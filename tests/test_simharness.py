@@ -79,6 +79,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_json({"snr_grid_db": [20, 30, 30.0]})
 
+    def test_non_numeric_snr_point_rejected(self):
+        for bad in (math.nan, -math.inf):
+            with pytest.raises(ConfigError, match="snr"):
+                SimConfig(snr_grid_db=(30.0, bad), trials=2)
+        with pytest.raises(ConfigError):
+            config_from_json(json.loads('{"snr_grid_db": [20, NaN]}'))
+
+    def test_infinite_snr_point_runs(self):
+        # +inf is the noiseless sentinel of add_awgn, not a malformed point
+        result = sweep_snr(SimConfig(snr_grid_db=(math.inf,), trials=1))
+        (trial,) = result.trials[math.inf]
+        assert trial.failure is None and trial.fix is not None
+        assert max(abs(e) for e in trial.toa_err_s) < 1e-12
+
     def test_range_aliasing_room_rejected(self):
         # ToA wraps at c * symbol_duration = 14.99 m; the default room's
         # worst anchor-to-corner distance is 9 m, a 20 x 20 x 3 m room's 28.4 m
