@@ -283,9 +283,9 @@ def signature_to_csv(sig: MaterialSignature, path: str | Path) -> None:
               zip(sig.freq_hz, sig.attenuation_db, sig.phase_rad), digits=12)
 
 
-def signature_from_csv(path: str | Path) -> MaterialSignature:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return MaterialSignature(data[:, 0], data[:, 1], data[:, 2])
+def signature_from_csv(rows: np.ndarray) -> MaterialSignature:
+    """The signature of `freq_hz,attenuation_db,phase_rad` rows, as ``read_csv`` returns them."""
+    return MaterialSignature(rows[:, 0], rows[:, 1], rows[:, 2])
 
 
 def cir_to_csv(cir: ChannelRealization, path: str | Path) -> None:

@@ -1,7 +1,8 @@
 """Command-line entry points: design, locate, sweep, detect, cir.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible pulse
-optimization, 4 I/O failure.
+Exit codes: 0 success, 2 configuration error (including a malformed or
+invalid input file), 3 infeasible pulse optimization, 4 I/O failure
+(including a missing or unreadable input file).
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from .pulses import DesignConfig, InfeasibleDesignError, design_pulses, pulse_se
 from .simulate import (
     ConfigError,
     SimConfig,
-    _read_config,
+    config_from_json,
     emit_csv,
+    read_input,
     run_trial,
     sweep_snr,
     trial_seed,
@@ -32,11 +34,15 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
-def _load_waveform(path: str):
-    p = Path(path)
-    if p.suffix.lower() == ".json":
-        return waveform_from_json(p)
-    return waveform_from_csv(p)
+
+def _read_config(cls: type, path: str | None):
+    """The ``cls`` config in the JSON file at ``path``; the defaults without one."""
+    return read_input(path, lambda obj: config_from_json(obj, cls)) if path else cls()
+
+
+def _decode_waveform(value):
+    """A waveform from a parsed JSON object or from CSV rows."""
+    return waveform_from_json(value) if isinstance(value, dict) else waveform_from_csv(value)
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
@@ -46,8 +52,8 @@ def _cmd_design(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ps = design_pulses(cfg)
-    pulse_set_to_json(ps, out / "pulse_set.json")
-    mask_to_json(cfg.mask, out / "mask.json")
+    (out / "pulse_set.json").write_text(json.dumps(pulse_set_to_json(ps)))
+    (out / "mask.json").write_text(json.dumps(mask_to_json(cfg.mask), indent=2))
 
     labels = range(ps.pulse_count)
     write_csv(out / "pulses.csv", ["t"] + [f"pulse_{i}" for i in labels],
@@ -131,12 +137,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         nonlinearity_rad=args.nonlinearity_threshold,
     )
     if args.signature:
-        sig = signature_from_csv(args.signature)
+        sig = read_input(args.signature, signature_from_csv)
     else:
         if not (args.tx and args.rx):
             raise ConfigError("detect needs either --signature or both --tx and --rx")
-        tx = _load_waveform(args.tx)
-        rx = _load_waveform(args.rx)
+        tx = read_input(args.tx, _decode_waveform)
+        rx = read_input(args.rx, _decode_waveform)
         sig = estimate_transfer(tx, rx)
     verdict = classify(sig, thresholds)
     print(json.dumps({

@@ -10,10 +10,8 @@ provided as an independent cross-check.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -284,16 +282,9 @@ def gauss_newton_refine(
 
 # -- serialization ----------------------------------------------------------
 
-def anchors_to_json(anchors: list[Anchor], path: str | Path | None = None) -> list[dict]:
-    obj = [{"id": a.id, "x": a.position[0], "y": a.position[1], "z": a.position[2]} for a in anchors]
-    if path is not None:
-        Path(path).write_text(json.dumps(obj, indent=2))
-    return obj
+def anchors_to_json(anchors: list[Anchor]) -> list[dict]:
+    return [{"id": a.id, "x": a.position[0], "y": a.position[1], "z": a.position[2]} for a in anchors]
 
 
-def anchors_from_json(source: str | Path | list) -> list[Anchor]:
-    if isinstance(source, list):
-        obj = source
-    else:
-        obj = json.loads(Path(source).read_text())
+def anchors_from_json(obj: list) -> list[Anchor]:
     return [Anchor(str(e["id"]), (float(e["x"]), float(e["y"]), float(e["z"]))) for e in obj]

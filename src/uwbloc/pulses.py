@@ -15,10 +15,8 @@ meaningful.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -442,8 +440,8 @@ def orthogonality_matrix(ps: PulseSet) -> np.ndarray:
 
 # -- serialization ----------------------------------------------------------
 
-def pulse_set_to_json(ps: PulseSet, path: str | Path | None = None) -> dict:
-    obj = {
+def pulse_set_to_json(ps: PulseSet) -> dict:
+    return {
         "basis": {
             "m": ps.basis.order_m,
             "T": ps.basis.knot_spacing,
@@ -453,12 +451,9 @@ def pulse_set_to_json(ps: PulseSet, path: str | Path | None = None) -> dict:
         "Es": ps.energy_es,
         "dt": ps.dt,
     }
-    if path is not None:
-        Path(path).write_text(json.dumps(obj))
-    return obj
 
 
-def load_pulse_set(source: str | Path | dict, mask: SpectralMask | None = None) -> PulseSet:
+def load_pulse_set(obj: dict, mask: SpectralMask | None = None) -> PulseSet:
     """Re-synthesize a stored pulse set and re-verify its invariants.
 
     Checks zero-sum rows, the Gram structure and Es always, with the
@@ -466,10 +461,6 @@ def load_pulse_set(source: str | Path | dict, mask: SpectralMask | None = None) 
     mask is supplied. Without a mask the effectiveness and objective are NaN
     (unknown).
     """
-    if isinstance(source, dict):
-        obj = source
-    else:
-        obj = json.loads(Path(source).read_text())
     basis = BSplineBasis(int(obj["basis"]["m"]), float(obj["basis"]["T"]), int(obj["basis"]["Ns"]))
     coeffs = np.asarray(obj["coeffs"], dtype=float)
     e_s = float(obj["Es"])

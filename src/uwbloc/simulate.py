@@ -13,7 +13,6 @@ produce byte-identical CSV files.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import get_type_hints
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -40,9 +39,15 @@ from .positioning import (
     select_solution,
 )
 from .pulses import PulseSet, load_pulse_set
-from .ranging import BurstSpec, make_burst, range_from_toa, toa_dirty_template
+from .ranging import (
+    BurstSpec,
+    _samples_per_symbol,
+    make_burst,
+    range_from_toa,
+    toa_dirty_template,
+)
 from .spectrum import mask_from_json, mask_to_json
-from .waveform import Waveform, add_awgn, write_csv
+from .waveform import Waveform, add_awgn, read_csv, write_csv
 
 __all__ = [
     "ConfigError",
@@ -57,6 +62,7 @@ __all__ = [
     "emit_csv",
     "config_from_json",
     "config_to_json",
+    "read_input",
     "load_default_pulse_set",
 ]
 
@@ -170,11 +176,19 @@ def load_default_pulse_set() -> PulseSet:
 
 
 def _resolve_pulses(cfg: SimConfig, pulse_set: PulseSet | None) -> PulseSet:
-    if pulse_set is not None:
-        return pulse_set
-    if cfg.pulse_set is not None:
-        return load_pulse_set(cfg.pulse_set)
-    return load_default_pulse_set()
+    """The pulse set a config runs with, checked against its symbol duration."""
+    ps = pulse_set
+    if ps is None:
+        ps = (read_input(cfg.pulse_set, load_pulse_set) if cfg.pulse_set is not None
+              else load_default_pulse_set())
+    try:
+        _samples_per_symbol(cfg.symbol_duration, ps.dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if cfg.symbol_duration < ps.pulses[0].duration:
+        raise ConfigError(f"symbol_duration {cfg.symbol_duration} is shorter than the "
+                          f"{ps.pulses[0].duration} s pulse")
+    return ps
 
 
 def trial_seed(master_seed: int, snr_index: int, trial_index: int) -> int:
@@ -221,7 +235,7 @@ def run_trial(
     truth = (float(x), float(y), float(z))
 
     free_space = material_response("free_space", 0.0, 0.5 / ps.dt)
-    n_sym = round(cfg.symbol_duration / ps.dt)
+    n_sym = _samples_per_symbol(cfg.symbol_duration, ps.dt)
     min_len = (cfg.symbol_count + 1) * n_sym
 
     toas, ranges, toa_errs, range_errs = [], [], [], []
@@ -330,27 +344,18 @@ def emit_csv(table: SweepResult | list[SweepRow] | tuple[SweepRow, ...], path: s
     write_csv(path, names, ([float(getattr(r, n)) for n in names] for r in rows))
 
 
-def parse_sweep_csv(path: str | Path) -> list[SweepRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(SweepRow(**{k: float(v) for k, v in rec.items()}))
-    return rows
-
-
 # -- configuration files ------------------------------------------------------
 
-# JSON forms of the config fields that are not plain JSON values, by field name;
-# list() because the list decoders read a file when handed a string
+# JSON forms of the config fields that are not plain JSON values, by field name
 _FIELD_CODECS = {
     "room": (lambda r: {"min": list(r.minimum), "max": list(r.maximum)},
              lambda obj: RoomBounds(tuple(obj["min"]), tuple(obj["max"]))),
-    "anchors": (anchors_to_json, lambda obj: tuple(anchors_from_json(list(obj)))),
-    "mask": (mask_to_json, lambda obj: mask_from_json(list(obj))),
+    "anchors": (anchors_to_json, lambda obj: tuple(anchors_from_json(obj))),
+    "mask": (mask_to_json, mask_from_json),
 }
 
 
-def _fields_to_json(cfg) -> dict:
+def config_to_json(cfg) -> dict:
     """JSON object of a config dataclass, one key per field."""
     obj = {}
     for f in fields(cfg):
@@ -358,58 +363,52 @@ def _fields_to_json(cfg) -> dict:
         if f.name in _FIELD_CODECS:
             val = _FIELD_CODECS[f.name][0](val)
         elif is_dataclass(val):
-            val = _fields_to_json(val)
+            val = config_to_json(val)
         elif isinstance(val, tuple):
             val = list(val)
         obj[f.name] = val
     return obj
 
 
-def _fields_from_json(cls: type, obj: object):
-    """Inverse of ``_fields_to_json``; unknown keys are rejected so typos fail loudly."""
+def config_from_json(obj: object, cls: type = SimConfig):
+    """Inverse of ``config_to_json``: a ``cls`` config (SimConfig by default).
+
+    Unknown keys are rejected so typos fail loudly; they and every invalid
+    value raise ConfigError.
+    """
     if not isinstance(obj, dict):
         raise ConfigError(f"{cls.__name__} config must be a JSON object")
     unknown = set(obj) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} config keys: {sorted(unknown)}")
     types = get_type_hints(cls)
-    kwargs = {}
-    for key, val in obj.items():
-        if key in _FIELD_CODECS:
-            val = _FIELD_CODECS[key][1](val)
-        elif is_dataclass(types[key]):
-            val = _fields_from_json(types[key], val)
-        elif isinstance(val, list):
-            val = tuple(val)
-        kwargs[key] = val
-    return cls(**kwargs)
-
-
-def _read_config(cls: type, source: str | Path | dict | None):
-    """Read a config dataclass from a JSON file or a parsed object; None gives the defaults."""
-    if not source:
-        return cls()
     try:
-        obj = source if isinstance(source, dict) else json.loads(Path(source).read_text())
-        return _fields_from_json(cls, obj)
+        kwargs = {}
+        for key, val in obj.items():
+            if key in _FIELD_CODECS:
+                val = _FIELD_CODECS[key][1](val)
+            elif is_dataclass(types[key]):
+                val = config_from_json(val, types[key])
+            elif isinstance(val, list):
+                val = tuple(val)
+            kwargs[key] = val
+        return cls(**kwargs)
     except ConfigError:
         raise
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {source}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {cls.__name__} config value: {exc}") from exc
 
 
-def config_from_json(source: str | Path | dict) -> SimConfig:
-    """Build a SimConfig from a JSON object mirroring it field-for-field.
+def read_input(path: str | Path, decode: Callable[[object], object]):
+    """Parse a user-supplied file and decode the parsed value.
 
-    Unknown keys are rejected so typos fail loudly.
+    ``.json`` files are parsed as JSON, every other file as a CSV table
+    (``read_csv``). A parse, decode or validation failure raises ConfigError
+    naming the path; an OSError, such as a missing file, propagates.
     """
-    return _read_config(SimConfig, source)
-
-
-def config_to_json(cfg: SimConfig, path: str | Path | None = None) -> dict:
-    obj = _fields_to_json(cfg)
-    if path is not None:
-        Path(path).write_text(json.dumps(obj, indent=2))
-    return obj
+    path = Path(path)
+    try:
+        value = json.loads(path.read_text()) if path.suffix.lower() == ".json" else read_csv(path)
+        return decode(value)
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc

@@ -9,9 +9,7 @@ pins the admissible pulse energy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -191,21 +189,14 @@ def effectiveness(freq_hz: np.ndarray, density_db: np.ndarray, mask: SpectralMas
 
 # -- serialization ----------------------------------------------------------
 
-def mask_to_json(mask: SpectralMask, path: str | Path | None = None) -> list[dict]:
-    obj = [
+def mask_to_json(mask: SpectralMask) -> list[dict]:
+    return [
         {"f_lo_hz": a, "f_hi_hz": b, "limit_dbm_per_mhz": lim}
         for a, b, lim in mask.segments
     ]
-    if path is not None:
-        Path(path).write_text(json.dumps(obj, indent=2))
-    return obj
 
 
-def mask_from_json(source: str | Path | list) -> SpectralMask:
-    if isinstance(source, list):
-        obj = source
-    else:
-        obj = json.loads(Path(source).read_text())
+def mask_from_json(obj: list) -> SpectralMask:
     segs = tuple(
         (float(s["f_lo_hz"]), float(s["f_hi_hz"]), float(s["limit_dbm_per_mhz"]))
         for s in obj

@@ -8,7 +8,6 @@ waveforms are never mutated in place.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +23,7 @@ __all__ = [
     "add_awgn",
     "cross_correlate",
     "write_csv",
+    "read_csv",
     "waveform_to_csv",
     "waveform_from_csv",
     "waveform_to_json",
@@ -161,10 +161,13 @@ def add_awgn(w: Waveform, snr_db: float, seed: int) -> Waveform:
 
     SNR is defined against the mean power of the full waveform extent
     (including any zero padding), the conventional definition in ranging
-    simulations. ``snr_db = inf`` is the no-noise sentinel. Deterministic:
-    the noise is a pure function of (w, snr_db, seed) via PCG64.
+    simulations. ``snr_db = inf`` is the no-noise sentinel; NaN and ``-inf``
+    are rejected. Deterministic: the noise is a pure function of
+    (w, snr_db, seed) via PCG64.
     """
-    if math.isinf(snr_db) and snr_db > 0:
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    if snr_db == math.inf:
         return Waveform(w.samples.copy(), w.dt, w.t0)
     power = float(np.mean(w.samples**2))
     if power <= 0.0:
@@ -206,14 +209,22 @@ def write_csv(path: str | Path, header: list[str], rows, digits: int = 9) -> Non
             writer.writerow([f"{x:.{digits}e}" if isinstance(x, float) else x for x in row])
 
 
+def read_csv(path: str | Path) -> np.ndarray:
+    """Inverse of ``write_csv``: the rows below the header line as a float array.
+
+    The result is 2-D (rows x columns) even for a single row or column.
+    """
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
 def waveform_to_csv(w: Waveform, path: str | Path) -> None:
     """Write `t,amplitude` rows with a header line."""
     write_csv(path, ["t", "amplitude"], zip(w.times, w.samples), digits=12)
 
 
-def waveform_from_csv(path: str | Path) -> Waveform:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    t, x = data[:, 0], data[:, 1]
+def waveform_from_csv(rows: np.ndarray) -> Waveform:
+    """The waveform of `t,amplitude` rows, as ``read_csv`` returns them."""
+    t, x = rows[:, 0], rows[:, 1]
     if t.size < 2:
         raise ValueError("cannot infer dt from fewer than 2 samples")
     dts = np.diff(t)
@@ -223,16 +234,9 @@ def waveform_from_csv(path: str | Path) -> Waveform:
     return Waveform(x, dt, float(t[0]))
 
 
-def waveform_to_json(w: Waveform, path: str | Path | None = None) -> dict:
-    obj = {"dt": w.dt, "t0": w.t0, "samples": w.samples.tolist()}
-    if path is not None:
-        Path(path).write_text(json.dumps(obj))
-    return obj
+def waveform_to_json(w: Waveform) -> dict:
+    return {"dt": w.dt, "t0": w.t0, "samples": w.samples.tolist()}
 
 
-def waveform_from_json(source: str | Path | dict) -> Waveform:
-    if isinstance(source, dict):
-        obj = source
-    else:
-        obj = json.loads(Path(source).read_text())
+def waveform_from_json(obj: dict) -> Waveform:
     return Waveform(np.asarray(obj["samples"], dtype=float), float(obj["dt"]), float(obj.get("t0", 0.0)))

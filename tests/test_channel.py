@@ -20,7 +20,7 @@ from uwbloc.channel import (
     _tap_sum,
 )
 from uwbloc.detection import phase_nonlinearity
-from uwbloc.waveform import Waveform, cross_correlate, delay, energy
+from uwbloc.waveform import Waveform, cross_correlate, delay, energy, read_csv
 
 DT = 50e-12
 
@@ -256,7 +256,7 @@ class TestSerialization:
         sig = material_response("human", points=101)
         path = tmp_path / "sig.csv"
         signature_to_csv(sig, path)
-        back = signature_from_csv(path)
+        back = signature_from_csv(read_csv(path))
         assert np.allclose(back.freq_hz, sig.freq_hz)
         assert np.allclose(back.attenuation_db, sig.attenuation_db)
         assert np.allclose(back.phase_rad, sig.phase_rad)

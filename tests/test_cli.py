@@ -7,8 +7,9 @@ import pytest
 
 from uwbloc.channel import material_response, signature_to_csv
 from uwbloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
-from uwbloc.pulses import DesignConfig, load_pulse_set
-from uwbloc.simulate import SimConfig, config_to_json, parse_sweep_csv
+from uwbloc.positioning import Anchor, RoomBounds
+from uwbloc.pulses import DesignConfig, load_pulse_set, pulse_set_to_json
+from uwbloc.simulate import SimConfig, config_to_json
 from uwbloc.spectrum import mask_to_json
 from uwbloc.waveform import waveform_to_csv, waveform_to_json
 
@@ -17,18 +18,41 @@ from uwbloc.waveform import waveform_to_csv, waveform_to_json
 E9 = r"-?\d\.\d{9}e[+-]\d{2,3}"
 
 
-@pytest.fixture()
-def tiny_config_path(tmp_path):
+def write_config(tmp_path, **fields):
+    """Path of a SimConfig file for a 2-trial, 2-point sweep with ``fields`` changed."""
     cfg = SimConfig(snr_grid_db=(20.0, 30.0), trials=2, out_dir=str(tmp_path / "out"))
     path = tmp_path / "cfg.json"
-    config_to_json(cfg, path)
+    path.write_text(json.dumps(config_to_json(dataclasses.replace(cfg, **fields)), indent=2))
     return path
 
 
+@pytest.fixture()
+def tiny_config_path(tmp_path):
+    return write_config(tmp_path)
+
+
+# a 10 cm cube with anchors on its top corners: its ranges stay inside the 30 cm
+# ambiguity of a 1 ns symbol, which is shorter than the 1.3 ns packaged pulse
+TINY_ROOM = dict(
+    room=RoomBounds((0.0, 0.0, 0.0), (0.1, 0.1, 0.1)),
+    anchors=tuple(Anchor(f"a{i}", (x, y, 0.1))
+                  for i, (x, y) in enumerate([(0, 0), (0.1, 0), (0, 0.1), (0.1, 0.1)])),
+    placement_inset=0.01, symbol_duration=1e-9)
+
+
+def bad_pulse_set(tmp_path, default_pulses) -> str:
+    """Path of a pulse set whose stored energy does not match its pulses."""
+    obj = pulse_set_to_json(default_pulses)
+    obj["Es"] *= 2.0
+    path = tmp_path / "ps.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 class TestSweepCommand:
-    def test_writes_tables(self, tiny_config_path, tmp_path, capsys):
+    def test_writes_tables(self, tiny_config_path, tmp_path, capsys, read_sweep_csv):
         assert main(["sweep", "--config", str(tiny_config_path)]) == EXIT_OK
-        rows = parse_sweep_csv(tmp_path / "out" / "sweep.csv")
+        rows = read_sweep_csv(tmp_path / "out" / "sweep.csv")
         assert [r.snr_db for r in rows] == [20.0, 30.0]
         fixes = (tmp_path / "out" / "fixes.csv").read_text().splitlines()
         assert fixes[0] == "trial,snr_db,x,y,z,bias,residual,err_m"
@@ -52,20 +76,42 @@ class TestSweepCommand:
             assert code == EXIT_CONFIG
         assert not (tmp_path / "sweep.csv").exists()
 
-    def test_overrides(self, tiny_config_path, tmp_path):
+    def test_overrides(self, tiny_config_path, tmp_path, read_sweep_csv):
         out = tmp_path / "alt"
         code = main([
             "sweep", "--config", str(tiny_config_path),
             "--snr", "25", "--trials", "1", "--seed", "9", "--out", str(out),
         ])
         assert code == EXIT_OK
-        rows = parse_sweep_csv(out / "sweep.csv")
+        rows = read_sweep_csv(out / "sweep.csv")
         assert len(rows) == 1 and rows[0].snr_db == 25.0
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"snr_list": [10]}))
-        assert main(["sweep", "--config", str(bad)]) == EXIT_CONFIG
+        for text in (json.dumps({"snr_list": [10]}), "{"):
+            bad.write_text(text)
+            assert main(["sweep", "--config", str(bad)]) == EXIT_CONFIG
+            assert str(bad) in capsys.readouterr().err
+
+    def test_malformed_pulse_set_exit_code(self, tmp_path, capsys, default_pulses):
+        not_json = tmp_path / "not_json.json"
+        not_json.write_text("{")
+        for ps_path in (str(not_json), bad_pulse_set(tmp_path, default_pulses)):
+            cfg = write_config(tmp_path, pulse_set=ps_path)
+            assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+            assert ps_path in capsys.readouterr().err
+            assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_missing_pulse_set_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path, pulse_set=str(tmp_path / "missing.json"))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_IO
+
+    def test_symbol_off_the_sample_grid_exit_code(self, tmp_path, capsys):
+        # 50.01 ns is 1000.2 samples of the packaged set's 50 ps grid
+        cfg = write_config(tmp_path, symbol_duration=50.01e-9)
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "integer number of samples" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_io_error_exit_code(self, tiny_config_path):
         code = main(["sweep", "--config", str(tiny_config_path),
@@ -89,6 +135,20 @@ class TestLocateCommand:
         assert exc.value.code == EXIT_CONFIG
         assert main(["locate", "--config", str(tiny_config_path), "--snr", "nan"]) == EXIT_CONFIG
 
+    def test_symbol_the_pulses_cannot_fill_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, symbol_duration=50.01e-9)
+        assert main(["locate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "integer number of samples" in capsys.readouterr().err
+        cfg = write_config(tmp_path, **TINY_ROOM)
+        assert main(["locate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "shorter than" in capsys.readouterr().err
+
+    def test_invalid_pulse_set_exit_code(self, tmp_path, capsys, default_pulses):
+        ps_path = bad_pulse_set(tmp_path, default_pulses)
+        cfg = write_config(tmp_path, pulse_set=ps_path)
+        assert main(["locate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert ps_path in capsys.readouterr().err
+
 
 class TestDetectCommand:
     def test_from_signature_csv(self, tmp_path, capsys):
@@ -107,13 +167,44 @@ class TestDetectCommand:
         tx_path = tmp_path / "tx.csv"
         rx_path = tmp_path / "rx.json"
         waveform_to_csv(tx, tx_path)
-        waveform_to_json(rx, rx_path)
+        rx_path.write_text(json.dumps(waveform_to_json(rx)))
         assert main(["detect", "--tx", str(tx_path), "--rx", str(rx_path)]) == EXIT_OK
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["label"] == "artificial_only"
 
-    def test_missing_inputs(self):
+    def test_missing_inputs(self, tmp_path):
         assert main(["detect"]) == EXIT_CONFIG
+        assert main(["detect", "--signature", str(tmp_path / "missing.csv")]) == EXIT_IO
+
+    @pytest.mark.parametrize("flag", ["--tx", "--rx"])
+    @pytest.mark.parametrize("name, text", [
+        ("w.json", "{not json"),
+        ("w.json", json.dumps({"dt": 5e-11})),
+        ("w.json", json.dumps([0.0, 1.0])),
+        ("w.csv", "t,amplitude\n0.0,1.0\n5e-11,oops\n"),
+        ("w.csv", "t\n0.0\n5e-11\n"),
+        ("w.csv", "t,amplitude\n0.0,1.0\n"),
+    ])
+    def test_malformed_waveform_exit_code(self, tmp_path, capsys, default_pulses,
+                                          flag, name, text):
+        good = tmp_path / "good.csv"
+        waveform_to_csv(default_pulses.pulses[0], good)
+        bad = tmp_path / name
+        bad.write_text(text)
+        other = "--rx" if flag == "--tx" else "--tx"
+        assert main(["detect", flag, str(bad), other, str(good)]) == EXIT_CONFIG
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "freq_hz,attenuation_db,phase_rad\n1e9,10,0\n2e9,oops,0\n",
+        "freq_hz\n1e9\n2e9\n",
+        "freq_hz,attenuation_db,phase_rad\n2e9,10,0\n1e9,10,0\n",
+    ])
+    def test_malformed_signature_exit_code(self, tmp_path, capsys, text):
+        bad = tmp_path / "sig.csv"
+        bad.write_text(text)
+        assert main(["detect", "--signature", str(bad)]) == EXIT_CONFIG
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestCirCommand:
@@ -144,7 +235,7 @@ class TestDesignCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["objective"] > 0
 
-        pulse = load_pulse_set(out / "pulse_set.json").pulses[0]
+        pulse = load_pulse_set(json.loads((out / "pulse_set.json").read_text())).pulses[0]
         pulses_csv = (out / "pulses.csv").read_text().splitlines()
         assert pulses_csv[0] == "t,pulse_0"
         assert len(pulses_csv) == 1 + len(pulse)  # one row per sample

@@ -285,8 +285,8 @@ class TestOrthogonalityMatrix:
 class TestPulseSetIO:
     def test_round_trip(self, default_pulses, tmp_path):
         path = tmp_path / "ps.json"
-        pulse_set_to_json(default_pulses, path)
-        back = load_pulse_set(path, mask=fcc_like_mask())
+        path.write_text(json.dumps(pulse_set_to_json(default_pulses)))
+        back = load_pulse_set(json.loads(path.read_text()), mask=fcc_like_mask())
         assert np.allclose(back.coeffs, default_pulses.coeffs)
         assert back.energy_es == pytest.approx(default_pulses.energy_es)
         assert back.basis == default_pulses.basis

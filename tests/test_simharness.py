@@ -19,7 +19,7 @@ from uwbloc.simulate import (
     default_anchors,
     emit_csv,
     load_default_pulse_set,
-    parse_sweep_csv,
+    read_input,
     run_trial,
     sweep_snr,
     trial_seed,
@@ -42,8 +42,8 @@ class TestConfig:
 
     def test_round_trip(self, tmp_path, tiny_cfg):
         path = tmp_path / "cfg.json"
-        config_to_json(tiny_cfg, path)
-        back = config_from_json(path)
+        path.write_text(json.dumps(config_to_json(tiny_cfg), indent=2))
+        back = read_input(path, config_from_json)
         assert back == tiny_cfg
 
     def test_unknown_key_rejected(self):
@@ -328,11 +328,11 @@ class TestEmitCsv:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
 
-    def test_round_trip(self, tmp_path, default_pulses, tiny_cfg):
+    def test_round_trip(self, tmp_path, default_pulses, tiny_cfg, read_sweep_csv):
         result = sweep_snr(tiny_cfg, default_pulses)
         path = tmp_path / "sweep.csv"
         emit_csv(result, path)
-        back = parse_sweep_csv(path)
+        back = read_sweep_csv(path)
         for row, orig in zip(back, result.rows):
             for f in dataclasses.fields(SweepRow):
                 a, b = getattr(row, f.name), getattr(orig, f.name)

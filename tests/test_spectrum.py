@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uwbloc.spectrum import (
     DB_FLOOR,
@@ -44,6 +48,19 @@ class TestPsd:
             integral = float(np.sum(10.0 ** (dens / 10.0)) * df_mhz)
             assert integral == pytest.approx(energy(w), rel=0.01)
 
+    @settings(max_examples=100, deadline=None)
+    @given(samples=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=300),
+           extra=st.integers(0, 5000), dt=st.sampled_from([DT, 1e-9, 1e-12]))
+    def test_parseval_property(self, samples, extra, dt):
+        # the zero-padded DFT conserves energy exactly, so only rounding in
+        # the dB round trip separates the PSD integral from the energy
+        assume(max(abs(x) for x in samples) > 1e-3)
+        w = Waveform(np.asarray(samples), dt)
+        nfft = len(samples) + extra
+        _, dens = psd(w, nfft)
+        integral = float(np.sum(10.0 ** (dens / 10.0)) / (nfft * dt * 1e6))
+        assert integral == pytest.approx(energy(w), rel=1e-12)
+
     def test_nfft_too_small(self):
         with pytest.raises(ValueError):
             psd(Waveform(np.ones(64), DT), 32)
@@ -78,8 +95,8 @@ class TestSpectralMask:
     def test_json_round_trip(self, tmp_path):
         mask = fcc_like_mask(notch=(1.0e9, 1.5e9, -60.0))
         path = tmp_path / "mask.json"
-        mask_to_json(mask, path)
-        assert mask_from_json(path) == mask
+        path.write_text(json.dumps(mask_to_json(mask), indent=2))
+        assert mask_from_json(json.loads(path.read_text())) == mask
 
 
 class TestMaskViolation:

