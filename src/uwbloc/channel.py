@@ -2,10 +2,12 @@
 
 The channel is a tapped delay line: a unit line-of-sight tap at delay zero
 followed by Poisson-spaced reflections with exponentially decaying Rayleigh
-amplitudes and random signs. Materials and bodies are frequency responses
-(attenuation + unwrapped phase) applied as filters; absolute propagation
-delay is applied with the time-domain fractional-delay interpolator so that
-the free-space single-tap case composes exactly with ``waveform.delay``.
+amplitudes and random signs. ``propagate`` sends a waveform through it in
+free space; absolute propagation delay is applied with the time-domain
+fractional-delay interpolator so that the single-tap case composes exactly
+with ``waveform.delay``. Materials and bodies are frequency responses
+(attenuation + unwrapped phase) that ``apply_signature`` applies as filters
+on the detection path.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +48,6 @@ class ChannelProfile:
     mean_tap_spacing: float = 5e-9
     decay_constant: float = 20e-9
     delay_spread_target: float = 60e-9
-    gain_law: str = "rayleigh"
     mpc_relative_gain: float = 0.35  # multipath amplitude scale relative to LOS
     min_excess_delay: float = 2e-9  # first reflection path exceeds LOS by this
 
@@ -58,8 +60,6 @@ class ChannelProfile:
                 raise ValueError(f"{name} must be positive")
         if self.min_excess_delay < 0:
             raise ValueError("min_excess_delay must be >= 0")
-        if self.gain_law != "rayleigh":
-            raise ValueError(f"unsupported gain law: {self.gain_law!r}")
 
 
 @dataclass(frozen=True)
@@ -198,23 +198,15 @@ def _signature_group_delay_bound(sig: MaterialSignature) -> float:
 
 
 def _filter(
-    w: Waveform,
-    sig: MaterialSignature,
-    pad: int,
-    taps: tuple[tuple[float, float], ...] = (),
+    w: Waveform, pad: int, response: Callable[[np.ndarray], np.ndarray]
 ) -> Waveform:
-    """Filter by the tap sum times the signature response, zero-padded by ``pad``.
+    """Filter by ``response`` (of the rFFT frequency grid), zero-padded by ``pad``.
 
     The output spans the padded FFT length; ``add_awgn`` measures power over it.
     """
     n = _fast_len(w.samples.size + pad)
     spec = np.fft.rfft(w.samples, n=n)
-    f = np.fft.rfftfreq(n, d=w.dt)
-    att = np.interp(f, sig.freq_hz, sig.attenuation_db)
-    phase = np.interp(f, sig.freq_hz, sig.phase_rad)
-    h = 10.0 ** (-att / 20.0) * np.exp(1j * phase)
-    if taps:
-        h = _tap_sum(taps, 1.0 / (n * w.dt), f.size) * h
+    h = response(np.fft.rfftfreq(n, d=w.dt))
     return Waveform(np.fft.irfft(spec * h, n=n), w.dt, w.t0)
 
 
@@ -253,27 +245,31 @@ def apply_signature(w: Waveform, sig: MaterialSignature) -> Waveform:
             f"signature grid [{sig.freq_hz[0]:.3g}, {sig.freq_hz[-1]:.3g}] Hz does not "
             f"cover the waveform band [0, {nyquist:.3g}] Hz")
     pad = int(math.ceil(_signature_group_delay_bound(sig) / w.dt)) + 64
-    return _filter(w, sig, 2 * pad)
+
+    def response(f: np.ndarray) -> np.ndarray:
+        att = np.interp(f, sig.freq_hz, sig.attenuation_db)
+        phase = np.interp(f, sig.freq_hz, sig.phase_rad)
+        return 10.0 ** (-att / 20.0) * np.exp(1j * phase)
+
+    return _filter(w, 2 * pad, response)
 
 
-def propagate(
-    w: Waveform,
-    distance_m: float,
-    cir: ChannelRealization,
-    sig: MaterialSignature,
-) -> Waveform:
-    """Delay by distance/c, convolve with the channel taps, filter by the material.
+def propagate(w: Waveform, distance_m: float, cir: ChannelRealization) -> Waveform:
+    """Delay by distance/c and convolve with the channel taps, in free space.
 
     The absolute delay goes through the windowed-sinc interpolator; taps are
-    applied as band-limited delays on the FFT grid, so a single unit tap with
-    a free-space signature reproduces ``delay(w, distance/c)`` exactly.
+    applied as band-limited delays on the FFT grid, so a single unit tap
+    reproduces ``delay(w, distance/c)`` exactly. Materials filter only the
+    detection path (``apply_signature``).
     """
     if distance_m <= 0:
         raise ValueError(f"distance must be positive, got {distance_m}")
     delayed = delay(w, distance_m / SPEED_OF_LIGHT)
-    pad = int(math.ceil(cir.delay_spread / w.dt)) + 64
-    pad += int(math.ceil(_signature_group_delay_bound(sig) / w.dt)) + 64
-    return _filter(delayed, sig, pad, cir.taps)
+    # 128 guard samples past the delay spread; the record length sets the
+    # noise power add_awgn spreads over it, so a test pins it
+    pad = int(math.ceil(cir.delay_spread / w.dt)) + 128
+    # f[1] is the grid spacing 1/(n dt)
+    return _filter(delayed, pad, lambda f: _tap_sum(cir.taps, f[1], f.size))
 
 
 # -- serialization ----------------------------------------------------------

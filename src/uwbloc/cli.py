@@ -143,7 +143,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             raise ConfigError("detect needs either --signature or both --tx and --rx")
         tx = read_input(args.tx, _decode_waveform)
         rx = read_input(args.rx, _decode_waveform)
-        sig = estimate_transfer(tx, rx)
+        try:
+            sig = estimate_transfer(tx, rx)
+        except ValueError as exc:  # each file is valid, the pair is not
+            raise ConfigError(f"{args.tx} and {args.rx}: {exc}") from exc
     verdict = classify(sig, thresholds)
     print(json.dumps({
         "label": verdict.label,

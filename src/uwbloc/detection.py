@@ -30,13 +30,16 @@ __all__ = [
 
 # Spectral-division bins this far (dB) under the TX peak are discarded.
 NOISE_FLOOR_REL_DB = -40.0
+# The default band keeps the TX spectrum within this many dB of its peak.
+BAND_DROP_DB = 10.0
+# A medium attenuating less than this (dB) on average is free space.
+ARTIFICIAL_FLOOR_DB = 3.0
 
 
 @dataclass(frozen=True)
 class DetectionThresholds:
     attenuation_db: float = 30.0
     nonlinearity_rad: float = 0.3
-    artificial_floor_db: float = 3.0
 
 
 @dataclass(frozen=True)
@@ -53,40 +56,36 @@ class DetectionVerdict:
             raise ValueError("phase nonlinearity must be finite and >= 0")
 
 
-def default_band(tx: Waveform, drop_db: float = 10.0, nfft: int | None = None) -> tuple[float, float]:
+def default_band(tx: Waveform, nfft: int | None = None) -> tuple[float, float]:
     """The TX pulse's -10 dB bandwidth: default band for transfer metrics."""
     n = nfft or max(4096, tx.samples.size)
     spec = np.abs(np.fft.rfft(tx.samples, n=n))
     freq = np.fft.rfftfreq(n, d=tx.dt)
-    thresh = spec.max() * 10.0 ** (-drop_db / 20.0)
+    thresh = spec.max() * 10.0 ** (-BAND_DROP_DB / 20.0)
     strong = np.nonzero(spec >= thresh)[0]
     return float(freq[strong[0]]), float(freq[strong[-1]])
 
 
 def estimate_transfer(
-    tx: Waveform,
-    rx: Waveform,
-    band: tuple[float, float] | None = None,
-    nfft: int | None = None,
-    noise_floor_rel_db: float = NOISE_FLOOR_REL_DB,
+    tx: Waveform, rx: Waveform, band: tuple[float, float] | None = None
 ) -> MaterialSignature:
     """Estimate the medium's frequency response as the spectral ratio RX/TX.
 
-    Bins where |TX| sits below ``noise_floor_rel_db`` of its peak are
-    excluded (division there is dominated by noise). Attenuation is clamped
-    at zero so noise cannot report gain. ``band`` defaults to the TX pulse's
-    -10 dB bandwidth.
+    Both spectra span the longer record. Bins where |TX| sits below
+    ``NOISE_FLOOR_REL_DB`` of its peak are excluded (division there is
+    dominated by noise). Attenuation is clamped at zero so noise cannot
+    report gain. ``band`` defaults to the TX pulse's -10 dB bandwidth.
     """
     if not math.isclose(tx.dt, rx.dt, rel_tol=1e-12):
         raise ValueError(f"sample intervals differ: {tx.dt} vs {rx.dt}")
-    n = nfft or max(tx.samples.size, rx.samples.size)
+    n = max(tx.samples.size, rx.samples.size)
     if band is None:
         band = default_band(tx, nfft=n)
     f_lo, f_hi = band
     tx_spec = np.fft.rfft(tx.samples, n=n)
     rx_spec = np.fft.rfft(rx.samples, n=n)
     freq = np.fft.rfftfreq(n, d=tx.dt)
-    floor = np.max(np.abs(tx_spec)) * 10.0 ** (noise_floor_rel_db / 20.0)
+    floor = np.max(np.abs(tx_spec)) * 10.0 ** (NOISE_FLOOR_REL_DB / 20.0)
     keep = (freq >= f_lo) & (freq <= f_hi) & (np.abs(tx_spec) >= floor)
     if np.count_nonzero(keep) < 3:
         raise ValueError(
@@ -130,7 +129,7 @@ def classify(sig: MaterialSignature, thresholds: DetectionThresholds | None = No
     nonlin = phase_nonlinearity(sig)
     if atten >= th.attenuation_db and nonlin >= th.nonlinearity_rad:
         label = "human_present"
-    elif atten >= th.artificial_floor_db:
+    elif atten >= ARTIFICIAL_FLOOR_DB:
         label = "artificial_only"
     else:
         label = "free_space"

@@ -18,7 +18,7 @@ fractions of a picosecond under multipath and noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,21 +41,21 @@ TDT_TRAINING_PATTERN = (1.0, 1.0, -1.0, -1.0)
 
 @dataclass(frozen=True)
 class BurstSpec:
-    """Transmit-side description of a training burst."""
+    """Transmit-side description of a training burst.
+
+    Every burst carries ``TDT_TRAINING_PATTERN`` and is emitted at t = 0: the
+    estimator's sign fold and its calibration burst assume both.
+    """
 
     pulse: Waveform
     symbol_duration: float
     symbol_count: int
-    emit_epoch: float = 0.0
-    pattern: tuple[float, ...] = field(default=TDT_TRAINING_PATTERN)
 
     def __post_init__(self) -> None:
         if self.symbol_count < 2:
             raise ValueError("symbol_count must be >= 2")
         if self.symbol_duration < self.pulse.duration:
             raise ValueError("symbol_duration must cover the pulse duration")
-        if not self.pattern or any(s == 0 for s in self.pattern):
-            raise ValueError("pattern must be non-empty with nonzero signs")
 
 
 def _samples_per_symbol(symbol_duration: float, dt: float) -> int:
@@ -67,16 +67,16 @@ def _samples_per_symbol(symbol_duration: float, dt: float) -> int:
 
 
 def make_burst(spec: BurstSpec) -> Waveform:
-    """Place symbol_count sign-weighted copies of the pulse at symbol spacing."""
+    """Place symbol_count pattern-signed copies of the pulse at symbol spacing, from t = 0."""
     dt = spec.pulse.dt
     n = _samples_per_symbol(spec.symbol_duration, dt)
     total = n * spec.symbol_count
     out = np.zeros(total)
     p = spec.pulse.samples
     for k in range(spec.symbol_count):
-        sign = spec.pattern[k % len(spec.pattern)]
+        sign = TDT_TRAINING_PATTERN[k % len(TDT_TRAINING_PATTERN)]
         out[k * n : k * n + p.size] += sign * p
-    return Waveform(out, dt, spec.emit_epoch)
+    return Waveform(out, dt)
 
 
 @dataclass(frozen=True)
@@ -128,19 +128,17 @@ def toa_dirty_template(
     symbol_duration: float,
     symbol_count: int,
     template: Waveform | None = None,
-    refine: bool = True,
 ) -> ToaEstimate:
     """Estimate the arrival offset of a training burst within one symbol.
 
     Evaluates sum_k [ integral r(t + k*T + tau) * r(t + (k-1)*T + tau) dt ]^2
     on the sample grid and locates its cancellation notch, the offset band
     where slice boundaries cut through the arriving pulse. When the transmit
-    ``template`` is supplied (data-aided mode) the notch is refined by
-    matched-filtering against the pulse's energy profile and calibrated
-    against a clean synthetic reference, making the estimate unbiased;
-    without it the raw notch edge is returned (a constant late bias, common
-    to every anchor using the same pulse). ``refine`` enables the sub-sample
-    stage.
+    ``template`` is supplied (data-aided mode) the notch is refined to a
+    sub-sample position by matched-filtering against the pulse's energy
+    profile and calibrated against a clean synthetic reference, making the
+    estimate unbiased; without it the raw notch edge is returned (a constant
+    late bias, common to every anchor using the same pulse).
     """
     if symbol_count < 2:
         raise ValueError("need at least 2 symbols")
@@ -151,7 +149,7 @@ def toa_dirty_template(
         raise ValueError(
             f"received waveform must cover at least {symbol_count + 1} symbol durations")
 
-    notch_pos = _notch_position(r, n, symbol_count, refine, template)
+    notch_pos = _notch_position(r, n, symbol_count, template)
     offset = notch_pos.offset
     if template is not None:
         # two-pass calibration: a first pass against the zero-phase reference
@@ -160,14 +158,10 @@ def toa_dirty_template(
         # Only the zero-phase reference is cached, so no estimate depends on
         # which estimates ran before it.
         m_ref = min(symbol_count, _REFERENCE_SYMBOLS)
-        coarse = offset - _zero_phase_notch(
-            template.samples.tobytes(), template.dt, n, m_ref, refine)
-        if refine:
-            phase = coarse % 1.0
-            shifted = delay(template, phase * template.dt).samples
-            offset = offset - _reference_notch(shifted, template, n, m_ref, refine) + phase
-        else:
-            offset = coarse
+        coarse = offset - _zero_phase_notch(template.samples.tobytes(), template.dt, n, m_ref)
+        phase = coarse % 1.0
+        shifted = delay(template, phase * template.dt).samples
+        offset = offset - _reference_notch(shifted, template, n, m_ref) + phase
     offset %= n
     return ToaEstimate(
         toa=received.t0 + offset * dt,
@@ -183,9 +177,9 @@ class _NotchPosition:
 
 
 def _notch_position(
-    r: np.ndarray, n: int, symbol_count: int, refine: bool, template: Waveform | None
+    r: np.ndarray, n: int, symbol_count: int, template: Waveform | None
 ) -> _NotchPosition:
-    """Locate the objective's cancellation notch, optionally sub-sample.
+    """Locate the objective's cancellation notch; sub-sample given a template.
 
     The training pattern makes consecutive-slice correlations alternate in
     sign, so their sign-folded sum ramps through zero as the slice boundary
@@ -209,7 +203,7 @@ def _notch_position(
     ring = obj[(start + np.arange(n)) % n]
     notch = int((start + np.nonzero(ring < thr)[0][0]) % n)
     offset = float(notch)
-    if refine and template is not None:
+    if template is not None:
         bank = _density_bank(template.samples.tobytes(), template.dt)
         width = bank.shape[1]
         signs = (-1.0) ** np.arange(pair_count)
@@ -280,9 +274,7 @@ def _bank_align(deriv: np.ndarray, bank: np.ndarray, rel: np.ndarray) -> float:
 _REFERENCE_SYMBOLS = 4
 
 
-def _reference_notch(
-    p: np.ndarray, template: Waveform, n: int, m_ref: int, refine: bool
-) -> float:
+def _reference_notch(p: np.ndarray, template: Waveform, n: int, m_ref: int) -> float:
     """Notch position of a clean burst of the pulse samples ``p``.
 
     Running the identical machinery on a synthetic reference makes the
@@ -293,14 +285,14 @@ def _reference_notch(
     """
     burst = make_burst(BurstSpec(Waveform(p, template.dt), n * template.dt, m_ref))
     ref = np.concatenate([burst.samples, np.zeros(n)])
-    return _notch_position(ref, n, m_ref, refine, template).offset
+    return _notch_position(ref, n, m_ref, template).offset
 
 
 @lru_cache(maxsize=32)
-def _zero_phase_notch(samples: bytes, dt: float, n: int, m_ref: int, refine: bool) -> float:
+def _zero_phase_notch(samples: bytes, dt: float, n: int, m_ref: int) -> float:
     """``_reference_notch`` of a pulse (raw float64 bytes) arriving on the sample grid."""
     template = Waveform(np.frombuffer(samples), dt)
-    return _reference_notch(template.samples, template, n, m_ref, refine)
+    return _reference_notch(template.samples, template, n, m_ref)
 
 
 def range_from_toa(est: ToaEstimate, emit_epoch: float) -> float:

@@ -24,7 +24,7 @@ from typing import Callable, get_type_hints
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, ChannelProfile, material_response, propagate, sample_cir
+from .channel import SPEED_OF_LIGHT, ChannelProfile, propagate, sample_cir
 from .positioning import (
     Anchor,
     NoValidFixError,
@@ -96,7 +96,6 @@ class SimConfig:
     floor_only: bool = True
     placement_inset: float = 0.1
     orthogonal_assignment: bool = True
-    refine_toa: bool = True
     # synchronized system: a fix whose fitted clock bias exceeds this is the
     # signature of ill-conditioned geometry and is rejected as a failure
     bias_gate_m: float = 0.3
@@ -234,7 +233,6 @@ def run_trial(
     z = cfg.room.minimum[2] if cfg.floor_only else truth_rng.uniform(lo[2], hi[2])
     truth = (float(x), float(y), float(z))
 
-    free_space = material_response("free_space", 0.0, 0.5 / ps.dt)
     n_sym = _samples_per_symbol(cfg.symbol_duration, ps.dt)
     min_len = (cfg.symbol_count + 1) * n_sym
 
@@ -247,16 +245,14 @@ def run_trial(
         cir_seed = int(scen_streams[1 + idx].generate_state(1, dtype=np.uint64)[0])
         noise_seed = int(noise_streams[idx].generate_state(1, dtype=np.uint64)[0])
         cir = sample_cir(cfg.channel, cir_seed)
-        rx = propagate(burst, dist, cir, free_space)
+        rx = propagate(burst, dist, cir)
         if rx.samples.size < min_len:
             rx = Waveform(
                 np.concatenate([rx.samples, np.zeros(min_len - rx.samples.size)]),
                 rx.dt, rx.t0)
         rx = add_awgn(rx, snr_db, noise_seed)
         try:
-            est = toa_dirty_template(
-                rx, cfg.symbol_duration, cfg.symbol_count,
-                template=pulse, refine=cfg.refine_toa)
+            est = toa_dirty_template(rx, cfg.symbol_duration, cfg.symbol_count, template=pulse)
             toa, rng_m = est.toa, range_from_toa(est, emit_epoch=0.0)
         except ValueError as exc:  # no usable signal at this anchor
             failure = failure or f"{type(exc).__name__}: {exc}"

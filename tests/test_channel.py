@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from uwbloc.channel import (
     sample_cir,
     signature_from_csv,
     signature_to_csv,
+    _fast_len,
     _filter,
     _tap_sum,
 )
@@ -77,8 +80,6 @@ class TestSampleCir:
     def test_validation(self):
         with pytest.raises(ValueError):
             ChannelProfile(tap_count_min=0)
-        with pytest.raises(ValueError):
-            ChannelProfile(gain_law="nakagami")
         with pytest.raises(ValueError):
             ChannelRealization(((1e-9, 1.0),), 1e-9)  # missing LOS at zero
 
@@ -181,14 +182,17 @@ class TestTapSum:
     )
     @example(taps=[(150e-9, 1.0)] * 40, n=24576)  # one coherent delay at the longest reach
     @example(taps=[(0.0, 1.0), (37e-9, -0.5)], n=2 * 128 * 5)  # bin count one past a block
+    @example(taps=[(1.4750684301739142e-07, 5e-324)], n=258)  # a subnormal gain
     def test_matches_per_tap_sum(self, taps, n):
         ref = reference_tap_sum(taps, n, DT)
         got = _tap_sum(tuple(taps), 1.0 / (n * DT), n // 2 + 1)
         # 1e-12 of the gain sum, plus the rounding of each tap's phase 2*pi*f*delay
-        # (thousands of radians at 150 ns), which a float64 per-tap sum carries too
+        # (thousands of radians at 150 ns), which a float64 per-tap sum carries too,
+        # plus one subnormal unit per tap, where the relative terms underflow to 0
         f_max = 0.5 / DT
         phase_ulps = 4 * np.finfo(float).eps * 2 * np.pi * f_max
-        tol = sum(abs(g) * (1e-12 + phase_ulps * d) for d, g in taps)
+        tiny = np.nextafter(0.0, 1.0)
+        tol = sum(abs(g) * (1e-12 + phase_ulps * d) + tiny for d, g in taps)
         assert np.max(np.abs(got - ref)) <= tol
 
     @pytest.mark.parametrize("seed", range(10))
@@ -205,18 +209,16 @@ class TestTapSum:
 
     def test_unit_los_tap_filters_like_no_taps(self):
         w = probe_pulse()
-        fs = material_response("free_space")
-        with_tap = _filter(w, fs, 512, ((0.0, 1.0),))
-        assert np.array_equal(with_tap.samples, _filter(w, fs, 512).samples)
+        with_tap = _filter(w, 512, lambda f: _tap_sum(((0.0, 1.0),), f[1], f.size))
+        assert np.array_equal(with_tap.samples, _filter(w, 512, np.ones_like).samples)
 
 
 class TestPropagate:
     def test_single_tap_free_space_equals_delay(self):
         w = probe_pulse()
         cir = ChannelRealization(((0.0, 1.0),), 0.0)
-        fs = material_response("free_space")
         d = 2.917
-        out = propagate(w, d, cir, fs)
+        out = propagate(w, d, cir)
         oracle = delay(w, d / SPEED_OF_LIGHT)
         m = min(len(out), len(oracle))
         assert np.allclose(out.samples[:m], oracle.samples[:m], atol=1e-12)
@@ -225,14 +227,14 @@ class TestPropagate:
         assert 3.0 / SPEED_OF_LIGHT == pytest.approx(10.0069e-9, rel=1e-4)
         w = probe_pulse()
         cir = ChannelRealization(((0.0, 1.0),), 0.0)
-        out = propagate(w, 3.0, cir, material_response("free_space"))
+        out = propagate(w, 3.0, cir)
         lags, vals = cross_correlate(w, out)
         assert lags[int(np.argmax(vals))] == pytest.approx(10.0069e-9, abs=DT)
 
     def test_received_duration_bookkeeping(self):
         w = probe_pulse()
         cir = sample_cir(ChannelProfile(), seed=3)
-        out = propagate(w, 4.0, cir, material_response("free_space"))
+        out = propagate(w, 4.0, cir)
         needed = 4.0 / SPEED_OF_LIGHT + w.duration + cir.delay_spread
         assert out.duration >= needed
 
@@ -240,15 +242,23 @@ class TestPropagate:
         a = probe_pulse()
         b = Waveform(np.roll(a.samples, 40), DT)
         cir = sample_cir(ChannelProfile(), seed=5)
-        fs = material_response("free_space")
-        combined = propagate(Waveform(a.samples + 2.0 * b.samples, DT), 3.0, cir, fs)
-        separate = propagate(a, 3.0, cir, fs).samples + 2.0 * propagate(b, 3.0, cir, fs).samples
+        combined = propagate(Waveform(a.samples + 2.0 * b.samples, DT), 3.0, cir)
+        separate = propagate(a, 3.0, cir).samples + 2.0 * propagate(b, 3.0, cir).samples
         assert np.allclose(combined.samples, separate, atol=1e-9 * np.max(np.abs(separate)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_record_length(self, seed):
+        # add_awgn spreads the noise over the whole record, so its length sets the SNR
+        w = probe_pulse()
+        cir = sample_cir(ChannelProfile(), seed)
+        d = 4.0
+        expect = _fast_len(len(delay(w, d / SPEED_OF_LIGHT))
+                           + math.ceil(cir.delay_spread / DT) + 128)
+        assert len(propagate(w, d, cir)) == expect
 
     def test_distance_must_be_positive(self):
         with pytest.raises(ValueError):
-            propagate(probe_pulse(), 0.0, ChannelRealization(((0.0, 1.0),), 0.0),
-                      material_response("free_space"))
+            propagate(probe_pulse(), 0.0, ChannelRealization(((0.0, 1.0),), 0.0))
 
 
 class TestSerialization:

@@ -11,7 +11,7 @@ from uwbloc.positioning import Anchor, RoomBounds
 from uwbloc.pulses import DesignConfig, load_pulse_set, pulse_set_to_json
 from uwbloc.simulate import SimConfig, config_to_json
 from uwbloc.spectrum import mask_to_json
-from uwbloc.waveform import waveform_to_csv, waveform_to_json
+from uwbloc.waveform import Waveform, waveform_to_csv, waveform_to_json
 
 
 # a table cell written by write_csv with the default 9 digits
@@ -92,6 +92,16 @@ class TestSweepCommand:
             bad.write_text(text)
             assert main(["sweep", "--config", str(bad)]) == EXIT_CONFIG
             assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("obj, key", [
+        ({"refine_toa": True}, "refine_toa"),
+        ({"channel": {"gain_law": "rayleigh"}}, "gain_law"),
+    ])
+    def test_removed_keys_exit_code(self, tmp_path, capsys, obj, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(obj))
+        assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
     def test_malformed_pulse_set_exit_code(self, tmp_path, capsys, default_pulses):
         not_json = tmp_path / "not_json.json"
@@ -205,6 +215,22 @@ class TestDetectCommand:
         bad.write_text(text)
         assert main(["detect", "--signature", str(bad)]) == EXIT_CONFIG
         assert str(bad) in capsys.readouterr().err
+
+    def test_waveforms_on_different_grids_exit_code(self, tmp_path, capsys):
+        tx_path, rx_path = tmp_path / "tx.csv", tmp_path / "rx.csv"
+        waveform_to_csv(Waveform(np.hanning(64), 50e-12), tx_path)
+        waveform_to_csv(Waveform(np.hanning(64), 100e-12), rx_path)
+        assert main(["detect", "--tx", str(tx_path), "--rx", str(rx_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(tx_path) in err and str(rx_path) in err and "sample intervals" in err
+
+    def test_pulse_without_band_exit_code(self, tmp_path, capsys):
+        # 3 samples give two rFFT bins: too few above the noise floor to estimate
+        path = tmp_path / "w.csv"
+        waveform_to_csv(Waveform(np.array([0.0, 1.0, 0.0]), 50e-12), path)
+        assert main(["detect", "--tx", str(path), "--rx", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err and "noise floor" in err
 
 
 class TestCirCommand:

@@ -7,7 +7,7 @@ import pytest
 
 import uwbloc
 
-from uwbloc.channel import SPEED_OF_LIGHT, ChannelProfile, material_response, propagate, sample_cir
+from uwbloc.channel import SPEED_OF_LIGHT, ChannelProfile, propagate, sample_cir
 from uwbloc.ranging import (
     BurstSpec,
     TDT_TRAINING_PATTERN,
@@ -32,8 +32,7 @@ def pulse(default_pulses):
 def received(pulse, delay_s, seed=0, snr_db=float("inf"), channel=None, symbols=SYMBOLS):
     burst = make_burst(BurstSpec(pulse, TSYM, symbols))
     cir = sample_cir(channel or ChannelProfile(tap_count_min=1, tap_count_max=1), seed)
-    rx = propagate(burst, delay_s * SPEED_OF_LIGHT, cir,
-                   material_response("free_space", 0.0, 0.5 / pulse.dt))
+    rx = propagate(burst, delay_s * SPEED_OF_LIGHT, cir)
     need = (symbols + 1) * round(TSYM / pulse.dt)
     if rx.samples.size < need:
         rx = Waveform(np.concatenate([rx.samples, np.zeros(need - rx.samples.size)]), rx.dt, rx.t0)

@@ -117,7 +117,6 @@ class TestConfig:
             "mean_tap_spacing": data.draw(_other_than(_floats(1e-12, 1e-6), 5e-9)),
             "decay_constant": data.draw(_other_than(_floats(1e-12, 1e-6), 20e-9)),
             "delay_spread_target": data.draw(_other_than(_floats(1e-12, 1e-6), 60e-9)),
-            "gain_law": "rayleigh",  # the only supported law
             "mpc_relative_gain": data.draw(_other_than(_floats(1e-3, 10.0), 0.35)),
             "min_excess_delay": data.draw(_other_than(_floats(0.0, 1e-6), 2e-9)),
         }
@@ -140,7 +139,6 @@ class TestConfig:
             "floor_only": False,
             "placement_inset": data.draw(_other_than(_floats(0.0, 1.0), 0.1)),
             "orthogonal_assignment": False,
-            "refine_toa": False,
             "bias_gate_m": data.draw(_other_than(_floats(0.0, 10.0), 0.3)),
             "bounds_tolerance_m": data.draw(_other_than(_floats(0.0, 10.0), 0.25)),
         }
