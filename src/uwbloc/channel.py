@@ -67,7 +67,6 @@ class ChannelRealization:
     """Concrete tap list: (delay seconds, gain) with a LOS tap at zero."""
 
     taps: tuple[tuple[float, float], ...]
-    delay_spread: float
 
     def __post_init__(self) -> None:
         if not self.taps:
@@ -77,6 +76,11 @@ class ChannelRealization:
         for d, g in self.taps:
             if d < 0 or not math.isfinite(g):
                 raise ValueError("tap delays must be >= 0 and gains finite")
+
+    @property
+    def delay_spread(self) -> float:
+        """Delay of the latest tap in seconds."""
+        return max(d for d, _ in self.taps)
 
 
 def sample_cir(profile: ChannelProfile, seed: int) -> ChannelRealization:
@@ -90,7 +94,7 @@ def sample_cir(profile: ChannelProfile, seed: int) -> ChannelRealization:
     rng = np.random.default_rng(seed)
     taps: list[tuple[float, float]] = [(0.0, 1.0)]
     if profile.tap_count_max == 1:
-        return ChannelRealization(tuple(taps), 0.0)
+        return ChannelRealization(tuple(taps))
     n_taps = int(rng.integers(profile.tap_count_min, profile.tap_count_max + 1))
     t = profile.min_excess_delay
     # Rayleigh with sigma = sqrt(2/pi) * mean has the requested mean amplitude
@@ -101,7 +105,7 @@ def sample_cir(profile: ChannelProfile, seed: int) -> ChannelRealization:
         amp = rng.rayleigh(ray_scale * envelope)
         sign = 1.0 if rng.random() < 0.5 else -1.0
         taps.append((t, sign * amp))
-    return ChannelRealization(tuple(taps), t)
+    return ChannelRealization(tuple(taps))
 
 
 # -- material signatures ------------------------------------------------------
@@ -145,8 +149,10 @@ class MaterialSignature:
         f = np.asarray(self.freq_hz, dtype=float)
         a = np.asarray(self.attenuation_db, dtype=float)
         p = np.asarray(self.phase_rad, dtype=float)
-        if not (f.shape == a.shape == p.shape) or f.ndim != 1 or f.size < 2:
-            raise ValueError("freq, attenuation and phase must be equal-length 1-D arrays")
+        # three points at least: phase linearity is a line fit, exact through any two
+        if not (f.shape == a.shape == p.shape) or f.ndim != 1 or f.size < 3:
+            raise ValueError(
+                "freq, attenuation and phase must be equal-length 1-D arrays of >= 3 points")
         if np.any(np.diff(f) <= 0):
             raise ValueError("frequency grid must be strictly increasing")
         if not np.all(np.isfinite(a)) or np.any(a < 0):
@@ -207,7 +213,7 @@ def _filter(
     n = _fast_len(w.samples.size + pad)
     spec = np.fft.rfft(w.samples, n=n)
     h = response(np.fft.rfftfreq(n, d=w.dt))
-    return Waveform(np.fft.irfft(spec * h, n=n), w.dt, w.t0)
+    return Waveform(np.fft.irfft(spec * h, n=n), w.dt)
 
 
 # Bins per block of the phasor product in ``_tap_sum``; near sqrt(bins) keeps

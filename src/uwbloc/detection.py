@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MaterialSignature
-from .waveform import Waveform
+from .waveform import Waveform, check_grid
 
 __all__ = [
     "DetectionThresholds",
@@ -76,8 +76,7 @@ def estimate_transfer(
     dominated by noise). Attenuation is clamped at zero so noise cannot
     report gain. ``band`` defaults to the TX pulse's -10 dB bandwidth.
     """
-    if not math.isclose(tx.dt, rx.dt, rel_tol=1e-12):
-        raise ValueError(f"sample intervals differ: {tx.dt} vs {rx.dt}")
+    check_grid(tx, rx)
     n = max(tx.samples.size, rx.samples.size)
     if band is None:
         band = default_band(tx, nfft=n)
@@ -101,8 +100,6 @@ def phase_nonlinearity(sig: MaterialSignature) -> float:
 
     Zero for any affine phase; invariant under adding an affine function.
     """
-    if sig.freq_hz.size < 3:
-        raise ValueError("need at least 3 frequency points for a linearity metric")
     f = sig.freq_hz - sig.freq_hz.mean()
     basis = np.column_stack([f, np.ones_like(f)])
     coef, *_ = np.linalg.lstsq(basis, sig.phase_rad, rcond=None)
@@ -112,8 +109,6 @@ def phase_nonlinearity(sig: MaterialSignature) -> float:
 
 def mean_attenuation(sig: MaterialSignature) -> float:
     """Arithmetic mean of the attenuation over the signature band."""
-    if sig.attenuation_db.size == 0:
-        raise ValueError("empty signature")
     return float(np.mean(sig.attenuation_db))
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -128,12 +129,16 @@ def synthesize_pulse(coeffs_row: np.ndarray, basis: BSplineBasis, dt: float) -> 
     if c.shape != (basis.count_ns,):
         raise ValueError(f"expected {basis.count_ns} coefficients, got {c.shape}")
     samples = c @ basis.sample_matrix(dt)
-    return Waveform(samples, dt, 0.0)
+    return Waveform(samples, dt)
 
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Knobs for the genetic pulse-design run."""
+    """Knobs for the genetic pulse-design run.
+
+    The two tolerances are class constants, not fields: the designer and the
+    pulse-set loader audit a set by the one rule.
+    """
 
     pulse_count: int = 4
     basis_count: int = 30
@@ -153,8 +158,8 @@ class DesignConfig:
     weight_rowsum: float = 10.0
     weight_gram: float = 10.0
     seed: int = 0
-    tol_mask_db: float = 0.5
-    tol_orthogonality: float = 0.05
+    tol_mask_db: ClassVar[float] = 0.5
+    tol_orthogonality: ClassVar[float] = 0.05
 
     def __post_init__(self) -> None:
         if self.pulse_count < 1:
@@ -378,8 +383,7 @@ def design_pulses(cfg: DesignConfig) -> PulseSet:
     coeffs = best * np.sqrt(e_s / row_energy)[:, None]
     coeffs = _project_zero_sum(coeffs)
 
-    ps, report, failures = _audit(
-        coeffs, cfg.basis, cfg.dt, e_s, cfg.mask, cfg.nfft, cfg.tol_orthogonality, cfg.tol_mask_db)
+    ps, report, failures = _audit(coeffs, cfg.basis, cfg.dt, e_s, cfg.mask, cfg.nfft)
     if failures:
         raise InfeasibleDesignError(
             f"design did not reach feasibility in {cfg.generations} generations: "
@@ -393,8 +397,8 @@ def _gram(pulses: tuple[Waveform, ...]) -> np.ndarray:
 
 
 def _audit(
-    coeffs: np.ndarray, basis: BSplineBasis, dt: float, e_s: float, mask: SpectralMask | None,
-    nfft: int, tol_orthogonality: float, tol_mask_db: float,
+    coeffs: np.ndarray, basis: BSplineBasis, dt: float, e_s: float,
+    mask: SpectralMask | None, nfft: int,
 ) -> tuple[PulseSet, dict, list[str]]:
     """Build the pulse set of a coefficient matrix and check every invariant.
 
@@ -403,8 +407,9 @@ def _audit(
     |row sum| of the coefficients, the largest off-diagonal entry and diagonal
     error of the Gram matrix over Es, the worst mask exceedance in dB and each
     pulse's effectiveness. Without a mask the last two are NaN: unknown, so
-    they break nothing.
+    they break nothing. The tolerances are ``DesignConfig``'s.
     """
+    tol_orthogonality, tol_mask_db = DesignConfig.tol_orthogonality, DesignConfig.tol_mask_db
     pulses = tuple(synthesize_pulse(row, basis, dt) for row in coeffs)
     gram = _gram(pulses) / e_s
     xi = np.full(len(pulses), math.nan)
@@ -467,9 +472,7 @@ def load_pulse_set(obj: dict, mask: SpectralMask | None = None) -> PulseSet:
     dt = float(obj["dt"])
     if coeffs.ndim != 2 or coeffs.shape[1] != basis.count_ns:
         raise ValueError("coefficient matrix does not match basis count")
-    ps, _, failures = _audit(
-        coeffs, basis, dt, e_s, mask, DesignConfig.nfft,
-        DesignConfig.tol_orthogonality, DesignConfig.tol_mask_db)
+    ps, _, failures = _audit(coeffs, basis, dt, e_s, mask, DesignConfig.nfft)
     if failures:
         raise ValueError("stored pulse set is invalid: " + "; ".join(failures))
     return ps

@@ -9,11 +9,12 @@ deep, narrow notch whose walls trace the arriving pulse's energy profile.
 (A plain argmax of the same objective is degenerate for
 one-pulse-per-symbol bursts: every non-straddling offset ties for the
 maximum.) The estimator finds the notch coarsely at the plateau's falling
-edge, then, in data-aided mode, matched-filters the notch walls against the
-known pulse's energy profile at a grid of sub-sample phases and subtracts
-the same machinery's reading on a clean synthetic reference, giving
-arrival estimates exact for clean arrivals at any phase and stable to
-fractions of a picosecond under multipath and noise.
+edge, matched-filters the notch walls against the known pulse's energy
+profile at a grid of sub-sample phases, and subtracts the same machinery's
+reading on a clean synthetic reference, giving arrival estimates exact for
+clean arrivals at any phase and stable to fractions of a picosecond under
+multipath and noise. Bursts leave at t = 0, so an arrival time is the
+flight time and a range is c times it.
 """
 
 from __future__ import annotations
@@ -81,11 +82,10 @@ def make_burst(spec: BurstSpec) -> Waveform:
 
 @dataclass(frozen=True)
 class ToaEstimate:
-    """Arrival-time estimate within the symbol-ambiguity window."""
+    """Arrival time in [0, T_sym], the symbol-ambiguity window."""
 
     toa: float
     objective_peak: float
-    grid_resolution: float
 
 
 def _slice_correlations(r: np.ndarray, n: int) -> np.ndarray:
@@ -127,18 +127,16 @@ def toa_dirty_template(
     received: Waveform,
     symbol_duration: float,
     symbol_count: int,
-    template: Waveform | None = None,
+    template: Waveform,
 ) -> ToaEstimate:
     """Estimate the arrival offset of a training burst within one symbol.
 
     Evaluates sum_k [ integral r(t + k*T + tau) * r(t + (k-1)*T + tau) dt ]^2
     on the sample grid and locates its cancellation notch, the offset band
-    where slice boundaries cut through the arriving pulse. When the transmit
-    ``template`` is supplied (data-aided mode) the notch is refined to a
-    sub-sample position by matched-filtering against the pulse's energy
-    profile and calibrated against a clean synthetic reference, making the
-    estimate unbiased; without it the raw notch edge is returned (a constant
-    late bias, common to every anchor using the same pulse).
+    where slice boundaries cut through the arriving pulse. The notch is
+    refined to a sub-sample position by matched-filtering against the
+    transmit ``template``'s energy profile and calibrated against a clean
+    synthetic reference, which makes the estimate unbiased.
     """
     if symbol_count < 2:
         raise ValueError("need at least 2 symbols")
@@ -150,24 +148,17 @@ def toa_dirty_template(
             f"received waveform must cover at least {symbol_count + 1} symbol durations")
 
     notch_pos = _notch_position(r, n, symbol_count, template)
-    offset = notch_pos.offset
-    if template is not None:
-        # two-pass calibration: a first pass against the zero-phase reference
-        # estimates the sub-sample phase, a second pass against a reference
-        # shifted to that phase cancels the interpolator's phase-dependent bias.
-        # Only the zero-phase reference is cached, so no estimate depends on
-        # which estimates ran before it.
-        m_ref = min(symbol_count, _REFERENCE_SYMBOLS)
-        coarse = offset - _zero_phase_notch(template.samples.tobytes(), template.dt, n, m_ref)
-        phase = coarse % 1.0
-        shifted = delay(template, phase * template.dt).samples
-        offset = offset - _reference_notch(shifted, template, n, m_ref) + phase
-    offset %= n
-    return ToaEstimate(
-        toa=received.t0 + offset * dt,
-        objective_peak=notch_pos.peak * dt * dt,
-        grid_resolution=dt,
-    )
+    # two-pass calibration: a first pass against the zero-phase reference
+    # estimates the sub-sample phase, a second pass against a reference
+    # shifted to that phase cancels the interpolator's phase-dependent bias.
+    # Only the zero-phase reference is cached, so no estimate depends on
+    # which estimates ran before it.
+    m_ref = min(symbol_count, _REFERENCE_SYMBOLS)
+    coarse = notch_pos.offset - _zero_phase_notch(template.samples.tobytes(), template.dt, n, m_ref)
+    phase = coarse % 1.0
+    shifted = delay(template, phase * template.dt).samples
+    offset = (notch_pos.offset - _reference_notch(shifted, template, n, m_ref) + phase) % n
+    return ToaEstimate(toa=offset * dt, objective_peak=notch_pos.peak * dt * dt)
 
 
 @dataclass(frozen=True)
@@ -177,9 +168,9 @@ class _NotchPosition:
 
 
 def _notch_position(
-    r: np.ndarray, n: int, symbol_count: int, template: Waveform | None
+    r: np.ndarray, n: int, symbol_count: int, template: Waveform
 ) -> _NotchPosition:
-    """Locate the objective's cancellation notch; sub-sample given a template.
+    """Locate the objective's cancellation notch to a sub-sample position.
 
     The training pattern makes consecutive-slice correlations alternate in
     sign, so their sign-folded sum ramps through zero as the slice boundary
@@ -202,17 +193,14 @@ def _notch_position(
     start = int(np.argmax(obj))
     ring = obj[(start + np.arange(n)) % n]
     notch = int((start + np.nonzero(ring < thr)[0][0]) % n)
-    offset = float(notch)
-    if template is not None:
-        bank = _density_bank(template.samples.tobytes(), template.dt)
-        width = bank.shape[1]
-        signs = (-1.0) ** np.arange(pair_count)
-        rel = np.arange(-width - 8, width + 9)
-        idx = (notch + rel) % n
-        folded = signs @ g[idx[None, :] + n * np.arange(pair_count)[:, None]]
-        deriv = folded[:-1] - folded[1:]  # ramp falls, so this traces +energy
-        offset = float(notch) + _bank_align(deriv, bank, rel)
-    return _NotchPosition(offset=offset, peak=peak)
+    bank = _density_bank(template.samples.tobytes(), template.dt)
+    width = bank.shape[1]
+    signs = (-1.0) ** np.arange(pair_count)
+    rel = np.arange(-width - 8, width + 9)
+    idx = (notch + rel) % n
+    folded = signs @ g[idx[None, :] + n * np.arange(pair_count)[:, None]]
+    deriv = folded[:-1] - folded[1:]  # ramp falls, so this traces +energy
+    return _NotchPosition(offset=float(notch) + _bank_align(deriv, bank, rel), peak=peak)
 
 
 _PHASE_BANK_SIZE = 32
@@ -295,9 +283,6 @@ def _zero_phase_notch(samples: bytes, dt: float, n: int, m_ref: int) -> float:
     return _reference_notch(template.samples, template, n, m_ref)
 
 
-def range_from_toa(est: ToaEstimate, emit_epoch: float) -> float:
-    """Convert flight time to meters: c * (toa - emit_epoch)."""
-    flight = est.toa - emit_epoch
-    if flight < 0:
-        raise ValueError(f"negative flight time: {flight}")
-    return SPEED_OF_LIGHT * flight
+def range_from_toa(est: ToaEstimate) -> float:
+    """Range in meters, c * toa: bursts leave at t = 0, so the ToA is the flight time."""
+    return SPEED_OF_LIGHT * est.toa

@@ -247,13 +247,11 @@ def run_trial(
         cir = sample_cir(cfg.channel, cir_seed)
         rx = propagate(burst, dist, cir)
         if rx.samples.size < min_len:
-            rx = Waveform(
-                np.concatenate([rx.samples, np.zeros(min_len - rx.samples.size)]),
-                rx.dt, rx.t0)
+            rx = Waveform(np.concatenate([rx.samples, np.zeros(min_len - rx.samples.size)]), rx.dt)
         rx = add_awgn(rx, snr_db, noise_seed)
         try:
             est = toa_dirty_template(rx, cfg.symbol_duration, cfg.symbol_count, template=pulse)
-            toa, rng_m = est.toa, range_from_toa(est, emit_epoch=0.0)
+            toa, rng_m = est.toa, range_from_toa(est)
         except ValueError as exc:  # no usable signal at this anchor
             failure = failure or f"{type(exc).__name__}: {exc}"
             toa = rng_m = math.nan

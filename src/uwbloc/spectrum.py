@@ -75,15 +75,9 @@ class SpectralMask:
         out[np.isclose(f, self.f_hi)] = self.segments[-1][2]
         return out
 
-    def integral_linear(self, f_lo: float | None = None, f_hi: float | None = None) -> float:
-        """Integral of the linear-unit mask over [f_lo, f_hi] (MHz axis)."""
-        lo = self.f_lo if f_lo is None else max(f_lo, self.f_lo)
-        hi = self.f_hi if f_hi is None else min(f_hi, self.f_hi)
-        total = 0.0
-        for a, b, lim in self.segments:
-            width = max(0.0, min(b, hi) - max(a, lo))
-            total += 10.0 ** (lim / 10.0) * width / HZ_PER_MHZ
-        return total
+    def integral_linear(self) -> float:
+        """Integral of the linear-unit mask over its whole coverage (MHz axis)."""
+        return sum(10.0 ** (lim / 10.0) * (b - a) / HZ_PER_MHZ for a, b, lim in self.segments)
 
 
 def fcc_like_mask(

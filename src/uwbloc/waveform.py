@@ -1,8 +1,8 @@
 """Sampled real-valued signals and the arithmetic every other module builds on.
 
-A :class:`Waveform` is a uniformly sampled real signal: an amplitude array, a
-sample interval ``dt`` and a start epoch ``t0``. All operations here are pure;
-waveforms are never mutated in place.
+A :class:`Waveform` is a uniformly sampled real signal: an amplitude array
+and a sample interval ``dt``, with its first sample at t = 0. All operations
+here are pure; waveforms are never mutated in place.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "GridMismatchError",
     "Waveform",
+    "check_grid",
     "energy",
     "inner_product",
     "delay",
@@ -41,16 +42,14 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Waveform:
-    """Uniformly sampled real signal.
+    """Uniformly sampled real signal whose first sample sits at t = 0.
 
     samples: amplitude values (dimensionless)
     dt:      sample interval in seconds, > 0
-    t0:      time of the first sample in seconds
     """
 
     samples: np.ndarray
     dt: float
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -60,8 +59,6 @@ class Waveform:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must all be finite")
-        if not math.isfinite(self.t0):
-            raise ValueError("t0 must be finite")
         object.__setattr__(self, "samples", arr)
 
     def __len__(self) -> int:
@@ -74,7 +71,7 @@ class Waveform:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.samples.size)
+        return self.dt * np.arange(self.samples.size)
 
 
 def energy(w: Waveform) -> float:
@@ -82,35 +79,21 @@ def energy(w: Waveform) -> float:
     return float(np.dot(w.samples, w.samples) * w.dt)
 
 
-def _sample_offset(a: Waveform, b: Waveform) -> int:
-    """Integer sample offset of b.t0 relative to a.t0, or raise."""
+def check_grid(a: Waveform, b: Waveform) -> None:
+    """Raise GridMismatchError unless the two waveforms share one sample interval."""
     if not math.isclose(a.dt, b.dt, rel_tol=1e-12, abs_tol=0.0):
         raise GridMismatchError(f"sample intervals differ: {a.dt} vs {b.dt}")
-    off = (b.t0 - a.t0) / a.dt
-    k = round(off)
-    if abs(off - k) > 1e-6:
-        raise GridMismatchError(
-            f"start epochs differ by a non-integer number of samples ({off})"
-        )
-    return int(k)
 
 
 def inner_product(a: Waveform, b: Waveform) -> float:
     """Discrete approximation of the integral of a(t)*b(t).
 
-    The waveforms must share dt and sit on the same sample grid; the shorter
-    one is zero-padded onto the common support.
+    The waveforms must share dt; past the shorter one's end the product is
+    zero, so only the common prefix contributes.
     """
-    k = _sample_offset(a, b)
-    # Place b on a's index axis: b sample i sits at index i + k.
-    lo = min(0, k)
-    hi = max(len(a), k + len(b))
-    n = hi - lo
-    xa = np.zeros(n)
-    xb = np.zeros(n)
-    xa[-lo : -lo + len(a)] = a.samples
-    xb[k - lo : k - lo + len(b)] = b.samples
-    return float(np.dot(xa, xb) * a.dt)
+    check_grid(a, b)
+    n = min(len(a), len(b))
+    return float(np.dot(a.samples[:n], b.samples[:n]) * a.dt)
 
 
 def _fractional_delay_kernel(frac: float, half_width: int = SINC_HALF_WIDTH) -> np.ndarray:
@@ -128,7 +111,7 @@ def _fractional_delay_kernel(frac: float, half_width: int = SINC_HALF_WIDTH) -> 
 
 
 def delay(w: Waveform, tau: float) -> Waveform:
-    """Delay a waveform by tau >= 0 seconds, keeping t0 fixed.
+    """Delay a waveform by tau >= 0 seconds; the output still starts at t = 0.
 
     Integer-sample delays are exact shifts; fractional parts use a
     Hann-windowed sinc interpolator (half-width 32 samples), which preserves
@@ -141,7 +124,7 @@ def delay(w: Waveform, tau: float) -> Waveform:
     frac = shift - k
     if abs(frac) < 1e-9:
         out = np.concatenate([np.zeros(k), w.samples])
-        return Waveform(out, w.dt, w.t0)
+        return Waveform(out, w.dt)
     if frac < 0:
         k -= 1
         frac += 1.0
@@ -153,7 +136,7 @@ def delay(w: Waveform, tau: float) -> Waveform:
         out = np.concatenate([np.zeros(pad), interp])
     else:
         out = interp[-pad:]
-    return Waveform(out, w.dt, w.t0)
+    return Waveform(out, w.dt)
 
 
 def add_awgn(w: Waveform, snr_db: float, seed: int) -> Waveform:
@@ -168,14 +151,14 @@ def add_awgn(w: Waveform, snr_db: float, seed: int) -> Waveform:
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
     if snr_db == math.inf:
-        return Waveform(w.samples.copy(), w.dt, w.t0)
+        return Waveform(w.samples.copy(), w.dt)
     power = float(np.mean(w.samples**2))
     if power <= 0.0:
         raise ValueError("SNR is undefined for a zero-energy waveform")
     sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=w.samples.size)
-    return Waveform(w.samples + noise, w.dt, w.t0)
+    return Waveform(w.samples + noise, w.dt)
 
 
 def cross_correlate(a: Waveform, b: Waveform) -> tuple[np.ndarray, np.ndarray]:
@@ -183,14 +166,12 @@ def cross_correlate(a: Waveform, b: Waveform) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (lags, values) where values[i] approximates the integral of
     a(t)*b(t + lags[i]); for b = delay(a, tau) the peak lag is tau to within
-    one sample. Accounts for differing start epochs.
+    one sample.
     """
-    if not math.isclose(a.dt, b.dt, rel_tol=1e-12, abs_tol=0.0):
-        raise GridMismatchError(f"sample intervals differ: {a.dt} vs {b.dt}")
+    check_grid(a, b)
     # values[m] = sum_n a[n] * b[n + m], m from -(len(a)-1) to len(b)-1
     vals = np.correlate(b.samples, a.samples, mode="full") * a.dt
-    m = np.arange(-(len(a) - 1), len(b))
-    lags = m * a.dt + (b.t0 - a.t0)
+    lags = np.arange(-(len(a) - 1), len(b)) * a.dt
     return lags, vals
 
 
@@ -223,7 +204,10 @@ def waveform_to_csv(w: Waveform, path: str | Path) -> None:
 
 
 def waveform_from_csv(rows: np.ndarray) -> Waveform:
-    """The waveform of `t,amplitude` rows, as ``read_csv`` returns them."""
+    """The waveform of `t,amplitude` rows, as ``read_csv`` returns them.
+
+    Only the spacing of the time column is read: the first row becomes t = 0.
+    """
     t, x = rows[:, 0], rows[:, 1]
     if t.size < 2:
         raise ValueError("cannot infer dt from fewer than 2 samples")
@@ -231,12 +215,13 @@ def waveform_from_csv(rows: np.ndarray) -> Waveform:
     dt = float(np.median(dts))
     if not np.allclose(dts, dt, rtol=1e-6, atol=0.0):
         raise ValueError("time column is not uniformly sampled")
-    return Waveform(x, dt, float(t[0]))
+    return Waveform(x, dt)
 
 
 def waveform_to_json(w: Waveform) -> dict:
-    return {"dt": w.dt, "t0": w.t0, "samples": w.samples.tolist()}
+    return {"dt": w.dt, "samples": w.samples.tolist()}
 
 
 def waveform_from_json(obj: dict) -> Waveform:
-    return Waveform(np.asarray(obj["samples"], dtype=float), float(obj["dt"]), float(obj.get("t0", 0.0)))
+    """Inverse of ``waveform_to_json``; other keys (an older file's start epoch) are ignored."""
+    return Waveform(np.asarray(obj["samples"], dtype=float), float(obj["dt"]))

@@ -81,7 +81,12 @@ class TestSampleCir:
         with pytest.raises(ValueError):
             ChannelProfile(tap_count_min=0)
         with pytest.raises(ValueError):
-            ChannelRealization(((1e-9, 1.0),), 1e-9)  # missing LOS at zero
+            ChannelRealization(((1e-9, 1.0),))  # missing LOS at zero
+
+    def test_delay_spread_is_latest_tap(self):
+        cir = sample_cir(ChannelProfile(), seed=4)
+        assert cir.delay_spread == cir.taps[-1][0] == max(d for d, _ in cir.taps)
+        assert ChannelRealization(((0.0, 1.0), (3e-9, 0.2), (1e-9, 0.1))).delay_spread == 3e-9
 
 
 class TestMaterialResponse:
@@ -216,7 +221,7 @@ class TestTapSum:
 class TestPropagate:
     def test_single_tap_free_space_equals_delay(self):
         w = probe_pulse()
-        cir = ChannelRealization(((0.0, 1.0),), 0.0)
+        cir = ChannelRealization(((0.0, 1.0),))
         d = 2.917
         out = propagate(w, d, cir)
         oracle = delay(w, d / SPEED_OF_LIGHT)
@@ -226,7 +231,7 @@ class TestPropagate:
     def test_three_meters_is_ten_ns(self):
         assert 3.0 / SPEED_OF_LIGHT == pytest.approx(10.0069e-9, rel=1e-4)
         w = probe_pulse()
-        cir = ChannelRealization(((0.0, 1.0),), 0.0)
+        cir = ChannelRealization(((0.0, 1.0),))
         out = propagate(w, 3.0, cir)
         lags, vals = cross_correlate(w, out)
         assert lags[int(np.argmax(vals))] == pytest.approx(10.0069e-9, abs=DT)
@@ -258,7 +263,7 @@ class TestPropagate:
 
     def test_distance_must_be_positive(self):
         with pytest.raises(ValueError):
-            propagate(probe_pulse(), 0.0, ChannelRealization(((0.0, 1.0),), 0.0))
+            propagate(probe_pulse(), 0.0, ChannelRealization(((0.0, 1.0),)))
 
 
 class TestSerialization:

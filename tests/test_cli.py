@@ -209,6 +209,8 @@ class TestDetectCommand:
         "freq_hz,attenuation_db,phase_rad\n1e9,10,0\n2e9,oops,0\n",
         "freq_hz\n1e9\n2e9\n",
         "freq_hz,attenuation_db,phase_rad\n2e9,10,0\n1e9,10,0\n",
+        # well-formed, but a phase-linearity fit needs three frequency points
+        "freq_hz,attenuation_db,phase_rad\n1e9,10,0\n2e9,10,0\n",
     ])
     def test_malformed_signature_exit_code(self, tmp_path, capsys, text):
         bad = tmp_path / "sig.csv"
@@ -287,12 +289,26 @@ class TestDesignCommand:
         assert main(["design", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) \
             == EXIT_INFEASIBLE
 
-    def test_unknown_design_key(self, tmp_path):
+    def test_unknown_design_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "design.json"
         cfg_path.write_text(json.dumps({"n_pulses": 2}))
         assert main(["design", "--config", str(cfg_path)]) == EXIT_CONFIG
-        cfg_path.write_text(json.dumps({**full_design_config(), "n_pulses": 2}))
-        assert main(["design", "--config", str(cfg_path)]) == EXIT_CONFIG
+        # the tolerances are constants, so design and load audit by one rule
+        for key in ("n_pulses", "tol_orthogonality", "tol_mask_db"):
+            cfg_path.write_text(json.dumps({**full_design_config(), key: 0.9}))
+            assert main(["design", "--config", str(cfg_path)]) == EXIT_CONFIG
+            assert key in capsys.readouterr().err
+
+    def test_design_fails_where_the_loader_would(self, tmp_path, capsys):
+        # a weak orthogonality penalty leaves a Gram off-diagonal of 0.41: the
+        # design is refused, as loading it for a sweep would be
+        cfg = full_design_config(generations=40, population=40, seed=1, weight_gram=1e-6)
+        cfg_path = tmp_path / "design.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INFEASIBLE
+        assert "not orthogonal within 0.05" in capsys.readouterr().err
+        assert not (out / "pulse_set.json").exists()
 
     def test_nfft_shorter_than_pulse_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "design.json"

@@ -84,9 +84,11 @@ class TestPhaseNonlinearity:
         assert phase_nonlinearity(base) == pytest.approx(phase_nonlinearity(shifted), rel=1e-9)
 
     def test_too_few_points(self):
-        sig = MaterialSignature(np.array([1e9, 2e9]), np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError):
-            phase_nonlinearity(sig)
+        # a line fits any two points, so a signature needs three
+        with pytest.raises(ValueError, match=">= 3 points"):
+            MaterialSignature(np.array([1e9, 2e9]), np.zeros(2), np.zeros(2))
+        f = np.array([1e9, 2e9, 3e9])
+        assert phase_nonlinearity(MaterialSignature(f, np.zeros(3), np.zeros(3))) == 0.0
 
 
 class TestMeanAttenuation:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ from uwbloc.waveform import (
     GridMismatchError,
     Waveform,
     add_awgn,
+    check_grid,
     cross_correlate,
     delay,
     energy,
@@ -45,9 +47,12 @@ class TestWaveform:
             Waveform(np.array([1.0, np.nan]), DT)
 
     def test_times_and_duration(self):
-        w = Waveform(np.ones(3), 2.0, t0=1.0)
-        assert np.allclose(w.times, [1.0, 3.0, 5.0])
+        w = Waveform(np.ones(3), 2.0)
+        assert np.array_equal(w.times, [0.0, 2.0, 4.0])
         assert w.duration == 6.0
+
+    def test_two_fields(self):
+        assert [f.name for f in dataclasses.fields(Waveform)] == ["samples", "dt"]
 
 
 class TestEnergy:
@@ -103,12 +108,6 @@ class TestInnerProduct:
         b = Waveform(np.array([4.0, 5.0]), DT)
         assert inner_product(a, b) == pytest.approx((4.0 + 10.0) * DT)
 
-    def test_integer_t0_offset(self):
-        a = Waveform(np.array([1.0, 2.0, 3.0]), DT, t0=0.0)
-        b = Waveform(np.array([1.0, 1.0]), DT, t0=DT)
-        # b sits over a's samples 1 and 2
-        assert inner_product(a, b) == pytest.approx((2.0 + 3.0) * DT)
-
     def test_mismatched_dt_raises(self):
         a = Waveform(np.ones(4), DT)
         b = Waveform(np.ones(4), 2 * DT)
@@ -116,12 +115,9 @@ class TestInnerProduct:
             inner_product(a, b)
         with pytest.raises(GridMismatchError):
             cross_correlate(a, b)
-
-    def test_non_integer_t0_offset_raises(self):
-        a = Waveform(np.ones(4), DT, t0=0.0)
-        b = Waveform(np.ones(4), DT, t0=0.4 * DT)
         with pytest.raises(GridMismatchError):
-            inner_product(a, b)
+            check_grid(a, b)
+        check_grid(a, Waveform(np.ones(2), DT * (1 + 1e-13)))  # rounding is the same grid
 
 
 class TestDelay:
@@ -229,11 +225,11 @@ class TestCrossCorrelate:
         lags, vals = cross_correlate(w, d)
         assert lags[int(np.argmax(vals))] == pytest.approx(10 * DT, rel=1e-9)
 
-    def test_t0_offset_in_lags(self):
-        w = bl_pulse()
-        moved = Waveform(w.samples, DT, t0=5 * DT)
-        lags, vals = cross_correlate(w, moved)
-        assert lags[int(np.argmax(vals))] == pytest.approx(5 * DT, rel=1e-9)
+    def test_lags_span_both_supports(self):
+        a, b = Waveform(np.ones(3), DT), Waveform(np.ones(5), DT)
+        lags, vals = cross_correlate(a, b)
+        assert np.allclose(lags / DT, np.arange(-2, 5), rtol=0.0, atol=1e-9)
+        assert np.allclose(vals / DT, [1, 2, 3, 3, 3, 2, 1])
 
     def test_noisy_peak_within_one_sample(self):
         w = bl_pulse()
@@ -256,8 +252,19 @@ class TestSerialization:
         waveform_to_csv(w, path)
         back = waveform_from_csv(read_csv(path))
         assert back.dt == pytest.approx(w.dt, rel=1e-9)
-        assert back.t0 == pytest.approx(w.t0, abs=1e-15)
         assert np.allclose(back.samples, w.samples, atol=1e-11)
+
+    def test_csv_time_column_offset_is_ignored(self, tmp_path):
+        # a file whose time column starts at 5 ns: only its spacing is read
+        w = bl_pulse(n=64)
+        path = tmp_path / "w.csv"
+        write_csv(path, ["t", "amplitude"], zip(5e-9 + w.times, w.samples), digits=12)
+        back = waveform_from_csv(read_csv(path))
+        plain = tmp_path / "plain.csv"
+        waveform_to_csv(w, plain)
+        ref = waveform_from_csv(read_csv(plain))
+        assert np.array_equal(back.samples, ref.samples)
+        assert back.dt == pytest.approx(ref.dt, rel=1e-9)
 
     def test_write_csv_cells(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -267,9 +274,16 @@ class TestSerialization:
         assert path.read_text().splitlines() == ["x", "3.333333333333e-01"]
 
     def test_json_round_trip(self, tmp_path):
-        w = Waveform(np.array([0.5, -1.25, 2.0]), DT, t0=1e-9)
+        w = Waveform(np.array([0.5, -1.25, 2.0]), DT)
         path = tmp_path / "w.json"
         path.write_text(json.dumps(waveform_to_json(w)))
+        assert set(json.loads(path.read_text())) == {"dt", "samples"}
         back = waveform_from_json(json.loads(path.read_text()))
-        assert back.dt == w.dt and back.t0 == w.t0
+        assert back.dt == w.dt
         assert np.array_equal(back.samples, w.samples)
+
+    def test_json_with_start_epoch_loads(self):
+        # files written before waveforms started at t = 0 carry a "t0" key
+        back = waveform_from_json({"dt": DT, "t0": 1e-9, "samples": [0.5, -1.25, 2.0]})
+        assert back.dt == DT
+        assert np.array_equal(back.samples, [0.5, -1.25, 2.0])
