@@ -38,7 +38,7 @@ from .pulses import (
     pulse_set_to_json,
     synthesize_pulse,
 )
-from .ranging import BurstSpec, ToaEstimate, make_burst, range_from_toa, toa_dirty_template
+from .ranging import ToaEstimate, make_burst, range_from_toa, toa_dirty_template
 from .simulate import SimConfig, SweepResult, TrialResult, emit_csv, run_trial, sweep_snr
 from .spectrum import SpectralMask, effectiveness, fcc_like_mask, mask_violation, psd
 from .waveform import Waveform, add_awgn, cross_correlate, delay, energy, inner_product

@@ -8,7 +8,6 @@ invalid input file), 3 infeasible pulse optimization, 4 I/O failure
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -35,9 +34,26 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
 
-def _read_config(cls: type, path: str | None):
-    """The ``cls`` config in the JSON file at ``path``; the defaults without one."""
-    return read_input(path, lambda obj: config_from_json(obj, cls)) if path else cls()
+def _read_config(cls: type, path: str | None, **flags):
+    """The ``cls`` config in the JSON file at ``path`` (the defaults without one).
+
+    Each flag that was given (not None) is one more key of the JSON object,
+    so its value is decoded and checked exactly like a file value.
+    """
+    given = {key: val for key, val in flags.items() if val is not None}
+
+    def decode(obj):
+        return config_from_json(obj | given if isinstance(obj, dict) else obj, cls)
+
+    return read_input(path, decode) if path else decode({})
+
+
+def _seed(text: str) -> int:
+    """argparse type of a seed that is not a config field: numpy seeds are >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _decode_waveform(value):
@@ -46,9 +62,7 @@ def _decode_waveform(value):
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    cfg = _read_config(DesignConfig, args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = _read_config(DesignConfig, args.config, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ps = design_pulses(cfg)
@@ -74,9 +88,9 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 
 def _cmd_locate(args: argparse.Namespace) -> int:
-    cfg = _read_config(SimConfig, args.config)
-    if args.snr is not None:  # validated as a one-point grid, like sweep's --snr
-        cfg = dataclasses.replace(cfg, snr_grid_db=(args.snr,))
+    # --snr is checked as a one-point grid, like sweep's --snr
+    cfg = _read_config(SimConfig, args.config,
+                       snr_grid_db=None if args.snr is None else [args.snr])
     snr = cfg.snr_grid_db[-1]
     seed = args.seed if args.seed is not None else trial_seed(cfg.master_seed, 0, 0)
     res = run_trial(cfg, snr, seed)
@@ -104,18 +118,8 @@ def _cmd_locate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _read_config(SimConfig, args.config)
-    updates: dict = {}
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.snr:
-        updates["snr_grid_db"] = tuple(args.snr)
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
+    cfg = _read_config(SimConfig, args.config, master_seed=args.seed, snr_grid_db=args.snr,
+                       trials=args.trials, out_dir=args.out)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = sweep_snr(cfg)
@@ -187,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("locate", help="run one positioning trial, print verbose JSON")
     p.add_argument("--config", help="simulation config JSON")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed, help="trial seed")
     p.add_argument("--snr", type=float, help="SNR of the trial (dB)")
     p.set_defaults(func=_cmd_locate)
 
@@ -209,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cir", help="dump one channel impulse response as CSV")
     p.add_argument("--config", help="simulation config JSON")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed, help="channel seed")
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_cir)
 

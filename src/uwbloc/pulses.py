@@ -173,6 +173,8 @@ class DesignConfig:
                 raise ValueError(f"{name} must be positive")
         if self.elitism < 1:
             raise ValueError("elitism must be >= 1")
+        if self.seed < 0:  # numpy seeds are non-negative
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         n = self.basis.sample_count(self.dt)
         if self.nfft < n:
             raise ValueError(f"nfft ({self.nfft}) must be >= the pulse's sample count ({n})")

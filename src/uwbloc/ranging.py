@@ -29,7 +29,6 @@ from .waveform import Waveform, delay
 
 __all__ = [
     "TDT_TRAINING_PATTERN",
-    "BurstSpec",
     "ToaEstimate",
     "make_burst",
     "template_median_offset",
@@ -40,25 +39,6 @@ __all__ = [
 TDT_TRAINING_PATTERN = (1.0, 1.0, -1.0, -1.0)
 
 
-@dataclass(frozen=True)
-class BurstSpec:
-    """Transmit-side description of a training burst.
-
-    Every burst carries ``TDT_TRAINING_PATTERN`` and is emitted at t = 0: the
-    estimator's sign fold and its calibration burst assume both.
-    """
-
-    pulse: Waveform
-    symbol_duration: float
-    symbol_count: int
-
-    def __post_init__(self) -> None:
-        if self.symbol_count < 2:
-            raise ValueError("symbol_count must be >= 2")
-        if self.symbol_duration < self.pulse.duration:
-            raise ValueError("symbol_duration must cover the pulse duration")
-
-
 def _samples_per_symbol(symbol_duration: float, dt: float) -> int:
     n = round(symbol_duration / dt)
     if n < 1 or abs(n * dt - symbol_duration) > 1e-6 * dt:
@@ -67,14 +47,21 @@ def _samples_per_symbol(symbol_duration: float, dt: float) -> int:
     return int(n)
 
 
-def make_burst(spec: BurstSpec) -> Waveform:
-    """Place symbol_count pattern-signed copies of the pulse at symbol spacing, from t = 0."""
-    dt = spec.pulse.dt
-    n = _samples_per_symbol(spec.symbol_duration, dt)
-    total = n * spec.symbol_count
-    out = np.zeros(total)
-    p = spec.pulse.samples
-    for k in range(spec.symbol_count):
+def make_burst(pulse: Waveform, symbol_duration: float, symbol_count: int) -> Waveform:
+    """Place symbol_count pattern-signed copies of the pulse at symbol spacing, from t = 0.
+
+    Every burst carries ``TDT_TRAINING_PATTERN`` and starts at t = 0: the
+    estimator's sign fold and its calibration burst assume both.
+    """
+    if symbol_count < 2:
+        raise ValueError("symbol_count must be >= 2")
+    if symbol_duration < pulse.duration:
+        raise ValueError("symbol_duration must cover the pulse duration")
+    dt = pulse.dt
+    n = _samples_per_symbol(symbol_duration, dt)
+    out = np.zeros(n * symbol_count)
+    p = pulse.samples
+    for k in range(symbol_count):
         sign = TDT_TRAINING_PATTERN[k % len(TDT_TRAINING_PATTERN)]
         out[k * n : k * n + p.size] += sign * p
     return Waveform(out, dt)
@@ -147,37 +134,31 @@ def toa_dirty_template(
         raise ValueError(
             f"received waveform must cover at least {symbol_count + 1} symbol durations")
 
-    notch_pos = _notch_position(r, n, symbol_count, template)
     # two-pass calibration: a first pass against the zero-phase reference
     # estimates the sub-sample phase, a second pass against a reference
     # shifted to that phase cancels the interpolator's phase-dependent bias.
-    # Only the zero-phase reference is cached, so no estimate depends on
-    # which estimates ran before it.
+    # Only the phase bank and the zero-phase reference are cached, so no
+    # estimate depends on which estimates ran before it.
     m_ref = min(symbol_count, _REFERENCE_SYMBOLS)
-    coarse = notch_pos.offset - _zero_phase_notch(template.samples.tobytes(), template.dt, n, m_ref)
-    phase = coarse % 1.0
-    shifted = delay(template, phase * template.dt).samples
-    offset = (notch_pos.offset - _reference_notch(shifted, template, n, m_ref) + phase) % n
-    return ToaEstimate(toa=offset * dt, objective_peak=notch_pos.peak * dt * dt)
-
-
-@dataclass(frozen=True)
-class _NotchPosition:
-    offset: float
-    peak: float
+    bank, zero_phase_notch = _calibration(template.samples.tobytes(), template.dt, n, m_ref)
+    notch, peak = _notch_position(r, n, symbol_count, bank)
+    phase = (notch - zero_phase_notch) % 1.0
+    shifted = delay(template, phase * template.dt)
+    offset = (notch - _reference_notch(shifted, bank, n, m_ref) + phase) % n
+    return ToaEstimate(toa=offset * dt, objective_peak=peak * dt * dt)
 
 
 def _notch_position(
-    r: np.ndarray, n: int, symbol_count: int, template: Waveform
-) -> _NotchPosition:
-    """Locate the objective's cancellation notch to a sub-sample position.
+    r: np.ndarray, n: int, symbol_count: int, bank: np.ndarray
+) -> tuple[float, float]:
+    """Sub-sample (offset, objective peak) of the objective's cancellation notch.
 
     The training pattern makes consecutive-slice correlations alternate in
     sign, so their sign-folded sum ramps through zero as the slice boundary
     sweeps across the arriving pulse. Multipath adds a near-constant
     background to that ramp, so the sub-sample stage works on the ramp's
     derivative (the arriving pulse's energy-density trace, background-free)
-    and matched-filters it against the template's sample energies.
+    and matched-filters it against the template's phase ``bank``.
     """
     pair_count = symbol_count - 1
     g = _slice_correlations(r, n)
@@ -193,39 +174,37 @@ def _notch_position(
     start = int(np.argmax(obj))
     ring = obj[(start + np.arange(n)) % n]
     notch = int((start + np.nonzero(ring < thr)[0][0]) % n)
-    bank = _density_bank(template.samples.tobytes(), template.dt)
     width = bank.shape[1]
     signs = (-1.0) ** np.arange(pair_count)
     rel = np.arange(-width - 8, width + 9)
     idx = (notch + rel) % n
     folded = signs @ g[idx[None, :] + n * np.arange(pair_count)[:, None]]
     deriv = folded[:-1] - folded[1:]  # ramp falls, so this traces +energy
-    return _NotchPosition(offset=float(notch) + _bank_align(deriv, bank, rel), peak=peak)
+    return float(notch) + _bank_align(deriv, bank, rel), peak
 
 
 _PHASE_BANK_SIZE = 32
+# symbols in the synthetic calibration burst: one full training-pattern period
+_REFERENCE_SYMBOLS = 4
 
 
 @lru_cache(maxsize=32)
-def _density_bank(samples: bytes, dt: float) -> np.ndarray:
-    """Sample-energy profiles of a pulse (raw float64 bytes) at sub-sample phases.
+def _calibration(samples: bytes, dt: float, n: int, m_ref: int) -> tuple[np.ndarray, float]:
+    """Phase bank and zero-phase reference notch of a pulse (raw float64 bytes).
 
-    Row i holds the squared samples of the pulse delayed by i/size of a
-    sample, zero-padded to a common width; rows are unit-normalized so the
-    alignment search is a pure shape match.
+    Row i of the bank holds the squared samples of the pulse delayed by
+    i/size of a sample, zero-padded to a common width; rows are
+    unit-normalized so the alignment search is a pure shape match. The notch
+    is ``_reference_notch`` of the pulse arriving on the sample grid.
     """
     template = Waveform(np.frombuffer(samples), dt)
-    rows = []
-    for i in range(_PHASE_BANK_SIZE):
-        frac = i / _PHASE_BANK_SIZE
-        shifted = template.samples if i == 0 else delay(template, frac * template.dt).samples
-        rows.append(shifted**2)
-    width = max(r.size for r in rows)
-    bank = np.zeros((_PHASE_BANK_SIZE, width))
+    rows = [delay(template, i / _PHASE_BANK_SIZE * dt).samples ** 2
+            for i in range(_PHASE_BANK_SIZE)]
+    bank = np.zeros((_PHASE_BANK_SIZE, max(row.size for row in rows)))
     for i, row in enumerate(rows):
         bank[i, : row.size] = row / np.linalg.norm(row)
     bank.flags.writeable = False  # shared by every caller through the cache
-    return bank
+    return bank, _reference_notch(template, bank, n, m_ref)
 
 
 def _bank_align(deriv: np.ndarray, bank: np.ndarray, rel: np.ndarray) -> float:
@@ -258,29 +237,18 @@ def _bank_align(deriv: np.ndarray, bank: np.ndarray, rel: np.ndarray) -> float:
     return float(rel[lag]) + (pi + frac) / nb
 
 
-# symbols in the synthetic calibration burst: one full training-pattern period
-_REFERENCE_SYMBOLS = 4
-
-
-def _reference_notch(p: np.ndarray, template: Waveform, n: int, m_ref: int) -> float:
-    """Notch position of a clean burst of the pulse samples ``p``.
+def _reference_notch(pulse: Waveform, bank: np.ndarray, n: int, m_ref: int) -> float:
+    """Notch position of a clean burst of ``pulse``.
 
     Running the identical machinery on a synthetic reference makes the
     calibration exact: every discretization and interpolation effect cancels
-    in the subtraction. An off-grid reference arrival passes ``p`` delayed
+    in the subtraction. An off-grid reference arrival passes the pulse delayed
     with the same band-limited interpolator the simulation uses. The burst
     gets one silent symbol appended: the estimator reads one symbol past it.
     """
-    burst = make_burst(BurstSpec(Waveform(p, template.dt), n * template.dt, m_ref))
+    burst = make_burst(pulse, n * pulse.dt, m_ref)
     ref = np.concatenate([burst.samples, np.zeros(n)])
-    return _notch_position(ref, n, m_ref, template).offset
-
-
-@lru_cache(maxsize=32)
-def _zero_phase_notch(samples: bytes, dt: float, n: int, m_ref: int) -> float:
-    """``_reference_notch`` of a pulse (raw float64 bytes) arriving on the sample grid."""
-    template = Waveform(np.frombuffer(samples), dt)
-    return _reference_notch(template.samples, template, n, m_ref)
+    return _notch_position(ref, n, m_ref, bank)[0]
 
 
 def range_from_toa(est: ToaEstimate) -> float:

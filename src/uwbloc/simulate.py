@@ -39,13 +39,7 @@ from .positioning import (
     select_solution,
 )
 from .pulses import PulseSet, load_pulse_set
-from .ranging import (
-    BurstSpec,
-    _samples_per_symbol,
-    make_burst,
-    range_from_toa,
-    toa_dirty_template,
-)
+from .ranging import _samples_per_symbol, make_burst, range_from_toa, toa_dirty_template
 from .spectrum import mask_from_json, mask_to_json
 from .waveform import Waveform, add_awgn, read_csv, write_csv
 
@@ -105,6 +99,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.master_seed < 0:  # numpy seeds are non-negative
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.snr_grid_db:
             raise ConfigError("snr grid must be non-empty")
         if len(set(self.snr_grid_db)) != len(self.snr_grid_db):
@@ -240,7 +236,7 @@ def run_trial(
     failure: str | None = None
     for idx, anchor in enumerate(cfg.anchors):
         pulse = ps.pulses[idx % ps.pulse_count] if cfg.orthogonal_assignment else ps.pulses[0]
-        burst = make_burst(BurstSpec(pulse, cfg.symbol_duration, cfg.symbol_count))
+        burst = make_burst(pulse, cfg.symbol_duration, cfg.symbol_count)
         dist = float(np.linalg.norm(np.asarray(truth) - np.asarray(anchor.position)))
         cir_seed = int(scen_streams[1 + idx].generate_state(1, dtype=np.uint64)[0])
         noise_seed = int(noise_streams[idx].generate_state(1, dtype=np.uint64)[0])
@@ -348,6 +344,16 @@ _FIELD_CODECS = {
     "mask": (mask_to_json, mask_from_json),
 }
 
+# JSON value types a scalar field accepts, by annotation: a bool is not a
+# number, and an integer is a valid float
+_SCALAR_TYPES = {
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    bool: ("true or false", (bool,)),
+    str: ("a string", (str,)),
+    str | None: ("a string or null", (str, type(None))),
+}
+
 
 def config_to_json(cfg) -> dict:
     """JSON object of a config dataclass, one key per field."""
@@ -367,8 +373,9 @@ def config_to_json(cfg) -> dict:
 def config_from_json(obj: object, cls: type = SimConfig):
     """Inverse of ``config_to_json``: a ``cls`` config (SimConfig by default).
 
-    Unknown keys are rejected so typos fail loudly; they and every invalid
-    value raise ConfigError.
+    Unknown keys are rejected so typos fail loudly; they, every scalar whose
+    JSON type does not fit its field's annotation, and every invalid value
+    raise ConfigError.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{cls.__name__} config must be a JSON object")
@@ -383,6 +390,11 @@ def config_from_json(obj: object, cls: type = SimConfig):
                 val = _FIELD_CODECS[key][1](val)
             elif is_dataclass(types[key]):
                 val = config_from_json(val, types[key])
+            elif types[key] in _SCALAR_TYPES:
+                expected, accepted = _SCALAR_TYPES[types[key]]
+                if type(val) not in accepted:
+                    raise ConfigError(
+                        f"{cls.__name__} config key {key!r} must be {expected}, got {val!r}")
             elif isinstance(val, list):
                 val = tuple(val)
             kwargs[key] = val

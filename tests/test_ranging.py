@@ -11,7 +11,7 @@ import uwbloc
 
 from uwbloc.channel import SPEED_OF_LIGHT, ChannelProfile, propagate, sample_cir
 from uwbloc.ranging import (
-    BurstSpec,
+    _calibration,
     TDT_TRAINING_PATTERN,
     ToaEstimate,
     make_burst,
@@ -32,7 +32,7 @@ def pulse(default_pulses):
 
 
 def received(pulse, delay_s, seed=0, snr_db=float("inf"), channel=None, symbols=SYMBOLS):
-    burst = make_burst(BurstSpec(pulse, TSYM, symbols))
+    burst = make_burst(pulse, TSYM, symbols)
     cir = sample_cir(channel or ChannelProfile(tap_count_min=1, tap_count_max=1), seed)
     rx = propagate(burst, delay_s * SPEED_OF_LIGHT, cir)
     need = (symbols + 1) * round(TSYM / pulse.dt)
@@ -43,17 +43,17 @@ def received(pulse, delay_s, seed=0, snr_db=float("inf"), channel=None, symbols=
 
 class TestMakeBurst:
     def test_two_symbols_spacing(self, pulse):
-        burst = make_burst(BurstSpec(pulse, TSYM, 2))
+        burst = make_burst(pulse, TSYM, 2)
         n = round(TSYM / DT)
         assert np.array_equal(burst.samples[: len(pulse)], pulse.samples)
         assert np.array_equal(burst.samples[n : n + len(pulse)], pulse.samples)
 
     def test_energy_scales_with_symbols(self, pulse):
-        burst = make_burst(BurstSpec(pulse, TSYM, SYMBOLS))
+        burst = make_burst(pulse, TSYM, SYMBOLS)
         assert energy(burst) == pytest.approx(SYMBOLS * energy(pulse), rel=1e-12)
 
     def test_pattern_signs(self, pulse):
-        burst = make_burst(BurstSpec(pulse, TSYM, 6))
+        burst = make_burst(pulse, TSYM, 6)
         n = round(TSYM / DT)
         for k in range(6):
             sign = TDT_TRAINING_PATTERN[k % 4]
@@ -61,11 +61,11 @@ class TestMakeBurst:
 
     def test_single_symbol_rejected(self, pulse):
         with pytest.raises(ValueError):
-            BurstSpec(pulse, TSYM, 1)
+            make_burst(pulse, TSYM, 1)
 
     def test_symbol_shorter_than_pulse_rejected(self, pulse):
         with pytest.raises(ValueError):
-            BurstSpec(pulse, 1e-9, 4)
+            make_burst(pulse, 1e-9, 4)
 
 
 class TestToaDirtyTemplate:
@@ -75,7 +75,7 @@ class TestToaDirtyTemplate:
         assert abs(est.toa - 10e-9) <= DT
 
     def test_zero_delay(self, pulse):
-        burst = make_burst(BurstSpec(pulse, TSYM, SYMBOLS))
+        burst = make_burst(pulse, TSYM, SYMBOLS)
         need = (SYMBOLS + 1) * round(TSYM / DT)
         rx = Waveform(np.concatenate([burst.samples, np.zeros(need - burst.samples.size)]), DT)
         est = toa_dirty_template(rx, TSYM, SYMBOLS, template=pulse)
@@ -177,6 +177,26 @@ class TestToaDirtyTemplate:
         toa_dirty_template(first, TSYM, SYMBOLS, template=pulse)
         after_first = toa_dirty_template(second, TSYM, SYMBOLS, template=pulse)
         assert repr(after_first.toa) == fresh.stdout.strip()
+
+
+    def test_interleaved_calibrations_match_each_alone(self, default_pulses):
+        # one calibration cache entry per (pulse, dt, n, m_ref): estimates for
+        # two pulses at 2 and 20 symbols (m_ref 2 and 4) never share an entry
+        cases = [(p, m) for p in default_pulses.pulses[:2] for m in (2, SYMBOLS)]
+        rxs = [received(p, 13.7e-9, seed=5, snr_db=20.0, symbols=m) for p, m in cases]
+
+        def estimate(i):
+            (p, m), rx = cases[i], rxs[i]
+            est = toa_dirty_template(rx, TSYM, m, template=p)
+            return est.toa, est.objective_peak
+
+        alone = []
+        for i in range(len(cases)):
+            _calibration.cache_clear()
+            alone.append(estimate(i))
+        _calibration.cache_clear()
+        for i in (0, 3, 1, 2, 3, 0, 2, 1):
+            assert estimate(i) == alone[i]
 
 
 class TestRangeFromToa:

@@ -72,6 +72,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_json({"channel": [20, 40]})
 
+    def test_integers_decode_as_floats(self):
+        # a JSON integer is a valid float value, and the config compares equal
+        obj = {"bias_gate_m": 1, "snr_grid_db": [10, 20], "channel": {"decay_constant": 1}}
+        assert config_from_json(obj) == SimConfig(
+            bias_gate_m=1.0, snr_grid_db=(10.0, 20.0), channel=ChannelProfile(decay_constant=1.0))
+
     def test_repeated_snr_point_rejected(self):
         # a sweep keys its trials by SNR point, so a repeat would lose one point's trials
         with pytest.raises(ConfigError, match="repeats"):
