@@ -38,12 +38,15 @@ def _read_config(cls: type, path: str | None, **flags):
     """The ``cls`` config in the JSON file at ``path`` (the defaults without one).
 
     Each flag that was given (not None) is one more key of the JSON object,
-    so its value is decoded and checked exactly like a file value.
+    so its value is decoded and checked exactly like a file value. The
+    file's object is decoded on its own first, so a malformed file value is
+    rejected even where a flag replaces it.
     """
     given = {key: val for key, val in flags.items() if val is not None}
 
     def decode(obj):
-        return config_from_json(obj | given if isinstance(obj, dict) else obj, cls)
+        cfg = config_from_json(obj, cls)
+        return config_from_json(obj | given, cls) if given else cfg
 
     return read_input(path, decode) if path else decode({})
 

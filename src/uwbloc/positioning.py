@@ -77,7 +77,7 @@ class RoomBounds:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PositionFix:
     """One multilateration candidate with its diagnostics."""
 

@@ -1,14 +1,23 @@
 """Monte-Carlo positioning sweeps over SNR and their CSV emission.
 
+A trial has two halves. The scenario (``build_scenario``) is the target
+position and, per anchor, the channel realization and the noiseless
+received burst; it does not depend on SNR. The measurement (``run_trial``)
+adds noise to that burst, estimates every ToA and solves for position.
+``sweep_snr`` loops trial-outer, SNR-inner: it builds one scenario per trial
+index, measures it at every SNR point, then drops it, so a sweep holds one
+scenario at a time and each one is built once instead of once per SNR point.
+
 Reproducibility scheme: the per-trial seed derives from
 ``SeedSequence(entropy=(master_seed, snr_index, trial_index))`` (PCG64
 streams) and drives the noise draws; the scenario (target position and
 per-anchor channel realizations) derives from
 ``SeedSequence(entropy=(master_seed, trial_index))`` so every SNR point of a
 sweep reuses the same scenarios and the error-vs-SNR curves are paired
-comparisons rather than scenario lotteries. Sub-streams are spawned inside
-the trial in a fixed order. Two sweeps with the same master seed therefore
-produce byte-identical CSV files.
+comparisons rather than scenario lotteries. Sub-streams are spawned in a
+fixed order. The loop order does not enter the seeds, and each SNR row
+aggregates its trials in trial order, so two sweeps with the same master
+seed produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -49,8 +58,10 @@ __all__ = [
     "TrialResult",
     "SweepRow",
     "SweepResult",
+    "Scenario",
     "default_anchors",
     "trial_seed",
+    "build_scenario",
     "run_trial",
     "sweep_snr",
     "emit_csv",
@@ -63,6 +74,13 @@ __all__ = [
 
 class ConfigError(ValueError):
     """A configuration file or value is invalid."""
+
+
+# Longest received record, in samples, that a config may ask for:
+# (symbol_count + 1) symbols of symbol_duration / dt samples each. The default
+# config's record is about 26k samples, 1/650 of this; a longer one is a typo
+# (such as a symbol_duration in ns written as seconds), not a simulation.
+MAX_RECORD_SAMPLES = 2**24
 
 
 def default_anchors() -> tuple[Anchor, ...]:
@@ -125,7 +143,7 @@ class SimConfig:
                 f"{ambiguity_m:.2f} m range ambiguity c*symbol_duration")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialResult:
     trial_id: int
     snr_db: float
@@ -177,9 +195,14 @@ def _resolve_pulses(cfg: SimConfig, pulse_set: PulseSet | None) -> PulseSet:
         ps = (read_input(cfg.pulse_set, load_pulse_set) if cfg.pulse_set is not None
               else load_default_pulse_set())
     try:
-        _samples_per_symbol(cfg.symbol_duration, ps.dt)
+        n_sym = _samples_per_symbol(cfg.symbol_duration, ps.dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    record = (cfg.symbol_count + 1) * n_sym
+    if record > MAX_RECORD_SAMPLES:
+        raise ConfigError(
+            f"symbol_duration {cfg.symbol_duration} s x (symbol_count {cfg.symbol_count} + 1) "
+            f"is a {record}-sample record at dt={ps.dt}, more than {MAX_RECORD_SAMPLES}")
     if cfg.symbol_duration < ps.pulses[0].duration:
         raise ConfigError(f"symbol_duration {cfg.symbol_duration} is shorter than the "
                           f"{ps.pulses[0].duration} s pulse")
@@ -198,29 +221,30 @@ def scenario_seed(master_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def run_trial(
-    cfg: SimConfig,
-    snr_db: float,
-    seed: int,
-    pulse_set: PulseSet | None = None,
-    trial_id: int = 0,
-    scenario: int | None = None,
-) -> TrialResult:
-    """Place a target, range it from every anchor, and solve for position.
+@dataclass(frozen=True)
+class Scenario:
+    """The SNR-independent half of a trial.
 
-    ``seed`` drives the noise; ``scenario`` (defaulting to ``seed``) drives
-    the target draw and the channel realizations, so a sweep can hold the
-    scenario fixed while varying SNR. Failures are recorded in the result
-    rather than raised: an anchor without a usable ToA gets NaN ToA and range
-    entries and skips the solve; solver failures (degenerate geometry, no
-    real root, all candidates rejected) leave the trial without a fix. Fully
-    deterministic for fixed (cfg, snr_db, seed, scenario).
+    ``received[i]`` is anchor i's noiseless received burst, zero-padded to
+    at least ``(symbol_count + 1)`` symbols; its samples are read-only,
+    because every SNR point of a sweep measures the same scenario.
+    """
+
+    truth: tuple[float, float, float]
+    distances: tuple[float, ...]
+    pulses: tuple[Waveform, ...]
+    received: tuple[Waveform, ...]
+
+
+def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Scenario:
+    """Draw a target and the anchor channels from ``seed`` and propagate every burst.
+
+    ``SeedSequence(seed)`` spawns one stream for the target and one CIR
+    stream per anchor, in anchor order.
     """
     ps = _resolve_pulses(cfg, pulse_set)
-    scen_streams = np.random.SeedSequence(
-        seed if scenario is None else scenario).spawn(1 + len(cfg.anchors))
-    noise_streams = np.random.SeedSequence(seed).spawn(len(cfg.anchors))
-    truth_rng = np.random.default_rng(scen_streams[0])
+    streams = np.random.SeedSequence(seed).spawn(1 + len(cfg.anchors))
+    truth_rng = np.random.default_rng(streams[0])
 
     lo = np.asarray(cfg.room.minimum) + cfg.placement_inset
     hi = np.asarray(cfg.room.maximum) - cfg.placement_inset
@@ -229,21 +253,52 @@ def run_trial(
     z = cfg.room.minimum[2] if cfg.floor_only else truth_rng.uniform(lo[2], hi[2])
     truth = (float(x), float(y), float(z))
 
-    n_sym = _samples_per_symbol(cfg.symbol_duration, ps.dt)
-    min_len = (cfg.symbol_count + 1) * n_sym
-
-    toas, ranges, toa_errs, range_errs = [], [], [], []
-    failure: str | None = None
+    min_len = (cfg.symbol_count + 1) * _samples_per_symbol(cfg.symbol_duration, ps.dt)
+    distances, pulses, received = [], [], []
     for idx, anchor in enumerate(cfg.anchors):
         pulse = ps.pulses[idx % ps.pulse_count] if cfg.orthogonal_assignment else ps.pulses[0]
         burst = make_burst(pulse, cfg.symbol_duration, cfg.symbol_count)
         dist = float(np.linalg.norm(np.asarray(truth) - np.asarray(anchor.position)))
-        cir_seed = int(scen_streams[1 + idx].generate_state(1, dtype=np.uint64)[0])
-        noise_seed = int(noise_streams[idx].generate_state(1, dtype=np.uint64)[0])
-        cir = sample_cir(cfg.channel, cir_seed)
-        rx = propagate(burst, dist, cir)
+        cir_seed = int(streams[1 + idx].generate_state(1, dtype=np.uint64)[0])
+        rx = propagate(burst, dist, sample_cir(cfg.channel, cir_seed))
         if rx.samples.size < min_len:
             rx = Waveform(np.concatenate([rx.samples, np.zeros(min_len - rx.samples.size)]), rx.dt)
+        rx.samples.flags.writeable = False
+        distances.append(dist)
+        pulses.append(pulse)
+        received.append(rx)
+    return Scenario(truth, tuple(distances), tuple(pulses), tuple(received))
+
+
+def run_trial(
+    cfg: SimConfig,
+    snr_db: float,
+    seed: int,
+    pulse_set: PulseSet | None = None,
+    trial_id: int = 0,
+    scenario: int | Scenario | None = None,
+) -> TrialResult:
+    """Range a target from every anchor at ``snr_db`` and solve for position.
+
+    ``seed`` drives the noise. ``scenario`` is either a prebuilt
+    ``Scenario`` or the seed to build one from (defaulting to ``seed``), so
+    a sweep can hold the scenario fixed while varying SNR; a prebuilt
+    scenario carries its pulses, so ``pulse_set`` is then not used.
+    Failures are recorded in the result rather than raised: an anchor
+    without a usable ToA gets NaN ToA and range entries and skips the solve;
+    solver failures (degenerate geometry, no real root, all candidates
+    rejected) leave the trial without a fix. Fully deterministic for fixed
+    (cfg, snr_db, seed, scenario).
+    """
+    if not isinstance(scenario, Scenario):
+        scenario = build_scenario(cfg, pulse_set, seed if scenario is None else scenario)
+    noise_streams = np.random.SeedSequence(seed).spawn(len(cfg.anchors))
+
+    toas, ranges, toa_errs, range_errs = [], [], [], []
+    failure: str | None = None
+    for stream, dist, pulse, rx in zip(
+            noise_streams, scenario.distances, scenario.pulses, scenario.received):
+        noise_seed = int(stream.generate_state(1, dtype=np.uint64)[0])
         rx = add_awgn(rx, snr_db, noise_seed)
         try:
             est = toa_dirty_template(rx, cfg.symbol_duration, cfg.symbol_count, template=pulse)
@@ -266,7 +321,7 @@ def run_trial(
                 raise NoValidFixError(
                     f"clock bias {fix.clock_bias:.3f} m exceeds the {cfg.bias_gate_m} m "
                     f"sanity gate for a synchronized system")
-            pos_err = position_error(fix, truth)
+            pos_err = position_error(fix, scenario.truth)
         except (DegenerateGeometryError, NoRealSolutionError, NoValidFixError, ValueError) as exc:
             failure = f"{type(exc).__name__}: {exc}"
             fix = None
@@ -274,7 +329,7 @@ def run_trial(
     return TrialResult(
         trial_id=trial_id,
         snr_db=snr_db,
-        truth=truth,
+        truth=scenario.truth,
         toa_s=tuple(toas),
         range_m=tuple(ranges),
         toa_err_s=tuple(toa_errs),
@@ -288,7 +343,8 @@ def run_trial(
 def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
     """Run trials at every SNR point and aggregate the error statistics.
 
-    Rows are ordered by ascending SNR. range NMSE is normalized by
+    Each trial index builds its scenario once and measures it at every SNR
+    point. Rows are ordered by ascending SNR. range NMSE is normalized by
     (c * symbol_duration)^2 and position NMSE by the room diagonal squared.
     Failed trials are excluded from position means and surfaced via
     fix_failure_rate; the NaN entries of anchors without a ToA are excluded
@@ -297,16 +353,17 @@ def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
     ps = _resolve_pulses(cfg, pulse_set)
     diag2 = float(np.sum((np.asarray(cfg.room.maximum) - np.asarray(cfg.room.minimum)) ** 2))
     tsym2 = cfg.symbol_duration**2
+    snrs = sorted(cfg.snr_grid_db)
+    by_snr: dict[float, list[TrialResult]] = {snr: [] for snr in snrs}
+    for ti in range(cfg.trials):
+        scenario = build_scenario(cfg, ps, scenario_seed(cfg.master_seed, ti))
+        for si, snr in enumerate(snrs):
+            by_snr[snr].append(run_trial(
+                cfg, snr, trial_seed(cfg.master_seed, si, ti), trial_id=ti, scenario=scenario))
+        del scenario  # else the next build would run while this one is still held
+
     rows = []
-    all_trials: dict[float, tuple[TrialResult, ...]] = {}
-    for si, snr in enumerate(sorted(cfg.snr_grid_db)):
-        results = [
-            run_trial(
-                cfg, snr, trial_seed(cfg.master_seed, si, ti), ps, trial_id=ti,
-                scenario=scenario_seed(cfg.master_seed, ti),
-            )
-            for ti in range(cfg.trials)
-        ]
+    for snr, results in by_snr.items():
         toa_sq = [e**2 for r in results for e in r.toa_err_s if not math.isnan(e)]
         rng_sq = [e**2 for r in results for e in r.range_err_m if not math.isnan(e)]
         pos_errs = [r.position_error_m for r in results if r.position_error_m is not None]
@@ -322,8 +379,8 @@ def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
                 fix_failure_rate=failures / len(results),
             )
         )
-        all_trials[snr] = tuple(results)
-    return SweepResult(rows=tuple(rows), trials=all_trials)
+    return SweepResult(rows=tuple(rows),
+                       trials={snr: tuple(results) for snr, results in by_snr.items()})
 
 
 def emit_csv(table: SweepResult | list[SweepRow] | tuple[SweepRow, ...], path: str | Path) -> None:

@@ -170,6 +170,31 @@ class TestRejectedValues:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("obj, key", [
+        ({"out_dir": 5}, "out_dir"),
+        ({"master_seed": 1.5}, "master_seed"),
+        ({"trials": 0}, "trials"),
+        ({"snr_grid_db": [30, 30]}, "snr"),
+    ])
+    def test_file_value_under_a_flag(self, tmp_path, capsys, obj, key):
+        # every key is replaced by a valid flag, but the file's value is still checked
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "o"
+        argv = ["sweep", "--config", str(path), "--out", str(out), "--seed", "3",
+                "--trials", "1", "--snr", "30"]
+        assert main(argv) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overlong_record(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"trials": 1, "snr_grid_db": [30], "symbol_duration": 50,
+                                    "out_dir": str(tmp_path / "out")}))
+        for command in ("sweep", "locate"):
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            assert "symbol_duration" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, key", [
         ("design", "seed"), ("sweep", "master_seed"), ("locate", "seed"), ("cir", "seed"),
     ])

@@ -14,6 +14,7 @@ from uwbloc.simulate import (
     ConfigError,
     SimConfig,
     SweepRow,
+    build_scenario,
     config_from_json,
     config_to_json,
     default_anchors,
@@ -21,6 +22,7 @@ from uwbloc.simulate import (
     load_default_pulse_set,
     read_input,
     run_trial,
+    scenario_seed,
     sweep_snr,
     trial_seed,
 )
@@ -113,6 +115,25 @@ class TestConfig:
                               "anchors": [{"id": a.id, "x": a.position[0], "y": a.position[1],
                                            "z": a.position[2]} for a in anchors]})
         SimConfig(room=room, anchors=anchors, symbol_duration=100e-9)
+
+    def test_overlong_record_rejected_before_allocating(self, default_pulses, monkeypatch):
+        # 50 s symbols would ask make_burst for a 146 TiB burst
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a burst was built for a rejected config")
+
+        monkeypatch.setattr(simulate, "make_burst", unreachable)
+        cfg = SimConfig(symbol_duration=50.0, snr_grid_db=(30.0,), trials=1)
+        with pytest.raises(ConfigError, match="record"):
+            sweep_snr(cfg, default_pulses)
+        with pytest.raises(ConfigError, match="record"):
+            run_trial(cfg, 30.0, seed=1, pulse_set=default_pulses)
+
+    def test_record_limit_is_inclusive(self, default_pulses):
+        n_sym = round(SimConfig().symbol_duration / default_pulses.dt)
+        longest = simulate.MAX_RECORD_SAMPLES // n_sym - 1
+        simulate._resolve_pulses(SimConfig(symbol_count=longest), default_pulses)
+        with pytest.raises(ConfigError, match="record"):
+            simulate._resolve_pulses(SimConfig(symbol_count=longest + 1), default_pulses)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -267,6 +288,25 @@ class TestRunTrial:
         assert math.isfinite(row.range_nmse)
 
 
+class TestScenario:
+    def test_prebuilt_equals_seeded(self, default_pulses):
+        cfg = SimConfig()
+        seed, scen = trial_seed(cfg.master_seed, 2, 3), scenario_seed(cfg.master_seed, 3)
+        prebuilt = build_scenario(cfg, default_pulses, scen)
+        assert (run_trial(cfg, 20.0, seed, default_pulses, scenario=prebuilt)
+                == run_trial(cfg, 20.0, seed, default_pulses, scenario=scen))
+        # without a scenario, the trial seed draws it
+        assert (run_trial(cfg, 20.0, seed, default_pulses,
+                          scenario=build_scenario(cfg, default_pulses, seed))
+                == run_trial(cfg, 20.0, seed, default_pulses))
+
+    def test_received_samples_read_only(self, default_pulses):
+        scenario = build_scenario(SimConfig(), default_pulses, 7)
+        for rx in scenario.received:
+            with pytest.raises(ValueError):
+                rx.samples[0] = 1.0
+
+
 class TestDefaultPulseSet:
     def test_loaded_once_and_read_only(self):
         ps = load_default_pulse_set()
@@ -300,6 +340,20 @@ class TestSweep:
         sweep_snr(tiny_cfg, default_pulses)
         assert sorted(seen) == [(snr, ti) for snr in sorted(tiny_cfg.snr_grid_db)
                                 for ti in range(tiny_cfg.trials)]
+
+    def test_one_scenario_per_trial(self, default_pulses, tiny_cfg, monkeypatch):
+        # a scenario is built once per trial index and shared by its SNR points
+        build = simulate.build_scenario
+        seeds = []
+
+        def counting(cfg, pulse_set, seed):
+            seeds.append(seed)
+            return build(cfg, pulse_set, seed)
+
+        monkeypatch.setattr(simulate, "build_scenario", counting)
+        sweep_snr(tiny_cfg, default_pulses)
+        assert seeds == [scenario_seed(tiny_cfg.master_seed, ti)
+                         for ti in range(tiny_cfg.trials)]
 
     def test_single_trial_equals_run_trial(self, default_pulses):
         cfg = SimConfig(snr_grid_db=(25.0,), trials=1)
