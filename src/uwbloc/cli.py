@@ -123,9 +123,10 @@ def _cmd_locate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _read_config(SimConfig, args.config, master_seed=args.seed, snr_grid_db=args.snr,
                        trials=args.trials, out_dir=args.out)
+    result = sweep_snr(cfg)
+    # made only once the sweep ran, so a rejected config or pulse set leaves no directory
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = sweep_snr(cfg)
     emit_csv(result, out / "sweep.csv")
     write_csv(out / "fixes.csv", ["trial", "snr_db", "x", "y", "z", "bias", "residual", "err_m"], (
         [res.trial_id, float(snr), *res.fix.position, res.fix.clock_bias,

@@ -133,14 +133,18 @@ def toa_dirty_template(
     if r.size < (symbol_count + 1) * n - 1:
         raise ValueError(
             f"received waveform must cover at least {symbol_count + 1} symbol durations")
+    # the objective and the sign fold read no later sample
+    r = r[: (symbol_count + 1) * n - 1]
 
     # two-pass calibration: a first pass against the zero-phase reference
     # estimates the sub-sample phase, a second pass against a reference
     # shifted to that phase cancels the interpolator's phase-dependent bias.
-    # Only the phase bank and the zero-phase reference are cached, so no
+    # Only the phase bank and the zero-phase notch are cached, so no
     # estimate depends on which estimates ran before it.
     m_ref = min(symbol_count, _REFERENCE_SYMBOLS)
-    bank, zero_phase_notch = _calibration(template.samples.tobytes(), template.dt, n, m_ref)
+    key = template.samples.tobytes(), template.dt
+    bank = _phase_bank(*key)
+    zero_phase_notch = _zero_phase_notch(*key, n, m_ref)
     notch, peak = _notch_position(r, n, symbol_count, bank)
     phase = (notch - zero_phase_notch) % 1.0
     shifted = delay(template, phase * template.dt)
@@ -189,13 +193,12 @@ _REFERENCE_SYMBOLS = 4
 
 
 @lru_cache(maxsize=32)
-def _calibration(samples: bytes, dt: float, n: int, m_ref: int) -> tuple[np.ndarray, float]:
-    """Phase bank and zero-phase reference notch of a pulse (raw float64 bytes).
+def _phase_bank(samples: bytes, dt: float) -> np.ndarray:
+    """Phase bank of a pulse (raw float64 bytes).
 
-    Row i of the bank holds the squared samples of the pulse delayed by
-    i/size of a sample, zero-padded to a common width; rows are
-    unit-normalized so the alignment search is a pure shape match. The notch
-    is ``_reference_notch`` of the pulse arriving on the sample grid.
+    Row i holds the squared samples of the pulse delayed by i/size of a
+    sample, zero-padded to a common width; rows are unit-normalized so the
+    alignment search is a pure shape match.
     """
     template = Waveform(np.frombuffer(samples), dt)
     rows = [delay(template, i / _PHASE_BANK_SIZE * dt).samples ** 2
@@ -204,7 +207,14 @@ def _calibration(samples: bytes, dt: float, n: int, m_ref: int) -> tuple[np.ndar
     for i, row in enumerate(rows):
         bank[i, : row.size] = row / np.linalg.norm(row)
     bank.flags.writeable = False  # shared by every caller through the cache
-    return bank, _reference_notch(template, bank, n, m_ref)
+    return bank
+
+
+@lru_cache(maxsize=32)
+def _zero_phase_notch(samples: bytes, dt: float, n: int, m_ref: int) -> float:
+    """``_reference_notch`` of a pulse (raw float64 bytes) arriving on the sample grid."""
+    template = Waveform(np.frombuffer(samples), dt)
+    return _reference_notch(template, _phase_bank(samples, dt), n, m_ref)
 
 
 def _bank_align(deriv: np.ndarray, bank: np.ndarray, rel: np.ndarray) -> float:
@@ -213,22 +223,37 @@ def _bank_align(deriv: np.ndarray, bank: np.ndarray, rel: np.ndarray) -> float:
     Scores every bank phase at every lag, takes the global best, and
     interpolates across the phase axis (scores vary smoothly there) for a
     resolution finer than the bank spacing.
+
+    One matrix product scores every (phase, lag). Its sums run in another
+    order than ``np.correlate``'s dot products, but any order of a
+    width-term dot product of a unit-norm bank row lies within about
+    width * eps * ||deriv|| of the true score, so every exact maximiser
+    scores within tol = 4 * width * eps * ||deriv|| of the product's maximum.
+    Those candidates and the interpolation neighbours are rescored with
+    ``np.dot``, the dot kernel ``np.correlate`` uses, and the first maximum
+    in flat order wins as in ``np.argmax``: the result is bit-identical to
+    scoring each phase with ``np.correlate`` (for finite ``deriv``).
     """
-    nb = bank.shape[0]
-    scores = np.stack([np.correlate(deriv, bank[i], mode="valid") for i in range(nb)])
-    best_flat = int(np.argmax(scores))
-    pi, lag = divmod(best_flat, scores.shape[1])
+    nb, width = bank.shape
+    lags = deriv.size - width + 1
+    windows = np.lib.stride_tricks.as_strided(
+        deriv, (lags, width), deriv.strides * 2, writeable=False)
+    approx = bank @ windows.T
+    tol = 4 * width * np.finfo(float).eps * np.linalg.norm(deriv)
+    candidates = np.flatnonzero(approx >= approx.max() - tol)
 
     def score_at(phase_idx: int, lag_idx: int) -> float:
         q, r = divmod(phase_idx, nb)
         # advancing a full sample re-uses phase r at the next lag
         j = lag_idx + q
-        if 0 <= j < scores.shape[1]:
-            return float(scores[r, j])
+        if 0 <= j < lags:
+            return float(np.dot(windows[j], bank[r]))
         return -np.inf
 
+    exact = [score_at(*divmod(int(c), lags)) for c in candidates]
+    y1 = max(exact)
+    pi, lag = divmod(int(candidates[exact.index(y1)]), lags)
     y0 = score_at(pi - 1, lag)
-    y1 = float(scores[pi, lag])
     y2 = score_at(pi + 1, lag)
     frac = 0.0
     denom = y0 - 2.0 * y1 + y2

@@ -123,6 +123,19 @@ class TestSweepCommand:
         assert "integer number of samples" in capsys.readouterr().err
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
+    def test_rejected_sweep_leaves_no_directory(self, tmp_path):
+        # an overlong record (exit 2) and a missing pulse set (exit 4) both
+        # fail while the pulse set resolves, before anything is written
+        out = tmp_path / "made"
+        path = tmp_path / "cfg.json"
+        for obj, code in (
+            ({"trials": 1, "snr_grid_db": [30], "symbol_duration": 50}, EXIT_CONFIG),
+            ({"pulse_set": str(tmp_path / "missing.json")}, EXIT_IO),
+        ):
+            path.write_text(json.dumps({**obj, "out_dir": str(out)}))
+            assert main(["sweep", "--config", str(path)]) == code
+            assert not out.exists()
+
     def test_io_error_exit_code(self, tiny_config_path):
         code = main(["sweep", "--config", str(tiny_config_path),
                      "--out", "/proc/definitely/not/writable"])

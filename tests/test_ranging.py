@@ -11,7 +11,9 @@ import uwbloc
 
 from uwbloc.channel import SPEED_OF_LIGHT, ChannelProfile, propagate, sample_cir
 from uwbloc.ranging import (
-    _calibration,
+    _bank_align,
+    _phase_bank,
+    _zero_phase_notch,
     TDT_TRAINING_PATTERN,
     ToaEstimate,
     make_burst,
@@ -179,9 +181,20 @@ class TestToaDirtyTemplate:
         assert repr(after_first.toa) == fresh.stdout.strip()
 
 
+    def test_reads_no_sample_past_its_window(self, pulse):
+        # the objective and the sign fold read the first (symbols + 1) * n - 1
+        # samples of the record: whatever follows them cannot move the estimate
+        rx = received(pulse, 13.7e-9, seed=2, snr_db=20.0)
+        window = rx.samples[: (SYMBOLS + 1) * round(TSYM / DT) - 1]
+        garbage = 1e12 * np.random.default_rng(0).standard_normal(3000)
+        ests = [toa_dirty_template(Waveform(samples, DT), TSYM, SYMBOLS, template=pulse)
+                for samples in (rx.samples, window, np.concatenate([window, garbage]))]
+        assert ests[0] == ests[1] == ests[2]
+
     def test_interleaved_calibrations_match_each_alone(self, default_pulses):
-        # one calibration cache entry per (pulse, dt, n, m_ref): estimates for
-        # two pulses at 2 and 20 symbols (m_ref 2 and 4) never share an entry
+        # one zero-phase notch per (pulse, dt, n, m_ref) and one phase bank per
+        # (pulse, dt): estimates for two pulses at 2 and 20 symbols (m_ref 2
+        # and 4) never share a notch, and build exactly two banks
         cases = [(p, m) for p in default_pulses.pulses[:2] for m in (2, SYMBOLS)]
         rxs = [received(p, 13.7e-9, seed=5, snr_db=20.0, symbols=m) for p, m in cases]
 
@@ -190,13 +203,78 @@ class TestToaDirtyTemplate:
             est = toa_dirty_template(rx, TSYM, m, template=p)
             return est.toa, est.objective_peak
 
+        def clear():
+            _phase_bank.cache_clear()
+            _zero_phase_notch.cache_clear()
+
         alone = []
         for i in range(len(cases)):
-            _calibration.cache_clear()
+            clear()
             alone.append(estimate(i))
-        _calibration.cache_clear()
+        clear()
         for i in (0, 3, 1, 2, 3, 0, 2, 1):
             assert estimate(i) == alone[i]
+        assert _phase_bank.cache_info().misses == 2
+
+
+def bank_align_reference(deriv, bank, rel):
+    """``_bank_align`` scored phase by phase with ``np.correlate``: the exact oracle."""
+    nb = bank.shape[0]
+    scores = np.stack([np.correlate(deriv, bank[i], mode="valid") for i in range(nb)])
+    pi, lag = divmod(int(np.argmax(scores)), scores.shape[1])
+
+    def score_at(phase_idx, lag_idx):
+        q, r = divmod(phase_idx, nb)
+        j = lag_idx + q
+        return float(scores[r, j]) if 0 <= j < scores.shape[1] else -np.inf
+
+    y0, y1, y2 = score_at(pi - 1, lag), score_at(pi, lag), score_at(pi + 1, lag)
+    frac = 0.0
+    denom = y0 - 2.0 * y1 + y2
+    if np.isfinite(y0) and np.isfinite(y2) and denom < 0.0:
+        frac = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
+    return float(rel[lag]) + (pi + frac) / nb
+
+
+class TestBankAlign:
+    """The one-product scoring equals per-phase ``np.correlate`` to the bit."""
+
+    @staticmethod
+    def bank_of(pulse):
+        return _phase_bank(pulse.samples.tobytes(), pulse.dt)
+
+    @staticmethod
+    def rel_for(width):
+        # the lag grid _notch_position builds: its trace has 2 * width + 16 samples
+        return np.arange(-width - 8, width + 9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), pulse_index=st.integers(0, 3), exponent=st.integers(-40, 40))
+    def test_drawn_traces(self, default_pulses, data, pulse_index, exponent):
+        bank = self.bank_of(default_pulses.pulses[pulse_index])
+        rel = self.rel_for(bank.shape[1])
+        values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=rel.size - 1,
+                                    max_size=rel.size - 1))
+        deriv = np.asarray(values) * 10.0**exponent
+        assert _bank_align(deriv, bank, rel) == bank_align_reference(deriv, bank, rel)
+
+    @pytest.mark.parametrize("pulse_index", range(4))
+    def test_constructed_near_ties(self, default_pulses, pulse_index):
+        # a bank row placed at a lag ties its neighbours' scores to rounding;
+        # the mean of two adjacent rows ties the two phases themselves
+        bank = self.bank_of(default_pulses.pulses[pulse_index])
+        nb, width = bank.shape
+        rel = self.rel_for(width)
+        lags = rel.size - width
+        rng = np.random.default_rng(pulse_index)
+        for i in range(nb):
+            for shape in (bank[i], 0.5 * (bank[i] + bank[(i + 1) % nb])):
+                for lag in (0, int(rng.integers(1, lags - 1)), lags - 1):
+                    for noise in (0.0, 1e-17, 1e-13):
+                        deriv = noise * rng.standard_normal(rel.size - 1)
+                        deriv[lag : lag + width] += shape
+                        assert (_bank_align(deriv, bank, rel)
+                                == bank_align_reference(deriv, bank, rel))
 
 
 class TestRangeFromToa:
