@@ -31,7 +31,6 @@ __all__ = [
     "material_response",
     "apply_signature",
     "propagate",
-    "signature_to_csv",
     "signature_from_csv",
     "cir_to_csv",
 ]
@@ -110,15 +109,6 @@ def sample_cir(profile: ChannelProfile, seed: int) -> ChannelRealization:
 
 # -- material signatures ------------------------------------------------------
 
-MATERIAL_KINDS = (
-    "free_space",
-    "wood_door",
-    "brick_wall",
-    "human",
-    "human_behind_door",
-    "human_behind_wall",
-)
-
 # (mean attenuation dB, bulk delay s, has human phase distortion)
 _MATERIAL_TABLE = {
     "free_space": (0.0, 0.0, False),
@@ -128,6 +118,7 @@ _MATERIAL_TABLE = {
     "human_behind_door": (51.0, 0.7e-9, True),
     "human_behind_wall": (51.8, 0.9e-9, True),
 }
+MATERIAL_KINDS = tuple(_MATERIAL_TABLE)
 
 # Quadratic phase coefficient producing ~1 rad RMS residual against a linear
 # fit over any 200 MHz window: rms = q * (W/2)^2 * 2/sqrt(45) with W = 200 MHz.
@@ -279,11 +270,6 @@ def propagate(w: Waveform, distance_m: float, cir: ChannelRealization) -> Wavefo
 
 
 # -- serialization ----------------------------------------------------------
-
-def signature_to_csv(sig: MaterialSignature, path: str | Path) -> None:
-    write_csv(path, ["freq_hz", "attenuation_db", "phase_rad"],
-              zip(sig.freq_hz, sig.attenuation_db, sig.phase_rad), digits=12)
-
 
 def signature_from_csv(rows: np.ndarray) -> MaterialSignature:
     """The signature of `freq_hz,attenuation_db,phase_rad` rows, as ``read_csv`` returns them."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -49,6 +50,14 @@ def _read_config(cls: type, path: str | None, **flags):
         return config_from_json(obj | given, cls) if given else cfg
 
     return read_input(path, decode) if path else decode({})
+
+
+def _finite(text: str) -> float:
+    """argparse type of a threshold: NaN never compares true, and JSON has no inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
 
 
 def _seed(text: str) -> int:
@@ -127,7 +136,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # made only once the sweep ran, so a rejected config or pulse set leaves no directory
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    emit_csv(result, out / "sweep.csv")
+    emit_csv(result.rows, out / "sweep.csv")
     write_csv(out / "fixes.csv", ["trial", "snr_db", "x", "y", "z", "bias", "residual", "err_m"], (
         [res.trial_id, float(snr), *res.fix.position, res.fix.clock_bias,
          res.fix.residual_rms, res.position_error_m]
@@ -211,8 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tx", help="transmitted waveform (CSV or JSON)")
     p.add_argument("--rx", help="received waveform (CSV or JSON)")
     p.add_argument("--signature", help="signature CSV (freq_hz,attenuation_db,phase_rad)")
-    p.add_argument("--attenuation-threshold", type=float, default=30.0)
-    p.add_argument("--nonlinearity-threshold", type=float, default=0.3)
+    p.add_argument("--attenuation-threshold", type=_finite,
+                   default=DetectionThresholds.attenuation_db)
+    p.add_argument("--nonlinearity-threshold", type=_finite,
+                   default=DetectionThresholds.nonlinearity_rad)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("cir", help="dump one channel impulse response as CSV")

@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 CONDITION_LIMIT = 1e12
+# Gauss-Newton stops after this many iterations, or once a step is this short (m)
+GN_MAX_ITER = 50
+GN_STEP_TOL = 1e-10
 
 
 class DegenerateGeometryError(ValueError):
@@ -47,7 +50,7 @@ class NoValidFixError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Gauss-Newton iteration diverged."""
+    """Gauss-Newton iteration diverged: the failure of the ``gauss_newton_refine`` cross-check."""
 
 
 @dataclass(frozen=True)
@@ -234,17 +237,14 @@ def position_error(fix: PositionFix | tuple[float, float, float], truth) -> floa
 
 
 def gauss_newton_refine(
-    anchors: list[Anchor],
-    ranges,
-    initial: tuple[float, float, float],
-    max_iter: int = 50,
-    step_tol: float = 1e-10,
+    anchors: list[Anchor], ranges, initial: tuple[float, float, float]
 ) -> PositionFix:
     """Iterative least squares on range residuals, starting from ``initial``.
 
-    Estimates position and a clock-bias term (initialized at zero) so the fit
-    matches the closed form on consistent data. Raises DivergenceError when
-    the step size grows five iterations in a row.
+    A cross-check: it estimates position and a clock-bias term (initialized
+    at zero), so on consistent data it must agree with the closed-form
+    ``bancroft_solve`` fix. Raises DivergenceError when the step size grows
+    five iterations in a row.
     """
     rng_arr = np.asarray(ranges, dtype=float)
     pos = np.asarray(initial, dtype=float).copy()
@@ -252,7 +252,7 @@ def gauss_newton_refine(
     anchor_mat = np.array([a.position for a in anchors])
     prev_step = math.inf
     growth = 0
-    for _ in range(max_iter):
+    for _ in range(GN_MAX_ITER):
         diff = pos[None, :] - anchor_mat
         dist = np.linalg.norm(diff, axis=1)
         if np.any(dist < 1e-12):
@@ -270,7 +270,7 @@ def gauss_newton_refine(
         else:
             growth = 0
         prev_step = norm
-        if norm < step_tol:
+        if norm < GN_STEP_TOL:
             break
     return PositionFix(
         position=tuple(pos),

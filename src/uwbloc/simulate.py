@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import Callable, Iterable, get_type_hints
 
 import numpy as np
 
@@ -276,22 +276,22 @@ def run_trial(
     seed: int,
     pulse_set: PulseSet | None = None,
     trial_id: int = 0,
-    scenario: int | Scenario | None = None,
+    scenario: Scenario | None = None,
 ) -> TrialResult:
     """Range a target from every anchor at ``snr_db`` and solve for position.
 
-    ``seed`` drives the noise. ``scenario`` is either a prebuilt
-    ``Scenario`` or the seed to build one from (defaulting to ``seed``), so
-    a sweep can hold the scenario fixed while varying SNR; a prebuilt
-    scenario carries its pulses, so ``pulse_set`` is then not used.
+    ``seed`` drives the noise. ``scenario`` is a prebuilt ``Scenario``, so a
+    sweep can hold the scenario fixed while varying SNR; it carries its
+    pulses, so ``pulse_set`` is then not used. Without one, the scenario is
+    built from ``seed``.
     Failures are recorded in the result rather than raised: an anchor
     without a usable ToA gets NaN ToA and range entries and skips the solve;
     solver failures (degenerate geometry, no real root, all candidates
     rejected) leave the trial without a fix. Fully deterministic for fixed
     (cfg, snr_db, seed, scenario).
     """
-    if not isinstance(scenario, Scenario):
-        scenario = build_scenario(cfg, pulse_set, seed if scenario is None else scenario)
+    if scenario is None:
+        scenario = build_scenario(cfg, pulse_set, seed)
     noise_streams = np.random.SeedSequence(seed).spawn(len(cfg.anchors))
 
     toas, ranges, toa_errs, range_errs = [], [], [], []
@@ -383,9 +383,8 @@ def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
                        trials={snr: tuple(results) for snr, results in by_snr.items()})
 
 
-def emit_csv(table: SweepResult | list[SweepRow] | tuple[SweepRow, ...], path: str | Path) -> None:
+def emit_csv(rows: Iterable[SweepRow], path: str | Path) -> None:
     """Write one row per SNR point with >= 9 significant digits."""
-    rows = table.rows if isinstance(table, SweepResult) else table
     names = [f.name for f in fields(SweepRow)]
     # float() because an SNR point read from a JSON config may be an int
     write_csv(path, names, ([float(getattr(r, n)) for n in names] for r in rows))
@@ -413,7 +412,11 @@ _SCALAR_TYPES = {
 
 
 def config_to_json(cfg) -> dict:
-    """JSON object of a config dataclass, one key per field."""
+    """JSON object of a config dataclass, one key per field.
+
+    A cross-check: the tests round-trip every config field through it and
+    ``config_from_json``.
+    """
     obj = {}
     for f in fields(cfg):
         val = getattr(cfg, f.name)

@@ -31,6 +31,10 @@ DB_FLOOR = -400.0
 
 HZ_PER_MHZ = 1e6
 
+MASK_BAND_LO_HZ = 0.5e9
+MASK_BAND_HI_HZ = 2.5e9
+MASK_FULL_BAND_HI_HZ = 10e9
+
 
 class DisjointBandError(ValueError):
     """Spectrum and mask have no frequency band in common."""
@@ -81,33 +85,28 @@ class SpectralMask:
 
 
 def fcc_like_mask(
-    band_lo_hz: float = 0.5e9,
-    band_hi_hz: float = 2.5e9,
     passband_dbm_mhz: float = -41.3,
     stopband_dbm_mhz: float = -51.3,
-    full_band_hi_hz: float = 10e9,
     notch: tuple[float, float, float] | None = None,
 ) -> SpectralMask:
     """Baseband-equivalent FCC-like mask: a passband ceiling with stopbands.
 
+    The passband is [0.5, 2.5] GHz; the stopbands fill the rest of [0, 10] GHz.
     ``notch`` optionally carves (f_lo, f_hi, limit) out of the passband to
     exercise the pulse optimizer. This is a reproducible stand-in table, not
     a regulatory document.
     """
-    segs: list[tuple[float, float, float]] = []
-    if band_lo_hz > 0.0:
-        segs.append((0.0, band_lo_hz, stopband_dbm_mhz))
+    segs: list[tuple[float, float, float]] = [(0.0, MASK_BAND_LO_HZ, stopband_dbm_mhz)]
     if notch is None:
-        segs.append((band_lo_hz, band_hi_hz, passband_dbm_mhz))
+        segs.append((MASK_BAND_LO_HZ, MASK_BAND_HI_HZ, passband_dbm_mhz))
     else:
         n_lo, n_hi, n_lim = notch
-        if not (band_lo_hz < n_lo < n_hi < band_hi_hz):
+        if not (MASK_BAND_LO_HZ < n_lo < n_hi < MASK_BAND_HI_HZ):
             raise ValueError("notch must lie strictly inside the passband")
-        segs.append((band_lo_hz, n_lo, passband_dbm_mhz))
+        segs.append((MASK_BAND_LO_HZ, n_lo, passband_dbm_mhz))
         segs.append((n_lo, n_hi, n_lim))
-        segs.append((n_hi, band_hi_hz, passband_dbm_mhz))
-    if full_band_hi_hz > band_hi_hz:
-        segs.append((band_hi_hz, full_band_hi_hz, stopband_dbm_mhz))
+        segs.append((n_hi, MASK_BAND_HI_HZ, passband_dbm_mhz))
+    segs.append((MASK_BAND_HI_HZ, MASK_FULL_BAND_HI_HZ, stopband_dbm_mhz))
     return SpectralMask(tuple(segs))
 
 

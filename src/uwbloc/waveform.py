@@ -19,15 +19,12 @@ __all__ = [
     "Waveform",
     "check_grid",
     "energy",
-    "inner_product",
     "delay",
     "add_awgn",
     "cross_correlate",
     "write_csv",
     "read_csv",
-    "waveform_to_csv",
     "waveform_from_csv",
-    "waveform_to_json",
     "waveform_from_json",
 ]
 
@@ -75,7 +72,10 @@ class Waveform:
 
 
 def energy(w: Waveform) -> float:
-    """Discrete signal energy: sum(samples^2) * dt."""
+    """Discrete signal energy: sum(samples^2) * dt.
+
+    A cross-check: the time-domain side of ``spectrum.psd``'s Parseval test.
+    """
     return float(np.dot(w.samples, w.samples) * w.dt)
 
 
@@ -85,28 +85,17 @@ def check_grid(a: Waveform, b: Waveform) -> None:
         raise GridMismatchError(f"sample intervals differ: {a.dt} vs {b.dt}")
 
 
-def inner_product(a: Waveform, b: Waveform) -> float:
-    """Discrete approximation of the integral of a(t)*b(t).
-
-    The waveforms must share dt; past the shorter one's end the product is
-    zero, so only the common prefix contributes.
-    """
-    check_grid(a, b)
-    n = min(len(a), len(b))
-    return float(np.dot(a.samples[:n], b.samples[:n]) * a.dt)
-
-
-def _fractional_delay_kernel(frac: float, half_width: int = SINC_HALF_WIDTH) -> np.ndarray:
+def _fractional_delay_kernel(frac: float) -> np.ndarray:
     """Hann-windowed sinc interpolation kernel for a sub-sample shift.
 
     ``frac`` is the delay in samples, in [0, 1). Convolving with the kernel
-    (offset by half_width) evaluates the band-limited signal at t - frac*dt.
+    (offset by SINC_HALF_WIDTH) evaluates the band-limited signal at t - frac*dt.
     """
-    n = np.arange(-half_width, half_width + 1)
+    n = np.arange(-SINC_HALF_WIDTH, SINC_HALF_WIDTH + 1)
     x = n - frac
     kernel = np.sinc(x)
-    window = 0.5 * (1.0 + np.cos(np.pi * x / (half_width + 1)))
-    window[np.abs(x) > half_width + 1] = 0.0
+    window = 0.5 * (1.0 + np.cos(np.pi * x / (SINC_HALF_WIDTH + 1)))
+    window[np.abs(x) > SINC_HALF_WIDTH + 1] = 0.0
     return kernel * window
 
 
@@ -130,7 +119,7 @@ def delay(w: Waveform, tau: float) -> Waveform:
         frac += 1.0
     h = _fractional_delay_kernel(frac)
     interp = np.convolve(w.samples, h)
-    # convolve output index i corresponds to signal time (i - half_width + frac)*dt
+    # convolve output index i corresponds to signal time (i - SINC_HALF_WIDTH + frac)*dt
     pad = k - SINC_HALF_WIDTH
     if pad >= 0:
         out = np.concatenate([np.zeros(pad), interp])
@@ -166,7 +155,8 @@ def cross_correlate(a: Waveform, b: Waveform) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (lags, values) where values[i] approximates the integral of
     a(t)*b(t + lags[i]); for b = delay(a, tau) the peak lag is tau to within
-    one sample.
+    one sample. A cross-check: the tests read the delays applied by
+    ``delay`` and ``channel.propagate`` off its lag axis.
     """
     check_grid(a, b)
     # values[m] = sum_n a[n] * b[n + m], m from -(len(a)-1) to len(b)-1
@@ -198,11 +188,6 @@ def read_csv(path: str | Path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
-def waveform_to_csv(w: Waveform, path: str | Path) -> None:
-    """Write `t,amplitude` rows with a header line."""
-    write_csv(path, ["t", "amplitude"], zip(w.times, w.samples), digits=12)
-
-
 def waveform_from_csv(rows: np.ndarray) -> Waveform:
     """The waveform of `t,amplitude` rows, as ``read_csv`` returns them.
 
@@ -218,10 +203,6 @@ def waveform_from_csv(rows: np.ndarray) -> Waveform:
     return Waveform(x, dt)
 
 
-def waveform_to_json(w: Waveform) -> dict:
-    return {"dt": w.dt, "samples": w.samples.tolist()}
-
-
 def waveform_from_json(obj: dict) -> Waveform:
-    """Inverse of ``waveform_to_json``; other keys (an older file's start epoch) are ignored."""
+    """The waveform of a ``{"dt", "samples"}`` object; other keys (an old t0) are ignored."""
     return Waveform(np.asarray(obj["samples"], dtype=float), float(obj["dt"]))

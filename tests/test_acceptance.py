@@ -262,8 +262,8 @@ class TestCriterion8Determinism:
         again = sweep_snr(default_config, load_default_pulse_set())
         path_a = tmp_path / "a.csv"
         path_b = tmp_path / "b.csv"
-        emit_csv(result, path_a)
-        emit_csv(again, path_b)
+        emit_csv(result.rows, path_a)
+        emit_csv(again.rows, path_b)
         identical = path_a.read_bytes() == path_b.read_bytes()
         report("criterion 8 (determinism)", identical,
                f"repeated default sweep CSVs byte-identical: {identical}")

@@ -17,13 +17,14 @@ from uwbloc.channel import (
     propagate,
     sample_cir,
     signature_from_csv,
-    signature_to_csv,
     _fast_len,
     _filter,
     _tap_sum,
 )
 from uwbloc.detection import phase_nonlinearity
 from uwbloc.waveform import Waveform, cross_correlate, delay, energy, read_csv
+
+from conftest import signature_to_csv
 
 DT = 50e-12
 

@@ -5,13 +5,15 @@ import re
 import numpy as np
 import pytest
 
-from uwbloc.channel import material_response, signature_to_csv
+from uwbloc.channel import material_response
 from uwbloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
 from uwbloc.positioning import Anchor, RoomBounds
 from uwbloc.pulses import DesignConfig, load_pulse_set, pulse_set_to_json
 from uwbloc.simulate import SimConfig, config_to_json
 from uwbloc.spectrum import mask_to_json
-from uwbloc.waveform import Waveform, waveform_to_csv, waveform_to_json
+from uwbloc.waveform import Waveform
+
+from conftest import signature_to_csv, waveform_to_csv, waveform_to_json
 
 
 # a table cell written by write_csv with the default 9 digits
@@ -270,6 +272,16 @@ class TestDetectCommand:
         assert main(["detect", "--tx", str(tx_path), "--rx", str(rx_path)]) == EXIT_OK
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["label"] == "artificial_only"
+
+    @pytest.mark.parametrize("flag", ["--attenuation-threshold", "--nonlinearity-threshold"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exit_code(self, tmp_path, capsys, flag, value):
+        # NaN never calls a human, and neither NaN nor inf is valid JSON output
+        path = tmp_path / "sig.csv"
+        signature_to_csv(material_response("human"), path)
+        assert exit_code(["detect", "--signature", str(path), f"{flag}={value}"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
 
     def test_missing_inputs(self, tmp_path):
         assert main(["detect"]) == EXIT_CONFIG

@@ -291,10 +291,7 @@ class TestRunTrial:
 class TestScenario:
     def test_prebuilt_equals_seeded(self, default_pulses):
         cfg = SimConfig()
-        seed, scen = trial_seed(cfg.master_seed, 2, 3), scenario_seed(cfg.master_seed, 3)
-        prebuilt = build_scenario(cfg, default_pulses, scen)
-        assert (run_trial(cfg, 20.0, seed, default_pulses, scenario=prebuilt)
-                == run_trial(cfg, 20.0, seed, default_pulses, scenario=scen))
+        seed = trial_seed(cfg.master_seed, 2, 3)
         # without a scenario, the trial seed draws it
         assert (run_trial(cfg, 20.0, seed, default_pulses,
                           scenario=build_scenario(cfg, default_pulses, seed))
@@ -389,7 +386,7 @@ class TestEmitCsv:
     def test_round_trip(self, tmp_path, default_pulses, tiny_cfg, read_sweep_csv):
         result = sweep_snr(tiny_cfg, default_pulses)
         path = tmp_path / "sweep.csv"
-        emit_csv(result, path)
+        emit_csv(result.rows, path)
         back = read_sweep_csv(path)
         for row, orig in zip(back, result.rows):
             for f in dataclasses.fields(SweepRow):

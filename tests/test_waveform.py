@@ -15,14 +15,13 @@ from uwbloc.waveform import (
     cross_correlate,
     delay,
     energy,
-    inner_product,
     read_csv,
     waveform_from_csv,
     waveform_from_json,
-    waveform_to_csv,
-    waveform_to_json,
     write_csv,
 )
+
+from conftest import waveform_to_csv, waveform_to_json
 
 DT = 50e-12
 
@@ -68,51 +67,10 @@ class TestEnergy:
             assert energy(p) == pytest.approx(default_pulses.energy_es, rel=1e-9)
 
 
-class TestInnerProduct:
-    def test_self_is_energy(self):
-        w = bl_pulse()
-        assert inner_product(w, w) == pytest.approx(energy(w), rel=1e-12)
-
-    def test_sine_cosine_orthogonal(self):
-        f0 = 1e9  # 20 samples per period at 50 ps
-        t = np.arange(400) * DT
-        s = Waveform(np.sin(2 * np.pi * f0 * t), DT)
-        c = Waveform(np.cos(2 * np.pi * f0 * t), DT)
-        assert abs(inner_product(s, c)) <= 1e-6 * energy(s)
-
-    def test_designed_pulses_cross_energy(self, default_pulses):
-        es = default_pulses.energy_es
-        pulses = default_pulses.pulses
-        for i in range(len(pulses)):
-            for j in range(i + 1, len(pulses)):
-                assert abs(inner_product(pulses[i], pulses[j])) / es <= 0.05
-
-    def test_symmetry_and_bilinearity(self, rng):
-        a = Waveform(rng.normal(size=64), DT)
-        b = Waveform(rng.normal(size=64), DT)
-        c = Waveform(rng.normal(size=64), DT)
-        assert inner_product(a, b) == pytest.approx(inner_product(b, a), rel=1e-12)
-        lhs = inner_product(Waveform(2.0 * a.samples + 3.0 * b.samples, DT), c)
-        rhs = 2.0 * inner_product(a, c) + 3.0 * inner_product(b, c)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_cauchy_schwarz(self, rng):
-        for _ in range(20):
-            a = Waveform(rng.normal(size=50), DT)
-            b = Waveform(rng.normal(size=50), DT)
-            bound = math.sqrt(energy(a) * energy(b))
-            assert abs(inner_product(a, b)) <= bound * (1 + 1e-12)
-
-    def test_zero_pads_different_supports(self):
-        a = Waveform(np.array([1.0, 2.0, 3.0]), DT)
-        b = Waveform(np.array([4.0, 5.0]), DT)
-        assert inner_product(a, b) == pytest.approx((4.0 + 10.0) * DT)
-
+class TestCheckGrid:
     def test_mismatched_dt_raises(self):
         a = Waveform(np.ones(4), DT)
         b = Waveform(np.ones(4), 2 * DT)
-        with pytest.raises(GridMismatchError):
-            inner_product(a, b)
         with pytest.raises(GridMismatchError):
             cross_correlate(a, b)
         with pytest.raises(GridMismatchError):
