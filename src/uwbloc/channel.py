@@ -199,7 +199,8 @@ def _filter(
 ) -> Waveform:
     """Filter by ``response`` (of the rFFT frequency grid), zero-padded by ``pad``.
 
-    The output spans the padded FFT length; ``add_awgn`` measures power over it.
+    The output spans the padded FFT length; its mean power over all of it is
+    the SNR reference (``add_awgn``'s default, ``Scenario.powers``).
     """
     n = _fast_len(w.samples.size + pad)
     spec = np.fft.rfft(w.samples, n=n)
@@ -263,7 +264,7 @@ def propagate(w: Waveform, distance_m: float, cir: ChannelRealization) -> Wavefo
         raise ValueError(f"distance must be positive, got {distance_m}")
     delayed = delay(w, distance_m / SPEED_OF_LIGHT)
     # 128 guard samples past the delay spread; the record length sets the
-    # noise power add_awgn spreads over it, so a test pins it
+    # mean power that the SNR is referred to, so a test pins it
     pad = int(math.ceil(cir.delay_spread / w.dt)) + 128
     # f[1] is the grid spacing 1/(n dt)
     return _filter(delayed, pad, lambda f: _tap_sum(cir.taps, f[1], f.size))

@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .channel import cir_to_csv, sample_cir, signature_from_csv
 from .detection import DetectionThresholds, classify, estimate_transfer
@@ -58,6 +59,19 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
     return value
+
+
+def _threshold(field: str) -> Callable[[str], float]:
+    """argparse type of a ``DetectionThresholds`` field: finite, and a value the field accepts."""
+    def threshold(text: str) -> float:
+        value = _finite(text)
+        try:
+            DetectionThresholds(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return value
+
+    return threshold
 
 
 def _seed(text: str) -> int:
@@ -220,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tx", help="transmitted waveform (CSV or JSON)")
     p.add_argument("--rx", help="received waveform (CSV or JSON)")
     p.add_argument("--signature", help="signature CSV (freq_hz,attenuation_db,phase_rad)")
-    p.add_argument("--attenuation-threshold", type=_finite,
+    p.add_argument("--attenuation-threshold", type=_threshold("attenuation_db"),
                    default=DetectionThresholds.attenuation_db)
-    p.add_argument("--nonlinearity-threshold", type=_finite,
+    p.add_argument("--nonlinearity-threshold", type=_threshold("nonlinearity_rad"),
                    default=DetectionThresholds.nonlinearity_rad)
     p.set_defaults(func=_cmd_detect)
 

@@ -38,8 +38,21 @@ ARTIFICIAL_FLOOR_DB = 3.0
 
 @dataclass(frozen=True)
 class DetectionThresholds:
+    """``classify``'s two human tests, each one that some medium can fail.
+
+    A medium under ``ARTIFICIAL_FLOOR_DB`` is free space, and every phase
+    nonlinearity is >= 0, so attenuation_db >= that floor and nonlinearity_rad > 0.
+    """
+
     attenuation_db: float = 30.0
     nonlinearity_rad: float = 0.3
+
+    def __post_init__(self) -> None:
+        if not self.attenuation_db >= ARTIFICIAL_FLOOR_DB:
+            raise ValueError(f"attenuation threshold must be >= the {ARTIFICIAL_FLOOR_DB} dB "
+                             f"free-space floor, got {self.attenuation_db}")
+        if not self.nonlinearity_rad > 0.0:
+            raise ValueError(f"nonlinearity threshold must be > 0, got {self.nonlinearity_rad}")
 
 
 @dataclass(frozen=True)
@@ -56,14 +69,20 @@ class DetectionVerdict:
             raise ValueError("phase nonlinearity must be finite and >= 0")
 
 
-def default_band(tx: Waveform, nfft: int | None = None) -> tuple[float, float]:
-    """The TX pulse's -10 dB bandwidth: default band for transfer metrics."""
-    n = nfft or max(4096, tx.samples.size)
-    spec = np.abs(np.fft.rfft(tx.samples, n=n))
-    freq = np.fft.rfftfreq(n, d=tx.dt)
-    thresh = spec.max() * 10.0 ** (-BAND_DROP_DB / 20.0)
-    strong = np.nonzero(spec >= thresh)[0]
+def _strong_band(mag: np.ndarray, freq: np.ndarray) -> tuple[float, float]:
+    """First and last frequency where ``mag`` is within ``BAND_DROP_DB`` of its peak."""
+    strong = np.nonzero(mag >= mag.max() * 10.0 ** (-BAND_DROP_DB / 20.0))[0]
     return float(freq[strong[0]]), float(freq[strong[-1]])
+
+
+def default_band(tx: Waveform, nfft: int | None = None) -> tuple[float, float]:
+    """The TX pulse's -10 dB bandwidth: default band for transfer metrics.
+
+    A cross-check: ``estimate_transfer`` finds the same band from the TX
+    spectrum it already holds, and the tests read the band off this.
+    """
+    n = nfft or max(4096, tx.samples.size)
+    return _strong_band(np.abs(np.fft.rfft(tx.samples, n=n)), np.fft.rfftfreq(n, d=tx.dt))
 
 
 def estimate_transfer(
@@ -78,14 +97,13 @@ def estimate_transfer(
     """
     check_grid(tx, rx)
     n = max(tx.samples.size, rx.samples.size)
-    if band is None:
-        band = default_band(tx, nfft=n)
-    f_lo, f_hi = band
     tx_spec = np.fft.rfft(tx.samples, n=n)
     rx_spec = np.fft.rfft(rx.samples, n=n)
+    tx_mag = np.abs(tx_spec)
     freq = np.fft.rfftfreq(n, d=tx.dt)
-    floor = np.max(np.abs(tx_spec)) * 10.0 ** (NOISE_FLOOR_REL_DB / 20.0)
-    keep = (freq >= f_lo) & (freq <= f_hi) & (np.abs(tx_spec) >= floor)
+    f_lo, f_hi = _strong_band(tx_mag, freq) if band is None else band
+    floor = np.max(tx_mag) * 10.0 ** (NOISE_FLOOR_REL_DB / 20.0)
+    keep = (freq >= f_lo) & (freq <= f_hi) & (tx_mag >= floor)
     if np.count_nonzero(keep) < 3:
         raise ValueError(
             f"band [{f_lo:.3g}, {f_hi:.3g}] Hz is entirely below the TX noise floor")

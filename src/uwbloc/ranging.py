@@ -31,6 +31,7 @@ __all__ = [
     "TDT_TRAINING_PATTERN",
     "ToaEstimate",
     "make_burst",
+    "read_window",
     "template_median_offset",
     "toa_dirty_template",
     "range_from_toa",
@@ -45,6 +46,15 @@ def _samples_per_symbol(symbol_duration: float, dt: float) -> int:
         raise ValueError(
             f"symbol duration {symbol_duration} is not an integer number of samples (dt={dt})")
     return int(n)
+
+
+def read_window(symbol_duration: float, dt: float, symbol_count: int) -> int:
+    """Samples of a received record that ``toa_dirty_template`` reads, from t = 0.
+
+    The objective's latest slice, at the last offset of the last slice pair,
+    ends one sample short of ``symbol_count + 1`` whole symbols.
+    """
+    return (symbol_count + 1) * _samples_per_symbol(symbol_duration, dt) - 1
 
 
 def make_burst(pulse: Waveform, symbol_duration: float, symbol_count: int) -> Waveform:
@@ -78,7 +88,9 @@ class ToaEstimate:
 def _slice_correlations(r: np.ndarray, n: int) -> np.ndarray:
     """g[j] = sum_{t<n} r[j+t] * r[j+n+t], for every start j, in O(len(r))."""
     u = r[: r.size - n] * r[n:]
-    cum = np.concatenate([[0.0], np.cumsum(u)])
+    cum = np.empty(u.size + 1)
+    cum[0] = 0.0
+    np.cumsum(u, out=cum[1:])
     return cum[n:] - cum[:-n]
 
 
@@ -130,11 +142,12 @@ def toa_dirty_template(
     r = received.samples
     dt = received.dt
     n = _samples_per_symbol(symbol_duration, dt)
-    if r.size < (symbol_count + 1) * n - 1:
+    window = read_window(symbol_duration, dt, symbol_count)
+    if r.size < window:
         raise ValueError(
             f"received waveform must cover at least {symbol_count + 1} symbol durations")
     # the objective and the sign fold read no later sample
-    r = r[: (symbol_count + 1) * n - 1]
+    r = r[:window]
 
     # two-pass calibration: a first pass against the zero-phase reference
     # estimates the sub-sample phase, a second pass against a reference

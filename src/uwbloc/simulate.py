@@ -2,8 +2,10 @@
 
 A trial has two halves. The scenario (``build_scenario``) is the target
 position and, per anchor, the channel realization and the noiseless
-received burst; it does not depend on SNR. The measurement (``run_trial``)
-adds noise to that burst, estimates every ToA and solves for position.
+received burst, cut to the samples the ToA estimator reads, with the mean
+power of the whole record; it does not depend on SNR. The measurement
+(``run_trial``) adds noise to that burst, at an SNR against the whole
+record's power, estimates every ToA and solves for position.
 ``sweep_snr`` loops trial-outer, SNR-inner: it builds one scenario per trial
 index, measures it at every SNR point, then drops it, so a sweep holds one
 scenario at a time and each one is built once instead of once per SNR point.
@@ -48,7 +50,7 @@ from .positioning import (
     select_solution,
 )
 from .pulses import PulseSet, load_pulse_set
-from .ranging import _samples_per_symbol, make_burst, range_from_toa, toa_dirty_template
+from .ranging import make_burst, range_from_toa, read_window, toa_dirty_template
 from .spectrum import mask_from_json, mask_to_json
 from .waveform import Waveform, add_awgn, read_csv, write_csv
 
@@ -76,9 +78,10 @@ class ConfigError(ValueError):
     """A configuration file or value is invalid."""
 
 
-# Longest received record, in samples, that a config may ask for:
-# (symbol_count + 1) symbols of symbol_duration / dt samples each. The default
-# config's record is about 26k samples, 1/650 of this; a longer one is a typo
+# Longest received record, in samples, that a config may ask for: the ToA
+# estimator's read window, one sample short of (symbol_count + 1) symbols of
+# symbol_duration / dt samples each. The default config's is 20,999 samples,
+# 1/800 of this; a longer one is a typo
 # (such as a symbol_duration in ns written as seconds), not a simulation.
 MAX_RECORD_SAMPLES = 2**24
 
@@ -195,10 +198,9 @@ def _resolve_pulses(cfg: SimConfig, pulse_set: PulseSet | None) -> PulseSet:
         ps = (read_input(cfg.pulse_set, load_pulse_set) if cfg.pulse_set is not None
               else load_default_pulse_set())
     try:
-        n_sym = _samples_per_symbol(cfg.symbol_duration, ps.dt)
+        record = read_window(cfg.symbol_duration, ps.dt, cfg.symbol_count)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    record = (cfg.symbol_count + 1) * n_sym
     if record > MAX_RECORD_SAMPLES:
         raise ConfigError(
             f"symbol_duration {cfg.symbol_duration} s x (symbol_count {cfg.symbol_count} + 1) "
@@ -225,15 +227,19 @@ def scenario_seed(master_seed: int, trial_index: int) -> int:
 class Scenario:
     """The SNR-independent half of a trial.
 
-    ``received[i]`` is anchor i's noiseless received burst, zero-padded to
-    at least ``(symbol_count + 1)`` symbols; its samples are read-only,
-    because every SNR point of a sweep measures the same scenario.
+    ``received[i]`` is anchor i's noiseless received burst, cut to the
+    ``read_window`` samples the ToA estimator reads; its samples are
+    read-only, because every SNR point of a sweep measures the same
+    scenario. ``powers[i]`` is the mean power of the whole burst, zero-padded
+    to at least ``(symbol_count + 1)`` symbols: the SNR reference of its
+    noise.
     """
 
     truth: tuple[float, float, float]
     distances: tuple[float, ...]
     pulses: tuple[Waveform, ...]
     received: tuple[Waveform, ...]
+    powers: tuple[float, ...]
 
 
 def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Scenario:
@@ -253,21 +259,25 @@ def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Sce
     z = cfg.room.minimum[2] if cfg.floor_only else truth_rng.uniform(lo[2], hi[2])
     truth = (float(x), float(y), float(z))
 
-    min_len = (cfg.symbol_count + 1) * _samples_per_symbol(cfg.symbol_duration, ps.dt)
-    distances, pulses, received = [], [], []
+    window = read_window(cfg.symbol_duration, ps.dt, cfg.symbol_count)
+    min_len = window + 1  # (symbol_count + 1) whole symbols
+    distances, pulses, received, powers = [], [], [], []
     for idx, anchor in enumerate(cfg.anchors):
         pulse = ps.pulses[idx % ps.pulse_count] if cfg.orthogonal_assignment else ps.pulses[0]
         burst = make_burst(pulse, cfg.symbol_duration, cfg.symbol_count)
         dist = float(np.linalg.norm(np.asarray(truth) - np.asarray(anchor.position)))
         cir_seed = int(streams[1 + idx].generate_state(1, dtype=np.uint64)[0])
         rx = propagate(burst, dist, sample_cir(cfg.channel, cir_seed))
-        if rx.samples.size < min_len:
-            rx = Waveform(np.concatenate([rx.samples, np.zeros(min_len - rx.samples.size)]), rx.dt)
-        rx.samples.flags.writeable = False
+        samples = rx.samples
+        if samples.size < min_len:
+            samples = np.concatenate([samples, np.zeros(min_len - samples.size)])
+        powers.append(float(np.mean(samples**2)))
+        samples = samples[:window]
+        samples.flags.writeable = False
         distances.append(dist)
         pulses.append(pulse)
-        received.append(rx)
-    return Scenario(truth, tuple(distances), tuple(pulses), tuple(received))
+        received.append(Waveform(samples, rx.dt))
+    return Scenario(truth, tuple(distances), tuple(pulses), tuple(received), tuple(powers))
 
 
 def run_trial(
@@ -296,10 +306,10 @@ def run_trial(
 
     toas, ranges, toa_errs, range_errs = [], [], [], []
     failure: str | None = None
-    for stream, dist, pulse, rx in zip(
-            noise_streams, scenario.distances, scenario.pulses, scenario.received):
+    for stream, dist, pulse, rx, power in zip(noise_streams, scenario.distances,
+                                              scenario.pulses, scenario.received, scenario.powers):
         noise_seed = int(stream.generate_state(1, dtype=np.uint64)[0])
-        rx = add_awgn(rx, snr_db, noise_seed)
+        rx = add_awgn(rx, snr_db, noise_seed, power=power)
         try:
             est = toa_dirty_template(rx, cfg.symbol_duration, cfg.symbol_count, template=pulse)
             toa, rng_m = est.toa, range_from_toa(est)

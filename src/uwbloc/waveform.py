@@ -128,26 +128,32 @@ def delay(w: Waveform, tau: float) -> Waveform:
     return Waveform(out, w.dt)
 
 
-def add_awgn(w: Waveform, snr_db: float, seed: int) -> Waveform:
+def add_awgn(w: Waveform, snr_db: float, seed: int, power: float | None = None) -> Waveform:
     """Add white Gaussian noise at the requested SNR.
 
-    SNR is defined against the mean power of the full waveform extent
-    (including any zero padding), the conventional definition in ranging
-    simulations. ``snr_db = inf`` is the no-noise sentinel; NaN and ``-inf``
-    are rejected. Deterministic: the noise is a pure function of
-    (w, snr_db, seed) via PCG64.
+    SNR is defined against ``power``, by default the mean power of the full
+    waveform extent (including any zero padding), the conventional
+    definition in ranging simulations. A caller that noises only a prefix of
+    a record passes the whole record's power. ``power`` must be finite and
+    > 0; ``snr_db = inf`` is the no-noise sentinel; NaN and ``-inf`` are
+    rejected. Deterministic: the output is a pure function of
+    (w, snr_db, seed, power) via PCG64, and noising a prefix of a record at
+    the record's power gives the prefix of the noised record.
     """
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    if power is None and snr_db != math.inf:
+        power = float(np.mean(w.samples**2))
+    if power is not None and not (math.isfinite(power) and power > 0.0):
+        raise ValueError(f"SNR reference power must be finite and > 0, got {power}")
     if snr_db == math.inf:
         return Waveform(w.samples.copy(), w.dt)
-    power = float(np.mean(w.samples**2))
-    if power <= 0.0:
-        raise ValueError("SNR is undefined for a zero-energy waveform")
     sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, sigma, size=w.samples.size)
-    return Waveform(w.samples + noise, w.dt)
+    # sigma * z + x in place: bit-identical to x + rng.normal(0.0, sigma, size)
+    out = np.random.default_rng(seed).standard_normal(w.samples.size)
+    out *= sigma
+    out += w.samples
+    return Waveform(out, w.dt)
 
 
 def cross_correlate(a: Waveform, b: Waveform) -> tuple[np.ndarray, np.ndarray]:

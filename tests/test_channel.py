@@ -254,7 +254,7 @@ class TestPropagate:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_record_length(self, seed):
-        # add_awgn spreads the noise over the whole record, so its length sets the SNR
+        # the SNR is referred to the whole record's mean power, so its length sets the noise
         w = probe_pulse()
         cir = sample_cir(ChannelProfile(), seed)
         d = 4.0

@@ -283,6 +283,20 @@ class TestDetectCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and flag in captured.err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--attenuation-threshold", "-5"),
+        ("--attenuation-threshold", "2.9"),
+        ("--nonlinearity-threshold", "0"),
+        ("--nonlinearity-threshold", "-0.3"),
+    ])
+    def test_meaningless_threshold_exit_code(self, tmp_path, capsys, flag, value):
+        # below the 3 dB free-space floor, or a phase test every medium passes
+        path = tmp_path / "sig.csv"
+        signature_to_csv(material_response("free_space"), path)
+        assert exit_code(["detect", "--signature", str(path), f"{flag}={value}"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
+
     def test_missing_inputs(self, tmp_path):
         assert main(["detect"]) == EXIT_CONFIG
         assert main(["detect", "--signature", str(tmp_path / "missing.csv")]) == EXIT_IO

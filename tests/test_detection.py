@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from uwbloc.channel import MaterialSignature, apply_signature, material_response
 from uwbloc.detection import (
+    ARTIFICIAL_FLOOR_DB,
     DetectionThresholds,
     classify,
     default_band,
@@ -54,6 +57,13 @@ class TestEstimateTransfer:
         assert 0.0 <= f_lo < f_hi <= 0.5 / tx.dt
         assert f_hi - f_lo > 0.2e9
 
+    def test_band_defaults_to_default_band(self, tx):
+        rx = add_awgn(apply_signature(tx, material_response("human")), 20.0, seed=4)
+        implicit = estimate_transfer(tx, rx)
+        explicit = estimate_transfer(tx, rx, band=default_band(tx, nfft=len(rx)))
+        for name in ("freq_hz", "attenuation_db", "phase_rad"):
+            assert np.array_equal(getattr(implicit, name), getattr(explicit, name))
+
 
 class TestPhaseNonlinearity:
     def test_linear_phase_zero(self):
@@ -99,6 +109,28 @@ class TestMeanAttenuation:
 
     def test_human_signature_level(self):
         assert mean_attenuation(material_response("human")) == pytest.approx(50.0, abs=2.0)
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("kwargs", [
+        {"attenuation_db": -5.0},
+        {"attenuation_db": ARTIFICIAL_FLOOR_DB - 0.01},
+        {"attenuation_db": math.nan},
+        {"nonlinearity_rad": 0.0},
+        {"nonlinearity_rad": -0.3},
+        {"nonlinearity_rad": math.nan},
+    ])
+    def test_meaningless_threshold_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="threshold"):
+            DetectionThresholds(**kwargs)
+
+    def test_lowest_thresholds_never_call_a_transparent_medium_human(self):
+        # the floor itself is accepted; a threshold under it would call the 0 dB medium human
+        th = DetectionThresholds(attenuation_db=ARTIFICIAL_FLOOR_DB, nonlinearity_rad=1e-12)
+        f = np.linspace(0.5e9, 2.5e9, 301)
+        phase = 1e-17 * (f - f.mean()) ** 2
+        assert classify(MaterialSignature(f, np.zeros(301), phase), th).label == "free_space"
+        assert classify(MaterialSignature(f, np.full(301, 3.0), phase), th).label == "human_present"
 
 
 class TestClassify:

@@ -18,6 +18,7 @@ from uwbloc.ranging import (
     ToaEstimate,
     make_burst,
     range_from_toa,
+    read_window,
     template_median_offset,
     toa_dirty_template,
 )
@@ -185,11 +186,14 @@ class TestToaDirtyTemplate:
         # the objective and the sign fold read the first (symbols + 1) * n - 1
         # samples of the record: whatever follows them cannot move the estimate
         rx = received(pulse, 13.7e-9, seed=2, snr_db=20.0)
-        window = rx.samples[: (SYMBOLS + 1) * round(TSYM / DT) - 1]
+        assert read_window(TSYM, DT, SYMBOLS) == (SYMBOLS + 1) * round(TSYM / DT) - 1
+        window = rx.samples[: read_window(TSYM, DT, SYMBOLS)]
         garbage = 1e12 * np.random.default_rng(0).standard_normal(3000)
         ests = [toa_dirty_template(Waveform(samples, DT), TSYM, SYMBOLS, template=pulse)
                 for samples in (rx.samples, window, np.concatenate([window, garbage]))]
         assert ests[0] == ests[1] == ests[2]
+        with pytest.raises(ValueError, match="cover"):
+            toa_dirty_template(Waveform(window[:-1], DT), TSYM, SYMBOLS, template=pulse)
 
     def test_interleaved_calibrations_match_each_alone(self, default_pulses):
         # one zero-phase notch per (pulse, dt, n, m_ref) and one phase bank per

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwbloc import simulate
-from uwbloc.channel import SPEED_OF_LIGHT, ChannelProfile
+from uwbloc.channel import SPEED_OF_LIGHT, ChannelProfile, propagate, sample_cir
 from uwbloc.positioning import Anchor, RoomBounds
+from uwbloc.ranging import make_burst, read_window
 from uwbloc.simulate import (
     ConfigError,
     SimConfig,
@@ -26,6 +27,7 @@ from uwbloc.simulate import (
     sweep_snr,
     trial_seed,
 )
+from uwbloc.waveform import Waveform
 
 # frozen from the first validated run: 35 dB, 100 trials, master seed 12345
 TOA_NMSE_BASELINE_35DB = 4.793204868304939e-13
@@ -288,7 +290,52 @@ class TestRunTrial:
         assert math.isfinite(row.range_nmse)
 
 
+def full_records(cfg, scenario, seed):
+    """Each anchor's propagated burst of ``build_scenario(cfg, ., seed)``, zero-padded
+    to (symbol_count + 1) whole symbols and not cut to the read window."""
+    streams = np.random.SeedSequence(seed).spawn(1 + len(cfg.anchors))
+    records = []
+    for idx, (dist, pulse) in enumerate(zip(scenario.distances, scenario.pulses)):
+        cir_seed = int(streams[1 + idx].generate_state(1, dtype=np.uint64)[0])
+        burst = make_burst(pulse, cfg.symbol_duration, cfg.symbol_count)
+        rx = propagate(burst, dist, sample_cir(cfg.channel, cir_seed))
+        pad = max(0, (cfg.symbol_count + 1) * round(cfg.symbol_duration / rx.dt) - len(rx))
+        records.append(Waveform(np.concatenate([rx.samples, np.zeros(pad)]), rx.dt))
+    return records
+
+
 class TestScenario:
+    # the default records outrun the window; 200 ns symbols x 2 need padding
+    @pytest.mark.parametrize("kwargs", [{}, {"symbol_duration": 200e-9, "symbol_count": 2}])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_records_are_the_read_window_and_powers_the_padded_record(self, default_pulses,
+                                                                       kwargs, seed):
+        cfg = SimConfig(**kwargs)
+        scenario = build_scenario(cfg, default_pulses, seed)
+        window = read_window(cfg.symbol_duration, default_pulses.dt, cfg.symbol_count)
+        full = full_records(cfg, scenario, seed)
+        assert len(scenario.powers) == len(scenario.received) == len(cfg.anchors)
+        for rx, power, record in zip(scenario.received, scenario.powers, full):
+            assert len(record) > window
+            assert np.array_equal(rx.samples, record.samples[:window])
+            assert power == float(np.mean(record.samples**2))
+
+    @pytest.mark.parametrize("snr_db", [10.0, 40.0])
+    def test_trial_equals_noising_the_full_records(self, default_pulses, snr_db):
+        # the oracle scenario holds each whole padded record and its own power,
+        # so add_awgn draws noise over all of it
+        cfg = SimConfig()
+        seed = scenario_seed(cfg.master_seed, 4)
+        scenario = build_scenario(cfg, default_pulses, seed)
+        full = full_records(cfg, scenario, seed)
+        oracle = dataclasses.replace(
+            scenario, received=tuple(full),
+            powers=tuple(float(np.mean(r.samples**2)) for r in full))
+        noise_seed = trial_seed(cfg.master_seed, 0, 4)
+        result = run_trial(cfg, snr_db, noise_seed, scenario=scenario)
+        assert result.failure is None
+        assert result == run_trial(cfg, snr_db, noise_seed, scenario=oracle)
+
     def test_prebuilt_equals_seeded(self, default_pulses):
         cfg = SimConfig()
         seed = trial_seed(cfg.master_seed, 2, 3)

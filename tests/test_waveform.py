@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uwbloc.waveform import (
@@ -138,7 +138,40 @@ class TestDelay:
         assert vertex == pytest.approx(0.5 * DT, abs=0.01 * DT)
 
 
+def awgn_oracle(w, snr_db, seed):
+    """Reference noise formula: the record's own power, noise from ``rng.normal``."""
+    power = float(np.mean(w.samples**2))
+    sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
+    return w.samples + np.random.default_rng(seed).normal(0.0, sigma, size=w.samples.size)
+
+
 class TestAwgn:
+    @settings(max_examples=80, deadline=None)
+    @given(samples=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=400),
+           snr_db=st.floats(-30.0, 80.0), seed=st.integers(0, 2**64 - 1))
+    def test_matches_normal_draw_oracle(self, samples, snr_db, seed):
+        w = Waveform(np.array(samples), DT)
+        assume(np.mean(w.samples**2) > 0.0)
+        assert np.array_equal(add_awgn(w, snr_db, seed).samples, awgn_oracle(w, snr_db, seed))
+
+    @settings(max_examples=80, deadline=None)
+    @given(samples=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=400),
+           cut=st.floats(0.0, 1.0), snr_db=st.floats(-30.0, 80.0),
+           seed=st.integers(0, 2**64 - 1))
+    def test_prefix_at_record_power_is_prefix_of_noised_record(self, samples, cut, snr_db, seed):
+        w = Waveform(np.array(samples), DT)
+        power = float(np.mean(w.samples**2))
+        assume(power > 0.0)
+        k = 1 + int(cut * (len(w) - 1))
+        head = add_awgn(Waveform(w.samples[:k], DT), snr_db, seed, power=power)
+        assert np.array_equal(head.samples, add_awgn(w, snr_db, seed).samples[:k])
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("snr_db", [10.0, math.inf])
+    def test_invalid_power_rejected(self, power, snr_db):
+        with pytest.raises(ValueError, match="power"):
+            add_awgn(bl_pulse(), snr_db, seed=0, power=power)
+
     def test_infinite_snr_identity(self):
         w = bl_pulse()
         out = add_awgn(w, math.inf, seed=0)
