@@ -19,17 +19,19 @@ flight time and a range is c times it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .channel import SPEED_OF_LIGHT
-from .waveform import Waveform, delay
+from .waveform import SINC_HALF_WIDTH, Waveform, delay
 
 __all__ = [
     "TDT_TRAINING_PATTERN",
     "ToaEstimate",
+    "calibration_samples",
     "make_burst",
     "read_window",
     "template_median_offset",
@@ -57,6 +59,15 @@ def read_window(symbol_duration: float, dt: float, symbol_count: int) -> int:
     return (symbol_count + 1) * _samples_per_symbol(symbol_duration, dt) - 1
 
 
+def calibration_samples(pulse: Waveform) -> int:
+    """Samples of the calibration template: ``pulse`` delayed by a fraction of a sample.
+
+    The interpolator lengthens the pulse by SINC_HALF_WIDTH samples, and a
+    symbol must hold the whole template.
+    """
+    return pulse.samples.size + SINC_HALF_WIDTH
+
+
 def make_burst(pulse: Waveform, symbol_duration: float, symbol_count: int) -> Waveform:
     """Place symbol_count pattern-signed copies of the pulse at symbol spacing, from t = 0.
 
@@ -71,10 +82,17 @@ def make_burst(pulse: Waveform, symbol_duration: float, symbol_count: int) -> Wa
     n = _samples_per_symbol(symbol_duration, dt)
     out = np.zeros(n * symbol_count)
     p = pulse.samples
-    for k in range(symbol_count):
-        sign = TDT_TRAINING_PATTERN[k % len(TDT_TRAINING_PATTERN)]
-        out[k * n : k * n + p.size] += sign * p
+    # every placed sample is 0.0 + sign * p, as one += per symbol would write it
+    out.reshape(symbol_count, n)[:, : p.size] += _pattern_signs(symbol_count)[:, None] * p
     return Waveform(out, dt)
+
+
+@lru_cache(maxsize=32)
+def _pattern_signs(symbol_count: int) -> np.ndarray:
+    """Sign of each of the first ``symbol_count`` symbols of the training pattern."""
+    signs = np.resize(TDT_TRAINING_PATTERN, symbol_count)
+    signs.flags.writeable = False  # shared by every caller through the cache
+    return signs
 
 
 @dataclass(frozen=True)
@@ -142,6 +160,11 @@ def toa_dirty_template(
     r = received.samples
     dt = received.dt
     n = _samples_per_symbol(symbol_duration, dt)
+    calibration = calibration_samples(template)
+    if n < calibration:
+        raise ValueError(
+            f"symbol of {n} samples is shorter than the {calibration}-sample calibration "
+            "template (the pulse delayed by a fraction of a sample)")
     window = read_window(symbol_duration, dt, symbol_count)
     if r.size < window:
         raise ValueError(
@@ -180,27 +203,40 @@ def _notch_position(
     pair_count = symbol_count - 1
     g = _slice_correlations(r, n)
     obj = _dirty_template_objective(g, n, symbol_count)
-    peak = float(np.max(obj))
-    floor = float(np.min(obj))
-    if peak <= 0.0 or peak == floor:
-        raise ValueError("objective carries no timing structure; no usable signal")
+    start = int(obj.argmax())
+    peak = float(obj[start])
+    floor = float(obj.min())
     # coarse stage: the objective is flat-max while every pulse sits inside a
     # slice and first loses half its contrast where the arrival starts to
-    # straddle the boundary: walk right from the argmax to that falling edge
+    # straddle the boundary: walk right from the argmax to that falling edge,
+    # wrapping past the last offset to the first
     thr = peak - 0.5 * (peak - floor)
-    start = int(np.argmax(obj))
-    ring = obj[(start + np.arange(n)) % n]
-    notch = int((start + np.nonzero(ring < thr)[0][0]) % n)
-    width = bank.shape[1]
-    signs = (-1.0) ** np.arange(pair_count)
-    rel = np.arange(-width - 8, width + 9)
-    idx = (notch + rel) % n
-    folded = signs @ g[idx[None, :] + n * np.arange(pair_count)[:, None]]
+    # no offset falls below thr for a flat or NaN objective
+    if not (peak > 0.0 and floor < thr):
+        raise ValueError("objective carries no timing structure; no usable signal")
+    below = obj < thr
+    notch = start + int(below[start:].argmax())
+    if not below[notch]:
+        notch = int(below.argmax())
+    signs, rel = _fold_grid(pair_count, bank.shape[1])
+    # row k holds slice pair k's correlations at the offsets around the notch
+    rows = g[: pair_count * n].reshape(pair_count, n).take((notch + rel) % n, axis=1)
+    folded = signs @ rows
     deriv = folded[:-1] - folded[1:]  # ramp falls, so this traces +energy
     return float(notch) + _bank_align(deriv, bank, rel), peak
 
 
+@lru_cache(maxsize=32)
+def _fold_grid(pair_count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Alternating signs of the slice pairs, and the notch-relative offsets the fold reads."""
+    signs = (-1.0) ** np.arange(pair_count)
+    rel = np.arange(-width - 8, width + 9)
+    signs.flags.writeable = rel.flags.writeable = False  # shared through the cache
+    return signs, rel
+
+
 _PHASE_BANK_SIZE = 32
+_EPS = float(np.finfo(float).eps)
 # symbols in the synthetic calibration burst: one full training-pattern period
 _REFERENCE_SYMBOLS = 4
 
@@ -249,10 +285,9 @@ def _bank_align(deriv: np.ndarray, bank: np.ndarray, rel: np.ndarray) -> float:
     """
     nb, width = bank.shape
     lags = deriv.size - width + 1
-    windows = np.lib.stride_tricks.as_strided(
-        deriv, (lags, width), deriv.strides * 2, writeable=False)
+    windows = np.ndarray((lags, width), buffer=deriv, strides=deriv.strides * 2)
     approx = bank @ windows.T
-    tol = 4 * width * np.finfo(float).eps * np.linalg.norm(deriv)
+    tol = 4 * width * _EPS * math.sqrt(deriv.dot(deriv))
     candidates = np.flatnonzero(approx >= approx.max() - tol)
 
     def score_at(phase_idx: int, lag_idx: int) -> float:
@@ -270,8 +305,8 @@ def _bank_align(deriv: np.ndarray, bank: np.ndarray, rel: np.ndarray) -> float:
     y2 = score_at(pi + 1, lag)
     frac = 0.0
     denom = y0 - 2.0 * y1 + y2
-    if np.isfinite(y0) and np.isfinite(y2) and denom < 0.0:
-        frac = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
+    if math.isfinite(y0) and math.isfinite(y2) and denom < 0.0:
+        frac = min(max(0.5 * (y0 - y2) / denom, -0.5), 0.5)
     return float(rel[lag]) + (pi + frac) / nb
 
 

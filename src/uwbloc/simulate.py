@@ -50,7 +50,13 @@ from .positioning import (
     select_solution,
 )
 from .pulses import PulseSet, load_pulse_set
-from .ranging import make_burst, range_from_toa, read_window, toa_dirty_template
+from .ranging import (
+    calibration_samples,
+    make_burst,
+    range_from_toa,
+    read_window,
+    toa_dirty_template,
+)
 from .spectrum import mask_from_json, mask_to_json
 from .waveform import Waveform, add_awgn, read_csv, write_csv
 
@@ -205,9 +211,14 @@ def _resolve_pulses(cfg: SimConfig, pulse_set: PulseSet | None) -> PulseSet:
         raise ConfigError(
             f"symbol_duration {cfg.symbol_duration} s x (symbol_count {cfg.symbol_count} + 1) "
             f"is a {record}-sample record at dt={ps.dt}, more than {MAX_RECORD_SAMPLES}")
-    if cfg.symbol_duration < ps.pulses[0].duration:
-        raise ConfigError(f"symbol_duration {cfg.symbol_duration} is shorter than the "
-                          f"{ps.pulses[0].duration} s pulse")
+    pulse = max(ps.pulses, key=len)
+    symbol, calibration = round(cfg.symbol_duration / ps.dt), calibration_samples(pulse)
+    if symbol < calibration:
+        raise ConfigError(
+            f"symbol_duration {cfg.symbol_duration} s is {symbol} samples at dt={ps.dt}, "
+            f"shorter than the ToA estimator's {calibration}-sample calibration template "
+            f"(the {len(pulse)}-sample pulse plus {calibration - len(pulse)} of the delay "
+            "interpolator)")
     return ps
 
 

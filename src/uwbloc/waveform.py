@@ -88,15 +88,14 @@ def check_grid(a: Waveform, b: Waveform) -> None:
 def _fractional_delay_kernel(frac: float) -> np.ndarray:
     """Hann-windowed sinc interpolation kernel for a sub-sample shift.
 
-    ``frac`` is the delay in samples, in [0, 1). Convolving with the kernel
-    (offset by SINC_HALF_WIDTH) evaluates the band-limited signal at t - frac*dt.
+    ``frac`` is the delay in samples, in [1e-9, 1): ``delay`` shifts nearer
+    whole samples exactly. Convolving with the kernel (offset by
+    SINC_HALF_WIDTH) evaluates the band-limited signal at t - frac*dt.
     """
-    n = np.arange(-SINC_HALF_WIDTH, SINC_HALF_WIDTH + 1)
-    x = n - frac
-    kernel = np.sinc(x)
-    window = 0.5 * (1.0 + np.cos(np.pi * x / (SINC_HALF_WIDTH + 1)))
-    window[np.abs(x) > SINC_HALF_WIDTH + 1] = 0.0
-    return kernel * window
+    # frac is no integer, so y is never 0 and |y| < pi * (SINC_HALF_WIDTH + 1):
+    # the sinc needs no zero guard and the window no cut-off
+    y = np.pi * (np.arange(-SINC_HALF_WIDTH, SINC_HALF_WIDTH + 1) - frac)
+    return np.sin(y) / y * (0.5 * (1.0 + np.cos(y / (SINC_HALF_WIDTH + 1))))
 
 
 def delay(w: Waveform, tau: float) -> Waveform:

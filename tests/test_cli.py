@@ -42,6 +42,15 @@ TINY_ROOM = dict(
     placement_inset=0.01, symbol_duration=1e-9)
 
 
+# a 20 cm cube with anchors on its top corners: its ranges stay inside the
+# 45 cm ambiguity of a 1.5 ns symbol
+SMALL_ROOM = dict(
+    room=RoomBounds((0.0, 0.0, 0.0), (0.2, 0.2, 0.2)),
+    anchors=tuple(Anchor(f"a{i}", (x, y, 0.2))
+                  for i, (x, y) in enumerate([(0, 0), (0.2, 0), (0, 0.2), (0.2, 0.2)])),
+    placement_inset=0.02)
+
+
 def bad_pulse_set(tmp_path, default_pulses) -> str:
     """Path of a pulse set whose stored energy does not match its pulses."""
     obj = pulse_set_to_json(default_pulses)
@@ -137,6 +146,21 @@ class TestSweepCommand:
             path.write_text(json.dumps({**obj, "out_dir": str(out)}))
             assert main(["sweep", "--config", str(path)]) == code
             assert not out.exists()
+
+    @pytest.mark.parametrize("symbol_duration, code", [
+        (1.5e-9, EXIT_CONFIG), (2e-9, EXIT_CONFIG), (3e-9, EXIT_OK)])
+    def test_symbol_shorter_than_calibration_template_exit_code(
+            self, tmp_path, capsys, symbol_duration, code):
+        # 30 to 40 samples hold the 26-sample pulse but not the 58-sample calibration
+        # template, so every trial would record "no usable signal"
+        cfg = write_config(tmp_path, snr_grid_db=(30.0,), symbol_duration=symbol_duration,
+                           **SMALL_ROOM)
+        assert main(["sweep", "--config", str(cfg)]) == code
+        if code == EXIT_CONFIG:
+            assert "58-sample calibration template" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+        else:
+            assert (tmp_path / "out" / "sweep.csv").exists()
 
     def test_io_error_exit_code(self, tiny_config_path):
         code = main(["sweep", "--config", str(tiny_config_path),

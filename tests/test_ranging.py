@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uwbloc
@@ -12,10 +12,15 @@ import uwbloc
 from uwbloc.channel import SPEED_OF_LIGHT, ChannelProfile, propagate, sample_cir
 from uwbloc.ranging import (
     _bank_align,
+    _dirty_template_objective,
+    _notch_position,
     _phase_bank,
+    _reference_notch,
+    _slice_correlations,
     _zero_phase_notch,
     TDT_TRAINING_PATTERN,
     ToaEstimate,
+    calibration_samples,
     make_burst,
     range_from_toa,
     read_window,
@@ -36,8 +41,11 @@ def pulse(default_pulses):
 
 def received(pulse, delay_s, seed=0, snr_db=float("inf"), channel=None, symbols=SYMBOLS):
     burst = make_burst(pulse, TSYM, symbols)
-    cir = sample_cir(channel or ChannelProfile(tap_count_min=1, tap_count_max=1), seed)
-    rx = propagate(burst, delay_s * SPEED_OF_LIGHT, cir)
+    if delay_s == 0.0:  # propagate takes positive distances only: the burst as sent
+        rx = burst
+    else:
+        cir = sample_cir(channel or ChannelProfile(tap_count_min=1, tap_count_max=1), seed)
+        rx = propagate(burst, delay_s * SPEED_OF_LIGHT, cir)
     need = (symbols + 1) * round(TSYM / pulse.dt)
     if rx.samples.size < need:
         rx = Waveform(np.concatenate([rx.samples, np.zeros(need - rx.samples.size)]), rx.dt)
@@ -69,6 +77,19 @@ class TestMakeBurst:
     def test_symbol_shorter_than_pulse_rejected(self, pulse):
         with pytest.raises(ValueError):
             make_burst(pulse, 1e-9, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(samples=st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]),
+                            min_size=1, max_size=40),
+           spare=st.integers(0, 30), symbol_count=st.integers(2, 30))
+    def test_equals_one_placement_per_symbol(self, samples, spare, symbol_count):
+        # every sample, signed zeros included, is what one += per symbol writes
+        pulse = Waveform(np.asarray(samples), DT)
+        n = len(samples) + spare
+        burst = make_burst(pulse, n * DT, symbol_count).samples
+        loop = make_burst_reference(pulse, n, symbol_count)
+        assert np.array_equal(burst, loop)
+        assert np.array_equal(np.signbit(burst), np.signbit(loop))
 
 
 class TestToaDirtyTemplate:
@@ -139,10 +160,31 @@ class TestToaDirtyTemplate:
         with pytest.raises(ValueError):
             toa_dirty_template(short, TSYM, SYMBOLS, template=pulse)
 
+    def test_symbol_shorter_than_calibration_template(self, pulse):
+        # the phase-shifted template is the pulse plus the interpolator's half-width;
+        # the first pass would run, then the calibration burst could not be built
+        assert calibration_samples(pulse) == len(delay(pulse, 0.37 * DT)) == len(pulse) + 32
+        for n in (len(pulse), 40, calibration_samples(pulse) - 1):
+            rx = Waveform(np.ones(read_window(n * DT, DT, 4)), DT)
+            with pytest.raises(ValueError, match=f"{calibration_samples(pulse)}-sample"):
+                toa_dirty_template(rx, n * DT, 4, template=pulse)
+        n = calibration_samples(pulse)
+        burst = make_burst(delay(pulse, 0.37 * DT), n * DT, 4).samples
+        rx = Waveform(np.concatenate([burst, np.zeros(n - 1)]), DT)
+        assert 0.0 <= toa_dirty_template(rx, n * DT, 4, template=pulse).toa < n * DT
+
     def test_no_signal(self, pulse):
         flat = Waveform(np.ones((SYMBOLS + 1) * round(TSYM / DT)), DT)
         with pytest.raises(ValueError):
             toa_dirty_template(flat, TSYM, SYMBOLS, template=pulse)
+
+    def test_overflowing_record_has_no_usable_signal(self, pulse):
+        # products past the float range make the objective NaN, so no offset
+        # falls below its threshold: a ValueError, which run_trial records
+        big = 1e200 * np.random.default_rng(0).standard_normal((SYMBOLS + 1) * round(TSYM / DT))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="no usable signal"):
+            toa_dirty_template(Waveform(big, DT), TSYM, SYMBOLS, template=pulse)
 
     def test_objective_minimum_sits_at_template_median(self, pulse):
         # the cancellation notch bottoms out where the slice boundary splits
@@ -238,6 +280,145 @@ def bank_align_reference(deriv, bank, rel):
     if np.isfinite(y0) and np.isfinite(y2) and denom < 0.0:
         frac = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
     return float(rel[lag]) + (pi + frac) / nb
+
+
+def make_burst_reference(pulse, n, symbol_count):
+    """``make_burst``'s samples placed with one += per symbol: the oracle of its broadcast."""
+    out = np.zeros(n * symbol_count)
+    p = pulse.samples
+    for k in range(symbol_count):
+        out[k * n : k * n + p.size] += TDT_TRAINING_PATTERN[k % 4] * p
+    return out
+
+
+def coarse_notch_reference(obj, n):
+    """(peak, falling edge) of the objective, found on a ring gathered from the argmax."""
+    peak = float(np.max(obj))
+    floor = float(np.min(obj))
+    if peak <= 0.0 or peak == floor:
+        raise ValueError("objective carries no timing structure; no usable signal")
+    thr = peak - 0.5 * (peak - floor)
+    start = int(np.argmax(obj))
+    ring = obj[(start + np.arange(n)) % n]
+    return peak, int((start + np.nonzero(ring < thr)[0][0]) % n)
+
+
+def notch_position_reference(r, n, symbol_count, bank):
+    """``_notch_position`` with a modular ring gather and a fancy-index fold: the oracle."""
+    pair_count = symbol_count - 1
+    g = _slice_correlations(r, n)
+    obj = _dirty_template_objective(g, n, symbol_count)
+    peak, notch = coarse_notch_reference(obj, n)
+    width = bank.shape[1]
+    signs = (-1.0) ** np.arange(pair_count)
+    rel = np.arange(-width - 8, width + 9)
+    idx = (notch + rel) % n
+    folded = signs @ g[idx[None, :] + n * np.arange(pair_count)[:, None]]
+    deriv = folded[:-1] - folded[1:]
+    return float(notch) + bank_align_reference(deriv, bank, rel), peak
+
+
+def reference_notch_reference(pulse, bank, n, m_ref):
+    """``_reference_notch`` on a looped burst with its silent symbol concatenated: the oracle."""
+    ref = np.concatenate([make_burst_reference(pulse, n, m_ref), np.zeros(n)])
+    return notch_position_reference(ref, n, m_ref, bank)[0]
+
+
+def toa_reference(rx, symbol_duration, symbol_count, template):
+    """``toa_dirty_template`` composed of the oracles above."""
+    n = round(symbol_duration / rx.dt)
+    m_ref = min(symbol_count, 4)
+    bank = _phase_bank(template.samples.tobytes(), template.dt)
+    r = rx.samples[: read_window(symbol_duration, rx.dt, symbol_count)]
+    notch, peak = notch_position_reference(r, n, symbol_count, bank)
+    phase = (notch - reference_notch_reference(template, bank, n, m_ref)) % 1.0
+    shifted = delay(template, phase * template.dt)
+    offset = (notch - reference_notch_reference(shifted, bank, n, m_ref) + phase) % n
+    return ToaEstimate(toa=offset * rx.dt, objective_peak=peak * rx.dt * rx.dt)
+
+
+def same_outcome(fn, oracle, *args):
+    """``fn(*args)`` equals ``oracle(*args)`` with ``==``, or both raise ``ValueError``."""
+    try:
+        expected = oracle(*args)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fn(*args)
+        return
+    assert fn(*args) == expected
+
+
+def periodic_arrival(pulse, d, symbols, n=round(TSYM / DT)):
+    """A pattern-signed record of period n: the pulse over a faint floor, symbols from d.
+
+    The floor fills every sample, so the objective has one strict maximum, at
+    offset d, where slice boundaries meet the sign changes; its falling edge
+    lies inside the pulse, a few samples after d (modulo n).
+    """
+    shape = np.full(n, 1e-3 * np.max(np.abs(pulse.samples)))
+    shape[: len(pulse)] += pulse.samples
+    t = np.arange(read_window(TSYM, DT, symbols))
+    signs = np.asarray(TDT_TRAINING_PATTERN)[((t - d) // n) % 4]
+    return signs * shape[(t - d) % n]
+
+
+class TestNotchSearch:
+    """The coarse search, sign fold and calibration burst equal the oracles to the bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pulse_index=st.integers(0, 3), delay_frac=st.floats(0.0, 1.0, exclude_max=True),
+           snr_db=st.floats(-5.0, 60.0) | st.just(float("inf")),
+           symbols=st.sampled_from([2, 3, 4, 20]), seed=st.integers(0, 2**32 - 1),
+           multipath=st.booleans())
+    # notches within the fold's reach of offset 0 and of offset n
+    @example(pulse_index=0, delay_frac=0.0, snr_db=float("inf"), symbols=20, seed=0,
+             multipath=False)
+    @example(pulse_index=1, delay_frac=0.9812, snr_db=30.0, symbols=4, seed=1, multipath=False)
+    # argmax at offset 998, falling edge at 8: the coarse search wraps
+    @example(pulse_index=0, delay_frac=0.9969, snr_db=10.0, symbols=20, seed=144,
+             multipath=True)
+    def test_drawn_arrivals(self, default_pulses, pulse_index, delay_frac, snr_db, symbols,
+                            seed, multipath):
+        pulse = default_pulses.pulses[pulse_index]
+        channel = ChannelProfile() if multipath else None
+        rx = received(pulse, delay_frac * TSYM, seed, snr_db, channel, symbols)
+        n = round(TSYM / DT)
+        m_ref = min(symbols, 4)
+        bank = _phase_bank(pulse.samples.tobytes(), pulse.dt)
+        r = rx.samples[: read_window(TSYM, DT, symbols)]
+        same_outcome(_notch_position, notch_position_reference, r, n, symbols, bank)
+        shifted = delay(pulse, delay_frac * pulse.dt)
+        same_outcome(_reference_notch, reference_notch_reference, shifted, bank, n, m_ref)
+        same_outcome(toa_dirty_template, toa_reference, rx, TSYM, symbols, pulse)
+
+    @pytest.mark.parametrize("pulse_index", range(4))
+    @pytest.mark.parametrize("d, wraps", [
+        (999, "search"),  # argmax in the last offsets, falling edge past offset n - 1
+        (997, "search"),
+        (995, "search"),
+        (960, "fold past n"),  # notch within width + 8 of n
+        (930, "fold past n"),
+        (0, "fold below 0"),  # notch within width + 8 of 0
+        (40, "fold below 0"),
+    ])
+    def test_constructed_wraps(self, default_pulses, pulse_index, d, wraps):
+        pulse = default_pulses.pulses[pulse_index]
+        bank = _phase_bank(pulse.samples.tobytes(), pulse.dt)
+        n, reach = round(TSYM / DT), bank.shape[1] + 8
+        for symbols in (2, 4, SYMBOLS):
+            r = periodic_arrival(pulse, d, symbols)
+            obj = _dirty_template_objective(_slice_correlations(r, n), n, symbols)
+            notch = coarse_notch_reference(obj, n)[1]
+            assert int(np.argmax(obj)) == d
+            assert {"search": notch < d, "fold past n": notch + reach >= n,
+                    "fold below 0": notch < reach}[wraps]
+            assert _notch_position(r, n, symbols, bank) == notch_position_reference(
+                r, n, symbols, bank)
+        # a calibration burst whose notch wraps the same way
+        shifted = Waveform(np.concatenate([np.zeros(d), pulse.samples]), DT)
+        if len(shifted) <= n:
+            assert (_reference_notch(shifted, bank, n, 4)
+                    == reference_notch_reference(shifted, bank, n, 4))
 
 
 class TestBankAlign:

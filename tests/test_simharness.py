@@ -33,6 +33,15 @@ from uwbloc.waveform import Waveform
 TOA_NMSE_BASELINE_35DB = 4.793204868304939e-13
 
 
+# a 20 cm cube with anchors on its top corners: its ranges stay inside the
+# 45 cm ambiguity of a 1.5 ns symbol
+SMALL_ROOM = dict(
+    room=RoomBounds((0.0, 0.0, 0.0), (0.2, 0.2, 0.2)),
+    anchors=tuple(Anchor(f"a{i}", (x, y, 0.2))
+                  for i, (x, y) in enumerate([(0, 0), (0.2, 0), (0, 0.2), (0.2, 0.2)])),
+    placement_inset=0.02)
+
+
 @pytest.fixture(scope="module")
 def tiny_cfg():
     return SimConfig(snr_grid_db=(20.0, 30.0), trials=3)
@@ -136,6 +145,28 @@ class TestConfig:
         simulate._resolve_pulses(SimConfig(symbol_count=longest), default_pulses)
         with pytest.raises(ConfigError, match="record"):
             simulate._resolve_pulses(SimConfig(symbol_count=longest + 1), default_pulses)
+
+    @pytest.mark.parametrize("symbol_duration, symbols", [
+        (1.3e-9, 26), (1.5e-9, 30), (2e-9, 40), (2.85e-9, 57)])
+    def test_symbol_shorter_than_calibration_template_rejected(self, default_pulses,
+                                                               symbol_duration, symbols):
+        # the estimator calibrates on the pulse delayed by a fraction of a sample,
+        # 26 + 32 = 58 samples: every trial of a shorter symbol would fail
+        cfg = SimConfig(symbol_duration=symbol_duration, snr_grid_db=(30.0,), trials=2,
+                        **SMALL_ROOM)
+        message = f"is {symbols} samples .* 58-sample calibration template .* 26-sample pulse"
+        with pytest.raises(ConfigError, match=message):
+            sweep_snr(cfg, default_pulses)
+        with pytest.raises(ConfigError, match=message):
+            run_trial(cfg, 30.0, seed=1, pulse_set=default_pulses)
+
+    @pytest.mark.parametrize("symbol_duration", [2.9e-9, 3e-9])
+    def test_symbol_holding_the_calibration_template_runs(self, default_pulses,
+                                                          symbol_duration):
+        cfg = SimConfig(symbol_duration=symbol_duration, snr_grid_db=(30.0,), trials=2,
+                        **SMALL_ROOM)
+        for trial in sweep_snr(cfg, default_pulses).trials[30.0]:
+            assert not any(math.isnan(t) for t in trial.toa_s)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from uwbloc import waveform
 from uwbloc.waveform import (
+    SINC_HALF_WIDTH,
     GridMismatchError,
     Waveform,
+    _fractional_delay_kernel,
     add_awgn,
     check_grid,
     cross_correlate,
@@ -136,6 +139,38 @@ class TestDelay:
         y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
         vertex = lags[i] + 0.5 * (y0 - y2) / (y0 - 2 * y1 + y2) * DT
         assert vertex == pytest.approx(0.5 * DT, abs=0.01 * DT)
+
+
+def sinc_kernel_reference(frac):
+    """The interpolation kernel through ``np.sinc``'s zero guard, with a window cut-off."""
+    x = np.arange(-SINC_HALF_WIDTH, SINC_HALF_WIDTH + 1) - frac
+    window = 0.5 * (1.0 + np.cos(np.pi * x / (SINC_HALF_WIDTH + 1)))
+    window[np.abs(x) > SINC_HALF_WIDTH + 1] = 0.0
+    return np.sinc(x) * window
+
+
+class TestFractionalDelayKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(frac=st.floats(1e-9, 1.0, exclude_max=True))
+    @example(frac=1e-9)
+    @example(frac=0.5)
+    @example(frac=1.0 - 1e-9)
+    @example(frac=float(np.nextafter(1.0, 0.0)))
+    def test_equals_guarded_sinc(self, frac):
+        # delay passes frac in [1e-9, 1): the guard and the cut-off never act
+        assert np.array_equal(_fractional_delay_kernel(frac), sinc_kernel_reference(frac))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tau=st.floats(0.0, 40.0))
+    def test_every_fraction_delay_passes_is_in_range(self, tau):
+        seen = []
+        original = waveform._fractional_delay_kernel
+        try:
+            waveform._fractional_delay_kernel = lambda frac: seen.append(frac) or original(frac)
+            delay(Waveform(np.ones(3), DT), tau * DT)
+        finally:
+            waveform._fractional_delay_kernel = original
+        assert all(1e-9 <= frac < 1.0 for frac in seen)
 
 
 def awgn_oracle(w, snr_db, seed):
