@@ -55,10 +55,10 @@ class ChannelProfile:
             raise ValueError("tap counts must satisfy 1 <= min <= max")
         for name in ("mean_tap_spacing", "decay_constant", "delay_spread_target",
                      "mpc_relative_gain"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.min_excess_delay < 0:
-            raise ValueError("min_excess_delay must be >= 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.min_excess_delay < math.inf:
+            raise ValueError("min_excess_delay must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from .waveform import Waveform, check_grid
 __all__ = [
     "DetectionThresholds",
     "DetectionVerdict",
-    "default_band",
     "estimate_transfer",
     "phase_nonlinearity",
     "mean_attenuation",
@@ -30,7 +29,7 @@ __all__ = [
 
 # Spectral-division bins this far (dB) under the TX peak are discarded.
 NOISE_FLOOR_REL_DB = -40.0
-# The default band keeps the TX spectrum within this many dB of its peak.
+# The band keeps the TX spectrum within this many dB of its peak.
 BAND_DROP_DB = 10.0
 # A medium attenuating less than this (dB) on average is free space.
 ARTIFICIAL_FLOOR_DB = 3.0
@@ -69,31 +68,13 @@ class DetectionVerdict:
             raise ValueError("phase nonlinearity must be finite and >= 0")
 
 
-def _strong_band(mag: np.ndarray, freq: np.ndarray) -> tuple[float, float]:
-    """First and last frequency where ``mag`` is within ``BAND_DROP_DB`` of its peak."""
-    strong = np.nonzero(mag >= mag.max() * 10.0 ** (-BAND_DROP_DB / 20.0))[0]
-    return float(freq[strong[0]]), float(freq[strong[-1]])
-
-
-def default_band(tx: Waveform, nfft: int | None = None) -> tuple[float, float]:
-    """The TX pulse's -10 dB bandwidth: default band for transfer metrics.
-
-    A cross-check: ``estimate_transfer`` finds the same band from the TX
-    spectrum it already holds, and the tests read the band off this.
-    """
-    n = nfft or max(4096, tx.samples.size)
-    return _strong_band(np.abs(np.fft.rfft(tx.samples, n=n)), np.fft.rfftfreq(n, d=tx.dt))
-
-
-def estimate_transfer(
-    tx: Waveform, rx: Waveform, band: tuple[float, float] | None = None
-) -> MaterialSignature:
+def estimate_transfer(tx: Waveform, rx: Waveform) -> MaterialSignature:
     """Estimate the medium's frequency response as the spectral ratio RX/TX.
 
     Both spectra span the longer record. Bins where |TX| sits below
     ``NOISE_FLOOR_REL_DB`` of its peak are excluded (division there is
     dominated by noise). Attenuation is clamped at zero so noise cannot
-    report gain. ``band`` defaults to the TX pulse's -10 dB bandwidth.
+    report gain. The band is the TX pulse's -10 dB bandwidth.
     """
     check_grid(tx, rx)
     n = max(tx.samples.size, rx.samples.size)
@@ -101,7 +82,8 @@ def estimate_transfer(
     rx_spec = np.fft.rfft(rx.samples, n=n)
     tx_mag = np.abs(tx_spec)
     freq = np.fft.rfftfreq(n, d=tx.dt)
-    f_lo, f_hi = _strong_band(tx_mag, freq) if band is None else band
+    strong = np.nonzero(tx_mag >= tx_mag.max() * 10.0 ** (-BAND_DROP_DB / 20.0))[0]
+    f_lo, f_hi = freq[strong[0]], freq[strong[-1]]
     floor = np.max(tx_mag) * 10.0 ** (NOISE_FLOOR_REL_DB / 20.0)
     keep = (freq >= f_lo) & (freq <= f_hi) & (tx_mag >= floor)
     if np.count_nonzero(keep) < 3:

@@ -70,8 +70,8 @@ class RoomBounds:
     maximum: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        if any(lo >= hi for lo, hi in zip(self.minimum, self.maximum)):
-            raise ValueError("bounds must satisfy min < max on every axis")
+        if not all(-math.inf < lo < hi < math.inf for lo, hi in zip(self.minimum, self.maximum)):
+            raise ValueError("bounds must be finite and satisfy min < max on every axis")
 
     def contains(self, p: tuple[float, float, float] | np.ndarray, tol: float = 1e-9) -> bool:
         return all(

@@ -166,11 +166,14 @@ class DesignConfig:
             raise ValueError("pulse_count must be >= 1")
         if self.basis_count < self.spline_order:
             raise ValueError("basis_count must be >= spline_order")
-        for name in ("population", "generations", "mutation_rate", "sigma_start",
-                     "sigma_end", "tournament_k", "weight_rowsum",
-                     "weight_gram", "pulse_duration", "dt"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("population", "generations", "sigma_start", "sigma_end",
+                     "tournament_k", "weight_rowsum", "weight_gram", "pulse_duration", "dt"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 < self.mutation_rate <= 1:
+            raise ValueError(f"mutation_rate must be in (0, 1], got {self.mutation_rate}")
+        if not 0 <= self.crossover_rate <= 1:
+            raise ValueError(f"crossover_rate must be in [0, 1], got {self.crossover_rate}")
         if self.elitism < 1:
             raise ValueError("elitism must be >= 1")
         if self.seed < 0:  # numpy seeds are non-negative

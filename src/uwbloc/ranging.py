@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -175,21 +176,19 @@ def toa_dirty_template(
     # two-pass calibration: a first pass against the zero-phase reference
     # estimates the sub-sample phase, a second pass against a reference
     # shifted to that phase cancels the interpolator's phase-dependent bias.
-    # Only the phase bank and the zero-phase notch are cached, so no
-    # estimate depends on which estimates ran before it.
+    # Only the pulse's calibration is cached, so no estimate depends on which
+    # estimates ran before it.
     m_ref = min(symbol_count, _REFERENCE_SYMBOLS)
-    key = template.samples.tobytes(), template.dt
-    bank = _phase_bank(*key)
-    zero_phase_notch = _zero_phase_notch(*key, n, m_ref)
-    notch, peak = _notch_position(r, n, symbol_count, bank)
-    phase = (notch - zero_phase_notch) % 1.0
+    bank, rel, zero_phase = _calibration(template.samples.tobytes(), template.dt)
+    notch, peak = _notch_position(r, n, symbol_count, bank, rel)
+    phase = (notch - zero_phase[m_ref]) % 1.0
     shifted = delay(template, phase * template.dt)
-    offset = (notch - _reference_notch(shifted, bank, n, m_ref) + phase) % n
+    offset = (notch - _reference_notch(shifted, bank, rel, m_ref) + phase) % n
     return ToaEstimate(toa=offset * dt, objective_peak=peak * dt * dt)
 
 
 def _notch_position(
-    r: np.ndarray, n: int, symbol_count: int, bank: np.ndarray
+    r: np.ndarray, n: int, symbol_count: int, bank: np.ndarray, rel: np.ndarray
 ) -> tuple[float, float]:
     """Sub-sample (offset, objective peak) of the objective's cancellation notch.
 
@@ -198,7 +197,7 @@ def _notch_position(
     sweeps across the arriving pulse. Multipath adds a near-constant
     background to that ramp, so the sub-sample stage works on the ramp's
     derivative (the arriving pulse's energy-density trace, background-free)
-    and matched-filters it against the template's phase ``bank``.
+    and matched-filters it against the template's phase ``bank`` at lags ``rel``.
     """
     pair_count = symbol_count - 1
     g = _slice_correlations(r, n)
@@ -218,21 +217,13 @@ def _notch_position(
     notch = start + int(below[start:].argmax())
     if not below[notch]:
         notch = int(below.argmax())
-    signs, rel = _fold_grid(pair_count, bank.shape[1])
-    # row k holds slice pair k's correlations at the offsets around the notch
+    # row k holds slice pair k's correlations at the offsets around the notch;
+    # the pair correlates symbols k and k + 1, so its sign is their product
     rows = g[: pair_count * n].reshape(pair_count, n).take((notch + rel) % n, axis=1)
-    folded = signs @ rows
+    signs = _pattern_signs(symbol_count)
+    folded = (signs[:-1] * signs[1:]) @ rows
     deriv = folded[:-1] - folded[1:]  # ramp falls, so this traces +energy
     return float(notch) + _bank_align(deriv, bank, rel), peak
-
-
-@lru_cache(maxsize=32)
-def _fold_grid(pair_count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Alternating signs of the slice pairs, and the notch-relative offsets the fold reads."""
-    signs = (-1.0) ** np.arange(pair_count)
-    rel = np.arange(-width - 8, width + 9)
-    signs.flags.writeable = rel.flags.writeable = False  # shared through the cache
-    return signs, rel
 
 
 _PHASE_BANK_SIZE = 32
@@ -242,12 +233,20 @@ _REFERENCE_SYMBOLS = 4
 
 
 @lru_cache(maxsize=32)
-def _phase_bank(samples: bytes, dt: float) -> np.ndarray:
-    """Phase bank of a pulse (raw float64 bytes).
+def _calibration(samples: bytes, dt: float) -> tuple[np.ndarray, np.ndarray, MappingProxyType]:
+    """Phase bank, fold lag grid and zero-phase notch per m_ref of a pulse (raw float64 bytes).
 
-    Row i holds the squared samples of the pulse delayed by i/size of a
-    sample, zero-padded to a common width; rows are unit-normalized so the
-    alignment search is a pure shape match.
+    Bank row i holds the squared pulse delayed by i/size of a sample, zero-padded
+    to a common width and unit-normalized, so the alignment search is a pure
+    shape match. ``rel`` holds the notch-relative offsets the sign fold reads.
+    The zero-phase notch is ``_reference_notch`` of the pulse on the sample
+    grid, for each m_ref from 2 to ``_REFERENCE_SYMBOLS``.
+
+    The reference burst has symbols of ``rel.size`` samples, the shortest in
+    which the fold reads no offset twice, whatever the n of the timed record.
+    That length cannot matter: between pulses the products r[t]·r[t+n] are
+    exact zeros, so the cumulative sum, the objective and the fold take the
+    same values relative to each symbol start for every n >= ``rel.size``.
     """
     template = Waveform(np.frombuffer(samples), dt)
     rows = [delay(template, i / _PHASE_BANK_SIZE * dt).samples ** 2
@@ -255,15 +254,11 @@ def _phase_bank(samples: bytes, dt: float) -> np.ndarray:
     bank = np.zeros((_PHASE_BANK_SIZE, max(row.size for row in rows)))
     for i, row in enumerate(rows):
         bank[i, : row.size] = row / np.linalg.norm(row)
-    bank.flags.writeable = False  # shared by every caller through the cache
-    return bank
-
-
-@lru_cache(maxsize=32)
-def _zero_phase_notch(samples: bytes, dt: float, n: int, m_ref: int) -> float:
-    """``_reference_notch`` of a pulse (raw float64 bytes) arriving on the sample grid."""
-    template = Waveform(np.frombuffer(samples), dt)
-    return _reference_notch(template, _phase_bank(samples, dt), n, m_ref)
+    rel = np.arange(-bank.shape[1] - 8, bank.shape[1] + 9)
+    bank.flags.writeable = rel.flags.writeable = False  # shared through the cache
+    zero_phase = {m_ref: _reference_notch(template, bank, rel, m_ref)
+                  for m_ref in range(2, _REFERENCE_SYMBOLS + 1)}
+    return bank, rel, MappingProxyType(zero_phase)
 
 
 def _bank_align(deriv: np.ndarray, bank: np.ndarray, rel: np.ndarray) -> float:
@@ -310,8 +305,8 @@ def _bank_align(deriv: np.ndarray, bank: np.ndarray, rel: np.ndarray) -> float:
     return float(rel[lag]) + (pi + frac) / nb
 
 
-def _reference_notch(pulse: Waveform, bank: np.ndarray, n: int, m_ref: int) -> float:
-    """Notch position of a clean burst of ``pulse``.
+def _reference_notch(pulse: Waveform, bank: np.ndarray, rel: np.ndarray, m_ref: int) -> float:
+    """Notch position of a clean burst of ``pulse``, ``m_ref`` symbols of ``rel.size`` samples.
 
     Running the identical machinery on a synthetic reference makes the
     calibration exact: every discretization and interpolation effect cancels
@@ -319,9 +314,10 @@ def _reference_notch(pulse: Waveform, bank: np.ndarray, n: int, m_ref: int) -> f
     with the same band-limited interpolator the simulation uses. The burst
     gets one silent symbol appended: the estimator reads one symbol past it.
     """
+    n = rel.size
     burst = make_burst(pulse, n * pulse.dt, m_ref)
     ref = np.concatenate([burst.samples, np.zeros(n)])
-    return _notch_position(ref, n, m_ref, bank)[0]
+    return _notch_position(ref, n, m_ref, bank, rel)[0]
 
 
 def range_from_toa(est: ToaEstimate) -> float:

@@ -20,6 +20,10 @@ comparisons rather than scenario lotteries. Sub-streams are spawned in a
 fixed order. The loop order does not enter the seeds, and each SNR row
 aggregates its trials in trial order, so two sweeps with the same master
 seed produce byte-identical CSV files.
+
+The seed families overlap (an open finding): ``SeedSequence`` zero-pads its
+entropy, so ``trial_seed(m, s, 0) == scenario_seed(m, s)``; and when ``run_trial``
+builds its own scenario, anchor k's noise seed is anchor k-1's CIR seed.
 """
 
 from __future__ import annotations
@@ -140,8 +144,18 @@ class SimConfig:
             raise ConfigError("need at least 4 anchors")
         if self.symbol_count < 2:
             raise ConfigError("symbol_count must be >= 2")
-        if self.symbol_duration <= 0 or self.placement_inset < 0:
+        for name in ("symbol_duration", "placement_inset", "bias_gate_m", "bounds_tolerance_m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not (self.symbol_duration > 0 and self.placement_inset >= 0):
             raise ConfigError("symbol_duration must be positive and inset non-negative")
+        if not (self.bias_gate_m > 0 and self.bounds_tolerance_m >= 0):
+            raise ConfigError("bias_gate_m must be > 0 and bounds_tolerance_m >= 0")
+        # build_scenario draws x and y, and z unless floor_only, between the insets
+        axes = slice(2 if self.floor_only else 3)
+        if not all(lo + self.placement_inset <= hi - self.placement_inset
+                   for lo, hi in zip(self.room.minimum[axes], self.room.maximum[axes])):
+            raise ConfigError(f"placement_inset {self.placement_inset} leaves no placement box")
         # ToA is read modulo one symbol, so a longer range would alias to a short one
         ambiguity_m = SPEED_OF_LIGHT * self.symbol_duration
         corners = itertools.product(*zip(self.room.minimum, self.room.maximum))
@@ -223,7 +237,8 @@ def _resolve_pulses(cfg: SimConfig, pulse_set: PulseSet | None) -> PulseSet:
 
 
 def trial_seed(master_seed: int, snr_index: int, trial_index: int) -> int:
-    """Documented splitting scheme; distinct per (master, snr, trial)."""
+    """Noise seed of a trial, distinct per (master, snr, trial) but not from the
+    scenario seeds: ``trial_seed(m, s, 0) == scenario_seed(m, s)`` (an open finding)."""
     ss = np.random.SeedSequence(entropy=(master_seed, snr_index, trial_index))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 

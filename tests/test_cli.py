@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -233,6 +234,41 @@ class TestRejectedValues:
         for command in ("sweep", "locate"):
             assert main([command, "--config", str(path)]) == EXIT_CONFIG
             assert "symbol_duration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, obj, key", [
+        ("sweep", {"placement_inset": math.nan}, "placement_inset"),
+        ("sweep", {"placement_inset": math.inf}, "placement_inset"),
+        ("sweep", {"placement_inset": 4}, "placement_inset"),  # over half the 6 m room
+        ("sweep", {"symbol_duration": math.inf}, "symbol_duration"),
+        ("sweep", {"channel": {"mean_tap_spacing": math.inf}}, "mean_tap_spacing"),
+        ("sweep", {"channel": {"mean_tap_spacing": math.nan}}, "mean_tap_spacing"),
+        ("sweep", {"channel": {"decay_constant": math.nan}}, "decay_constant"),
+        ("sweep", {"bias_gate_m": math.nan}, "bias_gate_m"),
+        ("sweep", {"bias_gate_m": -1}, "bias_gate_m"),
+        ("sweep", {"bounds_tolerance_m": math.nan}, "bounds_tolerance_m"),
+        ("sweep", {"room": {"min": [math.nan, 0, 0], "max": [6, 6, 3]}}, "bounds"),
+        ("design", {"mutation_rate": math.nan}, "mutation_rate"),
+        ("design", {"mutation_rate": 1.5}, "mutation_rate"),
+        ("design", {"crossover_rate": math.nan}, "crossover_rate"),
+        ("design", {"crossover_rate": 1.5}, "crossover_rate"),
+        ("design", {"sigma_start": math.nan}, "sigma_start"),
+        ("design", {"pulse_duration": math.inf}, "pulse_duration"),
+    ])
+    def test_non_finite_or_impossible_value(self, tmp_path, capsys, command, obj, key):
+        # each once ended in a traceback, or ran with a gate, rate or box that
+        # cannot act as intended
+        path = tmp_path / "cfg.json"
+        out = tmp_path / "o"
+        if command == "sweep":
+            path.write_text(json.dumps({"trials": 1, "snr_grid_db": [30], "out_dir": str(out),
+                                        **obj}))
+            argv = ["sweep", "--config", str(path)]
+        else:
+            path.write_text(json.dumps({"population": 10, "generations": 2, **obj}))
+            argv = ["design", "--config", str(path), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, key", [
         ("design", "seed"), ("sweep", "master_seed"), ("locate", "seed"), ("cir", "seed"),

@@ -12,12 +12,11 @@ import uwbloc
 from uwbloc.channel import SPEED_OF_LIGHT, ChannelProfile, propagate, sample_cir
 from uwbloc.ranging import (
     _bank_align,
+    _calibration,
     _dirty_template_objective,
     _notch_position,
-    _phase_bank,
     _reference_notch,
     _slice_correlations,
-    _zero_phase_notch,
     TDT_TRAINING_PATTERN,
     ToaEstimate,
     calibration_samples,
@@ -238,9 +237,9 @@ class TestToaDirtyTemplate:
             toa_dirty_template(Waveform(window[:-1], DT), TSYM, SYMBOLS, template=pulse)
 
     def test_interleaved_calibrations_match_each_alone(self, default_pulses):
-        # one zero-phase notch per (pulse, dt, n, m_ref) and one phase bank per
-        # (pulse, dt): estimates for two pulses at 2 and 20 symbols (m_ref 2
-        # and 4) never share a notch, and build exactly two banks
+        # one calibration per (pulse, dt), whatever the symbol count: estimates
+        # for two pulses at 2 and 20 symbols (m_ref 2 and 4) never share one,
+        # and build exactly two
         cases = [(p, m) for p in default_pulses.pulses[:2] for m in (2, SYMBOLS)]
         rxs = [received(p, 13.7e-9, seed=5, snr_db=20.0, symbols=m) for p, m in cases]
 
@@ -249,18 +248,14 @@ class TestToaDirtyTemplate:
             est = toa_dirty_template(rx, TSYM, m, template=p)
             return est.toa, est.objective_peak
 
-        def clear():
-            _phase_bank.cache_clear()
-            _zero_phase_notch.cache_clear()
-
         alone = []
         for i in range(len(cases)):
-            clear()
+            _calibration.cache_clear()
             alone.append(estimate(i))
-        clear()
+        _calibration.cache_clear()
         for i in (0, 3, 1, 2, 3, 0, 2, 1):
             assert estimate(i) == alone[i]
-        assert _phase_bank.cache_info().misses == 2
+        assert _calibration.cache_info().misses == 2
 
 
 def bank_align_reference(deriv, bank, rel):
@@ -328,13 +323,18 @@ def toa_reference(rx, symbol_duration, symbol_count, template):
     """``toa_dirty_template`` composed of the oracles above."""
     n = round(symbol_duration / rx.dt)
     m_ref = min(symbol_count, 4)
-    bank = _phase_bank(template.samples.tobytes(), template.dt)
+    bank = calibration_of(template)[0]
     r = rx.samples[: read_window(symbol_duration, rx.dt, symbol_count)]
     notch, peak = notch_position_reference(r, n, symbol_count, bank)
     phase = (notch - reference_notch_reference(template, bank, n, m_ref)) % 1.0
     shifted = delay(template, phase * template.dt)
     offset = (notch - reference_notch_reference(shifted, bank, n, m_ref) + phase) % n
     return ToaEstimate(toa=offset * rx.dt, objective_peak=peak * rx.dt * rx.dt)
+
+
+def calibration_of(pulse):
+    """The pulse's cached (phase bank, fold lag grid, zero-phase notches)."""
+    return _calibration(pulse.samples.tobytes(), pulse.dt)
 
 
 def same_outcome(fn, oracle, *args):
@@ -384,11 +384,15 @@ class TestNotchSearch:
         rx = received(pulse, delay_frac * TSYM, seed, snr_db, channel, symbols)
         n = round(TSYM / DT)
         m_ref = min(symbols, 4)
-        bank = _phase_bank(pulse.samples.tobytes(), pulse.dt)
+        bank, rel, _ = calibration_of(pulse)
         r = rx.samples[: read_window(TSYM, DT, symbols)]
-        same_outcome(_notch_position, notch_position_reference, r, n, symbols, bank)
+        same_outcome(lambda: _notch_position(r, n, symbols, bank, rel),
+                     lambda: notch_position_reference(r, n, symbols, bank))
+        # the calibration burst has symbols of rel.size samples, the oracle's
+        # the caller's n
         shifted = delay(pulse, delay_frac * pulse.dt)
-        same_outcome(_reference_notch, reference_notch_reference, shifted, bank, n, m_ref)
+        same_outcome(lambda: _reference_notch(shifted, bank, rel, m_ref),
+                     lambda: reference_notch_reference(shifted, bank, n, m_ref))
         same_outcome(toa_dirty_template, toa_reference, rx, TSYM, symbols, pulse)
 
     @pytest.mark.parametrize("pulse_index", range(4))
@@ -403,7 +407,7 @@ class TestNotchSearch:
     ])
     def test_constructed_wraps(self, default_pulses, pulse_index, d, wraps):
         pulse = default_pulses.pulses[pulse_index]
-        bank = _phase_bank(pulse.samples.tobytes(), pulse.dt)
+        bank, rel, _ = calibration_of(pulse)
         n, reach = round(TSYM / DT), bank.shape[1] + 8
         for symbols in (2, 4, SYMBOLS):
             r = periodic_arrival(pulse, d, symbols)
@@ -412,32 +416,42 @@ class TestNotchSearch:
             assert int(np.argmax(obj)) == d
             assert {"search": notch < d, "fold past n": notch + reach >= n,
                     "fold below 0": notch < reach}[wraps]
-            assert _notch_position(r, n, symbols, bank) == notch_position_reference(
+            assert _notch_position(r, n, symbols, bank, rel) == notch_position_reference(
                 r, n, symbols, bank)
-        # a calibration burst whose notch wraps the same way
+        # a calibration-style burst whose notch wraps the same way: a looped
+        # burst of n-sample symbols plus a silent one
         shifted = Waveform(np.concatenate([np.zeros(d), pulse.samples]), DT)
         if len(shifted) <= n:
-            assert (_reference_notch(shifted, bank, n, 4)
+            ref = np.concatenate([make_burst_reference(shifted, n, 4), np.zeros(n)])
+            assert _notch_position(ref, n, 4, bank, rel) == notch_position_reference(
+                ref, n, 4, bank)
+        if len(shifted) <= rel.size:  # it fits a calibration symbol too
+            assert (_reference_notch(shifted, bank, rel, 4)
                     == reference_notch_reference(shifted, bank, n, 4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), pulse_index=st.integers(0, 3),
+           phase=st.floats(0.0, 1.0, exclude_max=True), m_ref=st.integers(2, 4))
+    def test_calibration_record_length_is_immaterial(self, default_pulses, data, pulse_index,
+                                                     phase, m_ref):
+        # the fixed rel.size-sample calibration symbol gives the notch that
+        # any symbol of n >= rel.size samples gives, to the bit
+        pulse = default_pulses.pulses[pulse_index]
+        bank, rel, zero_phase = calibration_of(pulse)
+        n = data.draw(st.integers(rel.size, 5000), label="n")
+        shifted = delay(pulse, phase * pulse.dt)
+        assert (_reference_notch(shifted, bank, rel, m_ref)
+                == reference_notch_reference(shifted, bank, n, m_ref))
+        assert zero_phase[m_ref] == reference_notch_reference(pulse, bank, n, m_ref)
 
 
 class TestBankAlign:
     """The one-product scoring equals per-phase ``np.correlate`` to the bit."""
 
-    @staticmethod
-    def bank_of(pulse):
-        return _phase_bank(pulse.samples.tobytes(), pulse.dt)
-
-    @staticmethod
-    def rel_for(width):
-        # the lag grid _notch_position builds: its trace has 2 * width + 16 samples
-        return np.arange(-width - 8, width + 9)
-
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), pulse_index=st.integers(0, 3), exponent=st.integers(-40, 40))
     def test_drawn_traces(self, default_pulses, data, pulse_index, exponent):
-        bank = self.bank_of(default_pulses.pulses[pulse_index])
-        rel = self.rel_for(bank.shape[1])
+        bank, rel, _ = calibration_of(default_pulses.pulses[pulse_index])
         values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=rel.size - 1,
                                     max_size=rel.size - 1))
         deriv = np.asarray(values) * 10.0**exponent
@@ -447,9 +461,8 @@ class TestBankAlign:
     def test_constructed_near_ties(self, default_pulses, pulse_index):
         # a bank row placed at a lag ties its neighbours' scores to rounding;
         # the mean of two adjacent rows ties the two phases themselves
-        bank = self.bank_of(default_pulses.pulses[pulse_index])
+        bank, rel, _ = calibration_of(default_pulses.pulses[pulse_index])
         nb, width = bank.shape
-        rel = self.rel_for(width)
         lags = rel.size - width
         rng = np.random.default_rng(pulse_index)
         for i in range(nb):

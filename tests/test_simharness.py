@@ -112,6 +112,14 @@ class TestConfig:
         assert trial.failure is None and trial.fix is not None
         assert max(abs(e) for e in trial.toa_err_s) < 1e-12
 
+    def test_placement_box_must_survive_the_inset(self):
+        # the default room is 6 x 6 x 3 m; floor targets never draw z
+        SimConfig(placement_inset=1.5, floor_only=False)  # z narrows to one height
+        SimConfig(placement_inset=3.0)  # x and y narrow to one point
+        for inset, floor_only in ((2.0, False), (3.5, True), (4.0, True)):
+            with pytest.raises(ConfigError, match="placement_inset"):
+                SimConfig(placement_inset=inset, floor_only=floor_only)
+
     def test_range_aliasing_room_rejected(self):
         # ToA wraps at c * symbol_duration = 14.99 m; the default room's
         # worst anchor-to-corner distance is 9 m, a 20 x 20 x 3 m room's 28.4 m
@@ -197,9 +205,11 @@ class TestConfig:
             "master_seed": data.draw(_other_than(st.integers(0, 2**63), 12345)),
             "out_dir": data.draw(_other_than(st.text(), "out")),
             "floor_only": False,
-            "placement_inset": data.draw(_other_than(_floats(0.0, 1.0), 0.1)),
+            # at most 0.2 m, so the placement box survives the smallest 0.5 m room
+            "placement_inset": data.draw(_other_than(_floats(0.0, 0.2), 0.1)),
             "orthogonal_assignment": False,
-            "bias_gate_m": data.draw(_other_than(_floats(0.0, 10.0), 0.3)),
+            "bias_gate_m": data.draw(_other_than(
+                st.floats(0.0, 10.0, exclude_min=True, allow_infinity=False), 0.3)),
             "bounds_tolerance_m": data.draw(_other_than(_floats(0.0, 10.0), 0.25)),
         }
         assert set(channel_kwargs) == {f.name for f in dataclasses.fields(ChannelProfile)}
@@ -285,8 +295,8 @@ class TestRunTrial:
         assert res.failure is None
 
     def test_solver_failure_recorded_not_raised(self, default_pulses):
-        # an impossible bias gate turns every fix into a recorded failure
-        cfg = SimConfig(bias_gate_m=0.0)
+        # the smallest valid bias gate turns every fix into a recorded failure
+        cfg = SimConfig(bias_gate_m=math.ulp(0.0))
         res = run_trial(cfg, math.inf, seed=3, pulse_set=default_pulses)
         assert res.failure is not None
         assert res.fix is None and res.position_error_m is None
