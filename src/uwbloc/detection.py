@@ -6,12 +6,17 @@ Artificial structures (doors, walls) are lossy but phase-linear; a human
 body is both strongly lossy and phase-distorting. The classifier requires
 both features to call a human, which suppresses false alarms from merely
 lossy media.
+
+The module has one cache, ``_tx_reference``: the kept bins and spectrum of a
+TX pulse on an n-point rFFT, computed once per (pulse, record length), as
+``ranging`` calibrates once per pulse.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,32 +83,54 @@ def estimate_transfer(tx: Waveform, rx: Waveform) -> MaterialSignature:
     """
     check_grid(tx, rx)
     n = max(tx.samples.size, rx.samples.size)
-    tx_spec = np.fft.rfft(tx.samples, n=n)
-    rx_spec = np.fft.rfft(rx.samples, n=n)
+    keep, tx_kept = _tx_reference(tx.samples.tobytes(), tx.dt, n)
+    h = np.fft.rfft(rx.samples, n=n)[keep] / tx_kept
+    attenuation = np.clip(-20.0 * np.log10(np.maximum(np.abs(h), 1e-300)), 0.0, None)
+    phase = np.unwrap(np.angle(h))
+    return MaterialSignature(np.fft.rfftfreq(n, d=tx.dt)[keep], attenuation, phase)
+
+
+# the six material kinds give each pulse 2 record lengths (the padded human
+# kinds and the rest), so the 4 packaged pulses fill 8 entries
+@lru_cache(maxsize=16)
+def _tx_reference(samples: bytes, dt: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kept-bin mask and kept spectrum of a TX pulse (raw float64 bytes) on an n-point rFFT.
+
+    A bin is kept inside the band and above the noise floor; fewer than 3
+    kept bins cannot fit a phase line, so they raise ``ValueError``, which
+    the cache never stores. The kept frequencies are not cached: at 8 bytes
+    a bin they would cost half as much memory as the spectrum and save a
+    negligible share of a call.
+    """
+    tx_spec = np.fft.rfft(np.frombuffer(samples), n=n)
     tx_mag = np.abs(tx_spec)
-    freq = np.fft.rfftfreq(n, d=tx.dt)
+    freq = np.fft.rfftfreq(n, d=dt)
     strong = np.nonzero(tx_mag >= tx_mag.max() * 10.0 ** (-BAND_DROP_DB / 20.0))[0]
     f_lo, f_hi = freq[strong[0]], freq[strong[-1]]
     floor = np.max(tx_mag) * 10.0 ** (NOISE_FLOOR_REL_DB / 20.0)
     keep = (freq >= f_lo) & (freq <= f_hi) & (tx_mag >= floor)
-    if np.count_nonzero(keep) < 3:
+    kept = np.count_nonzero(keep)
+    if kept < 3:
         raise ValueError(
-            f"band [{f_lo:.3g}, {f_hi:.3g}] Hz is entirely below the TX noise floor")
-    h = rx_spec[keep] / tx_spec[keep]
-    attenuation = np.clip(-20.0 * np.log10(np.maximum(np.abs(h), 1e-300)), 0.0, None)
-    phase = np.unwrap(np.angle(h))
-    return MaterialSignature(freq[keep], attenuation, phase)
+            f"the TX pulse has {kept} usable rFFT bins of {freq.size} "
+            f"(band [{f_lo:.3g}, {f_hi:.3g}] Hz); a phase-line fit needs >= 3")
+    tx_kept = tx_spec[keep]
+    keep.flags.writeable = tx_kept.flags.writeable = False  # shared through the cache
+    return keep, tx_kept
 
 
 def phase_nonlinearity(sig: MaterialSignature) -> float:
     """RMS residual (rad) of the best linear fit of unwrapped phase vs frequency.
 
     Zero for any affine phase; invariant under adding an affine function.
+    The centred regressor f is orthogonal to the constant column, so the
+    least-squares intercept is mean(φ) and the slope is f·φ / f·f. The slope
+    is taken on the centred phase: f sums to zero only up to rounding, and on
+    a grid far from 0 Hz that rounding would otherwise leak mean(φ) into it.
     """
     f = sig.freq_hz - sig.freq_hz.mean()
-    basis = np.column_stack([f, np.ones_like(f)])
-    coef, *_ = np.linalg.lstsq(basis, sig.phase_rad, rcond=None)
-    resid = sig.phase_rad - basis @ coef
+    phi = sig.phase_rad - sig.phase_rad.mean()
+    resid = phi - (f @ phi / (f @ f)) * f
     return float(np.sqrt(np.mean(resid**2)))
 
 

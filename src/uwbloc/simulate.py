@@ -6,6 +6,9 @@ received burst, cut to the samples the ToA estimator reads, with the mean
 power of the whole record; it does not depend on SNR. The measurement
 (``run_trial``) adds noise to that burst, at an SNR against the whole
 record's power, estimates every ToA and solves for position.
+Anchor i sends pulse i mod the set's pulse count, and each anchor's burst
+arrives on its own record: anchors are separated in time, so no record
+holds two bursts and the pulses' orthogonality is not what separates them.
 ``sweep_snr`` loops trial-outer, SNR-inner: it builds one scenario per trial
 index, measures it at every SNR point, then drops it, so a sweep holds one
 scenario at a time and each one is built once instead of once per SNR point.
@@ -120,7 +123,6 @@ class SimConfig:
     out_dir: str = "out"
     floor_only: bool = True
     placement_inset: float = 0.1
-    orthogonal_assignment: bool = True
     # synchronized system: a fix whose fitted clock bias exceeds this is the
     # signature of ill-conditioned geometry and is rejected as a failure
     bias_gate_m: float = 0.3
@@ -289,7 +291,7 @@ def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Sce
     min_len = window + 1  # (symbol_count + 1) whole symbols
     distances, pulses, received, powers = [], [], [], []
     for idx, anchor in enumerate(cfg.anchors):
-        pulse = ps.pulses[idx % ps.pulse_count] if cfg.orthogonal_assignment else ps.pulses[0]
+        pulse = ps.pulses[idx % ps.pulse_count]
         burst = make_burst(pulse, cfg.symbol_duration, cfg.symbol_count)
         dist = float(np.linalg.norm(np.asarray(truth) - np.asarray(anchor.position)))
         cir_seed = int(streams[1 + idx].generate_state(1, dtype=np.uint64)[0])

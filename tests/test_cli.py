@@ -108,6 +108,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("obj, key", [
         ({"refine_toa": True}, "refine_toa"),
         ({"channel": {"gain_law": "rayleigh"}}, "gain_law"),
+        ({"orthogonal_assignment": False}, "orthogonal_assignment"),
     ])
     def test_removed_keys_exit_code(self, tmp_path, capsys, obj, key):
         path = tmp_path / "cfg.json"
@@ -402,12 +403,12 @@ class TestDetectCommand:
         assert str(tx_path) in err and str(rx_path) in err and "sample intervals" in err
 
     def test_pulse_without_band_exit_code(self, tmp_path, capsys):
-        # 3 samples give two rFFT bins: too few above the noise floor to estimate
+        # 3 samples give two rFFT bins: too few to fit a phase line
         path = tmp_path / "w.csv"
         waveform_to_csv(Waveform(np.array([0.0, 1.0, 0.0]), 50e-12), path)
         assert main(["detect", "--tx", str(path), "--rx", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert str(path) in err and "noise floor" in err
+        assert str(path) in err and "2 usable rFFT bins of 2" in err
 
 
 class TestCirCommand:

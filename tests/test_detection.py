@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uwbloc.channel import MaterialSignature, apply_signature, material_response
+from uwbloc.channel import MATERIAL_KINDS, MaterialSignature, apply_signature, material_response
 from uwbloc.detection import (
     ARTIFICIAL_FLOOR_DB,
+    BAND_DROP_DB,
+    NOISE_FLOOR_REL_DB,
     DetectionThresholds,
+    _tx_reference,
     classify,
     estimate_transfer,
     mean_attenuation,
     phase_nonlinearity,
 )
-from uwbloc.waveform import Waveform, delay
+from uwbloc.waveform import Waveform, add_awgn, delay
 
 DT = 50e-12
 
@@ -20,6 +25,28 @@ DT = 50e-12
 @pytest.fixture(scope="module")
 def tx(default_pulses):
     return default_pulses.pulses[0]
+
+
+def estimate_transfer_reference(tx, rx):
+    """``estimate_transfer`` with the TX spectrum, band and floor recomputed per call: the oracle."""
+    n = max(tx.samples.size, rx.samples.size)
+    tx_spec = np.fft.rfft(tx.samples, n=n)
+    rx_spec = np.fft.rfft(rx.samples, n=n)
+    tx_mag = np.abs(tx_spec)
+    freq = np.fft.rfftfreq(n, d=tx.dt)
+    strong = np.nonzero(tx_mag >= tx_mag.max() * 10.0 ** (-BAND_DROP_DB / 20.0))[0]
+    f_lo, f_hi = freq[strong[0]], freq[strong[-1]]
+    floor = np.max(tx_mag) * 10.0 ** (NOISE_FLOOR_REL_DB / 20.0)
+    keep = (freq >= f_lo) & (freq <= f_hi) & (tx_mag >= floor)
+    h = rx_spec[keep] / tx_spec[keep]
+    attenuation = np.clip(-20.0 * np.log10(np.maximum(np.abs(h), 1e-300)), 0.0, None)
+    return MaterialSignature(freq[keep], attenuation, np.unwrap(np.angle(h)))
+
+
+def assert_same_signature(a, b):
+    for name in ("freq_hz", "attenuation_db", "phase_rad"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 class TestEstimateTransfer:
@@ -45,7 +72,7 @@ class TestEstimateTransfer:
     def test_band_below_noise_floor(self):
         # a 3-sample pulse has 2 spectral bins, too few to fit a phase line
         tx = Waveform(np.array([0.0, 1.0, 0.5]), DT)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"2 usable rFFT bins of 2 .*needs >= 3"):
             estimate_transfer(tx, tx)
 
     def test_mismatched_dt(self, tx):
@@ -67,7 +94,89 @@ class TestEstimateTransfer:
         assert not np.any(strong & ((bins < f_lo) | (bins > f_hi)))
 
 
+class TestTxReference:
+    @pytest.mark.parametrize("kind", MATERIAL_KINDS)
+    def test_bit_identical_to_uncached(self, default_pulses, kind):
+        for i, pulse in enumerate(default_pulses.pulses):
+            rx = apply_signature(pulse, material_response(kind))
+            for noisy in (rx, add_awgn(rx, 30.0, seed=i)):
+                assert_same_signature(estimate_transfer(pulse, noisy),
+                                      estimate_transfer_reference(pulse, noisy))
+
+    def test_interleaved_pulses_match_each_alone(self, default_pulses):
+        a, b = default_pulses.pulses[:2]
+        rx = add_awgn(apply_signature(a, material_response("human")), 30.0, seed=4)
+        _tx_reference.cache_clear()
+        first = estimate_transfer(a, rx)
+        other = estimate_transfer(b, rx)
+        again = estimate_transfer(a, rx)
+        assert_same_signature(first, estimate_transfer_reference(a, rx))
+        assert_same_signature(other, estimate_transfer_reference(b, rx))
+        assert_same_signature(again, first)
+        assert _tx_reference.cache_info().misses == 2
+
+    def test_written_signature_cannot_change_later_result(self, tx):
+        rx = apply_signature(tx, material_response("wood_door"))
+        expected = estimate_transfer_reference(tx, rx)
+        sig = estimate_transfer(tx, rx)
+        for values in (sig.freq_hz, sig.attenuation_db, sig.phase_rad):
+            values[:] = 99.0
+        assert_same_signature(estimate_transfer(tx, rx), expected)
+
+    def test_too_short_pulse_is_not_cached(self):
+        tx = Waveform(np.array([0.0, 1.0, 0.5]), DT)
+        _tx_reference.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="usable rFFT bins"):
+                estimate_transfer(tx, tx)
+        assert _tx_reference.cache_info().currsize == 0
+
+
+def phase_nonlinearity_reference(sig):
+    """RMS residual of the ``lstsq`` fit of phase on [centred f, 1]: the oracle."""
+    f = sig.freq_hz - sig.freq_hz.mean()
+    basis = np.column_stack([f, np.ones_like(f)])
+    coef, *_ = np.linalg.lstsq(basis, sig.phase_rad, rcond=None)
+    return float(np.sqrt(np.mean((sig.phase_rad - basis @ coef) ** 2)))
+
+
+@st.composite
+def signatures(draw):
+    """A strictly increasing frequency grid, far from 0 Hz or not, with a random phase on it."""
+    n = draw(st.integers(3, 300))
+    f0 = draw(st.floats(0.0, 10e9))
+    step = draw(st.floats(1e5, 1e8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    freq = f0 + step * np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 5.0, n - 1))])
+    phase = draw(st.floats(1e-6, 100.0)) * rng.standard_normal(n)
+    return MaterialSignature(freq, np.zeros(n), phase)
+
+
+def phase_scale(phase):
+    return float(np.max(np.abs(phase)))
+
+
 class TestPhaseNonlinearity:
+    # Both fits round at about eps·|φ|, so residuals at that level are compared
+    # against the phase's scale, not against themselves.
+    @settings(max_examples=200, deadline=None)
+    @given(sig=signatures())
+    def test_matches_lstsq(self, sig):
+        expected = phase_nonlinearity_reference(sig)
+        assert phase_nonlinearity(sig) == pytest.approx(
+            expected, rel=1e-12, abs=1e-12 * phase_scale(sig.phase_rad))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sig=signatures(), offset=st.floats(-1e3, 1e3), slope=st.floats(-1e-6, 1e-6))
+    def test_affine_phase_is_linear_and_adds_nothing(self, sig, offset, slope):
+        affine = offset + slope * sig.freq_hz
+        line = MaterialSignature(sig.freq_hz, sig.attenuation_db, affine)
+        assert phase_nonlinearity(line) <= 1e-12 * phase_scale(affine)
+        shifted = MaterialSignature(sig.freq_hz, sig.attenuation_db, sig.phase_rad + affine)
+        scale = phase_scale(sig.phase_rad) + phase_scale(affine)
+        assert phase_nonlinearity(shifted) == pytest.approx(
+            phase_nonlinearity(sig), rel=1e-12, abs=1e-12 * scale)
+
     def test_linear_phase_zero(self):
         f = np.linspace(0.5e9, 2.5e9, 301)
         sig = MaterialSignature(f, np.ones(301), -2 * np.pi * 1e-9 * f + 0.7)

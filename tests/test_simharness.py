@@ -207,7 +207,6 @@ class TestConfig:
             "floor_only": False,
             # at most 0.2 m, so the placement box survives the smallest 0.5 m room
             "placement_inset": data.draw(_other_than(_floats(0.0, 0.2), 0.1)),
-            "orthogonal_assignment": False,
             "bias_gate_m": data.draw(_other_than(
                 st.floats(0.0, 10.0, exclude_min=True, allow_infinity=False), 0.3)),
             "bounds_tolerance_m": data.draw(_other_than(_floats(0.0, 10.0), 0.25)),
@@ -288,11 +287,6 @@ class TestRunTrial:
         res = run_trial(cfg, 30.0, seed=5, pulse_set=default_pulses)
         for field in (res.toa_s, res.range_m, res.toa_err_s, res.range_err_m):
             assert len(field) == len(cfg.anchors)
-
-    def test_single_pulse_assignment_flag(self, default_pulses):
-        cfg = SimConfig(orthogonal_assignment=False)
-        res = run_trial(cfg, math.inf, seed=3, pulse_set=default_pulses)
-        assert res.failure is None
 
     def test_solver_failure_recorded_not_raised(self, default_pulses):
         # the smallest valid bias gate turns every fix into a recorded failure
