@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .waveform import Waveform, delay, write_csv
+from .waveform import Waveform, _delayed_size, delay, write_csv
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -195,22 +195,22 @@ def _signature_group_delay_bound(sig: MaterialSignature) -> float:
 
 
 def _filter(
-    w: Waveform, pad: int, response: Callable[[np.ndarray], np.ndarray]
+    w: Waveform, n: int, response: Callable[[np.ndarray], np.ndarray]
 ) -> Waveform:
-    """Filter by ``response`` (of the rFFT frequency grid), zero-padded by ``pad``.
+    """Filter by ``response`` (of the rFFT frequency grid) on an ``n``-point FFT.
 
-    The output spans the padded FFT length; its mean power over all of it is
+    The output spans all ``n`` samples; its mean power over all of them is
     the SNR reference (``add_awgn``'s default, ``Scenario.powers``).
     """
-    n = _fast_len(w.samples.size + pad)
     spec = np.fft.rfft(w.samples, n=n)
     h = response(np.fft.rfftfreq(n, d=w.dt))
     return Waveform(np.fft.irfft(spec * h, n=n), w.dt)
 
 
 # Bins per block of the phasor product in ``_tap_sum``; near sqrt(bins) keeps
-# both exponential tables small for the ~12k-bin grids ``propagate`` uses.
-_PHASOR_BLOCK = 128
+# both exponential tables small for the 1k-3k-bin grids of one propagated pulse
+# (2,048-6,144-point records).
+_PHASOR_BLOCK = 64
 
 
 def _tap_sum(taps: tuple[tuple[float, float], ...], df: float, bins: int) -> np.ndarray:
@@ -249,7 +249,7 @@ def apply_signature(w: Waveform, sig: MaterialSignature) -> Waveform:
         phase = np.interp(f, sig.freq_hz, sig.phase_rad)
         return 10.0 ** (-att / 20.0) * np.exp(1j * phase)
 
-    return _filter(w, 2 * pad, response)
+    return _filter(w, _fast_len(w.samples.size + 2 * pad), response)
 
 
 def propagate(w: Waveform, distance_m: float, cir: ChannelRealization) -> Waveform:
@@ -263,11 +263,21 @@ def propagate(w: Waveform, distance_m: float, cir: ChannelRealization) -> Wavefo
     if distance_m <= 0:
         raise ValueError(f"distance must be positive, got {distance_m}")
     delayed = delay(w, distance_m / SPEED_OF_LIGHT)
-    # 128 guard samples past the delay spread; the record length sets the
-    # mean power that the SNR is referred to, so a test pins it
-    pad = int(math.ceil(cir.delay_spread / w.dt)) + 128
+    n = _record_length(w.samples.size, distance_m, cir, w.dt)
     # f[1] is the grid spacing 1/(n dt)
-    return _filter(delayed, pad, lambda f: _tap_sum(cir.taps, f[1], f.size))
+    return _filter(delayed, n, lambda f: _tap_sum(cir.taps, f[1], f.size))
+
+
+def _record_length(size: int, distance_m: float, cir: ChannelRealization, dt: float) -> int:
+    """Samples ``propagate`` returns for a ``size``-sample waveform: its FFT length.
+
+    The delayed waveform plus 128 guard samples past the delay spread, rounded
+    up by ``_fast_len``. The record length sets the mean power that the SNR
+    is referred to, so a test pins it; ``simulate.build_scenario`` sizes the
+    overlap-added burst record by it.
+    """
+    delayed = _delayed_size(size, distance_m / SPEED_OF_LIGHT, dt)
+    return _fast_len(delayed + int(math.ceil(cir.delay_spread / dt)) + 128)
 
 
 # -- serialization ----------------------------------------------------------

@@ -3,9 +3,12 @@
 A trial has two halves. The scenario (``build_scenario``) is the target
 position and, per anchor, the channel realization and the noiseless
 received burst, cut to the samples the ToA estimator reads, with the mean
-power of the whole record; it does not depend on SNR. The measurement
-(``run_trial``) adds noise to that burst, at an SNR against the whole
-record's power, estimates every ToA and solves for position.
+power of the whole record; it does not depend on SNR. The channel is linear
+and time-invariant, so each anchor's pulse is propagated once and the
+received burst is the overlap-add of its pattern-signed copies, one symbol
+apart, on a record as long as ``propagate`` returns for the whole burst.
+The measurement (``run_trial``) adds noise to that burst, at an SNR against
+the whole record's power, estimates every ToA and solves for position.
 Anchor i sends pulse i mod the set's pulse count, and each anchor's burst
 arrives on its own record: anchors are separated in time, so no record
 holds two bursts and the pulses' orthogonality is not what separates them.
@@ -42,7 +45,14 @@ from typing import Callable, Iterable, get_type_hints
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, ChannelProfile, propagate, sample_cir
+from .channel import (
+    SPEED_OF_LIGHT,
+    ChannelProfile,
+    ChannelRealization,
+    _record_length,
+    propagate,
+    sample_cir,
+)
 from .positioning import (
     Anchor,
     NoValidFixError,
@@ -58,8 +68,8 @@ from .positioning import (
 )
 from .pulses import PulseSet, load_pulse_set
 from .ranging import (
+    _pattern_signs,
     calibration_samples,
-    make_burst,
     range_from_toa,
     read_window,
     toa_dirty_template,
@@ -258,9 +268,9 @@ class Scenario:
     ``received[i]`` is anchor i's noiseless received burst, cut to the
     ``read_window`` samples the ToA estimator reads; its samples are
     read-only, because every SNR point of a sweep measures the same
-    scenario. ``powers[i]`` is the mean power of the whole burst, zero-padded
-    to at least ``(symbol_count + 1)`` symbols: the SNR reference of its
-    noise.
+    scenario. ``powers[i]`` is the mean power of the whole received record,
+    as long as ``propagate`` returns for the burst and zero-padded to at
+    least ``(symbol_count + 1)`` symbols: the SNR reference of its noise.
     """
 
     truth: tuple[float, float, float]
@@ -271,10 +281,14 @@ class Scenario:
 
 
 def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Scenario:
-    """Draw a target and the anchor channels from ``seed`` and propagate every burst.
+    """Draw a target and the anchor channels from ``seed`` and receive every burst.
 
     ``SeedSequence(seed)`` spawns one stream for the target and one CIR
-    stream per anchor, in anchor order.
+    stream per anchor, in anchor order. Each anchor's pulse is propagated
+    once, and the received burst is the overlap-add of ``symbol_count``
+    copies of it, signed by the training pattern, one symbol apart: the
+    burst ``make_burst`` sends, received through the same channel. The
+    record is as long as ``propagate`` returns for that burst.
     """
     ps = _resolve_pulses(cfg, pulse_set)
     streams = np.random.SeedSequence(seed).spawn(1 + len(cfg.anchors))
@@ -292,11 +306,10 @@ def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Sce
     distances, pulses, received, powers = [], [], [], []
     for idx, anchor in enumerate(cfg.anchors):
         pulse = ps.pulses[idx % ps.pulse_count]
-        burst = make_burst(pulse, cfg.symbol_duration, cfg.symbol_count)
         dist = float(np.linalg.norm(np.asarray(truth) - np.asarray(anchor.position)))
         cir_seed = int(streams[1 + idx].generate_state(1, dtype=np.uint64)[0])
-        rx = propagate(burst, dist, sample_cir(cfg.channel, cir_seed))
-        samples = rx.samples
+        samples = _received_burst(pulse, dist, sample_cir(cfg.channel, cir_seed),
+                                  cfg.symbol_duration, cfg.symbol_count)
         if samples.size < min_len:
             samples = np.concatenate([samples, np.zeros(min_len - samples.size)])
         powers.append(float(np.mean(samples**2)))
@@ -304,8 +317,32 @@ def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Sce
         samples.flags.writeable = False
         distances.append(dist)
         pulses.append(pulse)
-        received.append(Waveform(samples, rx.dt))
+        received.append(Waveform(samples, ps.dt))
     return Scenario(truth, tuple(distances), tuple(pulses), tuple(received), tuple(powers))
+
+
+def _received_burst(pulse: Waveform, distance_m: float, cir: ChannelRealization,
+                    symbol_duration: float, symbol_count: int) -> np.ndarray:
+    """The record ``propagate`` returns for ``make_burst(pulse, ...)``, by overlap-add.
+
+    ``pulse`` is propagated once, and ``symbol_count`` copies of the result,
+    signed by the training pattern, are added one symbol apart on a record as
+    long as ``propagate`` returns for the whole burst. The channel's tap
+    filter is circular over its record, so the taps' sinc tails wrap within
+    each copy's record here and within the whole record there: the two
+    differ by up to about 5e-3 of the peak at a default scenario's distances.
+    """
+    rx = propagate(pulse, distance_m, cir).samples
+    symbol = round(symbol_duration / pulse.dt)  # whole: read_window checked it
+    length = _record_length(symbol * symbol_count, distance_m, cir, pulse.dt)
+    record = np.zeros(length)
+    for i, sign in enumerate(_pattern_signs(symbol_count)):
+        # every copy's signal ends inside the record; only sinc tails are cut
+        part = rx[: length - i * symbol]
+        seg = record[i * symbol : i * symbol + part.size]
+        # a +-1 sign: subtracting is adding sign * part, bit for bit, without the product
+        (np.add if sign > 0 else np.subtract)(seg, part, out=seg)
+    return record
 
 
 def run_trial(

@@ -98,6 +98,26 @@ def _fractional_delay_kernel(frac: float) -> np.ndarray:
     return np.sin(y) / y * (0.5 * (1.0 + np.cos(y / (SINC_HALF_WIDTH + 1))))
 
 
+def _delay_split(tau: float, dt: float) -> tuple[int, float]:
+    """tau / dt as ``delay`` applies it: k whole samples and a fraction in
+    [1e-9, 1), or 0.0 within 1e-9 of a whole sample, which shifts exactly."""
+    shift = tau / dt
+    k = int(math.floor(shift + 0.5))
+    frac = shift - k
+    if abs(frac) < 1e-9:
+        return k, 0.0
+    if frac < 0:
+        return k - 1, frac + 1.0
+    return k, frac
+
+
+def _delayed_size(size: int, tau: float, dt: float) -> int:
+    """Samples of ``delay(w, tau)`` for a ``size``-sample ``w``: the whole-sample
+    shift, plus the interpolator's trailing half-width when a fraction remains."""
+    k, frac = _delay_split(tau, dt)
+    return size + k + (SINC_HALF_WIDTH if frac else 0)
+
+
 def delay(w: Waveform, tau: float) -> Waveform:
     """Delay a waveform by tau >= 0 seconds; the output still starts at t = 0.
 
@@ -107,15 +127,10 @@ def delay(w: Waveform, tau: float) -> Waveform:
     """
     if tau < 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
-    shift = tau / w.dt
-    k = int(math.floor(shift + 0.5))
-    frac = shift - k
-    if abs(frac) < 1e-9:
+    k, frac = _delay_split(tau, w.dt)
+    if frac == 0.0:
         out = np.concatenate([np.zeros(k), w.samples])
         return Waveform(out, w.dt)
-    if frac < 0:
-        k -= 1
-        frac += 1.0
     h = _fractional_delay_kernel(frac)
     interp = np.convolve(w.samples, h)
     # convolve output index i corresponds to signal time (i - SINC_HALF_WIDTH + frac)*dt

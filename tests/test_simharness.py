@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from uwbloc import simulate
 from uwbloc.channel import SPEED_OF_LIGHT, ChannelProfile, propagate, sample_cir
 from uwbloc.positioning import Anchor, RoomBounds
-from uwbloc.ranging import make_burst, read_window
+from uwbloc.ranging import TDT_TRAINING_PATTERN, make_burst, read_window
 from uwbloc.simulate import (
     ConfigError,
     SimConfig,
@@ -136,11 +137,12 @@ class TestConfig:
         SimConfig(room=room, anchors=anchors, symbol_duration=100e-9)
 
     def test_overlong_record_rejected_before_allocating(self, default_pulses, monkeypatch):
-        # 50 s symbols would ask make_burst for a 146 TiB burst
+        # 50 s symbols would ask build_scenario for a 146 TiB burst record,
+        # sized once propagate has returned the received pulse
         def unreachable(*args, **kwargs):
-            raise AssertionError("a burst was built for a rejected config")
+            raise AssertionError("a pulse was propagated for a rejected config")
 
-        monkeypatch.setattr(simulate, "make_burst", unreachable)
+        monkeypatch.setattr(simulate, "propagate", unreachable)
         cfg = SimConfig(symbol_duration=50.0, snr_grid_db=(30.0,), trials=1)
         with pytest.raises(ConfigError, match="record"):
             sweep_snr(cfg, default_pulses)
@@ -326,16 +328,26 @@ class TestRunTrial:
 
 
 def full_records(cfg, scenario, seed):
-    """Each anchor's propagated burst of ``build_scenario(cfg, ., seed)``, zero-padded
-    to (symbol_count + 1) whole symbols and not cut to the read window."""
+    """Each anchor's received burst of ``build_scenario(cfg, ., seed)``, zero-padded
+    to (symbol_count + 1) whole symbols and not cut to the read window.
+
+    The pulse is propagated once, and its pattern-signed copies are added one
+    symbol apart, in symbol order, on a record as long as propagating the
+    whole ``make_burst`` burst returns.
+    """
     streams = np.random.SeedSequence(seed).spawn(1 + len(cfg.anchors))
+    n = round(cfg.symbol_duration / scenario.pulses[0].dt)
     records = []
     for idx, (dist, pulse) in enumerate(zip(scenario.distances, scenario.pulses)):
         cir_seed = int(streams[1 + idx].generate_state(1, dtype=np.uint64)[0])
-        burst = make_burst(pulse, cfg.symbol_duration, cfg.symbol_count)
-        rx = propagate(burst, dist, sample_cir(cfg.channel, cir_seed))
-        pad = max(0, (cfg.symbol_count + 1) * round(cfg.symbol_duration / rx.dt) - len(rx))
-        records.append(Waveform(np.concatenate([rx.samples, np.zeros(pad)]), rx.dt))
+        cir = sample_cir(cfg.channel, cir_seed)
+        length = len(propagate(make_burst(pulse, cfg.symbol_duration, cfg.symbol_count), dist, cir))
+        rx = propagate(pulse, dist, cir).samples
+        record = np.zeros(max(length, (cfg.symbol_count + 1) * n))
+        for s, sign in zip(range(cfg.symbol_count), itertools.cycle(TDT_TRAINING_PATTERN)):
+            stop = min(s * n + rx.size, length)
+            record[s * n : stop] += sign * rx[: stop - s * n]
+        records.append(Waveform(record, pulse.dt))
     return records
 
 
@@ -384,6 +396,40 @@ class TestScenario:
         for rx in scenario.received:
             with pytest.raises(ValueError):
                 rx.samples[0] = 1.0
+
+
+class TestReceivedBurst:
+    # A default scenario's distances: floor targets lie 3 m below the ceiling
+    # anchors and at most 9 m from one. The two records differ where each one's
+    # circular tap filter wraps the taps' sinc tails, in proportion to the
+    # delayed pulse's Nyquist content: most at whole-sample delays. The largest
+    # deviation measured was 5.2e-3 of the peak (pulse 1, CIR seed 1, 262
+    # samples); 1,000 random cases read at most 2.6e-3, median 1e-4.
+    @settings(max_examples=200, deadline=None)
+    @given(cir_seed=st.integers(0, 2**32 - 1), dist=st.floats(3.0, 9.0),
+           pulse_index=st.integers(0, 3))
+    def test_overlap_add_matches_propagating_the_burst(self, default_pulses, cir_seed, dist,
+                                                       pulse_index):
+        cfg = SimConfig()
+        pulse = default_pulses.pulses[pulse_index]
+        cir = sample_cir(cfg.channel, cir_seed)
+        got = simulate._received_burst(pulse, dist, cir, cfg.symbol_duration, cfg.symbol_count)
+        whole = propagate(make_burst(pulse, cfg.symbol_duration, cfg.symbol_count), dist, cir)
+        assert got.size == len(whole)
+        assert np.max(np.abs(got - whole.samples)) <= 1e-2 * np.max(np.abs(whole.samples))
+
+    def test_one_propagation_per_burst(self, default_pulses, monkeypatch):
+        calls = []
+
+        def counting(w, distance_m, cir):
+            calls.append(len(w))
+            return propagate(w, distance_m, cir)
+
+        monkeypatch.setattr(simulate, "propagate", counting)
+        cfg = SimConfig()
+        build_scenario(cfg, default_pulses, 11)
+        assert calls == [len(default_pulses.pulses[i % default_pulses.pulse_count])
+                         for i in range(len(cfg.anchors))]
 
 
 class TestDefaultPulseSet:

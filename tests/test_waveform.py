@@ -98,6 +98,18 @@ class TestDelay:
         assert np.array_equal(d.samples[k : k + len(w)], w.samples)
         assert np.array_equal(d.samples[:k], np.zeros(k))
 
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(1, 300), tau=st.floats(0.0, 800.0))
+    @example(size=5, tau=17.0)
+    @example(size=5, tau=17.0 + 5e-10)  # within 1e-9 of a whole sample: an exact shift
+    @example(size=5, tau=17.0 - 5e-10)
+    @example(size=5, tau=0.3)  # fewer whole samples than the interpolator's half-width
+    @example(size=5, tau=40.7)
+    def test_delayed_size_is_the_output_length(self, size, tau):
+        # channel.propagate sizes its record by it before delaying
+        w = Waveform(np.ones(size), DT)
+        assert waveform._delayed_size(size, tau * DT, DT) == len(delay(w, tau * DT))
+
     def test_energy_preserved_for_band_limited(self):
         w = bl_pulse()
         for tau in [0.3 * DT, 0.5 * DT, 12.71 * DT]:
