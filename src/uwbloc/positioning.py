@@ -151,10 +151,11 @@ def _zero_bias_candidates(anchors: list[Anchor], rng_arr: np.ndarray) -> list[Po
 def bancroft_solve(anchors: list[Anchor], ranges) -> list[PositionFix]:
     """Solve the pseudorange system; returns the real candidates (0 to 2).
 
-    With four anchors the 4x4 system is solved directly; more anchors use the
-    least-squares normal-equation form. A rank-deficient system (condition
-    number above 1e12, e.g. coplanar anchors with equal ranges) falls back to
-    the zero-bias sphere intersection; geometry degenerate beyond that raises
+    One SVD of the pseudorange matrix B solves B [u, v] = [1, a] for any
+    anchor count: exactly for four anchors, in the least-squares sense for
+    more. A rank-deficient B (condition number above ``CONDITION_LIMIT``,
+    e.g. coplanar anchors with equal ranges) falls back to the zero-bias
+    sphere intersection; geometry degenerate beyond that raises
     DegenerateGeometryError, and a negative quadratic discriminant raises
     NoRealSolutionError.
     """
@@ -163,24 +164,16 @@ def bancroft_solve(anchors: list[Anchor], ranges) -> list[PositionFix]:
     rng_arr = np.asarray(ranges, dtype=float)
     if rng_arr.shape != (len(anchors),):
         raise ValueError("one range per anchor required")
-    if np.any(rng_arr <= 0):
-        raise ValueError("ranges must be positive")
+    if not np.all(np.isfinite(rng_arr) & (rng_arr > 0)):
+        raise ValueError("ranges must be positive and finite")
 
     b_mat = np.array([[*a.position, r] for a, r in zip(anchors, rng_arr)])
-    if np.linalg.cond(b_mat) > CONDITION_LIMIT:
+    u_mat, s_vals, vt_mat = np.linalg.svd(b_mat, full_matrices=False)
+    if s_vals[0] > CONDITION_LIMIT * s_vals[-1]:
         return _zero_bias_candidates(anchors, rng_arr)
     a_vec = 0.5 * np.array([_lorentz(row, row) for row in b_mat])
-    ones = np.ones(len(anchors))
-
-    if len(anchors) == 4:
-        u = np.linalg.solve(b_mat, ones)
-        v = np.linalg.solve(b_mat, a_vec)
-    else:
-        normal = b_mat.T @ b_mat
-        if np.linalg.cond(normal) > CONDITION_LIMIT:
-            return _zero_bias_candidates(anchors, rng_arr)
-        u = np.linalg.solve(normal, b_mat.T @ ones)
-        v = np.linalg.solve(normal, b_mat.T @ a_vec)
+    rhs = np.column_stack([np.ones(len(anchors)), a_vec])
+    u, v = (vt_mat.T @ ((u_mat.T @ rhs) / s_vals[:, None])).T
 
     qa = _lorentz(u, u)
     qb = 2.0 * (_lorentz(u, v) - 1.0)

@@ -70,22 +70,24 @@ def calibration_samples(pulse: Waveform) -> int:
 
 
 def make_burst(pulse: Waveform, symbol_duration: float, symbol_count: int) -> Waveform:
-    """Place symbol_count pattern-signed copies of the pulse at symbol spacing, from t = 0.
+    """Overlap-add symbol_count pattern-signed copies of the pulse at symbol spacing, from t = 0.
 
     Every burst carries ``TDT_TRAINING_PATTERN`` and starts at t = 0: the
-    estimator's sign fold and its calibration burst assume both.
+    estimator's sign fold and its calibration burst assume both. A pulse
+    longer than a symbol, such as a received one with its multipath tail,
+    overlaps the next copies; the burst is ``(symbol_count - 1)`` symbols
+    plus the longer of a symbol and the pulse.
     """
     if symbol_count < 2:
         raise ValueError("symbol_count must be >= 2")
-    if symbol_duration < pulse.duration:
-        raise ValueError("symbol_duration must cover the pulse duration")
-    dt = pulse.dt
-    n = _samples_per_symbol(symbol_duration, dt)
-    out = np.zeros(n * symbol_count)
+    n = _samples_per_symbol(symbol_duration, pulse.dt)
     p = pulse.samples
-    # every placed sample is 0.0 + sign * p, as one += per symbol would write it
-    out.reshape(symbol_count, n)[:, : p.size] += _pattern_signs(symbol_count)[:, None] * p
-    return Waveform(out, dt)
+    out = np.zeros((symbol_count - 1) * n + max(n, p.size))
+    for i, sign in enumerate(_pattern_signs(symbol_count)):
+        seg = out[i * n : i * n + p.size]
+        # a +-1 sign: subtracting is adding sign * p, bit for bit, without the product
+        (np.add if sign > 0 else np.subtract)(seg, p, out=seg)
+    return Waveform(out, pulse.dt)
 
 
 @lru_cache(maxsize=32)

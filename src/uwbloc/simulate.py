@@ -4,9 +4,9 @@ A trial has two halves. The scenario (``build_scenario``) is the target
 position and, per anchor, the channel realization and the noiseless
 received burst, cut to the samples the ToA estimator reads, with the mean
 power of the whole record; it does not depend on SNR. The channel is linear
-and time-invariant, so each anchor's pulse is propagated once and the
-received burst is the overlap-add of its pattern-signed copies, one symbol
-apart, on a record as long as ``propagate`` returns for the whole burst.
+and time-invariant, so each anchor's pulse is propagated once and
+``make_burst`` overlap-adds the received pulse into the received burst, on
+a record as long as ``propagate`` returns for the whole burst.
 The measurement (``run_trial``) adds noise to that burst, at an SNR against
 the whole record's power, estimates every ToA and solves for position.
 Anchor i sends pulse i mod the set's pulse count, and each anchor's burst
@@ -48,7 +48,6 @@ import numpy as np
 from .channel import (
     SPEED_OF_LIGHT,
     ChannelProfile,
-    ChannelRealization,
     _record_length,
     propagate,
     sample_cir,
@@ -56,8 +55,6 @@ from .channel import (
 from .positioning import (
     Anchor,
     NoValidFixError,
-    DegenerateGeometryError,
-    NoRealSolutionError,
     PositionFix,
     RoomBounds,
     anchors_from_json,
@@ -68,8 +65,8 @@ from .positioning import (
 )
 from .pulses import PulseSet, load_pulse_set
 from .ranging import (
-    _pattern_signs,
     calibration_samples,
+    make_burst,
     range_from_toa,
     read_window,
     toa_dirty_template,
@@ -285,10 +282,14 @@ def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Sce
 
     ``SeedSequence(seed)`` spawns one stream for the target and one CIR
     stream per anchor, in anchor order. Each anchor's pulse is propagated
-    once, and the received burst is the overlap-add of ``symbol_count``
-    copies of it, signed by the training pattern, one symbol apart: the
-    burst ``make_burst`` sends, received through the same channel. The
-    record is as long as ``propagate`` returns for that burst.
+    once, and ``make_burst`` overlap-adds the received pulse into the burst:
+    the channel is linear and time-invariant, so this is the burst
+    ``make_burst`` sends, received through the same channel. The record is
+    cut or zero-padded to the length ``propagate`` returns for that burst
+    (``channel._record_length``). Both records differ only where the tap
+    filter, circular over its record, wraps the taps' sinc tails: within
+    each copy's record here, within the whole record there. At a default
+    scenario's distances that is at most about 5e-3 of the peak.
     """
     ps = _resolve_pulses(cfg, pulse_set)
     streams = np.random.SeedSequence(seed).spawn(1 + len(cfg.anchors))
@@ -302,16 +303,19 @@ def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Sce
     truth = (float(x), float(y), float(z))
 
     window = read_window(cfg.symbol_duration, ps.dt, cfg.symbol_count)
-    min_len = window + 1  # (symbol_count + 1) whole symbols
+    symbol = round(cfg.symbol_duration / ps.dt)  # whole: read_window checked it
     distances, pulses, received, powers = [], [], [], []
     for idx, anchor in enumerate(cfg.anchors):
         pulse = ps.pulses[idx % ps.pulse_count]
         dist = float(np.linalg.norm(np.asarray(truth) - np.asarray(anchor.position)))
         cir_seed = int(streams[1 + idx].generate_state(1, dtype=np.uint64)[0])
-        samples = _received_burst(pulse, dist, sample_cir(cfg.channel, cir_seed),
-                                  cfg.symbol_duration, cfg.symbol_count)
-        if samples.size < min_len:
-            samples = np.concatenate([samples, np.zeros(min_len - samples.size)])
+        cir = sample_cir(cfg.channel, cir_seed)
+        burst = make_burst(propagate(pulse, dist, cir), cfg.symbol_duration,
+                           cfg.symbol_count).samples
+        length = _record_length(symbol * cfg.symbol_count, dist, cir, ps.dt)
+        # zero-padded to at least (symbol_count + 1) whole symbols
+        samples = np.zeros(max(length, window + 1))
+        samples[: min(length, burst.size)] = burst[:length]
         powers.append(float(np.mean(samples**2)))
         samples = samples[:window]
         samples.flags.writeable = False
@@ -321,35 +325,10 @@ def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Sce
     return Scenario(truth, tuple(distances), tuple(pulses), tuple(received), tuple(powers))
 
 
-def _received_burst(pulse: Waveform, distance_m: float, cir: ChannelRealization,
-                    symbol_duration: float, symbol_count: int) -> np.ndarray:
-    """The record ``propagate`` returns for ``make_burst(pulse, ...)``, by overlap-add.
-
-    ``pulse`` is propagated once, and ``symbol_count`` copies of the result,
-    signed by the training pattern, are added one symbol apart on a record as
-    long as ``propagate`` returns for the whole burst. The channel's tap
-    filter is circular over its record, so the taps' sinc tails wrap within
-    each copy's record here and within the whole record there: the two
-    differ by up to about 5e-3 of the peak at a default scenario's distances.
-    """
-    rx = propagate(pulse, distance_m, cir).samples
-    symbol = round(symbol_duration / pulse.dt)  # whole: read_window checked it
-    length = _record_length(symbol * symbol_count, distance_m, cir, pulse.dt)
-    record = np.zeros(length)
-    for i, sign in enumerate(_pattern_signs(symbol_count)):
-        # every copy's signal ends inside the record; only sinc tails are cut
-        part = rx[: length - i * symbol]
-        seg = record[i * symbol : i * symbol + part.size]
-        # a +-1 sign: subtracting is adding sign * part, bit for bit, without the product
-        (np.add if sign > 0 else np.subtract)(seg, part, out=seg)
-    return record
-
-
 def run_trial(
     cfg: SimConfig,
     snr_db: float,
     seed: int,
-    pulse_set: PulseSet | None = None,
     trial_id: int = 0,
     scenario: Scenario | None = None,
 ) -> TrialResult:
@@ -357,8 +336,8 @@ def run_trial(
 
     ``seed`` drives the noise. ``scenario`` is a prebuilt ``Scenario``, so a
     sweep can hold the scenario fixed while varying SNR; it carries its
-    pulses, so ``pulse_set`` is then not used. Without one, the scenario is
-    built from ``seed``.
+    pulses. Without one, the scenario is built from ``seed`` with the pulse
+    set ``cfg`` names.
     Failures are recorded in the result rather than raised: an anchor
     without a usable ToA gets NaN ToA and range entries and skips the solve;
     solver failures (degenerate geometry, no real root, all candidates
@@ -366,7 +345,7 @@ def run_trial(
     (cfg, snr_db, seed, scenario).
     """
     if scenario is None:
-        scenario = build_scenario(cfg, pulse_set, seed)
+        scenario = build_scenario(cfg, None, seed)
     noise_streams = np.random.SeedSequence(seed).spawn(len(cfg.anchors))
 
     toas, ranges, toa_errs, range_errs = [], [], [], []
@@ -397,7 +376,7 @@ def run_trial(
                     f"clock bias {fix.clock_bias:.3f} m exceeds the {cfg.bias_gate_m} m "
                     f"sanity gate for a synchronized system")
             pos_err = position_error(fix, scenario.truth)
-        except (DegenerateGeometryError, NoRealSolutionError, NoValidFixError, ValueError) as exc:
+        except ValueError as exc:  # NoValidFixError and the solver's errors among them
             failure = f"{type(exc).__name__}: {exc}"
             fix = None
 

@@ -69,8 +69,10 @@ class TestBancroft:
             bancroft_solve(CORNERS[:3], [1.0, 2.0, 3.0])
 
     def test_nonpositive_range_rejected(self):
-        with pytest.raises(ValueError):
-            bancroft_solve(CORNERS, [1.0, 2.0, 3.0, 0.0])
+        # a NaN range would otherwise fail inside the SVD, and an inf one give NaN fixes
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                bancroft_solve(CORNERS, [1.0, 2.0, 3.0, bad])
 
     def test_translation_equivariance(self, rng):
         anchors, truth = random_geometry(rng)
@@ -116,6 +118,17 @@ class TestBancroft:
         anchors, truth = random_geometry(rng, n_anchors=5)
         fixes = bancroft_solve(anchors, ranges_from(anchors, truth))
         assert min(position_error(f, truth) for f in fixes) < 1e-8
+
+    def test_five_coplanar_equal_ranges_fall_back_to_zero_bias(self):
+        # the range column is a multiple of the shared z column: B has rank 3
+        pentagon = [Anchor(f"p{k}", (3.0 + 2.0 * math.cos(0.4 * math.pi * k),
+                                     3.0 + 2.0 * math.sin(0.4 * math.pi * k), 3.0))
+                    for k in range(5)]
+        fixes = bancroft_solve(pentagon, [math.sqrt(13.0)] * 5)
+        positions = sorted([f.position for f in fixes], key=lambda p: p[2])
+        assert np.allclose(positions[0], (3.0, 3.0, 0.0), atol=1e-9)
+        assert np.allclose(positions[1], (3.0, 3.0, 6.0), atol=1e-9)
+        assert all(f.clock_bias == 0.0 for f in fixes)
 
     def test_degenerate_geometry(self):
         collinear = [Anchor(f"c{i}", (float(i), 0.0, 0.0)) for i in range(4)]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwbloc import simulate
-from uwbloc.channel import SPEED_OF_LIGHT, ChannelProfile, propagate, sample_cir
+from uwbloc.channel import SPEED_OF_LIGHT, ChannelProfile, _record_length, propagate, sample_cir
 from uwbloc.positioning import Anchor, RoomBounds
 from uwbloc.ranging import TDT_TRAINING_PATTERN, make_burst, read_window
 from uwbloc.simulate import (
@@ -30,8 +30,9 @@ from uwbloc.simulate import (
 )
 from uwbloc.waveform import Waveform
 
-# frozen from the first validated run: 35 dB, 100 trials, master seed 12345
-TOA_NMSE_BASELINE_35DB = 4.793204868304939e-13
+# 35 dB, 100 trials, master seed 12345, pinned since per-pulse propagation;
+# abs=0, since approx's default absolute tolerance exceeds the value itself
+TOA_NMSE_BASELINE_35DB = 4.8538068075859e-13
 
 
 # a 20 cm cube with anchors on its top corners: its ranges stay inside the
@@ -147,7 +148,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="record"):
             sweep_snr(cfg, default_pulses)
         with pytest.raises(ConfigError, match="record"):
-            run_trial(cfg, 30.0, seed=1, pulse_set=default_pulses)
+            run_trial(cfg, 30.0, seed=1)
 
     def test_record_limit_is_inclusive(self, default_pulses):
         n_sym = round(SimConfig().symbol_duration / default_pulses.dt)
@@ -168,7 +169,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             sweep_snr(cfg, default_pulses)
         with pytest.raises(ConfigError, match=message):
-            run_trial(cfg, 30.0, seed=1, pulse_set=default_pulses)
+            run_trial(cfg, 30.0, seed=1)
 
     @pytest.mark.parametrize("symbol_duration", [2.9e-9, 3e-9])
     def test_symbol_holding_the_calibration_template_runs(self, default_pulses,
@@ -252,48 +253,48 @@ class TestTrialSeeds:
 
 
 class TestRunTrial:
-    def test_deterministic(self, default_pulses):
+    def test_deterministic(self):
         cfg = SimConfig()
-        a = run_trial(cfg, 20.0, seed=77, pulse_set=default_pulses)
-        b = run_trial(cfg, 20.0, seed=77, pulse_set=default_pulses)
+        a = run_trial(cfg, 20.0, seed=77)
+        b = run_trial(cfg, 20.0, seed=77)
         assert a == b
 
-    def test_noiseless_error_below_grid_floor(self, default_pulses):
+    def test_noiseless_error_below_grid_floor(self):
         cfg = SimConfig()
-        res = run_trial(cfg, math.inf, trial_seed(cfg.master_seed, 0, 0), default_pulses)
+        res = run_trial(cfg, math.inf, trial_seed(cfg.master_seed, 0, 0))
         assert res.failure is None
         assert res.position_error_m <= 0.015
 
-    def test_truth_on_floor_within_inset(self, default_pulses):
+    def test_truth_on_floor_within_inset(self):
         cfg = SimConfig()
         for ti in range(5):
-            res = run_trial(cfg, math.inf, trial_seed(1, 0, ti), default_pulses)
+            res = run_trial(cfg, math.inf, trial_seed(1, 0, ti))
             x, y, z = res.truth
             assert z == 0.0
             assert 0.1 <= x <= 5.9 and 0.1 <= y <= 5.9
 
-    def test_full_3d_placement_flag(self, default_pulses):
+    def test_full_3d_placement_flag(self):
         cfg = SimConfig(floor_only=False)
-        zs = {run_trial(cfg, math.inf, trial_seed(2, 0, ti), default_pulses).truth[2]
+        zs = {run_trial(cfg, math.inf, trial_seed(2, 0, ti)).truth[2]
               for ti in range(4)}
         assert any(z > 0.0 for z in zs)
 
-    def test_exact_linear_ranging_relation(self, default_pulses):
+    def test_exact_linear_ranging_relation(self):
         cfg = SimConfig()
-        res = run_trial(cfg, 20.0, seed=99, pulse_set=default_pulses)
+        res = run_trial(cfg, 20.0, seed=99)
         for toa_err, rng_err in zip(res.toa_err_s, res.range_err_m):
             assert abs(rng_err - SPEED_OF_LIGHT * toa_err) < 1e-12
 
-    def test_per_anchor_arrays_match_anchor_count(self, default_pulses):
+    def test_per_anchor_arrays_match_anchor_count(self):
         cfg = SimConfig()
-        res = run_trial(cfg, 30.0, seed=5, pulse_set=default_pulses)
+        res = run_trial(cfg, 30.0, seed=5)
         for field in (res.toa_s, res.range_m, res.toa_err_s, res.range_err_m):
             assert len(field) == len(cfg.anchors)
 
-    def test_solver_failure_recorded_not_raised(self, default_pulses):
+    def test_solver_failure_recorded_not_raised(self):
         # the smallest valid bias gate turns every fix into a recorded failure
         cfg = SimConfig(bias_gate_m=math.ulp(0.0))
-        res = run_trial(cfg, math.inf, seed=3, pulse_set=default_pulses)
+        res = run_trial(cfg, math.inf, seed=3)
         assert res.failure is not None
         assert res.fix is None and res.position_error_m is None
         assert len(res.range_m) == 4  # ranging results survive the failure
@@ -310,7 +311,7 @@ class TestRunTrial:
 
         monkeypatch.setattr(simulate, "toa_dirty_template", dead_second_anchor)
         cfg = SimConfig(snr_grid_db=(30.0,), trials=2)
-        res = run_trial(cfg, 30.0, seed=5, pulse_set=default_pulses)
+        res = run_trial(cfg, 30.0, seed=5)
         assert res.failure == "ValueError: objective carries no timing structure; no usable signal"
         assert res.fix is None and res.position_error_m is None
         for entries in (res.toa_s, res.range_m, res.toa_err_s, res.range_err_m):
@@ -387,9 +388,8 @@ class TestScenario:
         cfg = SimConfig()
         seed = trial_seed(cfg.master_seed, 2, 3)
         # without a scenario, the trial seed draws it
-        assert (run_trial(cfg, 20.0, seed, default_pulses,
-                          scenario=build_scenario(cfg, default_pulses, seed))
-                == run_trial(cfg, 20.0, seed, default_pulses))
+        assert (run_trial(cfg, 20.0, seed, scenario=build_scenario(cfg, default_pulses, seed))
+                == run_trial(cfg, 20.0, seed))
 
     def test_received_samples_read_only(self, default_pulses):
         scenario = build_scenario(SimConfig(), default_pulses, 7)
@@ -413,7 +413,12 @@ class TestReceivedBurst:
         cfg = SimConfig()
         pulse = default_pulses.pulses[pulse_index]
         cir = sample_cir(cfg.channel, cir_seed)
-        got = simulate._received_burst(pulse, dist, cir, cfg.symbol_duration, cfg.symbol_count)
+        # build_scenario's record: the received pulse's burst, cut or padded to this length
+        length = _record_length(round(cfg.symbol_duration / pulse.dt) * cfg.symbol_count,
+                                dist, cir, pulse.dt)
+        burst = make_burst(propagate(pulse, dist, cir), cfg.symbol_duration,
+                           cfg.symbol_count).samples[:length]
+        got = np.concatenate([burst, np.zeros(length - burst.size)])
         whole = propagate(make_burst(pulse, cfg.symbol_duration, cfg.symbol_count), dist, cir)
         assert got.size == len(whole)
         assert np.max(np.abs(got - whole.samples)) <= 1e-2 * np.max(np.abs(whole.samples))
@@ -483,8 +488,7 @@ class TestSweep:
     def test_single_trial_equals_run_trial(self, default_pulses):
         cfg = SimConfig(snr_grid_db=(25.0,), trials=1)
         result = sweep_snr(cfg, default_pulses)
-        direct = run_trial(cfg, 25.0, trial_seed(cfg.master_seed, 0, 0), default_pulses,
-                           trial_id=0)
+        direct = run_trial(cfg, 25.0, trial_seed(cfg.master_seed, 0, 0), trial_id=0)
         assert result.trials[25.0][0] == direct
         row = result.rows[0]
         expect_toa = np.mean(np.square(direct.toa_err_s)) / cfg.symbol_duration**2
@@ -494,7 +498,7 @@ class TestSweep:
     def test_regression_baseline_35db(self, default_pulses):
         cfg = SimConfig(snr_grid_db=(35.0,), trials=100)
         result = sweep_snr(cfg, default_pulses)
-        assert result.rows[0].toa_nmse == pytest.approx(TOA_NMSE_BASELINE_35DB, rel=1e-9)
+        assert result.rows[0].toa_nmse == pytest.approx(TOA_NMSE_BASELINE_35DB, rel=1e-9, abs=0)
 
 
 class TestEmitCsv:
