@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -194,17 +193,13 @@ def _signature_group_delay_bound(sig: MaterialSignature) -> float:
     return float(np.max(np.abs(dphi)) / (2.0 * math.pi))
 
 
-def _filter(
-    w: Waveform, n: int, response: Callable[[np.ndarray], np.ndarray]
-) -> Waveform:
-    """Filter by ``response`` (of the rFFT frequency grid) on an ``n``-point FFT.
+def _filter(w: Waveform, n: int, h: np.ndarray) -> Waveform:
+    """Filter by the response ``h`` on the n // 2 + 1 bins of an ``n``-point rFFT.
 
     The output spans all ``n`` samples; its mean power over all of them is
     the SNR reference (``add_awgn``'s default, ``Scenario.powers``).
     """
-    spec = np.fft.rfft(w.samples, n=n)
-    h = response(np.fft.rfftfreq(n, d=w.dt))
-    return Waveform(np.fft.irfft(spec * h, n=n), w.dt)
+    return Waveform(np.fft.irfft(np.fft.rfft(w.samples, n=n) * h, n=n), w.dt)
 
 
 # Bins per block of the phasor product in ``_tap_sum``; near sqrt(bins) keeps
@@ -243,13 +238,11 @@ def apply_signature(w: Waveform, sig: MaterialSignature) -> Waveform:
             f"signature grid [{sig.freq_hz[0]:.3g}, {sig.freq_hz[-1]:.3g}] Hz does not "
             f"cover the waveform band [0, {nyquist:.3g}] Hz")
     pad = int(math.ceil(_signature_group_delay_bound(sig) / w.dt)) + 64
-
-    def response(f: np.ndarray) -> np.ndarray:
-        att = np.interp(f, sig.freq_hz, sig.attenuation_db)
-        phase = np.interp(f, sig.freq_hz, sig.phase_rad)
-        return 10.0 ** (-att / 20.0) * np.exp(1j * phase)
-
-    return _filter(w, _fast_len(w.samples.size + 2 * pad), response)
+    n = _fast_len(w.samples.size + 2 * pad)
+    f = np.fft.rfftfreq(n, d=w.dt)
+    att = np.interp(f, sig.freq_hz, sig.attenuation_db)
+    phase = np.interp(f, sig.freq_hz, sig.phase_rad)
+    return _filter(w, n, 10.0 ** (-att / 20.0) * np.exp(1j * phase))
 
 
 def propagate(w: Waveform, distance_m: float, cir: ChannelRealization) -> Waveform:
@@ -264,8 +257,8 @@ def propagate(w: Waveform, distance_m: float, cir: ChannelRealization) -> Wavefo
         raise ValueError(f"distance must be positive, got {distance_m}")
     delayed = delay(w, distance_m / SPEED_OF_LIGHT)
     n = _record_length(w.samples.size, distance_m, cir, w.dt)
-    # f[1] is the grid spacing 1/(n dt)
-    return _filter(delayed, n, lambda f: _tap_sum(cir.taps, f[1], f.size))
+    # rfftfreq's bin 1 is exactly 1.0 / (n * dt), so the tap sum sees its grid
+    return _filter(delayed, n, _tap_sum(cir.taps, 1.0 / (n * w.dt), n // 2 + 1))
 
 
 def _record_length(size: int, distance_m: float, cir: ChannelRealization, dt: float) -> int:

@@ -21,6 +21,7 @@ from .simulate import (
     ConfigError,
     SimConfig,
     config_from_json,
+    config_to_json,
     emit_csv,
     read_input,
     run_trial,
@@ -178,16 +179,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             sig = estimate_transfer(tx, rx)
         except ValueError as exc:  # each file is valid, the pair is not
             raise ConfigError(f"{args.tx} and {args.rx}: {exc}") from exc
-    verdict = classify(sig, thresholds)
-    print(json.dumps({
-        "label": verdict.label,
-        "mean_attenuation_db": verdict.mean_attenuation_db,
-        "phase_nonlinearity": verdict.phase_nonlinearity,
-        "thresholds": {
-            "attenuation_db": verdict.thresholds_used[0],
-            "nonlinearity_rad": verdict.thresholds_used[1],
-        },
-    }, indent=2))
+    print(json.dumps(config_to_json(classify(sig, thresholds)), indent=2))
     return EXIT_OK
 
 

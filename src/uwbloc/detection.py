@@ -64,7 +64,7 @@ class DetectionVerdict:
     label: str  # human_present | artificial_only | free_space
     mean_attenuation_db: float
     phase_nonlinearity: float
-    thresholds_used: tuple[float, float]
+    thresholds: DetectionThresholds
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mean_attenuation_db) and self.mean_attenuation_db >= 0):
@@ -159,5 +159,5 @@ def classify(sig: MaterialSignature, thresholds: DetectionThresholds | None = No
         label=label,
         mean_attenuation_db=atten,
         phase_nonlinearity=nonlin,
-        thresholds_used=(th.attenuation_db, th.nonlinearity_rad),
+        thresholds=th,
     )

@@ -51,14 +51,8 @@ DEFAULT_DT = 50e-12  # 20 GSa/s
 class InfeasibleDesignError(RuntimeError):
     """The optimizer could not reach a feasible pulse set in budget.
 
-    Carries the best candidate found and a per-constraint report so the
-    failure can be inspected.
+    The message names each broken invariant with its value.
     """
-
-    def __init__(self, message: str, report: dict, coeffs: np.ndarray):
-        super().__init__(message)
-        self.report = report
-        self.coeffs = coeffs
 
 
 def bspline_eval(m: int, knot_spacing: float, t: np.ndarray | float) -> np.ndarray | float:
@@ -136,8 +130,10 @@ def synthesize_pulse(coeffs_row: np.ndarray, basis: BSplineBasis, dt: float) -> 
 class DesignConfig:
     """Knobs for the genetic pulse-design run.
 
-    The two tolerances are class constants, not fields: the designer and the
-    pulse-set loader audit a set by the one rule.
+    The audit's FFT size and its two tolerances are class constants, not
+    fields: the designer and the pulse-set loader audit a set by the one
+    rule on the one grid. A design scored on a coarser grid can pass its own
+    audit and still exceed the mask between that grid's bins.
     """
 
     pulse_count: int = 4
@@ -146,7 +142,6 @@ class DesignConfig:
     pulse_duration: float = 1.28e-9
     mask: SpectralMask = field(default_factory=fcc_like_mask)
     dt: float = DEFAULT_DT
-    nfft: int = 4096
     population: int = 200
     generations: int = 500
     mutation_rate: float = 0.15
@@ -158,6 +153,7 @@ class DesignConfig:
     weight_rowsum: float = 10.0
     weight_gram: float = 10.0
     seed: int = 0
+    nfft: ClassVar[int] = 4096
     tol_mask_db: ClassVar[float] = 0.5
     tol_orthogonality: ClassVar[float] = 0.05
 
@@ -179,8 +175,8 @@ class DesignConfig:
         if self.seed < 0:  # numpy seeds are non-negative
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         n = self.basis.sample_count(self.dt)
-        if self.nfft < n:
-            raise ValueError(f"nfft ({self.nfft}) must be >= the pulse's sample count ({n})")
+        if n > self.nfft:
+            raise ValueError(f"the pulse's sample count ({n}) exceeds nfft ({self.nfft})")
 
     @property
     def knot_spacing(self) -> float:
@@ -240,14 +236,12 @@ class _Evaluator:
         limits_db = cfg.mask.limit_at(freq)
         band = ~np.isnan(limits_db)
         if not np.any(band):
-            raise InfeasibleDesignError(
-                "mask does not cover the sampled band", {}, np.empty(0))
+            raise InfeasibleDesignError("mask does not cover the sampled band")
         limits_lin = 10.0 ** (limits_db[band] / 10.0)
         df_mhz = float(freq[1] - freq[0]) / HZ_PER_MHZ
         self.mask_integral = cfg.mask.integral_linear()
         if self.mask_integral <= 0.0:
-            raise InfeasibleDesignError(
-                "mask allows zero power; design infeasible", {}, np.empty(0))
+            raise InfeasibleDesignError("mask allows zero power; design infeasible")
         # density per MHz at each in-band bin from the lags of a unit-energy
         # pulse; k*m is reduced modulo nfft so each cosine argument is < 2 pi
         lags = np.arange(self.phi.shape[1])
@@ -323,9 +317,9 @@ def _orthogonalize_rows(cand: np.ndarray, gram_metric: np.ndarray, rng: np.rando
 def design_pulses(cfg: DesignConfig) -> PulseSet:
     """Run the genetic search and return a verified pulse set.
 
-    Deterministic for a fixed seed. Raises InfeasibleDesignError with the
-    best candidate and a constraint report if the generation budget ends
-    without a feasible set.
+    Deterministic for a fixed seed. Raises InfeasibleDesignError, naming
+    each broken invariant, if the generation budget ends without a feasible
+    set.
     """
     rng = np.random.default_rng(cfg.seed)
     ev = _Evaluator(cfg)
@@ -376,23 +370,21 @@ def design_pulses(cfg: DesignConfig) -> PulseSet:
     e_s = float(budget[0])
 
     if e_s <= 0.0:
-        raise InfeasibleDesignError(
-            "no positive mask-compliant energy for best candidate", {"budget": e_s}, best)
+        raise InfeasibleDesignError("no positive mask-compliant energy for best candidate")
 
     # scale every row to the common compliant energy, then re-project
     pulses_raw = best @ ev.phi
     row_energy = np.sum(pulses_raw**2, axis=-1) * cfg.dt
     if np.min(row_energy) <= 0.0:
-        raise InfeasibleDesignError(
-            "best candidate contains a zero pulse", {"budget": e_s}, best)
+        raise InfeasibleDesignError("best candidate contains a zero pulse")
     coeffs = best * np.sqrt(e_s / row_energy)[:, None]
     coeffs = _project_zero_sum(coeffs)
 
-    ps, report, failures = _audit(coeffs, cfg.basis, cfg.dt, e_s, cfg.mask, cfg.nfft)
+    ps, failures = _audit(coeffs, cfg.basis, cfg.dt, e_s, cfg.mask)
     if failures:
         raise InfeasibleDesignError(
             f"design did not reach feasibility in {cfg.generations} generations: "
-            + "; ".join(failures), report, coeffs)
+            + "; ".join(failures))
     return replace(ps, objective_history=history)
 
 
@@ -402,17 +394,17 @@ def _gram(pulses: tuple[Waveform, ...]) -> np.ndarray:
 
 
 def _audit(
-    coeffs: np.ndarray, basis: BSplineBasis, dt: float, e_s: float,
-    mask: SpectralMask | None, nfft: int,
-) -> tuple[PulseSet, dict, list[str]]:
+    coeffs: np.ndarray, basis: BSplineBasis, dt: float, e_s: float, mask: SpectralMask | None,
+) -> tuple[PulseSet, list[str]]:
     """Build the pulse set of a coefficient matrix and check every invariant.
 
-    Returns the set (with an empty objective history), a report and the
-    invariants it breaks, empty for a valid set. The report holds the largest
-    |row sum| of the coefficients, the largest off-diagonal entry and diagonal
-    error of the Gram matrix over Es, the worst mask exceedance in dB and each
-    pulse's effectiveness. Without a mask the last two are NaN: unknown, so
-    they break nothing. The tolerances are ``DesignConfig``'s.
+    Returns the set (with an empty objective history) and the invariants it
+    breaks, each named with its value; the list is empty for a valid set.
+    The invariants are zero-sum coefficient rows, a Gram matrix within
+    tolerance of Es * I, each pulse's PSD under the mask and a positive
+    effectiveness per pulse. Without a mask the effectiveness is NaN
+    (unknown) and the last two break nothing. The FFT size and tolerances
+    are ``DesignConfig``'s.
     """
     tol_orthogonality, tol_mask_db = DesignConfig.tol_orthogonality, DesignConfig.tol_mask_db
     pulses = tuple(synthesize_pulse(row, basis, dt) for row in coeffs)
@@ -422,7 +414,7 @@ def _audit(
     if mask is not None:
         worst = -math.inf
         for i, pw in enumerate(pulses):
-            freq, dens = psd(pw, nfft)
+            freq, dens = psd(pw, DesignConfig.nfft)
             xi[i] = effectiveness(freq, dens, mask)
             worst = max(worst, mask_violation(freq, dens, mask))
     rowsum = float(np.max(np.abs(coeffs.sum(axis=1))))
@@ -437,10 +429,8 @@ def _audit(
         (worst > tol_mask_db, f"pulses exceed the mask by {worst:.3g} dB"),
         (np.any(xi <= 0.0), "a pulse uses none of the mask's power budget"),
     )
-    report = {"max_row_sum": rowsum, "max_gram_off_diagonal": off, "max_energy_error": energy_err,
-              "mask_violation_db": worst, "effectiveness": xi}
     ps = PulseSet(coeffs, basis, pulses, e_s, xi, float(xi.sum()), np.empty(0))
-    return ps, report, [msg for broken, msg in checks if broken]
+    return ps, [msg for broken, msg in checks if broken]
 
 
 def orthogonality_matrix(ps: PulseSet) -> np.ndarray:
@@ -477,7 +467,7 @@ def load_pulse_set(obj: dict, mask: SpectralMask | None = None) -> PulseSet:
     dt = float(obj["dt"])
     if coeffs.ndim != 2 or coeffs.shape[1] != basis.count_ns:
         raise ValueError("coefficient matrix does not match basis count")
-    ps, _, failures = _audit(coeffs, basis, dt, e_s, mask, DesignConfig.nfft)
+    ps, failures = _audit(coeffs, basis, dt, e_s, mask)
     if failures:
         raise ValueError("stored pulse set is invalid: " + "; ".join(failures))
     return ps

@@ -468,8 +468,8 @@ _SCALAR_TYPES = {
 def config_to_json(cfg) -> dict:
     """JSON object of a config dataclass, one key per field.
 
-    A cross-check: the tests round-trip every config field through it and
-    ``config_from_json``.
+    The CLI encodes the ``detect`` verdict with it, and the tests round-trip
+    every config field through it and ``config_from_json``.
     """
     obj = {}
     for f in fields(cfg):

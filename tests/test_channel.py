@@ -215,8 +215,8 @@ class TestTapSum:
 
     def test_unit_los_tap_filters_like_no_taps(self):
         w = probe_pulse()
-        with_tap = _filter(w, 512, lambda f: _tap_sum(((0.0, 1.0),), f[1], f.size))
-        assert np.array_equal(with_tap.samples, _filter(w, 512, np.ones_like).samples)
+        with_tap = _filter(w, 512, _tap_sum(((0.0, 1.0),), 1.0 / (512 * w.dt), 257))
+        assert np.array_equal(with_tap.samples, _filter(w, 512, np.ones(257)).samples)
 
 
 class TestPropagate:

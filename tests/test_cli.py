@@ -445,7 +445,7 @@ class TestDesignCommand:
         assert len(pulses_csv) == 1 + len(pulse)  # one row per sample
         psd_csv = (out / "psd_mask.csv").read_text().splitlines()
         assert psd_csv[0] == "freq_hz,psd_0_dbm_mhz,mask_dbm_mhz"
-        assert len(psd_csv) == 1 + cfg["nfft"] // 2 + 1  # one row per rfft bin
+        assert len(psd_csv) == 1 + DesignConfig.nfft // 2 + 1  # one row per rfft bin
         for table, width in ((pulses_csv, 2), (psd_csv, 3)):
             for line in table[1:]:
                 cells = line.split(",")
@@ -469,8 +469,8 @@ class TestDesignCommand:
         cfg_path = tmp_path / "design.json"
         cfg_path.write_text(json.dumps({"n_pulses": 2}))
         assert main(["design", "--config", str(cfg_path)]) == EXIT_CONFIG
-        # the tolerances are constants, so design and load audit by one rule
-        for key in ("n_pulses", "tol_orthogonality", "tol_mask_db"):
+        # the audit grid and tolerances are constants, so design and load audit by one rule
+        for key in ("n_pulses", "nfft", "tol_orthogonality", "tol_mask_db"):
             cfg_path.write_text(json.dumps({**full_design_config(), key: 0.9}))
             assert main(["design", "--config", str(cfg_path)]) == EXIT_CONFIG
             assert key in capsys.readouterr().err
@@ -486,13 +486,14 @@ class TestDesignCommand:
         assert "not orthogonal within 0.05" in capsys.readouterr().err
         assert not (out / "pulse_set.json").exists()
 
-    def test_nfft_shorter_than_pulse_exit_code(self, tmp_path, capsys):
+    def test_nfft_key_exit_code(self, tmp_path, capsys):
+        # a 32-point audit grid once let this design exceed its own mask by 2.8 dB
         cfg_path = tmp_path / "design.json"
-        cfg_path.write_text(json.dumps({"nfft": 16, "generations": 2, "population": 10}))
+        cfg_path.write_text(json.dumps({"nfft": 32, "generations": 100, "seed": 3}))
         out = tmp_path / "o"
         assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         assert "nfft" in capsys.readouterr().err
-        assert not (out / "pulse_set.json").exists()
+        assert not out.exists()
 
     def test_malformed_mask_exit_code(self, tmp_path):
         cfg_path = tmp_path / "design.json"

@@ -274,7 +274,7 @@ class TestClassify:
         verdict = classify(MaterialSignature(f, np.full(301, 10.0), np.zeros(301)),
                            DetectionThresholds(attenuation_db=25.0, nonlinearity_rad=0.5))
         assert verdict.mean_attenuation_db == pytest.approx(10.0)
-        assert verdict.thresholds_used == (25.0, 0.5)
+        assert verdict.thresholds == DetectionThresholds(25.0, 0.5)
 
     def test_rx_scaling_shifts_attenuation_only(self, tx):
         rx = apply_signature(tx, material_response("wood_door"))

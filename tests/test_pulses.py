@@ -179,10 +179,10 @@ class TestDesign:
     def test_nfft_shorter_than_pulse_rejected(self):
         n = DesignConfig().basis.sample_count(DEFAULT_DT)
         assert n == DesignConfig().basis.sample_matrix(DEFAULT_DT).shape[1] == 26
-        DesignConfig(nfft=n)
-        for nfft in (n - 1, 16, 0):
-            with pytest.raises(ValueError, match="nfft"):
-                DesignConfig(nfft=nfft)
+        fits = DesignConfig(pulse_duration=(DesignConfig.nfft - 1) * DEFAULT_DT)
+        assert fits.basis.sample_count(DEFAULT_DT) == DesignConfig.nfft
+        with pytest.raises(ValueError, match="nfft"):
+            DesignConfig(pulse_duration=DesignConfig.nfft * DEFAULT_DT)
 
     def test_default_design_reproduces_packaged_set(self, default_pulses):
         # the packaged set is the default design at this seed, to rounding
@@ -230,14 +230,14 @@ class TestLagDomainScorer:
     @settings(max_examples=60, deadline=None)
     @given(
         order=st.integers(1, 6), extra_basis=st.integers(0, 16), pulse_count=st.integers(1, 4),
-        population=st.integers(1, 6), nfft_extra=st.integers(0, 700),
+        population=st.integers(1, 6),
         mask=st.sampled_from(sorted(MASKS)), zero=st.sampled_from(["none", "pulse", "candidate"]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_fft_reference(self, order, extra_basis, pulse_count, population,
-                                   nfft_extra, mask, zero, seed):
+                                   mask, zero, seed):
         cfg = DesignConfig(pulse_count=pulse_count, basis_count=order + extra_basis,
-                           spline_order=order, mask=MASKS[mask], nfft=26 + nfft_extra)
+                           spline_order=order, mask=MASKS[mask])
         ev = _Evaluator(cfg)
         pop = np.random.default_rng(seed).normal(size=(population, pulse_count, cfg.basis_count))
         pop -= pop.mean(axis=-1, keepdims=True)
