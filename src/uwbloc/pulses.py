@@ -128,12 +128,13 @@ def synthesize_pulse(coeffs_row: np.ndarray, basis: BSplineBasis, dt: float) -> 
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Knobs for the genetic pulse-design run.
+    """A pulse-design problem and its search budget (population, generations, seed).
 
-    The audit's FFT size and its two tolerances are class constants, not
-    fields: the designer and the pulse-set loader audit a set by the one
-    rule on the one grid. A design scored on a coarser grid can pass its own
-    audit and still exceed the mask between that grid's bins.
+    What no design varies is a class constant: the genetic operators' settings
+    and penalty weights, each with the one value every design used, and the
+    audit's FFT size and tolerances, so the designer and the pulse-set loader
+    audit a set by one rule on one grid. A design scored on a coarser grid
+    can pass its own audit and still exceed the mask between that grid's bins.
     """
 
     pulse_count: int = 4
@@ -144,15 +145,15 @@ class DesignConfig:
     dt: float = DEFAULT_DT
     population: int = 200
     generations: int = 500
-    mutation_rate: float = 0.15
-    sigma_start: float = 0.3
-    sigma_end: float = 0.01
-    crossover_rate: float = 0.7
-    tournament_k: int = 3
-    elitism: int = 2
-    weight_rowsum: float = 10.0
-    weight_gram: float = 10.0
     seed: int = 0
+    mutation_rate: ClassVar[float] = 0.15
+    sigma_start: ClassVar[float] = 0.3
+    sigma_end: ClassVar[float] = 0.01
+    crossover_rate: ClassVar[float] = 0.7
+    tournament_k: ClassVar[int] = 3
+    elitism: ClassVar[int] = 2
+    weight_rowsum: ClassVar[float] = 10.0
+    weight_gram: ClassVar[float] = 10.0
     nfft: ClassVar[int] = 4096
     tol_mask_db: ClassVar[float] = 0.5
     tol_orthogonality: ClassVar[float] = 0.05
@@ -162,16 +163,9 @@ class DesignConfig:
             raise ValueError("pulse_count must be >= 1")
         if self.basis_count < self.spline_order:
             raise ValueError("basis_count must be >= spline_order")
-        for name in ("population", "generations", "sigma_start", "sigma_end",
-                     "tournament_k", "weight_rowsum", "weight_gram", "pulse_duration", "dt"):
+        for name in ("population", "generations", "pulse_duration", "dt"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if not 0 < self.mutation_rate <= 1:
-            raise ValueError(f"mutation_rate must be in (0, 1], got {self.mutation_rate}")
-        if not 0 <= self.crossover_rate <= 1:
-            raise ValueError(f"crossover_rate must be in [0, 1], got {self.crossover_rate}")
-        if self.elitism < 1:
-            raise ValueError("elitism must be >= 1")
         if self.seed < 0:  # numpy seeds are non-negative
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         n = self.basis.sample_count(self.dt)
@@ -202,8 +196,11 @@ class PulseSet:
     pulses: tuple[Waveform, ...]
     energy_es: float
     effectiveness: np.ndarray
-    objective: float
     objective_history: np.ndarray
+
+    @property
+    def objective(self) -> float:
+        return float(self.effectiveness.sum())
 
     @property
     def pulse_count(self) -> int:
@@ -326,8 +323,7 @@ def design_pulses(cfg: DesignConfig) -> PulseSet:
     l_count, ns = cfg.pulse_count, cfg.basis_count
     gram_metric = ev.phi @ ev.phi.T * cfg.dt
 
-    pop = rng.normal(size=(cfg.population, l_count, ns))
-    pop = _project_zero_sum(pop)
+    pop = _project_zero_sum(rng.normal(size=(cfg.population, l_count, ns)))
     for p in range(cfg.population):
         pop[p] = _orthogonalize_rows(pop[p], gram_metric, rng)
 
@@ -345,16 +341,12 @@ def design_pulses(cfg: DesignConfig) -> PulseSet:
         parents = draws[np.arange(cfg.population), np.argmax(fit[draws], axis=1)]
         children = pop[parents].copy()
 
-        # uniform crossover between consecutive parent pairs
-        do_cross = rng.random(cfg.population // 2) < cfg.crossover_rate
-        swap = rng.random((cfg.population // 2, l_count, ns)) < 0.5
-        swap &= do_cross[:, None, None]
-        a = children[0::2][: swap.shape[0]]
-        b = children[1::2][: swap.shape[0]]
-        a_sw = np.where(swap, b, a)
-        b_sw = np.where(swap, a, b)
-        children[0::2][: swap.shape[0]] = a_sw
-        children[1::2][: swap.shape[0]] = b_sw
+        # uniform crossover between consecutive parent pairs, in place through views
+        half = cfg.population // 2
+        do_cross = rng.random(half) < cfg.crossover_rate
+        swap = (rng.random((half, l_count, ns)) < 0.5) & do_cross[:, None, None]
+        a, b = children[0::2][:half], children[1::2][:half]
+        a[swap], b[swap] = b[swap], a[swap]
 
         sigma = cfg.sigma_start * sigma_decay**gen
         mutate = rng.random(children.shape) < cfg.mutation_rate
@@ -429,7 +421,7 @@ def _audit(
         (worst > tol_mask_db, f"pulses exceed the mask by {worst:.3g} dB"),
         (np.any(xi <= 0.0), "a pulse uses none of the mask's power budget"),
     )
-    ps = PulseSet(coeffs, basis, pulses, e_s, xi, float(xi.sum()), np.empty(0))
+    ps = PulseSet(coeffs, basis, pulses, e_s, xi, np.empty(0))
     return ps, [msg for broken, msg in checks if broken]
 
 
@@ -463,11 +455,9 @@ def load_pulse_set(obj: dict, mask: SpectralMask | None = None) -> PulseSet:
     """
     basis = BSplineBasis(int(obj["basis"]["m"]), float(obj["basis"]["T"]), int(obj["basis"]["Ns"]))
     coeffs = np.asarray(obj["coeffs"], dtype=float)
-    e_s = float(obj["Es"])
-    dt = float(obj["dt"])
     if coeffs.ndim != 2 or coeffs.shape[1] != basis.count_ns:
         raise ValueError("coefficient matrix does not match basis count")
-    ps, failures = _audit(coeffs, basis, dt, e_s, mask)
+    ps, failures = _audit(coeffs, basis, float(obj["dt"]), float(obj["Es"]), mask)
     if failures:
         raise ValueError("stored pulse set is invalid: " + "; ".join(failures))
     return ps

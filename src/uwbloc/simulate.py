@@ -465,6 +465,13 @@ _SCALAR_TYPES = {
 }
 
 
+def _holds_bool(val: object) -> bool:
+    """Whether a parsed JSON value is true or false, or holds one at any depth."""
+    if isinstance(val, (list, dict)):
+        return any(map(_holds_bool, val.values() if isinstance(val, dict) else val))
+    return isinstance(val, bool)
+
+
 def config_to_json(cfg) -> dict:
     """JSON object of a config dataclass, one key per field.
 
@@ -488,8 +495,8 @@ def config_from_json(obj: object, cls: type = SimConfig):
     """Inverse of ``config_to_json``: a ``cls`` config (SimConfig by default).
 
     Unknown keys are rejected so typos fail loudly; they, every scalar whose
-    JSON type does not fit its field's annotation, and every invalid value
-    raise ConfigError.
+    JSON type does not fit its field's annotation, a true or false inside a
+    list- or object-valued field, and every invalid value raise ConfigError.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{cls.__name__} config must be a JSON object")
@@ -500,6 +507,9 @@ def config_from_json(obj: object, cls: type = SimConfig):
     try:
         kwargs = {}
         for key, val in obj.items():
+            # a codec or tuple would read true as 1.0, so no bool may hide inside
+            if (key in _FIELD_CODECS or isinstance(val, list)) and _holds_bool(val):
+                raise ConfigError(f"{cls.__name__} config key {key!r} must not hold true or false")
             if key in _FIELD_CODECS:
                 val = _FIELD_CODECS[key][1](val)
             elif is_dataclass(types[key]):

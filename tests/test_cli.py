@@ -191,6 +191,11 @@ class TestRejectedValues:
         ({"out_dir": 5}, "out_dir"),
         ({"floor_only": "no"}, "floor_only"),
         ({"channel": {"tap_count_min": 2.5}}, "tap_count_min"),
+        # a bool inside a list or object once read as 1.0
+        ({"snr_grid_db": [30, True]}, "snr_grid_db"),
+        ({"room": {"min": [0, 0, True], "max": [6, 6, 3]}}, "room"),
+        ({"anchors": [{"id": "a0", "x": 0, "y": 0, "z": True},
+                      *config_to_json(SimConfig())["anchors"][1:]]}, "anchors"),
     ])
     def test_sim_config_value(self, tmp_path, capsys, obj, key):
         path = tmp_path / "cfg.json"
@@ -202,6 +207,7 @@ class TestRejectedValues:
     @pytest.mark.parametrize("obj, key", [
         ({"population": 10.5}, "population"),
         ({"seed": -1}, "seed"),
+        ({"mask": [{"f_lo_hz": 0, "f_hi_hz": 10e9, "limit_dbm_per_mhz": True}]}, "mask"),
     ])
     def test_design_config_value(self, tmp_path, capsys, obj, key):
         path = tmp_path / "design.json"
@@ -248,11 +254,6 @@ class TestRejectedValues:
         ("sweep", {"bias_gate_m": -1}, "bias_gate_m"),
         ("sweep", {"bounds_tolerance_m": math.nan}, "bounds_tolerance_m"),
         ("sweep", {"room": {"min": [math.nan, 0, 0], "max": [6, 6, 3]}}, "bounds"),
-        ("design", {"mutation_rate": math.nan}, "mutation_rate"),
-        ("design", {"mutation_rate": 1.5}, "mutation_rate"),
-        ("design", {"crossover_rate": math.nan}, "crossover_rate"),
-        ("design", {"crossover_rate": 1.5}, "crossover_rate"),
-        ("design", {"sigma_start": math.nan}, "sigma_start"),
         ("design", {"pulse_duration": math.inf}, "pulse_duration"),
     ])
     def test_non_finite_or_impossible_value(self, tmp_path, capsys, command, obj, key):
@@ -469,16 +470,20 @@ class TestDesignCommand:
         cfg_path = tmp_path / "design.json"
         cfg_path.write_text(json.dumps({"n_pulses": 2}))
         assert main(["design", "--config", str(cfg_path)]) == EXIT_CONFIG
-        # the audit grid and tolerances are constants, so design and load audit by one rule
-        for key in ("n_pulses", "nfft", "tol_orthogonality", "tol_mask_db"):
+        # the audit grid and tolerances are constants, so design and load audit by one
+        # rule; the search's operator settings and weights are constants too
+        for key in ("n_pulses", "nfft", "tol_orthogonality", "tol_mask_db",
+                    "mutation_rate", "sigma_start", "sigma_end", "crossover_rate",
+                    "tournament_k", "elitism", "weight_rowsum", "weight_gram"):
             cfg_path.write_text(json.dumps({**full_design_config(), key: 0.9}))
             assert main(["design", "--config", str(cfg_path)]) == EXIT_CONFIG
             assert key in capsys.readouterr().err
 
-    def test_design_fails_where_the_loader_would(self, tmp_path, capsys):
+    def test_design_fails_where_the_loader_would(self, tmp_path, capsys, monkeypatch):
         # a weak orthogonality penalty leaves a Gram off-diagonal of 0.41: the
         # design is refused, as loading it for a sweep would be
-        cfg = full_design_config(generations=40, population=40, seed=1, weight_gram=1e-6)
+        monkeypatch.setattr(DesignConfig, "weight_gram", 1e-6)
+        cfg = full_design_config(generations=40, population=40, seed=1)
         cfg_path = tmp_path / "design.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "o"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -148,7 +149,7 @@ class TestDesign:
         assert np.max(np.abs(off)) <= cfg.tol_orthogonality
         assert np.allclose(np.diag(gram), 1.0, atol=1e-9)
         assert np.max(np.abs(ps.coeffs.sum(axis=1))) < 1e-9
-        assert ps.objective == pytest.approx(float(ps.effectiveness.sum()))
+        assert ps.objective == float(ps.effectiveness.sum())
         for p in ps.pulses:
             assert energy(p) == pytest.approx(ps.energy_es, rel=1e-9)
         # the loader audits a stored set exactly as the designer audited it
@@ -175,6 +176,12 @@ class TestDesign:
             DesignConfig(basis_count=2, spline_order=4)
         with pytest.raises(ValueError):
             DesignConfig(pulse_count=0)
+
+    def test_fields_are_the_problem_and_budget(self):
+        # the search's operators and weights are constants, like the audit grid
+        assert {f.name for f in dataclasses.fields(DesignConfig)} == {
+            "pulse_count", "basis_count", "spline_order", "pulse_duration", "mask", "dt",
+            "population", "generations", "seed"}
 
     def test_nfft_shorter_than_pulse_rejected(self):
         n = DesignConfig().basis.sample_count(DEFAULT_DT)
