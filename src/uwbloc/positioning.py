@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 CONDITION_LIMIT = 1e12
+# select_solution's acceptance rule (m): candidates this far past a wall still count (floor
+# targets jitter below z = 0); in a synchronized system a larger clock bias marks bad geometry
+BOUNDS_TOLERANCE_M = 0.25
+BIAS_GATE_M = 0.3
 # Gauss-Newton stops after this many iterations, or once a step is this short (m)
 GN_MAX_ITER = 50
 GN_STEP_TOL = 1e-10
@@ -72,12 +76,6 @@ class RoomBounds:
     def __post_init__(self) -> None:
         if not all(-math.inf < lo < hi < math.inf for lo, hi in zip(self.minimum, self.maximum)):
             raise ValueError("bounds must be finite and satisfy min < max on every axis")
-
-    def contains(self, p: tuple[float, float, float] | np.ndarray, tol: float = 1e-9) -> bool:
-        return all(
-            lo - tol <= v <= hi + tol
-            for v, lo, hi in zip(p, self.minimum, self.maximum)
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,26 +199,31 @@ def bancroft_solve(anchors: list[Anchor], ranges) -> list[PositionFix]:
     return fixes
 
 
-def select_solution(
-    candidates: list[PositionFix], bounds: RoomBounds, tolerance: float = 1e-9
-) -> PositionFix:
-    """Reject out-of-bounds candidates; break remaining ties by residual RMS.
+def select_solution(candidates: list[PositionFix], bounds: RoomBounds) -> PositionFix:
+    """The accepted fix among the candidates, or NoValidFixError.
 
-    ``tolerance`` widens the bounds so estimates jittering just past a wall
-    (a target on the floor, say) are not discarded. The returned fix records
-    which rule selected it ('bounds' when rejection left a single survivor,
-    'residual' when both candidates were in bounds).
+    The whole acceptance rule, in order: keep the candidates inside
+    ``bounds`` widened by ``BOUNDS_TOLERANCE_M``; break a tie by residual
+    RMS; reject the chosen fix if its clock bias exceeds ``BIAS_GATE_M``
+    (the gate never picks the candidate). The fix records which rule
+    selected it ('bounds' when rejection left a single survivor, 'residual'
+    when both candidates were in bounds).
     """
     if not candidates:
         raise ValueError("need at least one candidate")
-    inside = [c for c in candidates if bounds.contains(c.position, tol=tolerance)]
+    inside = [c for c in candidates
+              if all(lo - BOUNDS_TOLERANCE_M <= v <= hi + BOUNDS_TOLERANCE_M
+                     for v, lo, hi in zip(c.position, bounds.minimum, bounds.maximum))]
     if not inside:
         raise NoValidFixError(
             f"all {len(candidates)} candidates fall outside the room bounds")
-    if len(inside) == 1:
-        return replace(inside[0], selection_rule="bounds")
-    best = min(inside, key=lambda c: c.residual_rms)
-    return replace(best, selection_rule="residual")
+    rule = "bounds" if len(inside) == 1 else "residual"
+    fix = replace(min(inside, key=lambda c: c.residual_rms), selection_rule=rule)
+    if abs(fix.clock_bias) > BIAS_GATE_M:
+        raise NoValidFixError(
+            f"clock bias {fix.clock_bias:.3f} m exceeds the {BIAS_GATE_M} m "
+            f"sanity gate for a synchronized system")
+    return fix
 
 
 def position_error(fix: PositionFix | tuple[float, float, float], truth) -> float:
@@ -280,4 +283,4 @@ def anchors_to_json(anchors: list[Anchor]) -> list[dict]:
 
 
 def anchors_from_json(obj: list) -> list[Anchor]:
-    return [Anchor(str(e["id"]), (float(e["x"]), float(e["y"]), float(e["z"]))) for e in obj]
+    return [Anchor(e["id"], (float(e["x"]), float(e["y"]), float(e["z"]))) for e in obj]

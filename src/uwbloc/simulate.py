@@ -54,7 +54,6 @@ from .channel import (
 )
 from .positioning import (
     Anchor,
-    NoValidFixError,
     PositionFix,
     RoomBounds,
     anchors_from_json,
@@ -130,11 +129,6 @@ class SimConfig:
     out_dir: str = "out"
     floor_only: bool = True
     placement_inset: float = 0.1
-    # synchronized system: a fix whose fitted clock bias exceeds this is the
-    # signature of ill-conditioned geometry and is rejected as a failure
-    bias_gate_m: float = 0.3
-    # candidates this far past a wall still count (floor targets jitter below z=0)
-    bounds_tolerance_m: float = 0.25
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -153,13 +147,11 @@ class SimConfig:
             raise ConfigError("need at least 4 anchors")
         if self.symbol_count < 2:
             raise ConfigError("symbol_count must be >= 2")
-        for name in ("symbol_duration", "placement_inset", "bias_gate_m", "bounds_tolerance_m"):
+        for name in ("symbol_duration", "placement_inset"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.symbol_duration > 0 and self.placement_inset >= 0):
             raise ConfigError("symbol_duration must be positive and inset non-negative")
-        if not (self.bias_gate_m > 0 and self.bounds_tolerance_m >= 0):
-            raise ConfigError("bias_gate_m must be > 0 and bounds_tolerance_m >= 0")
         # build_scenario draws x and y, and z unless floor_only, between the insets
         axes = slice(2 if self.floor_only else 3)
         if not all(lo + self.placement_inset <= hi - self.placement_inset
@@ -338,11 +330,13 @@ def run_trial(
     sweep can hold the scenario fixed while varying SNR; it carries its
     pulses. Without one, the scenario is built from ``seed`` with the pulse
     set ``cfg`` names.
+    The fix is the one ``select_solution`` accepts in ``cfg.room``.
     Failures are recorded in the result rather than raised: an anchor
     without a usable ToA gets NaN ToA and range entries and skips the solve;
-    solver failures (degenerate geometry, no real root, all candidates
-    rejected) leave the trial without a fix. Fully deterministic for fixed
-    (cfg, snr_db, seed, scenario).
+    solver failures (degenerate geometry, no real root) and a fix that the
+    acceptance rule rejects (every candidate outside the room, or a clock
+    bias past the gate) leave the trial without a fix. Fully deterministic
+    for fixed (cfg, snr_db, seed, scenario).
     """
     if scenario is None:
         scenario = build_scenario(cfg, None, seed)
@@ -369,12 +363,7 @@ def run_trial(
     pos_err: float | None = None
     if failure is None:
         try:
-            candidates = bancroft_solve(list(cfg.anchors), ranges)
-            fix = select_solution(candidates, cfg.room, tolerance=cfg.bounds_tolerance_m)
-            if abs(fix.clock_bias) > cfg.bias_gate_m:
-                raise NoValidFixError(
-                    f"clock bias {fix.clock_bias:.3f} m exceeds the {cfg.bias_gate_m} m "
-                    f"sanity gate for a synchronized system")
+            fix = select_solution(bancroft_solve(list(cfg.anchors), ranges), cfg.room)
             pos_err = position_error(fix, scenario.truth)
         except ValueError as exc:  # NoValidFixError and the solver's errors among them
             failure = f"{type(exc).__name__}: {exc}"
@@ -465,11 +454,17 @@ _SCALAR_TYPES = {
 }
 
 
-def _holds_bool(val: object) -> bool:
-    """Whether a parsed JSON value is true or false, or holds one at any depth."""
+def _check_numbers(val: object, where: str, name: object = None) -> None:
+    """Raise ConfigError, naming ``where``, unless every leaf of a parsed JSON
+    value is a number: a codec or tuple would read true as 1.0 and "3" as 3.0.
+    A leaf named ``id`` (an anchor's) must be a string instead."""
     if isinstance(val, (list, dict)):
-        return any(map(_holds_bool, val.values() if isinstance(val, dict) else val))
-    return isinstance(val, bool)
+        for key, item in val.items() if isinstance(val, dict) else enumerate(val):
+            _check_numbers(item, where, key)
+    elif name == "id" and not isinstance(val, str):
+        raise ConfigError(f"{where} needs a string anchor id, got {val!r}")
+    elif name != "id" and type(val) not in (int, float):
+        raise ConfigError(f"{where} must hold numbers, got {val!r}")
 
 
 def config_to_json(cfg) -> dict:
@@ -495,8 +490,9 @@ def config_from_json(obj: object, cls: type = SimConfig):
     """Inverse of ``config_to_json``: a ``cls`` config (SimConfig by default).
 
     Unknown keys are rejected so typos fail loudly; they, every scalar whose
-    JSON type does not fit its field's annotation, a true or false inside a
-    list- or object-valued field, and every invalid value raise ConfigError.
+    JSON type does not fit its field's annotation, a leaf of a tuple field or
+    of ``room``, ``anchors`` or ``mask`` that is not a number (an anchor id:
+    not a string), and every invalid value raise ConfigError.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{cls.__name__} config must be a JSON object")
@@ -507,19 +503,18 @@ def config_from_json(obj: object, cls: type = SimConfig):
     try:
         kwargs = {}
         for key, val in obj.items():
-            # a codec or tuple would read true as 1.0, so no bool may hide inside
-            if (key in _FIELD_CODECS or isinstance(val, list)) and _holds_bool(val):
-                raise ConfigError(f"{cls.__name__} config key {key!r} must not hold true or false")
+            where = f"{cls.__name__} config key {key!r}"
             if key in _FIELD_CODECS:
+                _check_numbers(val, where)
                 val = _FIELD_CODECS[key][1](val)
             elif is_dataclass(types[key]):
                 val = config_from_json(val, types[key])
             elif types[key] in _SCALAR_TYPES:
                 expected, accepted = _SCALAR_TYPES[types[key]]
                 if type(val) not in accepted:
-                    raise ConfigError(
-                        f"{cls.__name__} config key {key!r} must be {expected}, got {val!r}")
+                    raise ConfigError(f"{where} must be {expected}, got {val!r}")
             elif isinstance(val, list):
+                _check_numbers(val, where)
                 val = tuple(val)
             kwargs[key] = val
         return cls(**kwargs)

@@ -62,11 +62,6 @@ class Waveform:
         return self.samples.size
 
     @property
-    def duration(self) -> float:
-        """Support length in seconds (n samples cover n*dt)."""
-        return self.samples.size * self.dt
-
-    @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.samples.size)
 

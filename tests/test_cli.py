@@ -196,6 +196,14 @@ class TestRejectedValues:
         ({"room": {"min": [0, 0, True], "max": [6, 6, 3]}}, "room"),
         ({"anchors": [{"id": "a0", "x": 0, "y": 0, "z": True},
                       *config_to_json(SimConfig())["anchors"][1:]]}, "anchors"),
+        # a string where a number belongs once read as the number, or failed
+        # without naming its key; a numeric anchor id once became a string
+        ({"snr_grid_db": ["30"]}, "snr_grid_db"),
+        ({"room": {"min": ["0", 0, 0], "max": [6, 6, 3]}}, "room"),
+        ({"anchors": [{"id": "a0", "x": 0, "y": 0, "z": "3"},
+                      *config_to_json(SimConfig())["anchors"][1:]]}, "anchors"),
+        ({"anchors": [{"id": 7, "x": 0, "y": 0, "z": 3},
+                      *config_to_json(SimConfig())["anchors"][1:]]}, "anchors"),
     ])
     def test_sim_config_value(self, tmp_path, capsys, obj, key):
         path = tmp_path / "cfg.json"
@@ -208,6 +216,7 @@ class TestRejectedValues:
         ({"population": 10.5}, "population"),
         ({"seed": -1}, "seed"),
         ({"mask": [{"f_lo_hz": 0, "f_hi_hz": 10e9, "limit_dbm_per_mhz": True}]}, "mask"),
+        ({"mask": [{"f_lo_hz": "0", "f_hi_hz": 10e9, "limit_dbm_per_mhz": -41.3}]}, "mask"),
     ])
     def test_design_config_value(self, tmp_path, capsys, obj, key):
         path = tmp_path / "design.json"
@@ -250,6 +259,7 @@ class TestRejectedValues:
         ("sweep", {"channel": {"mean_tap_spacing": math.inf}}, "mean_tap_spacing"),
         ("sweep", {"channel": {"mean_tap_spacing": math.nan}}, "mean_tap_spacing"),
         ("sweep", {"channel": {"decay_constant": math.nan}}, "decay_constant"),
+        # now unknown keys: the gate and tolerance are constants of positioning
         ("sweep", {"bias_gate_m": math.nan}, "bias_gate_m"),
         ("sweep", {"bias_gate_m": -1}, "bias_gate_m"),
         ("sweep", {"bounds_tolerance_m": math.nan}, "bounds_tolerance_m"),

@@ -164,11 +164,24 @@ class TestSelectSolution:
             select_solution([a, b], ROOM)
 
     def test_tolerance_admits_boundary_jitter(self):
-        low = PositionFix((3.0, 3.0, -0.05), 0.0, 0.0, 1)
-        with pytest.raises(NoValidFixError):
-            select_solution([low], ROOM)
-        chosen = select_solution([low], ROOM, tolerance=0.1)
-        assert chosen.position == low.position
+        # the room widened by 0.25 m: a floor target's fix may jitter below z = 0
+        low = PositionFix((3.0, 3.0, -0.2), 0.0, 0.0, 1)
+        assert select_solution([low], ROOM).position == low.position
+        with pytest.raises(NoValidFixError, match="outside the room bounds"):
+            select_solution([PositionFix((3.0, 3.0, -0.3), 0.0, 0.0, 1)], ROOM)
+
+    def test_bias_gate_judges_the_chosen_fix(self):
+        # a synchronized system: |clock bias| up to 0.3 m is accepted, beyond it rejected
+        for bias in (0.3, -0.3):
+            fix = PositionFix((1.0, 1.0, 1.0), bias, 0.0, 1)
+            assert select_solution([fix], ROOM).clock_bias == bias
+        with pytest.raises(NoValidFixError, match="exceeds the 0.3 m sanity gate"):
+            select_solution([PositionFix((1.0, 1.0, 1.0), math.nextafter(0.3, 1.0), 0.0, 1)], ROOM)
+        # the gate does not pick: the lower-residual candidate is chosen, then rejected
+        good = PositionFix((1.0, 1.0, 1.0), 0.0, 0.2, 1)
+        biased = PositionFix((2.0, 2.0, 2.0), 0.5, 0.1, 2)
+        with pytest.raises(NoValidFixError, match="clock bias 0.500 m"):
+            select_solution([good, biased], ROOM)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -322,6 +322,16 @@ class TestPulseSetIO:
         with pytest.raises(ValueError, match="Es"):
             load_pulse_set(obj)
 
+    @pytest.mark.parametrize("key", ["Es", "dt", "m", "T", "Ns"])
+    def test_loader_rejects_a_string_or_bool_number(self, default_pulses, key):
+        # float() and int() once read "4" as 4 and true as 1
+        for bad in (str, lambda _: True):
+            obj = pulse_set_to_json(default_pulses)
+            where = obj if key in obj else obj["basis"]
+            where[key] = bad(where[key])
+            with pytest.raises(ValueError, match=f"pulse set key '{key}' must be a number"):
+                load_pulse_set(obj)
+
     def test_effectiveness_unknown_without_mask(self, default_pulses):
         back = load_pulse_set(pulse_set_to_json(default_pulses))
         assert np.all(np.isnan(back.effectiveness))

@@ -51,7 +51,6 @@ class TestWaveform:
     def test_times_and_duration(self):
         w = Waveform(np.ones(3), 2.0)
         assert np.array_equal(w.times, [0.0, 2.0, 4.0])
-        assert w.duration == 6.0
 
     def test_two_fields(self):
         assert [f.name for f in dataclasses.fields(Waveform)] == ["samples", "dt"]
