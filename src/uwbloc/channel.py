@@ -143,7 +143,7 @@ class MaterialSignature:
         if not (f.shape == a.shape == p.shape) or f.ndim != 1 or f.size < 3:
             raise ValueError(
                 "freq, attenuation and phase must be equal-length 1-D arrays of >= 3 points")
-        if np.any(np.diff(f) <= 0):
+        if not np.all(np.diff(f) > 0):  # NaN fails too
             raise ValueError("frequency grid must be strictly increasing")
         if not np.all(np.isfinite(a)) or np.any(a < 0):
             raise ValueError("attenuation must be finite and >= 0")

@@ -28,7 +28,7 @@ from .simulate import (
     sweep_snr,
     trial_seed,
 )
-from .spectrum import mask_to_json, psd
+from .spectrum import psd
 from .waveform import waveform_from_csv, waveform_from_json, write_csv
 
 EXIT_OK = 0
@@ -94,7 +94,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ps = design_pulses(cfg)
     (out / "pulse_set.json").write_text(json.dumps(pulse_set_to_json(ps)))
-    (out / "mask.json").write_text(json.dumps(mask_to_json(cfg.mask), indent=2))
+    (out / "mask.json").write_text(json.dumps(config_to_json(cfg)["mask"], indent=2))
 
     labels = range(ps.pulse_count)
     write_csv(out / "pulses.csv", ["t"] + [f"pulse_{i}" for i in labels],

@@ -27,8 +27,6 @@ __all__ = [
     "select_solution",
     "position_error",
     "gauss_newton_refine",
-    "anchors_to_json",
-    "anchors_from_json",
 ]
 
 CONDITION_LIMIT = 1e12
@@ -74,6 +72,8 @@ class RoomBounds:
     maximum: tuple[float, float, float]
 
     def __post_init__(self) -> None:
+        if len(self.minimum) != 3 or len(self.maximum) != 3:
+            raise ValueError("room corners must be 3 coordinates each")
         if not all(-math.inf < lo < hi < math.inf for lo, hi in zip(self.minimum, self.maximum)):
             raise ValueError("bounds must be finite and satisfy min < max on every axis")
 
@@ -274,13 +274,3 @@ def gauss_newton_refine(
         residual_rms=_residual_rms(anchors, rng_arr, pos, bias),
         candidate_index=1,
     )
-
-
-# -- serialization ----------------------------------------------------------
-
-def anchors_to_json(anchors: list[Anchor]) -> list[dict]:
-    return [{"id": a.id, "x": a.position[0], "y": a.position[1], "z": a.position[2]} for a in anchors]
-
-
-def anchors_from_json(obj: list) -> list[Anchor]:
-    return [Anchor(e["id"], (float(e["x"]), float(e["y"]), float(e["z"]))) for e in obj]

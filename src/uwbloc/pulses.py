@@ -30,7 +30,7 @@ from .spectrum import (
     mask_violation,
     psd,
 )
-from .waveform import Waveform
+from .waveform import Waveform, json_number
 
 __all__ = [
     "InfeasibleDesignError",
@@ -453,15 +453,16 @@ def load_pulse_set(obj: dict, mask: SpectralMask | None = None) -> PulseSet:
     mask is supplied. Without a mask the effectiveness and objective are NaN
     (unknown).
     """
-    num = {"Es": obj["Es"], "dt": obj["dt"], **{k: obj["basis"][k] for k in ("m", "T", "Ns")}}
-    for key, val in num.items():
-        if type(val) not in (int, float):  # float() would read "3" as 3.0, and true as 1.0
-            raise ValueError(f"pulse set key {key!r} must be a number, got {val!r}")
-    basis = BSplineBasis(int(num["m"]), float(num["T"]), int(num["Ns"]))
-    coeffs = np.asarray(obj["coeffs"], dtype=float)
+    def number(where: dict, key: str, integer: bool = False):
+        return json_number(where[key], f"pulse set key {key!r}", integer)
+
+    basis = BSplineBasis(number(obj["basis"], "m", integer=True), number(obj["basis"], "T"),
+                         number(obj["basis"], "Ns", integer=True))
+    coeffs = np.array([[json_number(c, "pulse set key 'coeffs'") for c in row]
+                       for row in obj["coeffs"]], dtype=float)
     if coeffs.ndim != 2 or coeffs.shape[1] != basis.count_ns:
         raise ValueError("coefficient matrix does not match basis count")
-    ps, failures = _audit(coeffs, basis, float(num["dt"]), float(num["Es"]), mask)
+    ps, failures = _audit(coeffs, basis, number(obj, "dt"), number(obj, "Es"), mask)
     if failures:
         raise ValueError("stored pulse set is invalid: " + "; ".join(failures))
     return ps

@@ -56,8 +56,6 @@ from .positioning import (
     Anchor,
     PositionFix,
     RoomBounds,
-    anchors_from_json,
-    anchors_to_json,
     bancroft_solve,
     position_error,
     select_solution,
@@ -70,8 +68,8 @@ from .ranging import (
     read_window,
     toa_dirty_template,
 )
-from .spectrum import mask_from_json, mask_to_json
-from .waveform import Waveform, add_awgn, read_csv, write_csv
+from .spectrum import SpectralMask
+from .waveform import Waveform, add_awgn, json_number, read_csv, write_csv
 
 __all__ = [
     "ConfigError",
@@ -435,43 +433,50 @@ def emit_csv(rows: Iterable[SweepRow], path: str | Path) -> None:
 
 # -- configuration files ------------------------------------------------------
 
-# JSON forms of the config fields that are not plain JSON values, by field name
+_MASK_KEYS = ("f_lo_hz", "f_hi_hz", "limit_dbm_per_mhz")
+
+
+def _numbers(values: Iterable, name: str) -> tuple:
+    return tuple(json_number(v, name) for v in values)
+
+
+def _anchors_from_json(obj: list) -> tuple[Anchor, ...]:
+    anchors = []
+    for entry in obj:
+        if not isinstance(entry["id"], str):
+            raise ValueError(f"anchor id must be a string, got {entry['id']!r}")
+        anchors.append(Anchor(entry["id"], tuple(json_number(entry[k], k) for k in "xyz")))
+    return tuple(anchors)
+
+
+# JSON forms of the config fields that are not plain JSON values, by field name:
+# the one place that knows the room, anchor, mask and SNR grid file formats
 _FIELD_CODECS = {
     "room": (lambda r: {"min": list(r.minimum), "max": list(r.maximum)},
-             lambda obj: RoomBounds(tuple(obj["min"]), tuple(obj["max"]))),
-    "anchors": (anchors_to_json, lambda obj: tuple(anchors_from_json(obj))),
-    "mask": (mask_to_json, mask_from_json),
+             lambda obj: RoomBounds(_numbers(obj["min"], "min"), _numbers(obj["max"], "max"))),
+    "anchors": (lambda anchors: [{"id": a.id, **dict(zip("xyz", a.position))} for a in anchors],
+                _anchors_from_json),
+    "mask": (lambda mask: [dict(zip(_MASK_KEYS, seg)) for seg in mask.segments],
+             lambda obj: SpectralMask(tuple(tuple(json_number(s[k], k) for k in _MASK_KEYS)
+                                            for s in obj))),
+    "snr_grid_db": (list, lambda obj: _numbers(obj, "an snr point")),
 }
 
-# JSON value types a scalar field accepts, by annotation: a bool is not a
-# number, and an integer is a valid float
+# JSON value types a non-numeric scalar field accepts, by annotation; an int
+# or float field's value is a json_number
 _SCALAR_TYPES = {
-    int: ("an integer", (int,)),
-    float: ("a number", (int, float)),
     bool: ("true or false", (bool,)),
     str: ("a string", (str,)),
     str | None: ("a string or null", (str, type(None))),
 }
 
 
-def _check_numbers(val: object, where: str, name: object = None) -> None:
-    """Raise ConfigError, naming ``where``, unless every leaf of a parsed JSON
-    value is a number: a codec or tuple would read true as 1.0 and "3" as 3.0.
-    A leaf named ``id`` (an anchor's) must be a string instead."""
-    if isinstance(val, (list, dict)):
-        for key, item in val.items() if isinstance(val, dict) else enumerate(val):
-            _check_numbers(item, where, key)
-    elif name == "id" and not isinstance(val, str):
-        raise ConfigError(f"{where} needs a string anchor id, got {val!r}")
-    elif name != "id" and type(val) not in (int, float):
-        raise ConfigError(f"{where} must hold numbers, got {val!r}")
-
-
 def config_to_json(cfg) -> dict:
     """JSON object of a config dataclass, one key per field.
 
-    The CLI encodes the ``detect`` verdict with it, and the tests round-trip
-    every config field through it and ``config_from_json``.
+    The CLI encodes the ``detect`` verdict and writes ``mask.json`` with it,
+    and the tests round-trip every config field through it and
+    ``config_from_json``.
     """
     obj = {}
     for f in fields(cfg):
@@ -480,8 +485,6 @@ def config_to_json(cfg) -> dict:
             val = _FIELD_CODECS[f.name][0](val)
         elif is_dataclass(val):
             val = config_to_json(val)
-        elif isinstance(val, tuple):
-            val = list(val)
         obj[f.name] = val
     return obj
 
@@ -489,10 +492,10 @@ def config_to_json(cfg) -> dict:
 def config_from_json(obj: object, cls: type = SimConfig):
     """Inverse of ``config_to_json``: a ``cls`` config (SimConfig by default).
 
-    Unknown keys are rejected so typos fail loudly; they, every scalar whose
-    JSON type does not fit its field's annotation, a leaf of a tuple field or
-    of ``room``, ``anchors`` or ``mask`` that is not a number (an anchor id:
-    not a string), and every invalid value raise ConfigError.
+    Unknown keys are rejected so typos fail loudly; they, every value whose
+    JSON type does not fit its field (a number is a ``json_number``, an
+    anchor id a string), and every invalid value raise ConfigError naming
+    the config key.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{cls.__name__} config must be a JSON object")
@@ -500,27 +503,30 @@ def config_from_json(obj: object, cls: type = SimConfig):
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} config keys: {sorted(unknown)}")
     types = get_type_hints(cls)
-    try:
-        kwargs = {}
-        for key, val in obj.items():
-            where = f"{cls.__name__} config key {key!r}"
+    kwargs = {}
+    for key, val in obj.items():
+        where = f"{cls.__name__} config key {key!r}"
+        try:
             if key in _FIELD_CODECS:
-                _check_numbers(val, where)
                 val = _FIELD_CODECS[key][1](val)
             elif is_dataclass(types[key]):
                 val = config_from_json(val, types[key])
+            elif types[key] in (int, float):
+                val = json_number(val, key, integer=types[key] is int)
             elif types[key] in _SCALAR_TYPES:
                 expected, accepted = _SCALAR_TYPES[types[key]]
                 if type(val) not in accepted:
-                    raise ConfigError(f"{where} must be {expected}, got {val!r}")
-            elif isinstance(val, list):
-                _check_numbers(val, where)
-                val = tuple(val)
-            kwargs[key] = val
+                    raise ValueError(f"{key} must be {expected}, got {val!r}")
+        except KeyError as exc:
+            raise ConfigError(f"{where} lacks the key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        kwargs[key] = val
+    try:
         return cls(**kwargs)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {cls.__name__} config value: {exc}") from exc
 
 

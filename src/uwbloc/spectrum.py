@@ -9,6 +9,7 @@ pins the admissible pulse energy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,6 @@ __all__ = [
     "psd",
     "mask_violation",
     "effectiveness",
-    "mask_to_json",
-    "mask_from_json",
 ]
 
 # Clamp applied to log of empty bins; a zero waveform reports this everywhere.
@@ -53,9 +52,12 @@ class SpectralMask:
         segs = tuple((float(a), float(b), float(c)) for a, b, c in self.segments)
         if not segs:
             raise ValueError("mask needs at least one segment")
-        for f_lo, f_hi, _ in segs:
-            if not f_lo < f_hi:
-                raise ValueError(f"segment must have f_lo < f_hi, got [{f_lo}, {f_hi}]")
+        for f_lo, f_hi, limit in segs:
+            if not -math.inf < f_lo < f_hi < math.inf:
+                raise ValueError(f"segment must have finite f_lo < f_hi, got [{f_lo}, {f_hi}]")
+            # -inf forbids a band; a NaN or +inf limit would make every pulse score zero
+            if math.isnan(limit) or limit == math.inf:
+                raise ValueError(f"segment limit must be a number or -inf, got {limit}")
         for (_, hi_prev, _), (lo_next, _, _) in zip(segs, segs[1:]):
             if not np.isclose(hi_prev, lo_next, rtol=1e-9, atol=1e-3):
                 raise ValueError("mask segments must be contiguous")
@@ -179,19 +181,3 @@ def effectiveness(freq_hz: np.ndarray, density_db: np.ndarray, mask: SpectralMas
     num = float(np.sum(lin) * df_mhz) if f.size > 1 else 0.0
     return num / denom
 
-
-# -- serialization ----------------------------------------------------------
-
-def mask_to_json(mask: SpectralMask) -> list[dict]:
-    return [
-        {"f_lo_hz": a, "f_hi_hz": b, "limit_dbm_per_mhz": lim}
-        for a, b, lim in mask.segments
-    ]
-
-
-def mask_from_json(obj: list) -> SpectralMask:
-    segs = tuple(
-        (float(s["f_lo_hz"]), float(s["f_hi_hz"]), float(s["limit_dbm_per_mhz"]))
-        for s in obj
-    )
-    return SpectralMask(segs)

@@ -24,6 +24,7 @@ __all__ = [
     "cross_correlate",
     "write_csv",
     "read_csv",
+    "json_number",
     "waveform_from_csv",
     "waveform_from_json",
 ]
@@ -203,6 +204,19 @@ def read_csv(path: str | Path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
+def json_number(value: object, name: str, integer: bool = False) -> int | float:
+    """``value`` if it is a parsed JSON number (a JSON integer if ``integer``).
+
+    The one reading of a number in every JSON input file: a config, a pulse
+    set or a waveform. A bool is not a number, a string is never read as
+    one, and a float is not cut to an integer. Anything else raises
+    ValueError naming ``name``.
+    """
+    if type(value) is int or (type(value) is float and not integer):
+        return value
+    raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+
+
 def waveform_from_csv(rows: np.ndarray) -> Waveform:
     """The waveform of `t,amplitude` rows, as ``read_csv`` returns them.
 
@@ -220,4 +234,5 @@ def waveform_from_csv(rows: np.ndarray) -> Waveform:
 
 def waveform_from_json(obj: dict) -> Waveform:
     """The waveform of a ``{"dt", "samples"}`` object; other keys (an old t0) are ignored."""
-    return Waveform(np.asarray(obj["samples"], dtype=float), float(obj["dt"]))
+    return Waveform([json_number(x, "samples") for x in obj["samples"]],
+                    json_number(obj["dt"], "dt"))

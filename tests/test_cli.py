@@ -11,7 +11,6 @@ from uwbloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
 from uwbloc.positioning import Anchor, RoomBounds
 from uwbloc.pulses import DesignConfig, load_pulse_set, pulse_set_to_json
 from uwbloc.simulate import SimConfig, config_to_json
-from uwbloc.spectrum import mask_to_json
 from uwbloc.waveform import Waveform
 
 from conftest import signature_to_csv, waveform_to_csv, waveform_to_json
@@ -204,6 +203,12 @@ class TestRejectedValues:
                       *config_to_json(SimConfig())["anchors"][1:]]}, "anchors"),
         ({"anchors": [{"id": 7, "x": 0, "y": 0, "z": 3},
                       *config_to_json(SimConfig())["anchors"][1:]]}, "anchors"),
+        # a structural error once named only the inner key, or no key at all
+        ({"room": {"min": [0, 0, 0]}}, "room"),
+        ({"anchors": [{"id": "a"}] * 4}, "anchors"),
+        ({"snr_grid_db": 30}, "snr_grid_db"),
+        # zip once stopped at the shorter corner, and a later check named no key
+        ({"room": {"min": [0, 0], "max": [6, 6]}}, "room"),
     ])
     def test_sim_config_value(self, tmp_path, capsys, obj, key):
         path = tmp_path / "cfg.json"
@@ -217,6 +222,10 @@ class TestRejectedValues:
         ({"seed": -1}, "seed"),
         ({"mask": [{"f_lo_hz": 0, "f_hi_hz": 10e9, "limit_dbm_per_mhz": True}]}, "mask"),
         ({"mask": [{"f_lo_hz": "0", "f_hi_hz": 10e9, "limit_dbm_per_mhz": -41.3}]}, "mask"),
+        # each once ran the whole search and exited 3 as an infeasible design
+        ({"mask": [{"f_lo_hz": 0, "f_hi_hz": 10e9, "limit_dbm_per_mhz": math.nan}]}, "mask"),
+        ({"mask": [{"f_lo_hz": 0, "f_hi_hz": 10e9, "limit_dbm_per_mhz": math.inf}]}, "mask"),
+        ({"mask": [{"f_lo_hz": 0, "f_hi_hz": math.inf, "limit_dbm_per_mhz": -41.3}]}, "mask"),
     ])
     def test_design_config_value(self, tmp_path, capsys, obj, key):
         path = tmp_path / "design.json"
@@ -378,6 +387,8 @@ class TestDetectCommand:
         ("w.json", "{not json"),
         ("w.json", json.dumps({"dt": 5e-11})),
         ("w.json", json.dumps([0.0, 1.0])),
+        # "1.0" once read as 1.0
+        ("w.json", json.dumps({"dt": 5e-11, "samples": [0.0, "1.0", 0.5]})),
         ("w.csv", "t,amplitude\n0.0,1.0\n5e-11,oops\n"),
         ("w.csv", "t\n0.0\n5e-11\n"),
         ("w.csv", "t,amplitude\n0.0,1.0\n"),
@@ -392,10 +403,19 @@ class TestDetectCommand:
         assert main(["detect", flag, str(bad), other, str(good)]) == EXIT_CONFIG
         assert str(bad) in capsys.readouterr().err
 
+    def test_bool_sample_interval_exit_code(self, tmp_path, capsys):
+        # true once read as a 1 s sample interval, and the pair was classified
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"dt": True, "samples": [0.0, 1.0, 0.5, 0.0]}))
+        assert main(["detect", "--tx", str(path), "--rx", str(path)]) == EXIT_CONFIG
+        assert "dt must be a number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [
         "freq_hz,attenuation_db,phase_rad\n1e9,10,0\n2e9,oops,0\n",
         "freq_hz\n1e9\n2e9\n",
         "freq_hz,attenuation_db,phase_rad\n2e9,10,0\n1e9,10,0\n",
+        # NaN once passed the increasing-grid check and ended in a traceback
+        "freq_hz,attenuation_db,phase_rad\n1e9,10,0\nnan,10,0\n3e9,10,0\n",
         # well-formed, but a phase-linearity fit needs three frequency points
         "freq_hz,attenuation_db,phase_rad\n1e9,10,0\n2e9,10,0\n",
     ])
@@ -432,10 +452,7 @@ class TestCirCommand:
 
 def full_design_config(**overrides) -> dict:
     """A design config JSON object naming every DesignConfig field."""
-    cfg = dataclasses.replace(DesignConfig(), **overrides)
-    obj = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
-    obj["mask"] = mask_to_json(cfg.mask)
-    return obj
+    return config_to_json(dataclasses.replace(DesignConfig(), **overrides))
 
 
 class TestDesignCommand:

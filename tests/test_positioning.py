@@ -13,13 +13,12 @@ from uwbloc.positioning import (
     NoValidFixError,
     PositionFix,
     RoomBounds,
-    anchors_from_json,
-    anchors_to_json,
     bancroft_solve,
     gauss_newton_refine,
     position_error,
     select_solution,
 )
+from uwbloc.simulate import SimConfig, config_from_json, config_to_json
 
 CORNERS = [
     Anchor("a0", (0.0, 0.0, 3.0)),
@@ -241,8 +240,8 @@ class TestGaussNewton:
 class TestAnchorIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "anchors.json"
-        path.write_text(json.dumps(anchors_to_json(CORNERS), indent=2))
-        back = anchors_from_json(json.loads(path.read_text()))
+        path.write_text(json.dumps(config_to_json(SimConfig(anchors=tuple(CORNERS))), indent=2))
+        back = list(config_from_json(json.loads(path.read_text())).anchors)
         assert back == CORNERS
 
     def test_anchor_validation(self):
@@ -250,3 +249,5 @@ class TestAnchorIO:
             Anchor("bad", (1.0, math.inf, 0.0))
         with pytest.raises(ValueError):
             RoomBounds((0.0, 0.0, 0.0), (6.0, 6.0, 0.0))
+        with pytest.raises(ValueError, match="3 coordinates"):
+            RoomBounds((0.0, 0.0), (6.0, 6.0))

@@ -322,14 +322,19 @@ class TestPulseSetIO:
         with pytest.raises(ValueError, match="Es"):
             load_pulse_set(obj)
 
-    @pytest.mark.parametrize("key", ["Es", "dt", "m", "T", "Ns"])
+    @pytest.mark.parametrize("key", ["Es", "dt", "m", "T", "Ns", "coeffs"])
     def test_loader_rejects_a_string_or_bool_number(self, default_pulses, key):
-        # float() and int() once read "4" as 4 and true as 1
-        for bad in (str, lambda _: True):
+        # float() and int() once read "4" as 4 and true as 1, and int() cut 4.9 to 4
+        bads = [str, lambda _: True] + ([lambda v: v + 0.9] if key in ("m", "Ns") else [])
+        for bad in bads:
             obj = pulse_set_to_json(default_pulses)
-            where = obj if key in obj else obj["basis"]
-            where[key] = bad(where[key])
-            with pytest.raises(ValueError, match=f"pulse set key '{key}' must be a number"):
+            if key == "coeffs":
+                obj["coeffs"][1][2] = bad(obj["coeffs"][1][2])
+            else:
+                where = obj if key in obj else obj["basis"]
+                where[key] = bad(where[key])
+            match = f"pulse set key '{key}' must be (a number|an integer)"
+            with pytest.raises(ValueError, match=match):
                 load_pulse_set(obj)
 
     def test_effectiveness_unknown_without_mask(self, default_pulses):

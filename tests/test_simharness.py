@@ -18,6 +18,7 @@ from uwbloc.channel import (
     sample_cir,
 )
 from uwbloc.positioning import Anchor, RoomBounds
+from uwbloc.pulses import DesignConfig, load_pulse_set, pulse_set_to_json
 from uwbloc.ranging import TDT_TRAINING_PATTERN, make_burst, read_window, toa_dirty_template
 from uwbloc.simulate import (
     ConfigError,
@@ -35,7 +36,9 @@ from uwbloc.simulate import (
     sweep_snr,
     trial_seed,
 )
-from uwbloc.waveform import Waveform
+from uwbloc.waveform import Waveform, waveform_from_json
+
+from conftest import waveform_to_json
 
 # 35 dB, 100 trials, master seed 12345, pinned since per-pulse propagation;
 # abs=0, since approx's default absolute tolerance exceeds the value itself
@@ -223,6 +226,36 @@ class TestConfig:
         assert set(kwargs) == {f.name for f in dataclasses.fields(SimConfig)}
         cfg = SimConfig(**kwargs)
         assert config_from_json(json.loads(json.dumps(config_to_json(cfg)))) == cfg
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_number_written_as_a_string_bool_or_null_is_rejected(self, data, default_pulses):
+        # every JSON input file reads its numbers by one rule, and names the key of a bad one
+        obj, decode, is_config = data.draw(st.sampled_from([
+            (config_to_json(SimConfig()), config_from_json, True),
+            (config_to_json(DesignConfig()), lambda o: config_from_json(o, DesignConfig), True),
+            (pulse_set_to_json(default_pulses), load_pulse_set, False),
+            (waveform_to_json(default_pulses.pulses[0]), waveform_from_json, False),
+        ]))
+        path = data.draw(st.sampled_from(_numeric_leaves(obj)))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(st.sampled_from([str(parent[path[-1]]), True, None]))
+        keys = [key for key in path if isinstance(key, str)]
+        with pytest.raises(ValueError, match="must be (a number|an integer)") as info:
+            decode(obj)
+        # a config names its own key and the innermost one; a pulse set or waveform its key
+        for key in {keys[0], keys[-1]} if is_config else {keys[-1]}:
+            assert key in str(info.value)
+
+
+def _numeric_leaves(obj, path=()):
+    """Paths to every number in a parsed JSON value."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [leaf for key, val in items for leaf in _numeric_leaves(val, path + (key,))]
+    return [path] if type(obj) in (int, float) else []
 
 
 def _floats(lo, hi):

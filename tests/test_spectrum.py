@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from uwbloc.pulses import DesignConfig
+from uwbloc.simulate import config_from_json, config_to_json
 from uwbloc.spectrum import (
     DB_FLOOR,
     DisjointBandError,
     SpectralMask,
     effectiveness,
     fcc_like_mask,
-    mask_from_json,
-    mask_to_json,
     mask_violation,
     psd,
 )
@@ -95,8 +95,8 @@ class TestSpectralMask:
     def test_json_round_trip(self, tmp_path):
         mask = fcc_like_mask(notch=(1.0e9, 1.5e9, -60.0))
         path = tmp_path / "mask.json"
-        path.write_text(json.dumps(mask_to_json(mask), indent=2))
-        assert mask_from_json(json.loads(path.read_text())) == mask
+        path.write_text(json.dumps(config_to_json(DesignConfig(mask=mask)), indent=2))
+        assert config_from_json(json.loads(path.read_text()), DesignConfig).mask == mask
 
 
 class TestMaskViolation:
