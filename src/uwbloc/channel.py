@@ -217,11 +217,12 @@ def _tap_sum(taps: tuple[tuple[float, float], ...], df: float, bins: int) -> np.
     taps * bins. A lone unit tap at delay 0 gives exactly 1 on every bin.
     """
     delays, gains = np.asarray(taps, dtype=float).T
+    shift = math.frexp(float(np.max(np.abs(gains))))[1] - 1  # exact; subnormal gains round once
     rate = -2j * math.pi * df * delays
-    blocks = -(-bins // _PHASOR_BLOCK)
     within = np.exp(np.outer(rate, np.arange(_PHASOR_BLOCK)))
-    across = gains[:, None] * np.exp(np.outer(rate, _PHASOR_BLOCK * np.arange(blocks)))
-    return (across.T @ within).ravel()[:bins]
+    across = np.ldexp(gains, -shift)[:, None] * np.exp(
+        np.outer(rate, np.arange(0, bins, _PHASOR_BLOCK)))
+    return np.ldexp((across.T @ within).ravel()[:bins].view(float), shift).view(complex)
 
 
 def apply_signature(w: Waveform, sig: MaterialSignature) -> Waveform:
