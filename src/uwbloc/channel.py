@@ -217,12 +217,15 @@ def _tap_sum(taps: tuple[tuple[float, float], ...], df: float, bins: int) -> np.
     taps * bins. A lone unit tap at delay 0 gives exactly 1 on every bin.
     """
     delays, gains = np.asarray(taps, dtype=float).T
-    shift = math.frexp(float(np.max(np.abs(gains))))[1] - 1  # exact; subnormal gains round once
+    # a power-of-two scale puts the largest |gain| in [1, 2), so a subnormal gain
+    # rounds once, not in every product; a sampled channel's LOS gain 1 needs none
+    shift = math.frexp(float(np.max(np.abs(gains))))[1] - 1
     rate = -2j * math.pi * df * delays
     within = np.exp(np.outer(rate, np.arange(_PHASOR_BLOCK)))
     across = np.ldexp(gains, -shift)[:, None] * np.exp(
         np.outer(rate, np.arange(0, bins, _PHASOR_BLOCK)))
-    return np.ldexp((across.T @ within).ravel()[:bins].view(float), shift).view(complex)
+    total = (across.T @ within).ravel()[:bins]
+    return np.ldexp(total.view(float), shift).view(complex) if shift else total
 
 
 def apply_signature(w: Waveform, sig: MaterialSignature) -> Waveform:

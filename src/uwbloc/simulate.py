@@ -98,8 +98,7 @@ class ConfigError(ValueError):
 # Longest received record, in samples, that a config may ask for: the ToA
 # estimator's read window, one sample short of (symbol_count + 1) symbols of
 # symbol_duration / dt samples each. The default config's is 20,999 samples,
-# 1/800 of this; a longer one is a typo
-# (such as a symbol_duration in ns written as seconds), not a simulation.
+# 1/800 of this; a longer one is a typo (ns written as seconds), not a simulation.
 MAX_RECORD_SAMPLES = 2**24
 
 
@@ -411,7 +410,7 @@ def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
         failures = sum(1 for r in results if r.failure is not None)
         rows.append(
             SweepRow(
-                snr_db=snr,
+                snr_db=float(snr),  # a config built in code may hold an int
                 toa_nmse=float(np.mean(toa_sq) / tsym2) if toa_sq else math.nan,
                 range_nmse=(float(np.mean(rng_sq) / (SPEED_OF_LIGHT**2 * tsym2))
                             if rng_sq else math.nan),
@@ -427,8 +426,7 @@ def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
 def emit_csv(rows: Iterable[SweepRow], path: str | Path) -> None:
     """Write one row per SNR point with >= 9 significant digits."""
     names = [f.name for f in fields(SweepRow)]
-    # float() because an SNR point read from a JSON config may be an int
-    write_csv(path, names, ([float(getattr(r, n)) for n in names] for r in rows))
+    write_csv(path, names, ([getattr(r, n) for n in names] for r in rows))
 
 
 # -- configuration files ------------------------------------------------------
@@ -440,13 +438,10 @@ def _numbers(values: Iterable, name: str) -> tuple:
     return tuple(json_number(v, name) for v in values)
 
 
-def _anchors_from_json(obj: list) -> tuple[Anchor, ...]:
-    anchors = []
-    for entry in obj:
-        if not isinstance(entry["id"], str):
-            raise ValueError(f"anchor id must be a string, got {entry['id']!r}")
-        anchors.append(Anchor(entry["id"], tuple(json_number(entry[k], k) for k in "xyz")))
-    return tuple(anchors)
+def _anchor_from_json(entry: dict) -> Anchor:
+    if not isinstance(entry["id"], str):
+        raise ValueError(f"anchor id must be a string, got {entry['id']!r}")
+    return Anchor(entry["id"], tuple(json_number(entry[k], k) for k in "xyz"))
 
 
 # JSON forms of the config fields that are not plain JSON values, by field name:
@@ -455,7 +450,7 @@ _FIELD_CODECS = {
     "room": (lambda r: {"min": list(r.minimum), "max": list(r.maximum)},
              lambda obj: RoomBounds(_numbers(obj["min"], "min"), _numbers(obj["max"], "max"))),
     "anchors": (lambda anchors: [{"id": a.id, **dict(zip("xyz", a.position))} for a in anchors],
-                _anchors_from_json),
+                lambda obj: tuple(map(_anchor_from_json, obj))),
     "mask": (lambda mask: [dict(zip(_MASK_KEYS, seg)) for seg in mask.segments],
              lambda obj: SpectralMask(tuple(tuple(json_number(s[k], k) for k in _MASK_KEYS)
                                             for s in obj))),
@@ -474,9 +469,8 @@ _SCALAR_TYPES = {
 def config_to_json(cfg) -> dict:
     """JSON object of a config dataclass, one key per field.
 
-    The CLI encodes the ``detect`` verdict and writes ``mask.json`` with it,
-    and the tests round-trip every config field through it and
-    ``config_from_json``.
+    The CLI writes the ``detect`` verdict and ``mask.json`` with it; every
+    config field round-trips through it and ``config_from_json``.
     """
     obj = {}
     for f in fields(cfg):

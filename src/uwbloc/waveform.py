@@ -205,15 +205,18 @@ def read_csv(path: str | Path) -> np.ndarray:
 
 
 def json_number(value: object, name: str, integer: bool = False) -> int | float:
-    """``value`` if it is a parsed JSON number (a JSON integer if ``integer``).
+    """The one reading of a number in a JSON config, pulse set or waveform.
 
-    The one reading of a number in every JSON input file: a config, a pulse
-    set or a waveform. A bool is not a number, a string is never read as
-    one, and a float is not cut to an integer. Anything else raises
-    ValueError naming ``name``.
+    A JSON integer if ``integer``, else any JSON number as a float. Anything
+    else, an integer beyond the float range too, raises ValueError naming ``name``.
     """
-    if type(value) is int or (type(value) is float and not integer):
+    if type(value) is int and integer:
         return value
+    if type(value) in (int, float) and not integer:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
     raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
 
 

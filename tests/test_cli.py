@@ -209,6 +209,10 @@ class TestRejectedValues:
         ({"snr_grid_db": 30}, "snr_grid_db"),
         # zip once stopped at the shorter corner, and a later check named no key
         ({"room": {"min": [0, 0], "max": [6, 6]}}, "room"),
+        # an integer beyond the float range once ended in an OverflowError traceback
+        ({"placement_inset": 10 ** 400}, "placement_inset"),
+        ({"anchors": [{"id": "a0", "x": 0, "y": 0, "z": 10 ** 400},
+                      *config_to_json(SimConfig())["anchors"][1:]]}, "anchors"),
     ])
     def test_sim_config_value(self, tmp_path, capsys, obj, key):
         path = tmp_path / "cfg.json"

@@ -46,6 +46,20 @@ def random_geometry(rng, n_anchors=4):
             return anchors, truth
 
 
+def double_root_near(anchors, truth):
+    """Whether a truth 0.1 mm away along some axis gives two candidates within 0.1 m."""
+    for axis in range(3):
+        near = list(truth)
+        near[axis] += 1e-4
+        try:
+            pair = bancroft_solve(anchors, ranges_from(anchors, tuple(near)))
+        except NoRealSolutionError:
+            continue
+        if position_error(pair[0], pair[1].position) < 0.1:
+            return True
+    return False
+
+
 class TestBancroft:
     def test_symmetric_corner_case(self):
         fixes = bancroft_solve(CORNERS, [math.sqrt(27.0)] * 4)
@@ -108,9 +122,12 @@ class TestBancroft:
         try:
             fixes = bancroft_solve(anchors, ranges)
         except NoRealSolutionError:
-            # consistent ranges always have a real root: rounding has pushed a
-            # double root's zero discriminant below 0 (e.g. anchors (0,0,0),
-            # (0,0,1), (0,1,0), (1,1,1) and truth (2,2,2))
+            # consistent ranges always have a real root, so only a double root,
+            # whose zero discriminant rounding can push below 0, may raise (e.g.
+            # anchors (0,0,0), (0,0,1), (0,1,0), (1,1,1) and truth (2,2,2)); it is
+            # skipped like the close pairs below, and every other raise fails
+            if not double_root_near(anchors, truth):
+                raise
             assume(False)
         assume(0.1 < position_error(fixes[0], fixes[1].position) < 1e3)
         assert min(position_error(f, truth) for f in fixes) < 1e-8

@@ -18,6 +18,7 @@ from uwbloc.waveform import (
     cross_correlate,
     delay,
     energy,
+    json_number,
     read_csv,
     waveform_from_csv,
     waveform_from_json,
@@ -318,6 +319,17 @@ class TestSerialization:
         back = waveform_from_json(json.loads(path.read_text()))
         assert back.dt == w.dt
         assert np.array_equal(back.samples, w.samples)
+
+    def test_json_number(self):
+        # a number read into a float is a float; an integer field keeps its int
+        assert type(json_number(3, "x")) is float and json_number(3, "x") == 3.0
+        assert type(json_number(3, "n", integer=True)) is int
+        for bad, integer in [("3", False), (True, False), (None, False), (4.9, True)]:
+            with pytest.raises(ValueError, match="x must be"):
+                json_number(bad, "x", integer)
+        with pytest.raises(ValueError, match="x must be a number"):  # beyond the float range
+            json_number(10 ** 400, "x")
+        assert json_number(10 ** 400, "n", integer=True) == 10 ** 400
 
     def test_json_with_start_epoch_loads(self):
         # files written before waveforms started at t = 0 carry a "t0" key
