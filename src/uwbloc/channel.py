@@ -207,14 +207,24 @@ def _filter(w: Waveform, n: int, h: np.ndarray) -> Waveform:
 # (2,048-6,144-point records).
 _PHASOR_BLOCK = 64
 
+# Multiply-adds per matrix product in ``_tap_sum``. OpenBLAS 0.3.31 runs a
+# complex product of 2**16 or more multiply-adds on a second thread, and that
+# thread then busy-waits for the next product, taking a core for the rest of
+# the sweep; half that size leaves a margin. Chunking keeps the product on the
+# calling thread without setting a thread count, which would also slow the
+# designer's large products.
+_SINGLE_THREAD_PRODUCT = 2**15
+
 
 def _tap_sum(taps: tuple[tuple[float, float], ...], df: float, bins: int) -> np.ndarray:
     """H[k] = sum over taps of gain * exp(-2 pi i k df delay), for k < bins.
 
     With k = B*b + j the phasor factors into a per-block term and a
-    within-block term, so the tap sum is one (blocks x taps) @ (taps x B)
+    within-block term, so the tap sum is a (blocks x taps) @ (taps x B)
     complex matrix product: taps * (bins/B + B) exponentials instead of
-    taps * bins. A lone unit tap at delay 0 gives exactly 1 on every bin.
+    taps * bins. The product runs in chunks of block rows, each under
+    ``_SINGLE_THREAD_PRODUCT`` multiply-adds where the tap count allows.
+    A lone unit tap at delay 0 gives exactly 1 on every bin.
     """
     delays, gains = np.asarray(taps, dtype=float).T
     # a power-of-two scale puts the largest |gain| in [1, 2), so a subnormal gain
@@ -222,9 +232,11 @@ def _tap_sum(taps: tuple[tuple[float, float], ...], df: float, bins: int) -> np.
     shift = math.frexp(float(np.max(np.abs(gains))))[1] - 1
     rate = -2j * math.pi * df * delays
     within = np.exp(np.outer(rate, np.arange(_PHASOR_BLOCK)))
-    across = np.ldexp(gains, -shift)[:, None] * np.exp(
-        np.outer(rate, np.arange(0, bins, _PHASOR_BLOCK)))
-    total = (across.T @ within).ravel()[:bins]
+    across = (np.ldexp(gains, -shift)[:, None] * np.exp(
+        np.outer(rate, np.arange(0, bins, _PHASOR_BLOCK)))).T
+    rows = max(1, _SINGLE_THREAD_PRODUCT // (delays.size * _PHASOR_BLOCK))
+    total = np.concatenate([across[i:i + rows] @ within
+                            for i in range(0, across.shape[0], rows)]).ravel()[:bins]
     return np.ldexp(total.view(float), shift).view(complex) if shift else total
 
 

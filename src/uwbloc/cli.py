@@ -90,9 +90,10 @@ def _decode_waveform(value):
 
 def _cmd_design(args: argparse.Namespace) -> int:
     cfg = _read_config(DesignConfig, args.config, seed=args.seed)
+    ps = design_pulses(cfg)
+    # made only once the design succeeded, so an infeasible one leaves no directory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ps = design_pulses(cfg)
     (out / "pulse_set.json").write_text(json.dumps(pulse_set_to_json(ps)))
     (out / "mask.json").write_text(json.dumps(config_to_json(cfg)["mask"], indent=2))
 

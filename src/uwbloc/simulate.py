@@ -13,8 +13,11 @@ Anchor i sends pulse i mod the set's pulse count, and each anchor's burst
 arrives on its own record: anchors are separated in time, so no record
 holds two bursts and the pulses' orthogonality is not what separates them.
 ``sweep_snr`` loops trial-outer, SNR-inner: it builds one scenario per trial
-index, measures it at every SNR point, then drops it, so a sweep holds one
-scenario at a time and each one is built once instead of once per SNR point.
+index, measures it at every SNR point, then drops it, so each worker holds
+one scenario at a time and each one is built once instead of once per SNR
+point. The trial indices are shared round-robin among one worker per core
+the process may run on: the calling process and forked children, whose
+results are merged back in trial order.
 
 Reproducibility scheme: the per-trial seed derives from
 ``SeedSequence(entropy=(master_seed, snr_index, trial_index))`` (PCG64
@@ -23,9 +26,9 @@ per-anchor channel realizations) derives from
 ``SeedSequence(entropy=(master_seed, trial_index))`` so every SNR point of a
 sweep reuses the same scenarios and the error-vs-SNR curves are paired
 comparisons rather than scenario lotteries. Sub-streams are spawned in a
-fixed order. The loop order does not enter the seeds, and each SNR row
-aggregates its trials in trial order, so two sweeps with the same master
-seed produce byte-identical CSV files.
+fixed order. Neither the loop order nor the worker count enters the seeds,
+and each SNR row aggregates its trials in trial order, so two sweeps with
+the same master seed produce byte-identical CSV files.
 
 The seed families overlap (an open finding): ``SeedSequence`` zero-pads its
 entropy, so ``trial_seed(m, s, 0) == scenario_seed(m, s)``; and when ``run_trial``
@@ -37,11 +40,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, get_type_hints
+from typing import BinaryIO, Callable, Iterable, get_type_hints
 
 import numpy as np
 
@@ -380,12 +387,82 @@ def run_trial(
     )
 
 
+def _measure_share(cfg: SimConfig, ps: PulseSet, snrs: list[float],
+                   share: range) -> list[TrialResult]:
+    """Every trial of ``share`` at every SNR point, one scenario held at a time."""
+    results = []
+    for ti in share:
+        scenario = build_scenario(cfg, ps, scenario_seed(cfg.master_seed, ti))
+        for si, snr in enumerate(snrs):
+            results.append(run_trial(
+                cfg, snr, trial_seed(cfg.master_seed, si, ti), trial_id=ti, scenario=scenario))
+        del scenario  # else the next build would run while this one is still held
+    return results
+
+
+def _fork_share(cfg: SimConfig, ps: PulseSet, snrs: list[float],
+                share: range) -> tuple[int, BinaryIO, range]:
+    """Measure ``share`` in a forked child; its pid, the pipe it answers on, and the share.
+
+    The child pickles ``(None, results)``, or ``(exception, traceback text)``
+    if it failed, to the pipe and ends with ``os._exit``, so nothing of the
+    parent's (exit handlers, buffered output) runs twice.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((None, _measure_share(cfg, ps, snrs, share)))
+            except Exception as exc:  # an interrupt ends the child with code 1 below
+                text = traceback.format_exc()
+                try:
+                    payload = pickle.dumps((exc, text))
+                    pickle.loads(payload)
+                except Exception:  # an exception the parent could not unpickle
+                    payload = pickle.dumps((RuntimeError(text.splitlines()[-1]), text))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb"), share
+
+
+def _join_share(pid: int, pipe: BinaryIO, share: range) -> list[TrialResult]:
+    """The results a forked worker sends, once it has been reaped; its failure raised."""
+    try:
+        with pipe:
+            failure, value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):  # it ended before it sent them whole
+        failure = value = None
+    finally:
+        _, status = os.waitpid(pid, 0)
+    where = f"sweep worker {pid} (trials {share})"
+    if failure is not None:
+        raise failure from RuntimeError(f"in {where}:\n{value}")
+    if value is None:
+        raise RuntimeError(f"{where} sent no results; exit status "
+                           f"{os.waitstatus_to_exitcode(status)}")
+    return value
+
+
 def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
     """Run trials at every SNR point and aggregate the error statistics.
 
     Each trial index builds its scenario once and measures it at every SNR
-    point. Rows are ordered by ascending SNR. range NMSE is normalized by
-    (c * symbol_duration)^2 and position NMSE by the room diagonal squared.
+    point. The trial indices are dealt round-robin to one worker per usable
+    core (``len(os.sched_getaffinity(0))``, at most ``cfg.trials``): this
+    process measures the first share and a child forked per other share
+    measures the rest, each holding one scenario at a time. The results are
+    merged in trial order, so every result is the same for any worker count,
+    and ``taskset`` sets the count. A worker's exception is raised here,
+    once every child is reaped. Rows are ordered by ascending SNR. range
+    NMSE is normalized by (c * symbol_duration)^2 and position NMSE by the
+    room diagonal squared.
     Failed trials are excluded from position means and surfaced via
     fix_failure_rate; the NaN entries of anchors without a ToA are excluded
     from the ToA and range NMSE.
@@ -394,13 +471,25 @@ def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
     diag2 = float(np.sum((np.asarray(cfg.room.maximum) - np.asarray(cfg.room.minimum)) ** 2))
     tsym2 = cfg.symbol_duration**2
     snrs = sorted(cfg.snr_grid_db)
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(len(os.sched_getaffinity(0)), cfg.trials)
+    shares = [range(w, cfg.trials, workers) for w in range(workers)]
+    pending: list[tuple[int, BinaryIO, range]] = []
+    try:
+        for share in shares[1:]:
+            pending.append(_fork_share(cfg, ps, snrs, share))
+        measured = _measure_share(cfg, ps, snrs, shares[0])
+        while pending:
+            measured += _join_share(*pending.pop(0))
+    finally:  # reached with workers pending only on a failure, so their results go unread
+        for pid, pipe, _ in pending:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     by_snr: dict[float, list[TrialResult]] = {snr: [] for snr in snrs}
-    for ti in range(cfg.trials):
-        scenario = build_scenario(cfg, ps, scenario_seed(cfg.master_seed, ti))
-        for si, snr in enumerate(snrs):
-            by_snr[snr].append(run_trial(
-                cfg, snr, trial_seed(cfg.master_seed, si, ti), trial_id=ti, scenario=scenario))
-        del scenario  # else the next build would run while this one is still held
+    for res in sorted(measured, key=lambda r: r.trial_id):
+        by_snr[res.snr_db].append(res)
 
     rows = []
     for snr, results in by_snr.items():

@@ -520,7 +520,7 @@ class TestDesignCommand:
         out = tmp_path / "o"
         assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INFEASIBLE
         assert "not orthogonal within 0.05" in capsys.readouterr().err
-        assert not (out / "pulse_set.json").exists()
+        assert not out.exists()
 
     def test_nfft_key_exit_code(self, tmp_path, capsys):
         # a 32-point audit grid once let this design exceed its own mask by 2.8 dB

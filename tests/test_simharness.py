@@ -2,13 +2,15 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwbloc import positioning, simulate
+from uwbloc import cli, positioning, simulate
 from uwbloc.channel import (
     SPEED_OF_LIGHT,
     ChannelProfile,
@@ -516,32 +518,43 @@ class TestSweep:
         for snr, trials in result.trials.items():
             assert len(trials) == tiny_cfg.trials
 
-    def test_one_run_trial_per_snr_and_trial(self, default_pulses, tiny_cfg, monkeypatch):
+    # The counters append one line per call to a file, so the calls made in
+    # every forked worker are seen, not only those of the calling process.
+
+    def test_one_run_trial_per_snr_and_trial(self, default_pulses, tiny_cfg, monkeypatch,
+                                             tmp_path):
         # the benchmark times each (SNR, trial) as one run_trial span
         run = simulate.run_trial
-        seen = []
+        log = tmp_path / "calls.txt"
 
         def counting(*args, **kwargs):
             res = run(*args, **kwargs)
-            seen.append((res.snr_db, res.trial_id))
+            with open(log, "a") as fh:
+                fh.write(f"{res.snr_db!r} {res.trial_id}\n")
             return res
 
         monkeypatch.setattr(simulate, "run_trial", counting)
         sweep_snr(tiny_cfg, default_pulses)
+        seen = [(float(snr), int(ti)) for snr, ti in map(str.split, log.read_text().splitlines())]
         assert sorted(seen) == [(snr, ti) for snr in sorted(tiny_cfg.snr_grid_db)
                                 for ti in range(tiny_cfg.trials)]
 
-    def test_one_scenario_per_trial(self, default_pulses, tiny_cfg, monkeypatch):
+    def test_one_scenario_per_trial(self, default_pulses, tiny_cfg, monkeypatch, tmp_path):
         # a scenario is built once per trial index and shared by its SNR points
         build = simulate.build_scenario
-        seeds = []
+        log = tmp_path / "seeds.txt"
 
         def counting(cfg, pulse_set, seed):
-            seeds.append(seed)
+            with open(log, "a") as fh:
+                fh.write(f"{seed}\n")
             return build(cfg, pulse_set, seed)
 
         monkeypatch.setattr(simulate, "build_scenario", counting)
         sweep_snr(tiny_cfg, default_pulses)
+        # workers append in no fixed order between them: read the seeds back in
+        # trial order, any seed of no trial first
+        trial_of = {scenario_seed(tiny_cfg.master_seed, ti): ti for ti in range(tiny_cfg.trials)}
+        seeds = sorted(map(int, log.read_text().split()), key=lambda s: trial_of.get(s, -1))
         assert seeds == [scenario_seed(tiny_cfg.master_seed, ti)
                          for ti in range(tiny_cfg.trials)]
 
@@ -559,6 +572,98 @@ class TestSweep:
         cfg = SimConfig(snr_grid_db=(35.0,), trials=100)
         result = sweep_snr(cfg, default_pulses)
         assert result.rows[0].toa_nmse == pytest.approx(TOA_NMSE_BASELINE_35DB, rel=1e-9, abs=0)
+
+
+def use_cores(monkeypatch, count: int) -> None:
+    """Make the process report ``count`` usable cores, so a sweep runs ``count`` workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="sweep workers are forked")
+class TestSweepWorkers:
+    CFG = SimConfig(snr_grid_db=(20.0, 30.0), trials=5, master_seed=7)
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """A sweep still waiting on its workers after a minute fails the test, not the run."""
+        def expire(signum, frame):
+            raise TimeoutError("the sweep still waits on its workers after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_results_and_files_do_not_depend_on_the_worker_count(
+            self, default_pulses, monkeypatch, tmp_path):
+        results, files = [], []
+        for count in (1, 2, 3):
+            use_cores(monkeypatch, count)
+            results.append(sweep_snr(self.CFG, default_pulses))
+            out = tmp_path / f"workers{count}"
+            argv = ["sweep", "--seed", "7", "--trials", "5", "--snr", "20", "30",
+                    "--out", str(out)]
+            assert cli.main(argv) == 0
+            files.append([(out / name).read_bytes() for name in ("sweep.csv", "fixes.csv")])
+        assert results[0].rows == results[1].rows == results[2].rows
+        assert results[0].trials == results[1].trials == results[2].trials
+        assert [t.trial_id for t in results[0].trials[20.0]] == list(range(5))
+        assert files[0] == files[1] == files[2]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("failing_trial", [0, 1])  # the caller's share, then a child's
+    def test_a_failing_trial_raises_and_leaves_no_child(
+            self, default_pulses, monkeypatch, failing_trial):
+        build = simulate.build_scenario
+        bad_seed = scenario_seed(self.CFG.master_seed, failing_trial)
+
+        def failing(cfg, pulse_set, seed):
+            if seed == bad_seed:
+                raise ValueError(f"no scenario for trial {failing_trial}")
+            return build(cfg, pulse_set, seed)
+
+        use_cores(monkeypatch, 2)
+        monkeypatch.setattr(simulate, "build_scenario", failing)
+        with pytest.raises(ValueError, match=f"no scenario for trial {failing_trial}") as info:
+            sweep_snr(self.CFG, default_pulses)
+        if failing_trial == 1:  # raised again in the caller, the child's traceback chained
+            assert "sweep worker" in str(info.value.__cause__)
+        assert no_child_left()
+
+    def test_a_worker_that_dies_is_reported(self, default_pulses, monkeypatch):
+        build = simulate.build_scenario
+        bad_seed = scenario_seed(self.CFG.master_seed, 1)
+        caller = os.getpid()
+
+        def dying(cfg, pulse_set, seed):
+            if seed == bad_seed:
+                assert os.getpid() != caller, "trial 1 ran in the calling process"
+                os._exit(3)
+            return build(cfg, pulse_set, seed)
+
+        use_cores(monkeypatch, 2)
+        monkeypatch.setattr(simulate, "build_scenario", dying)
+        with pytest.raises(RuntimeError, match="sent no results; exit status 3"):
+            sweep_snr(self.CFG, default_pulses)
+        assert no_child_left()
+
+    def test_one_core_forks_nothing(self, default_pulses, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked with one usable core")
+
+        expected = sweep_snr(self.CFG, default_pulses)
+        use_cores(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert sweep_snr(self.CFG, default_pulses) == expected
 
 
 class TestEmitCsv:
