@@ -119,7 +119,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     # --snr is checked as a one-point grid, like sweep's --snr
     cfg = _read_config(SimConfig, args.config,
                        snr_grid_db=None if args.snr is None else [args.snr])
-    snr = cfg.snr_grid_db[-1]
+    snr = max(cfg.snr_grid_db)
     seed = args.seed if args.seed is not None else trial_seed(cfg.master_seed, 0, 0)
     res = run_trial(cfg, snr, seed)
     out = {

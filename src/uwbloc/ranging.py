@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -180,12 +179,11 @@ def toa_dirty_template(
     # shifted to that phase cancels the interpolator's phase-dependent bias.
     # Only the pulse's calibration is cached, so no estimate depends on which
     # estimates ran before it.
-    m_ref = min(symbol_count, _REFERENCE_SYMBOLS)
     bank, rel, zero_phase = _calibration(template.samples.tobytes(), template.dt)
     notch, peak = _notch_position(r, n, symbol_count, bank, rel)
-    phase = (notch - zero_phase[m_ref]) % 1.0
+    phase = (notch - zero_phase) % 1.0
     shifted = delay(template, phase * template.dt)
-    offset = (notch - _reference_notch(shifted, bank, rel, m_ref) + phase) % n
+    offset = (notch - _reference_notch(shifted, bank, rel) + phase) % n
     return ToaEstimate(toa=offset * dt, objective_peak=peak * dt * dt)
 
 
@@ -230,19 +228,19 @@ def _notch_position(
 
 _PHASE_BANK_SIZE = 32
 _EPS = float(np.finfo(float).eps)
-# symbols in the synthetic calibration burst: one full training-pattern period
+# symbols in every synthetic calibration burst: one full training-pattern period
 _REFERENCE_SYMBOLS = 4
 
 
 @lru_cache(maxsize=32)
-def _calibration(samples: bytes, dt: float) -> tuple[np.ndarray, np.ndarray, MappingProxyType]:
-    """Phase bank, fold lag grid and zero-phase notch per m_ref of a pulse (raw float64 bytes).
+def _calibration(samples: bytes, dt: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Phase bank, fold lag grid and zero-phase notch of a pulse (raw float64 bytes).
 
     Bank row i holds the squared pulse delayed by i/size of a sample, zero-padded
     to a common width and unit-normalized, so the alignment search is a pure
     shape match. ``rel`` holds the notch-relative offsets the sign fold reads.
     The zero-phase notch is ``_reference_notch`` of the pulse on the sample
-    grid, for each m_ref from 2 to ``_REFERENCE_SYMBOLS``.
+    grid.
 
     The reference burst has symbols of ``rel.size`` samples, the shortest in
     which the fold reads no offset twice, whatever the n of the timed record.
@@ -258,9 +256,7 @@ def _calibration(samples: bytes, dt: float) -> tuple[np.ndarray, np.ndarray, Map
         bank[i, : row.size] = row / np.linalg.norm(row)
     rel = np.arange(-bank.shape[1] - 8, bank.shape[1] + 9)
     bank.flags.writeable = rel.flags.writeable = False  # shared through the cache
-    zero_phase = {m_ref: _reference_notch(template, bank, rel, m_ref)
-                  for m_ref in range(2, _REFERENCE_SYMBOLS + 1)}
-    return bank, rel, MappingProxyType(zero_phase)
+    return bank, rel, _reference_notch(template, bank, rel)
 
 
 def _bank_align(deriv: np.ndarray, bank: np.ndarray, rel: np.ndarray) -> float:
@@ -307,19 +303,20 @@ def _bank_align(deriv: np.ndarray, bank: np.ndarray, rel: np.ndarray) -> float:
     return float(rel[lag]) + (pi + frac) / nb
 
 
-def _reference_notch(pulse: Waveform, bank: np.ndarray, rel: np.ndarray, m_ref: int) -> float:
-    """Notch position of a clean burst of ``pulse``, ``m_ref`` symbols of ``rel.size`` samples.
+def _reference_notch(pulse: Waveform, bank: np.ndarray, rel: np.ndarray) -> float:
+    """Notch position of a clean ``_REFERENCE_SYMBOLS``-symbol burst of ``pulse``.
 
     Running the identical machinery on a synthetic reference makes the
     calibration exact: every discretization and interpolation effect cancels
     in the subtraction. An off-grid reference arrival passes the pulse delayed
-    with the same band-limited interpolator the simulation uses. The burst
-    gets one silent symbol appended: the estimator reads one symbol past it.
+    with the same band-limited interpolator the simulation uses. The burst's
+    symbols are ``rel.size`` samples long, and it gets one silent symbol
+    appended: the estimator reads one symbol past it.
     """
     n = rel.size
-    burst = make_burst(pulse, n * pulse.dt, m_ref)
+    burst = make_burst(pulse, n * pulse.dt, _REFERENCE_SYMBOLS)
     ref = np.concatenate([burst.samples, np.zeros(n)])
-    return _notch_position(ref, n, m_ref, bank, rel)[0]
+    return _notch_position(ref, n, _REFERENCE_SYMBOLS, bank, rel)[0]
 
 
 def range_from_toa(est: ToaEstimate) -> float:

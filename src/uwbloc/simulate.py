@@ -16,8 +16,9 @@ holds two bursts and the pulses' orthogonality is not what separates them.
 index, measures it at every SNR point, then drops it, so each worker holds
 one scenario at a time and each one is built once instead of once per SNR
 point. The trial indices are shared round-robin among one worker per core
-the process may run on: the calling process and forked children, whose
-results are merged back in trial order.
+the process may run on: the calling process and fork-context
+``multiprocessing`` processes, which send their results back through a pipe
+to be merged in trial order.
 
 Reproducibility scheme: the per-trial seed derives from
 ``SeedSequence(entropy=(master_seed, snr_index, trial_index))`` (PCG64
@@ -41,14 +42,12 @@ import itertools
 import json
 import math
 import os
-import pickle
-import signal
 import traceback
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, get_type_hints
+from typing import Callable, Iterable, get_type_hints
 
 import numpy as np
 
@@ -400,54 +399,22 @@ def _measure_share(cfg: SimConfig, ps: PulseSet, snrs: list[float],
     return results
 
 
-def _fork_share(cfg: SimConfig, ps: PulseSet, snrs: list[float],
-                share: range) -> tuple[int, BinaryIO, range]:
-    """Measure ``share`` in a forked child; its pid, the pipe it answers on, and the share.
+def _send_share(conn, cfg: SimConfig, ps: PulseSet, snrs: list[float], share: range) -> None:
+    """A sweep worker: send ``(None, results)`` of ``share`` through ``conn``, or
+    ``(exception, traceback text)`` if it failed, the exception replaced by a
+    RuntimeError of the text's last line if it would not unpickle."""
+    from multiprocessing.reduction import ForkingPickler
 
-    The child pickles ``(None, results)``, or ``(exception, traceback text)``
-    if it failed, to the pipe and ends with ``os._exit``, so nothing of the
-    parent's (exit handlers, buffered output) runs twice.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload = pickle.dumps((None, _measure_share(cfg, ps, snrs, share)))
-            except Exception as exc:  # an interrupt ends the child with code 1 below
-                text = traceback.format_exc()
-                try:
-                    payload = pickle.dumps((exc, text))
-                    pickle.loads(payload)
-                except Exception:  # an exception the parent could not unpickle
-                    payload = pickle.dumps((RuntimeError(text.splitlines()[-1]), text))
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(payload)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb"), share
-
-
-def _join_share(pid: int, pipe: BinaryIO, share: range) -> list[TrialResult]:
-    """The results a forked worker sends, once it has been reaped; its failure raised."""
     try:
-        with pipe:
-            failure, value = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):  # it ended before it sent them whole
-        failure = value = None
-    finally:
-        _, status = os.waitpid(pid, 0)
-    where = f"sweep worker {pid} (trials {share})"
-    if failure is not None:
-        raise failure from RuntimeError(f"in {where}:\n{value}")
-    if value is None:
-        raise RuntimeError(f"{where} sent no results; exit status "
-                           f"{os.waitstatus_to_exitcode(status)}")
-    return value
+        message = (None, _measure_share(cfg, ps, snrs, share))
+    except Exception as exc:  # an interrupt is left to multiprocessing, which prints it
+        text = traceback.format_exc()
+        message = (exc, text)
+        try:
+            ForkingPickler.loads(ForkingPickler.dumps(exc))
+        except Exception:
+            message = (RuntimeError(text.splitlines()[-1]), text)
+    conn.send(message)
 
 
 def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
@@ -456,13 +423,15 @@ def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
     Each trial index builds its scenario once and measures it at every SNR
     point. The trial indices are dealt round-robin to one worker per usable
     core (``len(os.sched_getaffinity(0))``, at most ``cfg.trials``): this
-    process measures the first share and a child forked per other share
-    measures the rest, each holding one scenario at a time. The results are
-    merged in trial order, so every result is the same for any worker count,
-    and ``taskset`` sets the count. A worker's exception is raised here,
-    once every child is reaped. Rows are ordered by ascending SNR. range
-    NMSE is normalized by (c * symbol_duration)^2 and position NMSE by the
-    room diagonal squared.
+    process measures the first share and a fork-context ``multiprocessing``
+    process per other share measures the rest, each holding one scenario at
+    a time. The results are merged in trial order, so every result is the
+    same for any worker count, and ``taskset`` sets the count. A worker's
+    exception is raised here, chained from a RuntimeError naming the worker,
+    once the workers still pending are killed; an interrupted worker prints
+    multiprocessing's "Process sweep worker ..." traceback to stderr. Rows
+    are ordered by ascending SNR. range NMSE is normalized by
+    (c * symbol_duration)^2 and position NMSE by the room diagonal squared.
     Failed trials are excluded from position means and surfaced via
     fix_failure_rate; the NaN entries of anchors without a ToA are excluded
     from the ToA and range NMSE.
@@ -475,18 +444,38 @@ def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = min(len(os.sched_getaffinity(0)), cfg.trials)
     shares = [range(w, cfg.trials, workers) for w in range(workers)]
-    pending: list[tuple[int, BinaryIO, range]] = []
+    pending = []
     try:
-        for share in shares[1:]:
-            pending.append(_fork_share(cfg, ps, snrs, share))
+        if workers > 1:
+            import multiprocessing  # here, so that a one-worker run never imports it
+            context = multiprocessing.get_context("fork")
+            for share in shares[1:]:
+                receive, send = context.Pipe(duplex=False)
+                worker = context.Process(target=_send_share, name=f"sweep worker (trials {share})",
+                                         args=(send, cfg, ps, snrs, share))
+                worker.start()
+                send.close()
+                pending.append((worker, receive))
         measured = _measure_share(cfg, ps, snrs, shares[0])
         while pending:
-            measured += _join_share(*pending.pop(0))
+            worker, receive = pending[0]
+            with receive:
+                try:
+                    failure, value = receive.recv()
+                except EOFError:  # it ended before it sent them whole
+                    failure = value = None
+            worker.join()
+            del pending[0]
+            if failure is not None:
+                raise failure from RuntimeError(f"in {worker.name}:\n{value}")
+            if value is None:
+                raise RuntimeError(f"{worker.name} sent no results; exit status {worker.exitcode}")
+            measured += value
     finally:  # reached with workers pending only on a failure, so their results go unread
-        for pid, pipe, _ in pending:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for worker, receive in pending:
+            receive.close()
+            worker.kill()
+            worker.join()
     by_snr: dict[float, list[TrialResult]] = {snr: [] for snr in snrs}
     for res in sorted(measured, key=lambda r: r.trial_id):
         by_snr[res.snr_db].append(res)

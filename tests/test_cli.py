@@ -321,6 +321,13 @@ class TestLocateCommand:
         assert exc.value.code == EXIT_CONFIG
         assert main(["locate", "--config", str(tiny_config_path), "--snr", "nan"]) == EXIT_CONFIG
 
+    def test_without_snr_runs_at_the_grid_maximum(self, tmp_path, capsys):
+        # the grid's order does not matter, as it does not for sweep
+        for grid in ((40.0, 10.0), (10.0, 40.0)):
+            cfg = write_config(tmp_path, snr_grid_db=grid)
+            assert main(["locate", "--config", str(cfg), "--seed", "3"]) == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["snr_db"] == 40.0
+
     def test_symbol_the_pulses_cannot_fill_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, symbol_duration=50.01e-9)
         assert main(["locate", "--config", str(cfg)]) == EXIT_CONFIG

@@ -235,7 +235,7 @@ class TestToaDirtyTemplate:
 
     def test_interleaved_calibrations_match_each_alone(self, default_pulses):
         # one calibration per (pulse, dt), whatever the symbol count: estimates
-        # for two pulses at 2 and 20 symbols (m_ref 2 and 4) never share one,
+        # for two pulses at 2 and 20 symbols never share one,
         # and build exactly two
         cases = [(p, m) for p in default_pulses.pulses[:2] for m in (2, SYMBOLS)]
         rxs = [received(p, 13.7e-9, seed=5, snr_db=20.0, symbols=m) for p, m in cases]
@@ -310,27 +310,26 @@ def notch_position_reference(r, n, symbol_count, bank):
     return float(notch) + bank_align_reference(deriv, bank, rel), peak
 
 
-def reference_notch_reference(pulse, bank, n, m_ref):
+def reference_notch_reference(pulse, bank, n):
     """``_reference_notch`` on a looped burst with its silent symbol concatenated: the oracle."""
-    ref = np.concatenate([make_burst_reference(pulse, n, m_ref), np.zeros(n)])
-    return notch_position_reference(ref, n, m_ref, bank)[0]
+    ref = np.concatenate([make_burst_reference(pulse, n, 4), np.zeros(n)])
+    return notch_position_reference(ref, n, 4, bank)[0]
 
 
 def toa_reference(rx, symbol_duration, symbol_count, template):
     """``toa_dirty_template`` composed of the oracles above."""
     n = round(symbol_duration / rx.dt)
-    m_ref = min(symbol_count, 4)
     bank = calibration_of(template)[0]
     r = rx.samples[: read_window(symbol_duration, rx.dt, symbol_count)]
     notch, peak = notch_position_reference(r, n, symbol_count, bank)
-    phase = (notch - reference_notch_reference(template, bank, n, m_ref)) % 1.0
+    phase = (notch - reference_notch_reference(template, bank, n)) % 1.0
     shifted = delay(template, phase * template.dt)
-    offset = (notch - reference_notch_reference(shifted, bank, n, m_ref) + phase) % n
+    offset = (notch - reference_notch_reference(shifted, bank, n) + phase) % n
     return ToaEstimate(toa=offset * rx.dt, objective_peak=peak * rx.dt * rx.dt)
 
 
 def calibration_of(pulse):
-    """The pulse's cached (phase bank, fold lag grid, zero-phase notches)."""
+    """The pulse's cached (phase bank, fold lag grid, zero-phase notch)."""
     return _calibration(pulse.samples.tobytes(), pulse.dt)
 
 
@@ -380,7 +379,6 @@ class TestNotchSearch:
         channel = ChannelProfile() if multipath else None
         rx = received(pulse, delay_frac * TSYM, seed, snr_db, channel, symbols)
         n = round(TSYM / DT)
-        m_ref = min(symbols, 4)
         bank, rel, _ = calibration_of(pulse)
         r = rx.samples[: read_window(TSYM, DT, symbols)]
         same_outcome(lambda: _notch_position(r, n, symbols, bank, rel),
@@ -388,8 +386,8 @@ class TestNotchSearch:
         # the calibration burst has symbols of rel.size samples, the oracle's
         # the caller's n
         shifted = delay(pulse, delay_frac * pulse.dt)
-        same_outcome(lambda: _reference_notch(shifted, bank, rel, m_ref),
-                     lambda: reference_notch_reference(shifted, bank, n, m_ref))
+        same_outcome(lambda: _reference_notch(shifted, bank, rel),
+                     lambda: reference_notch_reference(shifted, bank, n))
         same_outcome(toa_dirty_template, toa_reference, rx, TSYM, symbols, pulse)
 
     @pytest.mark.parametrize("pulse_index", range(4))
@@ -423,23 +421,23 @@ class TestNotchSearch:
             assert _notch_position(ref, n, 4, bank, rel) == notch_position_reference(
                 ref, n, 4, bank)
         if len(shifted) <= rel.size:  # it fits a calibration symbol too
-            assert (_reference_notch(shifted, bank, rel, 4)
-                    == reference_notch_reference(shifted, bank, n, 4))
+            assert (_reference_notch(shifted, bank, rel)
+                    == reference_notch_reference(shifted, bank, n))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), pulse_index=st.integers(0, 3),
-           phase=st.floats(0.0, 1.0, exclude_max=True), m_ref=st.integers(2, 4))
+           phase=st.floats(0.0, 1.0, exclude_max=True))
     def test_calibration_record_length_is_immaterial(self, default_pulses, data, pulse_index,
-                                                     phase, m_ref):
+                                                     phase):
         # the fixed rel.size-sample calibration symbol gives the notch that
         # any symbol of n >= rel.size samples gives, to the bit
         pulse = default_pulses.pulses[pulse_index]
         bank, rel, zero_phase = calibration_of(pulse)
         n = data.draw(st.integers(rel.size, 5000), label="n")
         shifted = delay(pulse, phase * pulse.dt)
-        assert (_reference_notch(shifted, bank, rel, m_ref)
-                == reference_notch_reference(shifted, bank, n, m_ref))
-        assert zero_phase[m_ref] == reference_notch_reference(pulse, bank, n, m_ref)
+        assert (_reference_notch(shifted, bank, rel)
+                == reference_notch_reference(shifted, bank, n))
+        assert zero_phase == reference_notch_reference(pulse, bank, n)
 
 
 class TestBankAlign:

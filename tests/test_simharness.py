@@ -587,6 +587,13 @@ def no_child_left() -> bool:
     return False
 
 
+class TwoArgumentError(Exception):
+    """Pickles through its one-tuple of args, but cannot be rebuilt from it."""
+
+    def __init__(self, trial, reason):
+        super().__init__(f"trial {trial}: {reason}")
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="sweep workers are forked")
 class TestSweepWorkers:
     CFG = SimConfig(snr_grid_db=(20.0, 30.0), trials=5, master_seed=7)
@@ -653,6 +660,21 @@ class TestSweepWorkers:
         use_cores(monkeypatch, 2)
         monkeypatch.setattr(simulate, "build_scenario", dying)
         with pytest.raises(RuntimeError, match="sent no results; exit status 3"):
+            sweep_snr(self.CFG, default_pulses)
+        assert no_child_left()
+
+    def test_an_exception_that_does_not_unpickle_is_reported(self, default_pulses, monkeypatch):
+        build = simulate.build_scenario
+        bad_seed = scenario_seed(self.CFG.master_seed, 1)
+
+        def failing(cfg, pulse_set, seed):
+            if seed == bad_seed:
+                raise TwoArgumentError(1, "no scenario")
+            return build(cfg, pulse_set, seed)
+
+        use_cores(monkeypatch, 2)
+        monkeypatch.setattr(simulate, "build_scenario", failing)
+        with pytest.raises(RuntimeError, match="TwoArgumentError: trial 1: no scenario$"):
             sweep_snr(self.CFG, default_pulses)
         assert no_child_left()
 
