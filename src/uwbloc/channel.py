@@ -8,12 +8,18 @@ fractional-delay interpolator so that the single-tap case composes exactly
 with ``waveform.delay``. Materials and bodies are frequency responses
 (attenuation + unwrapped phase) that ``apply_signature`` applies as filters
 on the detection path.
+
+Detection filters the same few (pulse, signature) pairs over and over, so
+``apply_signature`` caches the response and the spectrum by content, and
+``detection`` divides by that spectrum; ``propagate``'s delayed input never
+repeats, so it filters uncached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -187,19 +193,56 @@ def _fast_len(n: int) -> int:
     return int(math.ceil(n / 2048)) * 2048
 
 
-def _signature_group_delay_bound(sig: MaterialSignature) -> float:
-    """Largest magnitude group delay implied by the signature phase."""
-    dphi = np.gradient(sig.phase_rad, sig.freq_hz)
-    return float(np.max(np.abs(dphi)) / (2.0 * math.pi))
-
-
 def _filter(w: Waveform, n: int, h: np.ndarray) -> Waveform:
     """Filter by the response ``h`` on the n // 2 + 1 bins of an ``n``-point rFFT.
 
     The output spans all ``n`` samples; its mean power over all of them is
     the SNR reference (``add_awgn``'s default, ``Scenario.powers``).
+    ``apply_signature`` does the same with a cached spectrum.
     """
     return Waveform(np.fft.irfft(np.fft.rfft(w.samples, n=n) * h, n=n), w.dt)
+
+
+# the detection path's traffic: 4 packaged pulses x 2 record lengths (the
+# padded human kinds and the rest)
+@lru_cache(maxsize=8)
+def _rfft(samples: bytes, n: int) -> np.ndarray:
+    """Read-only n-point rFFT of raw float64 samples.
+
+    ``apply_signature`` filters a TX pulse's spectrum and ``detection``
+    divides by it on the same grid, so both read it from this one cache.
+    """
+    spectrum = np.fft.rfft(np.frombuffer(samples), n=n)
+    spectrum.flags.writeable = False  # shared through the cache
+    return spectrum
+
+
+# the six material kinds at one waveform length: the packaged pulses share theirs
+@lru_cache(maxsize=len(MATERIAL_KINDS))
+def _signature_response(
+    freq: bytes, attenuation: bytes, phase: bytes, dt: float, size: int
+) -> tuple[int, np.ndarray]:
+    """FFT length n and read-only response on its rFFT grid of a signature (raw float64 bytes).
+
+    The ``size``-sample waveform is zero-padded on the grid past the
+    signature's largest group delay, so the circular convolution cannot
+    wrap. A signature that does not cover [0, Nyquist] raises
+    ``ValueError``, which the cache never stores.
+    """
+    freq_hz, attenuation_db, phase_rad = (np.frombuffer(b) for b in (freq, attenuation, phase))
+    nyquist = 0.5 / dt
+    if freq_hz[0] > 1e-9 or freq_hz[-1] < nyquist * (1 - 1e-12):
+        raise ValueError(
+            f"signature grid [{freq_hz[0]:.3g}, {freq_hz[-1]:.3g}] Hz does not "
+            f"cover the waveform band [0, {nyquist:.3g}] Hz")
+    group_delay = np.max(np.abs(np.gradient(phase_rad, freq_hz))) / (2.0 * math.pi)
+    pad = int(math.ceil(group_delay / dt)) + 64
+    n = _fast_len(size + 2 * pad)
+    f = np.fft.rfftfreq(n, d=dt)
+    att = np.interp(f, freq_hz, attenuation_db)
+    h = 10.0 ** (-att / 20.0) * np.exp(1j * np.interp(f, freq_hz, phase_rad))
+    h.flags.writeable = False  # shared through the cache
+    return n, h
 
 
 # Bins per block of the phasor product in ``_tap_sum``; near sqrt(bins) keeps
@@ -246,19 +289,13 @@ def apply_signature(w: Waveform, sig: MaterialSignature) -> Waveform:
     Multiplies the spectrum by 10^(-att/20) * exp(i*phase) (linearly
     interpolated onto the FFT grid) and returns the real time-domain result.
     The waveform is zero-padded past the signature's worst group delay so
-    the circular convolution cannot wrap.
+    the circular convolution cannot wrap. The response and the waveform's
+    spectrum are cached by content, so repeating a (waveform, signature)
+    pair repeats only the product and the inverse FFT.
     """
-    nyquist = 0.5 / w.dt
-    if sig.freq_hz[0] > 1e-9 or sig.freq_hz[-1] < nyquist * (1 - 1e-12):
-        raise ValueError(
-            f"signature grid [{sig.freq_hz[0]:.3g}, {sig.freq_hz[-1]:.3g}] Hz does not "
-            f"cover the waveform band [0, {nyquist:.3g}] Hz")
-    pad = int(math.ceil(_signature_group_delay_bound(sig) / w.dt)) + 64
-    n = _fast_len(w.samples.size + 2 * pad)
-    f = np.fft.rfftfreq(n, d=w.dt)
-    att = np.interp(f, sig.freq_hz, sig.attenuation_db)
-    phase = np.interp(f, sig.freq_hz, sig.phase_rad)
-    return _filter(w, n, 10.0 ** (-att / 20.0) * np.exp(1j * phase))
+    n, h = _signature_response(sig.freq_hz.tobytes(), sig.attenuation_db.tobytes(),
+                               sig.phase_rad.tobytes(), w.dt, w.samples.size)
+    return Waveform(np.fft.irfft(_rfft(w.samples.tobytes(), n) * h, n=n), w.dt)
 
 
 def propagate(w: Waveform, distance_m: float, cir: ChannelRealization) -> Waveform:

@@ -7,9 +7,10 @@ body is both strongly lossy and phase-distorting. The classifier requires
 both features to call a human, which suppresses false alarms from merely
 lossy media.
 
-The module has one cache, ``_tx_reference``: the kept bins and spectrum of a
-TX pulse on an n-point rFFT, computed once per (pulse, record length), as
-``ranging`` calibrates once per pulse.
+The module has one cache, ``_tx_reference``: the kept bins of a TX pulse on
+an n-point rFFT, computed once per (pulse, record length), as ``ranging``
+calibrates once per pulse. The spectrum itself is ``channel._rfft``'s, the
+one ``apply_signature`` filtered.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import MaterialSignature
+from .channel import MaterialSignature, _rfft
 from .waveform import Waveform, check_grid
 
 __all__ = [
@@ -79,12 +80,17 @@ def estimate_transfer(tx: Waveform, rx: Waveform) -> MaterialSignature:
     Both spectra span the longer record. Bins where |TX| sits below
     ``NOISE_FLOOR_REL_DB`` of its peak are excluded (division there is
     dominated by noise). Attenuation is clamped at zero so noise cannot
-    report gain. The band is the TX pulse's -10 dB bandwidth.
+    report gain. The band is the TX pulse's -10 dB bandwidth. An all-zero
+    TX, or an RX that is zero on every kept bin, raises ``ValueError``.
     """
     check_grid(tx, rx)
     n = max(tx.samples.size, rx.samples.size)
-    keep, tx_kept = _tx_reference(tx.samples.tobytes(), tx.dt, n)
-    h = np.fft.rfft(rx.samples, n=n)[keep] / tx_kept
+    samples = tx.samples.tobytes()
+    keep = _tx_reference(samples, tx.dt, n)
+    rx_kept = np.fft.rfft(rx.samples, n=n)[keep]
+    if not rx_kept.any():  # 0 / TX has no phase to fit
+        raise ValueError("no signal was received in the TX band: every kept RX bin is zero")
+    h = rx_kept / _rfft(samples, n)[keep]
     attenuation = np.clip(-20.0 * np.log10(np.maximum(np.abs(h), 1e-300)), 0.0, None)
     phase = np.unwrap(np.angle(h))
     return MaterialSignature(np.fft.rfftfreq(n, d=tx.dt)[keep], attenuation, phase)
@@ -92,17 +98,21 @@ def estimate_transfer(tx: Waveform, rx: Waveform) -> MaterialSignature:
 
 # the six material kinds give each pulse 2 record lengths (the padded human
 # kinds and the rest), so the 4 packaged pulses fill 8 entries
-@lru_cache(maxsize=16)
-def _tx_reference(samples: bytes, dt: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kept-bin mask and kept spectrum of a TX pulse (raw float64 bytes) on an n-point rFFT.
+@lru_cache(maxsize=8)
+def _tx_reference(samples: bytes, dt: float, n: int) -> np.ndarray:
+    """Read-only kept-bin mask of a TX pulse (raw float64 bytes) on an n-point rFFT.
 
-    A bin is kept inside the band and above the noise floor; fewer than 3
-    kept bins cannot fit a phase line, so they raise ``ValueError``, which
-    the cache never stores. The kept frequencies are not cached: at 8 bytes
-    a bin they would cost half as much memory as the spectrum and save a
-    negligible share of a call.
+    A bin is kept inside the band and above the noise floor. An all-zero
+    pulse, or fewer than 3 kept bins, which cannot fit a phase line, raise
+    ``ValueError``, which the cache never stores. The spectrum is
+    ``channel._rfft``'s, the one ``apply_signature`` filtered; neither its
+    kept bins nor their frequencies are cached, since a copy would hold up to
+    16 bytes a bin and gathering them costs a negligible share of a call.
     """
-    tx_spec = np.fft.rfft(np.frombuffer(samples), n=n)
+    if not np.frombuffer(samples).any():
+        raise ValueError("the TX pulse is all zeros: a zero-energy pulse has no spectrum "
+                         "to divide the RX by")
+    tx_spec = _rfft(samples, n)
     tx_mag = np.abs(tx_spec)
     freq = np.fft.rfftfreq(n, d=dt)
     strong = np.nonzero(tx_mag >= tx_mag.max() * 10.0 ** (-BAND_DROP_DB / 20.0))[0]
@@ -114,9 +124,8 @@ def _tx_reference(samples: bytes, dt: float, n: int) -> tuple[np.ndarray, np.nda
         raise ValueError(
             f"the TX pulse has {kept} usable rFFT bins of {freq.size} "
             f"(band [{f_lo:.3g}, {f_hi:.3g}] Hz); a phase-line fit needs >= 3")
-    tx_kept = tx_spec[keep]
-    keep.flags.writeable = tx_kept.flags.writeable = False  # shared through the cache
-    return keep, tx_kept
+    keep.flags.writeable = False  # shared through the cache
+    return keep
 
 
 def phase_nonlinearity(sig: MaterialSignature) -> float:

@@ -452,6 +452,23 @@ class TestDetectCommand:
         err = capsys.readouterr().err
         assert str(path) in err and "2 usable rFFT bins of 2" in err
 
+    def test_silent_rx_exit_code(self, tmp_path, capsys, default_pulses):
+        # 0 / TX once read as a 6000 dB, phase-distorting medium: human_present
+        tx_path, rx_path = tmp_path / "tx.csv", tmp_path / "rx.csv"
+        waveform_to_csv(default_pulses.pulses[0], tx_path)
+        waveform_to_csv(Waveform(np.zeros(64), default_pulses.pulses[0].dt), rx_path)
+        assert main(["detect", "--tx", str(tx_path), "--rx", str(rx_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no signal was received in the TX band" in captured.err
+
+    def test_zero_tx_exit_code(self, tmp_path, capsys, default_pulses):
+        tx_path, rx_path = tmp_path / "tx.csv", tmp_path / "rx.csv"
+        waveform_to_csv(Waveform(np.zeros(64), 50e-12), tx_path)
+        waveform_to_csv(default_pulses.pulses[0], rx_path)
+        assert main(["detect", "--tx", str(tx_path), "--rx", str(rx_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "TX pulse is all zeros" in captured.err
+
 
 class TestCirCommand:
     def test_writes_csv(self, tmp_path, capsys):

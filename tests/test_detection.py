@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwbloc.channel import MATERIAL_KINDS, MaterialSignature, apply_signature, material_response
+from uwbloc.channel import (
+    MATERIAL_KINDS,
+    MaterialSignature,
+    _fast_len,
+    _rfft,
+    _signature_response,
+    apply_signature,
+    material_response,
+)
 from uwbloc.detection import (
     ARTIFICIAL_FLOOR_DB,
     BAND_DROP_DB,
@@ -43,6 +51,26 @@ def estimate_transfer_reference(tx, rx):
     return MaterialSignature(freq[keep], attenuation, np.unwrap(np.angle(h)))
 
 
+def apply_signature_reference(w, sig):
+    """``apply_signature`` with the response and the spectrum recomputed per call: the oracle."""
+    group_delay = float(np.max(np.abs(np.gradient(sig.phase_rad, sig.freq_hz))) / (2.0 * math.pi))
+    n = _fast_len(w.samples.size + 2 * (int(math.ceil(group_delay / w.dt)) + 64))
+    f = np.fft.rfftfreq(n, d=w.dt)
+    h = (10.0 ** (-np.interp(f, sig.freq_hz, sig.attenuation_db) / 20.0)
+         * np.exp(1j * np.interp(f, sig.freq_hz, sig.phase_rad)))
+    return Waveform(np.fft.irfft(np.fft.rfft(w.samples, n=n) * h, n=n), w.dt)
+
+
+def assert_same_waveform(a, b):
+    assert a.dt == b.dt and a.samples.dtype == b.samples.dtype
+    assert np.array_equal(a.samples, b.samples)
+
+
+def clear_detection_caches():
+    for cache in (_signature_response, _rfft, _tx_reference):
+        cache.cache_clear()
+
+
 def assert_same_signature(a, b):
     for name in ("freq_hz", "attenuation_db", "phase_rad"):
         x, y = getattr(a, name), getattr(b, name)
@@ -74,6 +102,21 @@ class TestEstimateTransfer:
         tx = Waveform(np.array([0.0, 1.0, 0.5]), DT)
         with pytest.raises(ValueError, match=r"2 usable rFFT bins of 2 .*needs >= 3"):
             estimate_transfer(tx, tx)
+
+    def test_silent_rx_is_rejected(self, tx):
+        # the phase of 0 / TX means nothing, and its 6000 dB once called a human
+        for rx in (Waveform(np.zeros(64), tx.dt), Waveform(np.zeros(len(tx)), tx.dt)):
+            with pytest.raises(ValueError, match="no signal was received in the TX band"):
+                estimate_transfer(tx, rx)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_tx_is_rejected_before_any_division(self, tx):
+        zero = Waveform(np.zeros(64), tx.dt)
+        _tx_reference.cache_clear()
+        for rx in (tx, zero):
+            with pytest.raises(ValueError, match="TX pulse is all zeros"):
+                estimate_transfer(zero, rx)
+        assert _tx_reference.cache_info().currsize == 0
 
     def test_mismatched_dt(self, tx):
         rx = Waveform(tx.samples, 2 * tx.dt)
@@ -130,6 +173,74 @@ class TestTxReference:
             with pytest.raises(ValueError, match="usable rFFT bins"):
                 estimate_transfer(tx, tx)
         assert _tx_reference.cache_info().currsize == 0
+
+
+class TestSignatureCache:
+    @pytest.mark.parametrize("kind", MATERIAL_KINDS)
+    def test_bit_identical_to_uncached(self, default_pulses, kind):
+        sig = material_response(kind)
+        for i, pulse in enumerate(default_pulses.pulses):
+            rx = apply_signature(pulse, sig)
+            assert_same_waveform(rx, apply_signature_reference(pulse, sig))
+            for noisy in (rx, add_awgn(rx, 30.0, seed=i)):
+                assert_same_signature(estimate_transfer(pulse, noisy),
+                                      estimate_transfer_reference(pulse, noisy))
+
+    def test_interleaved_signatures_and_pulses_match_each_alone(self, default_pulses):
+        a, b = default_pulses.pulses[:2]
+        pairs = [(a, "human"), (b, "wood_door"), (a, "wood_door"), (b, "human"), (a, "human")]
+
+        def run(pulse, kind):
+            rx = apply_signature(pulse, material_response(kind))
+            return rx, estimate_transfer(pulse, add_awgn(rx, 30.0, seed=3))
+
+        alone = []
+        for pulse, kind in pairs:
+            clear_detection_caches()
+            alone.append(run(pulse, kind))
+        clear_detection_caches()
+        interleaved = [run(pulse, kind) for pulse, kind in pairs]
+        for (rx, sig), (rx_alone, sig_alone) in zip(interleaved, alone):
+            assert_same_waveform(rx, rx_alone)
+            assert_same_signature(sig, sig_alone)
+        # both pulses have one length, so each kind is one response; each
+        # (pulse, record length) is one spectrum and one kept-bin mask
+        assert _signature_response.cache_info().misses == 2
+        assert _rfft.cache_info().misses == 4
+        assert _tx_reference.cache_info().misses == 4
+
+    def test_overwritten_signature_gives_the_new_result(self, tx):
+        sig = material_response("human")
+        before = apply_signature(tx, sig)
+        sig.freq_hz[:] = np.linspace(0.0, 12e9, sig.freq_hz.size)
+        sig.attenuation_db[:] = 20.0
+        sig.phase_rad[:] *= 0.5
+        after = apply_signature(tx, sig)
+        assert_same_waveform(after, apply_signature_reference(tx, sig))
+        assert not np.array_equal(after.samples[:len(before)], before.samples[:len(after)])
+
+    def test_cached_arrays_are_read_only(self, tx):
+        sig = material_response("human")
+        rx = apply_signature(tx, sig)
+        n, h = _signature_response(sig.freq_hz.tobytes(), sig.attenuation_db.tobytes(),
+                                   sig.phase_rad.tobytes(), tx.dt, len(tx))
+        assert n == len(rx)
+        shared = (h, _rfft(tx.samples.tobytes(), n), _tx_reference(tx.samples.tobytes(), tx.dt, n))
+        for values in shared:
+            assert not values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0
+        # the caller's output is its own
+        assert rx.samples.flags.writeable
+
+    def test_signature_failing_band_check_is_not_cached(self, tx):
+        freq = np.linspace(0.0, 1e9, 64)  # stops far below Nyquist
+        sig = MaterialSignature(freq, np.zeros(64), np.zeros(64))
+        _signature_response.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not cover the waveform band"):
+                apply_signature(tx, sig)
+        assert _signature_response.cache_info().currsize == 0
 
 
 def phase_nonlinearity_reference(sig):
