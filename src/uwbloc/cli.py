@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable
 
 from .channel import cir_to_csv, sample_cir, signature_from_csv
-from .detection import DetectionThresholds, classify, estimate_transfer
+from .detection import DEFAULT_THRESHOLDS, DetectionThresholds, classify, estimate_transfer
 from .pulses import DesignConfig, InfeasibleDesignError, design_pulses, pulse_set_to_json
 from .simulate import (
     ConfigError,
@@ -228,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rx", help="received waveform (CSV or JSON)")
     p.add_argument("--signature", help="signature CSV (freq_hz,attenuation_db,phase_rad)")
     p.add_argument("--attenuation-threshold", type=_threshold("attenuation_db"),
-                   default=DetectionThresholds.attenuation_db)
+                   default=DEFAULT_THRESHOLDS.attenuation_db)
     p.add_argument("--nonlinearity-threshold", type=_threshold("nonlinearity_rad"),
-                   default=DetectionThresholds.nonlinearity_rad)
+                   default=DEFAULT_THRESHOLDS.nonlinearity_rad)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("cir", help="dump one channel impulse response as CSV")

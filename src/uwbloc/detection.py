@@ -11,6 +11,10 @@ The module has one cache, ``_tx_reference``: the kept bins of a TX pulse on
 an n-point rFFT, computed once per (pulse, record length), as ``ranging``
 calibrates once per pulse. The spectrum itself is ``channel._rfft``'s, the
 one ``apply_signature`` filtered.
+
+The phase is ``np.unwrap(np.angle(h))`` in fewer passes (``_unwrap_angle``):
+each step between bins drops its nearest whole turn, a tie ±π none, as in
+``unwrap``, and the two differ by rounding only, too little to move a verdict.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ BAND_DROP_DB = 10.0
 ARTIFICIAL_FLOOR_DB = 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionThresholds:
     """``classify``'s two human tests, each one that some medium can fail.
 
@@ -60,7 +64,7 @@ class DetectionThresholds:
             raise ValueError(f"nonlinearity threshold must be > 0, got {self.nonlinearity_rad}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionVerdict:
     label: str  # human_present | artificial_only | free_space
     mean_attenuation_db: float
@@ -74,6 +78,10 @@ class DetectionVerdict:
             raise ValueError("phase nonlinearity must be finite and >= 0")
 
 
+# frozen, so every classify call without thresholds shares it
+DEFAULT_THRESHOLDS = DetectionThresholds()
+
+
 def estimate_transfer(tx: Waveform, rx: Waveform) -> MaterialSignature:
     """Estimate the medium's frequency response as the spectral ratio RX/TX.
 
@@ -82,18 +90,48 @@ def estimate_transfer(tx: Waveform, rx: Waveform) -> MaterialSignature:
     dominated by noise). Attenuation is clamped at zero so noise cannot
     report gain. The band is the TX pulse's -10 dB bandwidth. An all-zero
     TX, or an RX that is zero on every kept bin, raises ``ValueError``.
+
+    The ratio and the attenuation are computed in place, bit-identical to
+    the out-of-place forms; the phase is ``_unwrap_angle``'s, which is
+    ``np.unwrap(np.angle(h))`` to rounding, ties ±π corrected by 0 in both.
     """
     check_grid(tx, rx)
     n = max(tx.samples.size, rx.samples.size)
     samples = tx.samples.tobytes()
     keep = _tx_reference(samples, tx.dt, n)
-    rx_kept = np.fft.rfft(rx.samples, n=n)[keep]
-    if not rx_kept.any():  # 0 / TX has no phase to fit
+    h = np.fft.rfft(rx.samples, n=n)[keep]
+    if not h.any():  # 0 / TX has no phase to fit
         raise ValueError("no signal was received in the TX band: every kept RX bin is zero")
-    h = rx_kept / _rfft(samples, n)[keep]
-    attenuation = np.clip(-20.0 * np.log10(np.maximum(np.abs(h), 1e-300)), 0.0, None)
-    phase = np.unwrap(np.angle(h))
-    return MaterialSignature(np.fft.rfftfreq(n, d=tx.dt)[keep], attenuation, phase)
+    np.divide(h, _rfft(samples, n)[keep], out=h)
+    attenuation = np.abs(h)
+    np.maximum(attenuation, 1e-300, out=attenuation)
+    np.log10(attenuation, out=attenuation)
+    attenuation *= -20.0
+    np.clip(attenuation, 0.0, None, out=attenuation)
+    # rfftfreq(n, dt)[keep], without the full grid: rfftfreq is arange(n // 2 + 1) * (1 / (n dt))
+    freq = np.flatnonzero(keep) * (1.0 / (n * tx.dt))
+    return MaterialSignature(freq, attenuation, _unwrap_angle(h))
+
+
+def _unwrap_angle(h: np.ndarray) -> np.ndarray:
+    """``np.unwrap(np.angle(h))`` in fewer passes: each step loses its nearest whole turn.
+
+    A step of ``angle`` lies in [-2π, 2π], so ``unwrap``'s only correction is
+    -2π·round(step / 2π). Rounding half to even corrects the ties ±π by 0,
+    as ``unwrap`` does; a step within rounding of a tie may round either way
+    in the two. The turns are whole numbers, so their running sum is exact
+    and φ_k sits within eps·2π·(k + 1) of angle(h_k) less whole turns, an
+    exactly zero bin included. ``unwrap`` sums float corrections instead,
+    whose rounding grows with the bin index, up to eps·2π·k²/4 at bin k.
+    """
+    phase = np.angle(h)
+    turns = np.diff(phase)
+    turns /= 2.0 * math.pi
+    np.rint(turns, out=turns)
+    np.cumsum(turns, out=turns)
+    turns *= 2.0 * math.pi
+    phase[1:] -= turns
+    return phase
 
 
 # the six material kinds give each pulse 2 record lengths (the padded human
@@ -155,7 +193,7 @@ def classify(sig: MaterialSignature, thresholds: DetectionThresholds | None = No
     failing either test is artificial_only; anything nearly transparent is
     free_space.
     """
-    th = thresholds or DetectionThresholds()
+    th = thresholds or DEFAULT_THRESHOLDS
     atten = mean_attenuation(sig)
     nonlin = phase_nonlinearity(sig)
     if atten >= th.attenuation_db and nonlin >= th.nonlinearity_rad:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from uwbloc.channel import material_response
-from uwbloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
+from uwbloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, build_parser, main
+from uwbloc.detection import DetectionThresholds
 from uwbloc.positioning import Anchor, RoomBounds
 from uwbloc.pulses import DesignConfig, load_pulse_set, pulse_set_to_json
 from uwbloc.simulate import SimConfig, config_to_json
@@ -351,6 +352,11 @@ class TestDetectCommand:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["label"] == "human_present"
         assert verdict["thresholds"]["attenuation_db"] == 30.0
+
+    def test_parsed_defaults_are_the_threshold_defaults(self):
+        args = build_parser().parse_args(["detect"])
+        assert (args.attenuation_threshold, args.nonlinearity_threshold) == \
+            dataclasses.astuple(DetectionThresholds())
 
     def test_from_waveform_files(self, tmp_path, capsys, default_pulses):
         from uwbloc.channel import apply_signature

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uwbloc.channel import (
@@ -20,6 +20,7 @@ from uwbloc.detection import (
     NOISE_FLOOR_REL_DB,
     DetectionThresholds,
     _tx_reference,
+    _unwrap_angle,
     classify,
     estimate_transfer,
     mean_attenuation,
@@ -48,7 +49,7 @@ def estimate_transfer_reference(tx, rx):
     keep = (freq >= f_lo) & (freq <= f_hi) & (tx_mag >= floor)
     h = rx_spec[keep] / tx_spec[keep]
     attenuation = np.clip(-20.0 * np.log10(np.maximum(np.abs(h), 1e-300)), 0.0, None)
-    return MaterialSignature(freq[keep], attenuation, np.unwrap(np.angle(h)))
+    return MaterialSignature(freq[keep], attenuation, _unwrap_angle(h))
 
 
 def apply_signature_reference(w, sig):
@@ -135,6 +136,93 @@ class TestEstimateTransfer:
         strong = mag >= mag.max() * 10.0 ** (-10.0 / 20.0)
         assert strong[bins == f_lo] and strong[bins == f_hi]
         assert not np.any(strong & ((bins < f_lo) | (bins > f_hi)))
+
+
+EPS = np.finfo(float).eps
+TURN = 2.0 * math.pi
+
+
+def own_rounding_rad(k):
+    """Bound on |φ_k - (angle(h_k) - 2π·K_k)| for ``_unwrap_angle``: the turns sum exactly,
+    so only rounding K·2π and subtracting it from angle(h_k), each within eps/2 of a value
+    of at most 2π·(k + 1/2), can err."""
+    return EPS * TURN * (k + 1)
+
+
+def unwrap_rounding_rad(k):
+    """Bound on |np.unwrap(angle(h))_k - (angle(h_k) - 2π·K_k)|. Each of the k corrections,
+    (mod(step + π, 2π) - π) - step, rounds values under 3π and errs by under 3·eps·2π; their
+    running sum rounds partial sums of size <= 2π·j, adding eps/2·2π·j at step j, so
+    eps·2π·k(k+1)/4 in all; adding the sum to angle(h_k) rounds once more."""
+    return EPS * TURN * (3 * k + k * (k + 1) / 4 + (k + 1) / 2)
+
+
+@st.composite
+def spectra(draw):
+    """Complex bins with any phases, magnitudes over 300 decades, and exact (signed) zeros."""
+    n = draw(st.integers(2, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    # a drawn phase slope gives long runs of whole turns, as a delayed record has
+    slope = draw(st.floats(-4.0, 4.0))
+    phase = slope * np.arange(n) + draw(st.floats(0.0, 10.0)) * rng.standard_normal(n)
+    h = 10.0 ** rng.uniform(-150.0, 150.0, n) * np.exp(1j * phase)
+    zeros = rng.random(n) < draw(st.floats(0.0, 0.5))
+    h[zeros] = rng.choice([0.0, -0.0], zeros.sum()) + 1j * rng.choice([0.0, -0.0], zeros.sum())
+    return h
+
+
+class TestUnwrapAngle:
+    @settings(max_examples=300, deadline=None)
+    @given(h=spectra())
+    def test_matches_unwrap_to_rounding(self, h):
+        p = np.angle(h)
+        step = np.abs(np.diff(p))
+        # within rounding of a tie the two forms may round the step to different turns
+        assume(not np.any((step != np.pi) & (np.abs(step - np.pi) <= 1e-9)))
+        phase = _unwrap_angle(h)
+        k = np.arange(h.size)
+        bound = own_rounding_rad(k) + unwrap_rounding_rad(k)
+        assert np.all(np.abs(phase - np.unwrap(p)) <= bound)
+        # whole turns from angle(h) at every bin, an exactly zero one included
+        turns = (phase - p) / TURN
+        assert np.all(np.abs(turns - np.round(turns)) * TURN <= 2 * own_rounding_rad(k))
+        # no step of more than half a turn is left
+        assert np.all(np.abs(np.diff(phase)) <= np.pi + 2 * own_rounding_rad(k[1:]))
+
+    def test_ties_are_corrected_by_zero_as_unwrap_does(self):
+        # angle steps of exactly +π and -π, between zero bins and real ones
+        h = np.array([1.0, -1.0, 1.0, complex(-1.0, -0.0), 0.0, complex(-0.0, 0.0), 1j])
+        p = np.angle(h)
+        assert {np.pi, -np.pi} <= set(np.diff(p))
+        assert np.array_equal(_unwrap_angle(h), np.unwrap(p))
+
+
+def unwrap_transfer(tx, rx):
+    """``estimate_transfer`` spelled with ``rfftfreq``, out-of-place arithmetic and
+    ``np.unwrap``: the outputs its fewer passes must keep."""
+    n = max(tx.samples.size, rx.samples.size)
+    keep = _tx_reference(tx.samples.tobytes(), tx.dt, n)
+    h = np.fft.rfft(rx.samples, n=n)[keep] / np.fft.rfft(tx.samples, n=n)[keep]
+    attenuation = np.clip(-20.0 * np.log10(np.maximum(np.abs(h), 1e-300)), 0.0, None)
+    return MaterialSignature(np.fft.rfftfreq(n, d=tx.dt)[keep], attenuation,
+                             np.unwrap(np.angle(h)))
+
+
+class TestOutputsMatchUnwrap:
+    @pytest.mark.parametrize("kind", MATERIAL_KINDS)
+    def test_every_pulse_snr_and_seed(self, default_pulses, kind):
+        sig = material_response(kind)
+        for pulse in default_pulses.pulses:
+            rx = apply_signature(pulse, sig)
+            for snr in (30.0, 10.0, 0.0, -10.0, -20.0):
+                for seed in range(5):
+                    noisy = add_awgn(rx, snr, seed=seed)
+                    got, expected = estimate_transfer(pulse, noisy), unwrap_transfer(pulse, noisy)
+                    assert np.array_equal(got.freq_hz, expected.freq_hz)
+                    assert np.array_equal(got.attenuation_db, expected.attenuation_db)
+                    assert classify(got).label == classify(expected).label
+                    assert phase_nonlinearity(got) == pytest.approx(
+                        phase_nonlinearity(expected), rel=1e-12, abs=0.0)
 
 
 class TestTxReference:
@@ -386,6 +474,12 @@ class TestClassify:
                            DetectionThresholds(attenuation_db=25.0, nonlinearity_rad=0.5))
         assert verdict.mean_attenuation_db == pytest.approx(10.0)
         assert verdict.thresholds == DetectionThresholds(25.0, 0.5)
+
+    def test_verdicts_are_slotted_and_default_to_the_default_thresholds(self):
+        f = self.grid()
+        verdict = classify(MaterialSignature(f, np.zeros(301), np.zeros(301)))
+        assert verdict.thresholds == DetectionThresholds()
+        assert not hasattr(verdict, "__dict__") and not hasattr(verdict.thresholds, "__dict__")
 
     def test_rx_scaling_shifts_attenuation_only(self, tx):
         rx = apply_signature(tx, material_response("wood_door"))
