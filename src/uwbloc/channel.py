@@ -42,6 +42,12 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
+# Most taps a profile may draw, 6.4 times the default's 40. ``sample_cir`` appends
+# taps one at a time, and ``_tap_sum``'s phasor table holds taps / 64 complex
+# entries per record sample: at this cap 4 times the record's own bytes, which
+# the record cap (``simulate.MAX_RECORD_SAMPLES``) then bounds as well.
+MAX_TAPS = 256
+
 
 @dataclass(frozen=True)
 class ChannelProfile:
@@ -64,6 +70,19 @@ class ChannelProfile:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0 <= self.min_excess_delay < math.inf:
             raise ValueError("min_excess_delay must be >= 0 and finite")
+        if self.tap_count_max > MAX_TAPS:
+            raise ValueError(f"tap_count_max must be <= {MAX_TAPS}, got {self.tap_count_max}")
+        # the taps drawn to reach the target are a Poisson count of this mean; half
+        # the cap leaves a margin of many standard deviations for the draw
+        arrivals = (self.delay_spread_target - self.min_excess_delay) / self.mean_tap_spacing
+        if arrivals > MAX_TAPS // 2:
+            raise ValueError(
+                f"(delay_spread_target - min_excess_delay) / mean_tap_spacing is {arrivals:.3g} "
+                f"taps on average, more than {MAX_TAPS // 2}")
+        # a reflection has lost energy that the unit line-of-sight path has not; an
+        # unbounded scale (1e300) overflowed the SNR reference power to inf
+        if self.mpc_relative_gain > 1:
+            raise ValueError(f"mpc_relative_gain must be <= 1, got {self.mpc_relative_gain}")
 
 
 @dataclass(frozen=True)
@@ -193,16 +212,6 @@ def _fast_len(n: int) -> int:
     return int(math.ceil(n / 2048)) * 2048
 
 
-def _filter(w: Waveform, n: int, h: np.ndarray) -> Waveform:
-    """Filter by the response ``h`` on the n // 2 + 1 bins of an ``n``-point rFFT.
-
-    The output spans all ``n`` samples; its mean power over all of them is
-    the SNR reference (``add_awgn``'s default, ``Scenario.powers``).
-    ``apply_signature`` does the same with a cached spectrum.
-    """
-    return Waveform(np.fft.irfft(np.fft.rfft(w.samples, n=n) * h, n=n), w.dt)
-
-
 # the detection path's traffic: 4 packaged pulses x 2 record lengths (the
 # padded human kinds and the rest)
 @lru_cache(maxsize=8)
@@ -302,16 +311,20 @@ def propagate(w: Waveform, distance_m: float, cir: ChannelRealization) -> Wavefo
     """Delay by distance/c and convolve with the channel taps, in free space.
 
     The absolute delay goes through the windowed-sinc interpolator; taps are
-    applied as band-limited delays on the FFT grid, so a single unit tap
-    reproduces ``delay(w, distance/c)`` exactly. Materials filter only the
-    detection path (``apply_signature``).
+    applied as band-limited delays on the n // 2 + 1 bins of an n-point rFFT,
+    so a single unit tap reproduces ``delay(w, distance/c)`` exactly. The
+    output spans all n samples of the record (``_record_length``); its mean
+    power over all of them is the SNR reference (``add_awgn``'s default,
+    ``Scenario.powers``). Materials filter only the detection path
+    (``apply_signature``).
     """
     if distance_m <= 0:
         raise ValueError(f"distance must be positive, got {distance_m}")
     delayed = delay(w, distance_m / SPEED_OF_LIGHT)
     n = _record_length(w.samples.size, distance_m, cir, w.dt)
     # rfftfreq's bin 1 is exactly 1.0 / (n * dt), so the tap sum sees its grid
-    return _filter(delayed, n, _tap_sum(cir.taps, 1.0 / (n * w.dt), n // 2 + 1))
+    h = _tap_sum(cir.taps, 1.0 / (n * w.dt), n // 2 + 1)
+    return Waveform(np.fft.irfft(np.fft.rfft(delayed.samples, n=n) * h, n=n), w.dt)
 
 
 def _record_length(size: int, distance_m: float, cir: ChannelRealization, dt: float) -> int:

@@ -148,6 +148,10 @@ class SimConfig:
             raise ConfigError(f"snr points must be numbers or +inf: {list(self.snr_grid_db)}")
         if len(self.anchors) < 4:
             raise ConfigError("need at least 4 anchors")
+        ids = [a.id for a in self.anchors]
+        for anchor_id in ids:
+            if ids.count(anchor_id) > 1:  # ToAs and ranges are reported by anchor id
+                raise ConfigError(f"anchors repeat the id {anchor_id!r}")
         if self.symbol_count < 2:
             raise ConfigError("symbol_count must be >= 2")
         for name in ("symbol_duration", "placement_inset"):
@@ -229,6 +233,18 @@ def _resolve_pulses(cfg: SimConfig, pulse_set: PulseSet | None) -> PulseSet:
         raise ConfigError(
             f"symbol_duration {cfg.symbol_duration} s x (symbol_count {cfg.symbol_count} + 1) "
             f"is a {record}-sample record at dt={ps.dt}, more than {MAX_RECORD_SAMPLES}")
+    # propagate's record spans the latest tap (channel._record_length), so its reach
+    # has the read window's cap. The latest tap's mean delay is below
+    # min_excess_delay + delay_spread_target + tap_count_max mean spacings; the
+    # delays are random, so four times that is checked.
+    ch = cfg.channel
+    reach = 4 * (ch.min_excess_delay + ch.delay_spread_target
+                 + ch.tap_count_max * ch.mean_tap_spacing)
+    if reach / ps.dt > MAX_RECORD_SAMPLES:
+        raise ConfigError(
+            f"channel reach 4 x (min_excess_delay + delay_spread_target + tap_count_max x "
+            f"mean_tap_spacing) is {reach:.3g} s, {reach / ps.dt:.3g} samples at dt={ps.dt}, "
+            f"more than {MAX_RECORD_SAMPLES}")
     pulse = max(ps.pulses, key=len)
     symbol, calibration = round(cfg.symbol_duration / ps.dt), calibration_samples(pulse)
     if symbol < calibration:

@@ -30,10 +30,6 @@ DB_FLOOR = -400.0
 
 HZ_PER_MHZ = 1e6
 
-MASK_BAND_LO_HZ = 0.5e9
-MASK_BAND_HI_HZ = 2.5e9
-MASK_FULL_BAND_HI_HZ = 10e9
-
 
 class DisjointBandError(ValueError):
     """Spectrum and mask have no frequency band in common."""
@@ -44,6 +40,9 @@ class SpectralMask:
     """Piecewise-constant PSD ceiling: contiguous (f_lo, f_hi, limit) segments.
 
     Limits are in dBm/MHz; segments must be contiguous and non-overlapping.
+    This is the one form of a mask: a custom one (a notch, other levels) is
+    its own segments, which the design config's ``mask`` key lists as
+    ``f_lo_hz``, ``f_hi_hz`` and ``limit_dbm_per_mhz`` objects.
     """
 
     segments: tuple[tuple[float, float, float], ...]
@@ -86,30 +85,15 @@ class SpectralMask:
         return sum(10.0 ** (lim / 10.0) * (b - a) / HZ_PER_MHZ for a, b, lim in self.segments)
 
 
-def fcc_like_mask(
-    passband_dbm_mhz: float = -41.3,
-    stopband_dbm_mhz: float = -51.3,
-    notch: tuple[float, float, float] | None = None,
-) -> SpectralMask:
-    """Baseband-equivalent FCC-like mask: a passband ceiling with stopbands.
+def fcc_like_mask() -> SpectralMask:
+    """The designer's default mask: an FCC-like baseband-equivalent ceiling.
 
-    The passband is [0.5, 2.5] GHz; the stopbands fill the rest of [0, 10] GHz.
-    ``notch`` optionally carves (f_lo, f_hi, limit) out of the passband to
-    exercise the pulse optimizer. This is a reproducible stand-in table, not
-    a regulatory document.
+    -41.3 dBm/MHz on the [0.5, 2.5] GHz passband and -51.3 dBm/MHz on the
+    stopbands filling the rest of [0, 10] GHz. A notched or re-levelled mask
+    is a ``SpectralMask`` of its own segments. This is a reproducible
+    stand-in table, not a regulatory document.
     """
-    segs: list[tuple[float, float, float]] = [(0.0, MASK_BAND_LO_HZ, stopband_dbm_mhz)]
-    if notch is None:
-        segs.append((MASK_BAND_LO_HZ, MASK_BAND_HI_HZ, passband_dbm_mhz))
-    else:
-        n_lo, n_hi, n_lim = notch
-        if not (MASK_BAND_LO_HZ < n_lo < n_hi < MASK_BAND_HI_HZ):
-            raise ValueError("notch must lie strictly inside the passband")
-        segs.append((MASK_BAND_LO_HZ, n_lo, passband_dbm_mhz))
-        segs.append((n_lo, n_hi, n_lim))
-        segs.append((n_hi, MASK_BAND_HI_HZ, passband_dbm_mhz))
-    segs.append((MASK_BAND_HI_HZ, MASK_FULL_BAND_HI_HZ, stopband_dbm_mhz))
-    return SpectralMask(tuple(segs))
+    return SpectralMask(((0.0, 0.5e9, -51.3), (0.5e9, 2.5e9, -41.3), (2.5e9, 10e9, -51.3)))
 
 
 def _one_sided_weights(nfft: int) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uwbloc.channel import (
+    MAX_TAPS,
     SPEED_OF_LIGHT,
     ChannelProfile,
     ChannelRealization,
@@ -18,7 +19,6 @@ from uwbloc.channel import (
     sample_cir,
     signature_from_csv,
     _fast_len,
-    _filter,
     _tap_sum,
 )
 from uwbloc.detection import phase_nonlinearity
@@ -83,6 +83,31 @@ class TestSampleCir:
             ChannelProfile(tap_count_min=0)
         with pytest.raises(ValueError):
             ChannelRealization(((1e-9, 1.0),))  # missing LOS at zero
+
+    @pytest.mark.parametrize("kwargs, key", [
+        # each once ran sample_cir out of memory, or overflowed the SNR reference power
+        ({"mean_tap_spacing": 1e-15}, "mean_tap_spacing"),
+        ({"tap_count_max": 10**9}, "tap_count_max"),
+        ({"tap_count_max": MAX_TAPS + 1}, "tap_count_max"),
+        ({"delay_spread_target": 1e-6, "min_excess_delay": 0.0, "mean_tap_spacing": 5e-9},
+         "delay_spread_target"),
+        ({"mpc_relative_gain": 1e300}, "mpc_relative_gain"),
+        ({"mpc_relative_gain": 1.0 + 1e-12}, "mpc_relative_gain"),
+    ])
+    def test_profile_the_simulator_cannot_run_rejected(self, kwargs, key):
+        with pytest.raises(ValueError, match=key):
+            ChannelProfile(**kwargs)
+
+    def test_profile_limits_are_inclusive(self):
+        ChannelProfile(tap_count_min=MAX_TAPS, tap_count_max=MAX_TAPS)
+        ChannelProfile(mpc_relative_gain=1.0)
+        # power-of-two times, so the mean arrival count is exactly the limit
+        spacing = 2.0**-30
+        ChannelProfile(min_excess_delay=0.0, mean_tap_spacing=spacing,
+                       delay_spread_target=MAX_TAPS // 2 * spacing)
+        with pytest.raises(ValueError, match="on average"):
+            ChannelProfile(min_excess_delay=0.0, mean_tap_spacing=spacing,
+                           delay_spread_target=(MAX_TAPS // 2 + 1) * spacing)
 
     def test_delay_spread_is_latest_tap(self):
         cir = sample_cir(ChannelProfile(), seed=4)
@@ -212,11 +237,6 @@ class TestTapSum:
     @pytest.mark.parametrize("bins", [1, 127, 128, 129, 12289])
     def test_unit_los_tap_is_exactly_one(self, bins):
         assert np.array_equal(_tap_sum(((0.0, 1.0),), 1.0 / (24576 * DT), bins), np.ones(bins))
-
-    def test_unit_los_tap_filters_like_no_taps(self):
-        w = probe_pulse()
-        with_tap = _filter(w, 512, _tap_sum(((0.0, 1.0),), 1.0 / (512 * w.dt), 257))
-        assert np.array_equal(with_tap.samples, _filter(w, 512, np.ones(257)).samples)
 
 
 class TestPropagate:

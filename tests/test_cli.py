@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from uwbloc import cli, simulate
 from uwbloc.channel import material_response
 from uwbloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, build_parser, main
 from uwbloc.detection import DetectionThresholds
@@ -264,6 +265,51 @@ class TestRejectedValues:
         for command in ("sweep", "locate"):
             assert main([command, "--config", str(path)]) == EXIT_CONFIG
             assert "symbol_duration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("channel, key, commands", [
+        # cir was killed drawing about 6e7 taps
+        ({"mean_tap_spacing": 1e-15}, "mean_tap_spacing", ("cir", "locate", "sweep")),
+        ({"tap_count_max": 10**9}, "tap_count_max", ("cir", "locate", "sweep")),
+        # locate ran on for minutes over a propagate record of about 2e7 samples;
+        # cir draws such a channel's few taps and propagates nothing
+        ({"delay_spread_target": 1e-3, "mean_tap_spacing": 1e-4, "decay_constant": 1e-4},
+         "channel reach", ("locate", "sweep")),
+        ({"min_excess_delay": 1.0}, "channel reach", ("locate", "sweep")),
+        # an infinite SNR reference power once ended locate and sweep in a traceback
+        ({"mpc_relative_gain": 1e300}, "mpc_relative_gain", ("cir", "locate", "sweep")),
+    ])
+    def test_channel_profile_the_simulator_cannot_run(self, tmp_path, capsys, monkeypatch,
+                                                      channel, key, commands):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a channel the simulator cannot run reached it")
+
+        # a late check would start the unbounded draw or record; fail fast instead
+        for module, name in ((cli, "sample_cir"), (simulate, "sample_cir"),
+                             (simulate, "propagate")):
+            monkeypatch.setattr(module, name, unreachable)
+        path = tmp_path / "cfg.json"
+        out = tmp_path / "o"
+        path.write_text(json.dumps({"channel": channel, "trials": 1, "snr_grid_db": [30],
+                                    "out_dir": str(out)}))
+        for command in commands:
+            argv = [command, "--config", str(path)]
+            assert main(argv + (["--out", str(out)] if command == "cir" else [])) == EXIT_CONFIG
+            assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_anchor_id(self, tmp_path, capsys):
+        # locate once exited 0 and listed "a0" twice, so a range could not be traced
+        anchors = config_to_json(SimConfig())["anchors"]
+        anchors[2]["id"] = "a0"
+        path = tmp_path / "cfg.json"
+        out = tmp_path / "o"
+        path.write_text(json.dumps({"anchors": anchors, "trials": 1, "out_dir": str(out)}))
+        for command in ("locate", "sweep", "cir"):
+            argv = [command, "--config", str(path)]
+            assert main(argv + (["--out", str(out)] if command == "cir" else [])) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "anchors" in err and "'a0'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, obj, key", [
         ("sweep", {"placement_inset": math.nan}, "placement_inset"),

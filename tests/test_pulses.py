@@ -227,9 +227,13 @@ def fft_shape_metrics(ev, pop):
 
 MASKS = {
     "default": fcc_like_mask(),
-    "notched": fcc_like_mask(notch=(1.0e9, 1.3e9, -65.0)),
-    "forbidden_notch": fcc_like_mask(notch=(1.0e9, 1.3e9, -math.inf)),
-    "forbidden_stopband": fcc_like_mask(stopband_dbm_mhz=-math.inf),
+    "notched": SpectralMask(((0.0, 0.5e9, -51.3), (0.5e9, 1.0e9, -41.3), (1.0e9, 1.3e9, -65.0),
+                             (1.3e9, 2.5e9, -41.3), (2.5e9, 10e9, -51.3))),
+    "forbidden_notch": SpectralMask(((0.0, 0.5e9, -51.3), (0.5e9, 1.0e9, -41.3),
+                                     (1.0e9, 1.3e9, -math.inf), (1.3e9, 2.5e9, -41.3),
+                                     (2.5e9, 10e9, -51.3))),
+    "forbidden_stopband": SpectralMask(((0.0, 0.5e9, -math.inf), (0.5e9, 2.5e9, -41.3),
+                                        (2.5e9, 10e9, -math.inf))),
 }
 
 
@@ -312,7 +316,7 @@ class TestPulseSetIO:
 
     def test_loader_rejects_mask_violation(self, default_pulses):
         obj = pulse_set_to_json(default_pulses)
-        tight = fcc_like_mask(passband_dbm_mhz=-81.3, stopband_dbm_mhz=-91.3)
+        tight = SpectralMask(((0.0, 0.5e9, -91.3), (0.5e9, 2.5e9, -81.3), (2.5e9, 10e9, -91.3)))
         with pytest.raises(ValueError):
             load_pulse_set(obj, mask=tight)
 

@@ -163,6 +163,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="record"):
             run_trial(cfg, 30.0, seed=1)
 
+    @pytest.mark.parametrize("channel", [
+        # locate once ran for minutes on a propagate record of about 2e7 samples
+        {"delay_spread_target": 1e-3, "mean_tap_spacing": 1e-4, "decay_constant": 1e-4},
+        {"min_excess_delay": 1.0},
+    ])
+    def test_channel_reach_past_the_record_cap_rejected(self, default_pulses, channel):
+        cfg = SimConfig(channel=ChannelProfile(**channel))
+        with pytest.raises(ConfigError, match="channel reach"):
+            simulate._resolve_pulses(cfg, default_pulses)
+
+    def test_channel_reach_limit(self, default_pulses):
+        # the default profile reaches 4 x (2 + 60 + 40 x 5) ns; min_excess_delay adds 4x itself
+        cap_s = simulate.MAX_RECORD_SAMPLES * default_pulses.dt / 4 - 262e-9
+        for scale, accepted in ((0.99, True), (1.01, False)):
+            cfg = SimConfig(channel=ChannelProfile(min_excess_delay=scale * cap_s))
+            if accepted:
+                simulate._resolve_pulses(cfg, default_pulses)
+            else:
+                with pytest.raises(ConfigError, match="channel reach"):
+                    simulate._resolve_pulses(cfg, default_pulses)
+
     def test_record_limit_is_inclusive(self, default_pulses):
         n_sym = round(SimConfig().symbol_duration / default_pulses.dt)
         longest = simulate.MAX_RECORD_SAMPLES // n_sym - 1
@@ -195,20 +216,25 @@ class TestConfig:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_every_field_round_trips(self, data):
+        spacing = data.draw(_other_than(_floats(1e-12, 1e-6), 5e-9))
+        excess = data.draw(_other_than(_floats(0.0, 1e-6), 2e-9))
         channel_kwargs = {
             "tap_count_min": data.draw(st.integers(1, 19)),
             "tap_count_max": data.draw(st.integers(41, 80)),
-            "mean_tap_spacing": data.draw(_other_than(_floats(1e-12, 1e-6), 5e-9)),
+            "mean_tap_spacing": spacing,
             "decay_constant": data.draw(_other_than(_floats(1e-12, 1e-6), 20e-9)),
-            "delay_spread_target": data.draw(_other_than(_floats(1e-12, 1e-6), 60e-9)),
-            "mpc_relative_gain": data.draw(_other_than(_floats(1e-3, 10.0), 0.35)),
-            "min_excess_delay": data.draw(_other_than(_floats(0.0, 1e-6), 2e-9)),
+            # at most 100 taps on average to reach it, inside ChannelProfile's 128
+            "delay_spread_target": data.draw(_other_than(
+                _floats(1e-12, min(1e-6, excess + 100 * spacing)), 60e-9)),
+            "mpc_relative_gain": data.draw(_other_than(_floats(1e-3, 1.0), 0.35)),
+            "min_excess_delay": excess,
         }
         lo = data.draw(st.tuples(*[_floats(-5.0, 5.0)] * 3))
         hi = tuple(v + data.draw(_floats(0.5, 4.0)) for v in lo)
         anchor_xyz = st.tuples(*[_floats(a - 1.0, b + 1.0) for a, b in zip(lo, hi)])
         anchors = data.draw(st.lists(
-            st.builds(Anchor, st.text(max_size=6), anchor_xyz), min_size=4, max_size=6))
+            st.builds(Anchor, st.text(max_size=6), anchor_xyz), min_size=4, max_size=6,
+            unique_by=lambda a: a.id))
         kwargs = {
             "room": RoomBounds(lo, hi),
             "anchors": tuple(anchors),

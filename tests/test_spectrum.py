@@ -81,11 +81,14 @@ class TestSpectralMask:
         assert mask.limit_at(np.array([5e9]))[0] == -51.3
         assert np.isnan(mask.limit_at(np.array([12e9]))[0])
 
+    def test_default_mask_segments(self):
+        assert fcc_like_mask() == SpectralMask(
+            ((0.0, 0.5e9, -51.3), (0.5e9, 2.5e9, -41.3), (2.5e9, 10e9, -51.3)))
+
     def test_notch(self):
-        mask = fcc_like_mask(notch=(1.0e9, 1.2e9, -61.3))
+        mask = SpectralMask(((0.0, 0.5e9, -51.3), (0.5e9, 1.0e9, -41.3), (1.0e9, 1.2e9, -61.3),
+                             (1.2e9, 2.5e9, -41.3), (2.5e9, 10e9, -51.3)))
         assert mask.limit_at(np.array([1.1e9]))[0] == -61.3
-        with pytest.raises(ValueError):
-            fcc_like_mask(notch=(0.1e9, 0.2e9, -61.3))
 
     def test_integral_linear(self):
         mask = SpectralMask(((0.0, 1e9, -10.0), (1e9, 2e9, -20.0)))
@@ -93,7 +96,8 @@ class TestSpectralMask:
         assert mask.integral_linear() == pytest.approx(expect)
 
     def test_json_round_trip(self, tmp_path):
-        mask = fcc_like_mask(notch=(1.0e9, 1.5e9, -60.0))
+        mask = SpectralMask(((0.0, 0.5e9, -51.3), (0.5e9, 1.0e9, -41.3), (1.0e9, 1.5e9, -60.0),
+                             (1.5e9, 2.5e9, -41.3), (2.5e9, 10e9, -51.3)))
         path = tmp_path / "mask.json"
         path.write_text(json.dumps(config_to_json(DesignConfig(mask=mask)), indent=2))
         assert config_from_json(json.loads(path.read_text()), DesignConfig).mask == mask
