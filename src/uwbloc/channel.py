@@ -143,6 +143,9 @@ _MATERIAL_TABLE = {
     "human_behind_wall": (51.8, 0.9e-9, True),
 }
 MATERIAL_KINDS = tuple(_MATERIAL_TABLE)
+# material_response's grid: 0 Hz to 10 GHz in 5 MHz steps
+MATERIAL_F_MAX_HZ = 10e9
+MATERIAL_POINTS = 2001
 
 # Quadratic phase coefficient producing ~1 rad RMS residual against a linear
 # fit over any 200 MHz window: rms = q * (W/2)^2 * 2/sqrt(45) with W = 200 MHz.
@@ -179,13 +182,9 @@ class MaterialSignature:
         object.__setattr__(self, "phase_rad", p)
 
 
-def material_response(
-    kind: str,
-    f_lo_hz: float = 0.0,
-    f_hi_hz: float = 10e9,
-    points: int = 2001,
-) -> MaterialSignature:
-    """Synthetic per-kind signature on a uniform frequency grid.
+def material_response(kind: str) -> MaterialSignature:
+    """Synthetic per-kind signature on the uniform grid of ``MATERIAL_POINTS``
+    frequencies from 0 to ``MATERIAL_F_MAX_HZ``.
 
     Artificial media: ~10 dB loss with an exactly linear phase. Human cases:
     ~50 dB loss with a quadratic phase distortion on top of the linear term,
@@ -194,12 +193,11 @@ def material_response(
     if kind not in _MATERIAL_TABLE:
         raise ValueError(f"unknown material kind {kind!r}; choose from {MATERIAL_KINDS}")
     level, bulk_delay, human = _MATERIAL_TABLE[kind]
-    freq = np.linspace(f_lo_hz, f_hi_hz, points)
-    atten = np.full(points, level)
+    freq = np.linspace(0.0, MATERIAL_F_MAX_HZ, MATERIAL_POINTS)
+    atten = np.full(MATERIAL_POINTS, level)
     if kind != "free_space":
         # gentle tilt across the band; keeps the stated mean, adds texture
-        span = f_hi_hz - f_lo_hz
-        atten = level + 0.8 * (freq - freq.mean()) / span
+        atten = level + 0.8 * (freq - freq.mean()) / MATERIAL_F_MAX_HZ
         atten = np.clip(atten, 0.0, None)
     phase = -2.0 * math.pi * bulk_delay * freq
     if human:

@@ -4,8 +4,7 @@ Bancroft's method treats each (anchor, range) row as a 4-vector and solves
 the pseudorange equations globally under the Lorentz product
 <u, v> = u1*v1 + u2*v2 + u3*v3 - u4*v4: one linear solve plus a scalar
 quadratic yields up to two (position, clock-bias) candidates without any
-initial guess. An iterative Gauss-Newton refiner on the same residuals is
-provided as an independent cross-check.
+initial guess.
 """
 
 from __future__ import annotations
@@ -19,14 +18,12 @@ __all__ = [
     "DegenerateGeometryError",
     "NoRealSolutionError",
     "NoValidFixError",
-    "DivergenceError",
     "Anchor",
     "RoomBounds",
     "PositionFix",
     "bancroft_solve",
     "select_solution",
     "position_error",
-    "gauss_newton_refine",
 ]
 
 CONDITION_LIMIT = 1e12
@@ -34,9 +31,6 @@ CONDITION_LIMIT = 1e12
 # targets jitter below z = 0); in a synchronized system a larger clock bias marks bad geometry
 BOUNDS_TOLERANCE_M = 0.25
 BIAS_GATE_M = 0.3
-# Gauss-Newton stops after this many iterations, or once a step is this short (m)
-GN_MAX_ITER = 50
-GN_STEP_TOL = 1e-10
 
 
 class DegenerateGeometryError(ValueError):
@@ -49,10 +43,6 @@ class NoRealSolutionError(ValueError):
 
 class NoValidFixError(ValueError):
     """Every candidate was rejected by the selection rules."""
-
-
-class DivergenceError(RuntimeError):
-    """Gauss-Newton iteration diverged: the failure of the ``gauss_newton_refine`` cross-check."""
 
 
 @dataclass(frozen=True)
@@ -226,51 +216,7 @@ def select_solution(candidates: list[PositionFix], bounds: RoomBounds) -> Positi
     return fix
 
 
-def position_error(fix: PositionFix | tuple[float, float, float], truth) -> float:
-    """Euclidean distance between an estimate and the true position."""
-    pos = fix.position if isinstance(fix, PositionFix) else fix
-    return float(np.linalg.norm(np.asarray(pos, dtype=float) - np.asarray(truth, dtype=float)))
-
-
-def gauss_newton_refine(
-    anchors: list[Anchor], ranges, initial: tuple[float, float, float]
-) -> PositionFix:
-    """Iterative least squares on range residuals, starting from ``initial``.
-
-    A cross-check: it estimates position and a clock-bias term (initialized
-    at zero), so on consistent data it must agree with the closed-form
-    ``bancroft_solve`` fix. Raises DivergenceError when the step size grows
-    five iterations in a row.
-    """
-    rng_arr = np.asarray(ranges, dtype=float)
-    pos = np.asarray(initial, dtype=float).copy()
-    bias = 0.0
-    anchor_mat = np.array([a.position for a in anchors])
-    prev_step = math.inf
-    growth = 0
-    for _ in range(GN_MAX_ITER):
-        diff = pos[None, :] - anchor_mat
-        dist = np.linalg.norm(diff, axis=1)
-        if np.any(dist < 1e-12):
-            raise DivergenceError("iterate collided with an anchor")
-        resid = dist + bias - rng_arr
-        jac = np.hstack([diff / dist[:, None], np.ones((len(anchors), 1))])
-        step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-        pos += step[:3]
-        bias += float(step[3])
-        norm = float(np.linalg.norm(step))
-        if norm > prev_step:
-            growth += 1
-            if growth >= 5:
-                raise DivergenceError("step size grew five consecutive iterations")
-        else:
-            growth = 0
-        prev_step = norm
-        if norm < GN_STEP_TOL:
-            break
-    return PositionFix(
-        position=tuple(pos),
-        clock_bias=bias,
-        residual_rms=_residual_rms(anchors, rng_arr, pos, bias),
-        candidate_index=1,
-    )
+def position_error(fix: PositionFix, truth) -> float:
+    """Euclidean distance between a fix and the true position."""
+    pos = np.asarray(fix.position, dtype=float)
+    return float(np.linalg.norm(pos - np.asarray(truth, dtype=float)))

@@ -55,31 +55,28 @@ class InfeasibleDesignError(RuntimeError):
     """
 
 
-def bspline_eval(m: int, knot_spacing: float, t: np.ndarray | float) -> np.ndarray | float:
+def bspline_eval(m: int, knot_spacing: float, t: np.ndarray | float) -> np.ndarray:
     """Cardinal B-spline of order m with knot spacing T, evaluated at t.
 
     The order-m spline is the m-fold convolution of the unit box on [0, T),
     normalized so integer-T shifts form a partition of unity. Support is
-    [0, m*T]; order 1 is the box itself, order 2 the unit triangle.
+    [0, m*T]; order 1 is the box itself, order 2 the unit triangle. The
+    result is an array shaped like ``t``, 0-d for a scalar.
     """
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
     if knot_spacing <= 0:
         raise ValueError(f"knot spacing must be positive, got {knot_spacing}")
     x = np.asarray(t, dtype=float) / knot_spacing
-    out = np.zeros_like(x)
     if m == 1:
-        out = np.where((x >= 0.0) & (x < 1.0), 1.0, 0.0)
-    else:
-        # divided-difference closed form: sum_j (-1)^j C(m,j) (x-j)_+^(m-1) / (m-1)!
-        for j in range(m + 1):
-            y = x - j
-            out += (-1.0) ** j * math.comb(m, j) * np.where(y > 0.0, y, 0.0) ** (m - 1)
-        out /= math.factorial(m - 1)
-        out = np.where((x >= 0.0) & (x <= m), out, 0.0)
-    if np.isscalar(t):
-        return float(out)
-    return out
+        return np.where((x >= 0.0) & (x < 1.0), 1.0, 0.0)
+    # divided-difference closed form: sum_j (-1)^j C(m,j) (x-j)_+^(m-1) / (m-1)!
+    out = np.zeros_like(x)
+    for j in range(m + 1):
+        y = x - j
+        out += (-1.0) ** j * math.comb(m, j) * np.where(y > 0.0, y, 0.0) ** (m - 1)
+    out /= math.factorial(m - 1)
+    return np.where((x >= 0.0) & (x <= m), out, 0.0)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ __all__ = [
     "calibration_samples",
     "make_burst",
     "read_window",
-    "template_median_offset",
     "toa_dirty_template",
     "range_from_toa",
 ]
@@ -118,28 +117,6 @@ def _dirty_template_objective(g: np.ndarray, n: int, symbol_count: int) -> np.nd
     """sum_k [ sum_t r[t + k*n + i] * r[t + (k-1)*n + i] ]^2 for offsets i < n."""
     pair_count = symbol_count - 1
     return np.sum(g[: pair_count * n].reshape(pair_count, n) ** 2, axis=0)
-
-
-def template_median_offset(template: Waveform) -> float:
-    """Arrival-to-notch calibration constant of a known pulse, in seconds.
-
-    The notch-geometry cross-check: the estimator calibrates against a
-    synthetic reference burst instead, and this closed form says where that
-    reference's notch must sit. The dirty-template notch bottoms out where
-    the slice boundary splits the pulse energy in half; this returns that
-    median-energy point, interpolated on the exclusive cumulative energy
-    curve (matching the discrete objective, whose slice at offset k excludes
-    samples before k).
-    """
-    e_samples = template.samples**2
-    q = np.concatenate([[0.0], np.cumsum(e_samples)])
-    total = q[-1]
-    if total <= 0:
-        raise ValueError("template has zero energy")
-    target = total / 2.0
-    idx = int(np.searchsorted(q, target)) - 1
-    frac = (target - q[idx]) / (q[idx + 1] - q[idx]) if q[idx + 1] > q[idx] else 0.0
-    return (idx + frac) * template.dt
 
 
 def toa_dirty_template(

@@ -158,7 +158,7 @@ class SimConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.symbol_duration > 0 and self.placement_inset >= 0):
-            raise ConfigError("symbol_duration must be positive and inset non-negative")
+            raise ConfigError("symbol_duration must be positive and placement_inset non-negative")
         # build_scenario draws x and y, and z unless floor_only, between the insets
         axes = slice(2 if self.floor_only else 3)
         if not all(lo + self.placement_inset <= hi - self.placement_inset

@@ -18,10 +18,8 @@ __all__ = [
     "GridMismatchError",
     "Waveform",
     "check_grid",
-    "energy",
     "delay",
     "add_awgn",
-    "cross_correlate",
     "write_csv",
     "read_csv",
     "json_number",
@@ -65,14 +63,6 @@ class Waveform:
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.samples.size)
-
-
-def energy(w: Waveform) -> float:
-    """Discrete signal energy: sum(samples^2) * dt.
-
-    A cross-check: the time-domain side of ``spectrum.psd``'s Parseval test.
-    """
-    return float(np.dot(w.samples, w.samples) * w.dt)
 
 
 def check_grid(a: Waveform, b: Waveform) -> None:
@@ -164,21 +154,6 @@ def add_awgn(w: Waveform, snr_db: float, seed: int, power: float | None = None) 
     out *= sigma
     out += w.samples
     return Waveform(out, w.dt)
-
-
-def cross_correlate(a: Waveform, b: Waveform) -> tuple[np.ndarray, np.ndarray]:
-    """Full linear cross-correlation of two waveforms.
-
-    Returns (lags, values) where values[i] approximates the integral of
-    a(t)*b(t + lags[i]); for b = delay(a, tau) the peak lag is tau to within
-    one sample. A cross-check: the tests read the delays applied by
-    ``delay`` and ``channel.propagate`` off its lag axis.
-    """
-    check_grid(a, b)
-    # values[m] = sum_n a[n] * b[n + m], m from -(len(a)-1) to len(b)-1
-    vals = np.correlate(b.samples, a.samples, mode="full") * a.dt
-    lags = np.arange(-(len(a) - 1), len(b)) * a.dt
-    return lags, vals
 
 
 # -- serialization ----------------------------------------------------------

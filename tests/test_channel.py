@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uwbloc.channel import (
+    HUMAN_PHASE_CENTER_HZ,
+    HUMAN_PHASE_CURVATURE,
     MAX_TAPS,
     SPEED_OF_LIGHT,
     ChannelProfile,
@@ -22,9 +24,10 @@ from uwbloc.channel import (
     _tap_sum,
 )
 from uwbloc.detection import phase_nonlinearity
-from uwbloc.waveform import Waveform, cross_correlate, delay, energy, read_csv
+from uwbloc.waveform import Waveform, delay, read_csv
 
 from conftest import signature_to_csv
+from oracles import cross_correlate
 
 DT = 50e-12
 
@@ -93,6 +96,7 @@ class TestSampleCir:
          "delay_spread_target"),
         ({"mpc_relative_gain": 1e300}, "mpc_relative_gain"),
         ({"mpc_relative_gain": 1.0 + 1e-12}, "mpc_relative_gain"),
+        ({"min_excess_delay": -1e-9}, "min_excess_delay"),
     ])
     def test_profile_the_simulator_cannot_run_rejected(self, kwargs, key):
         with pytest.raises(ValueError, match=key):
@@ -139,7 +143,9 @@ class TestMaterialResponse:
 
     def test_human_window_residual(self):
         # the quadratic term is calibrated to ~1 rad RMS per 200 MHz window
-        sig = material_response("human", f_lo_hz=1.4e9, f_hi_hz=1.6e9, points=501)
+        f = np.linspace(1.4e9, 1.6e9, 501)
+        phase = HUMAN_PHASE_CURVATURE * (f - HUMAN_PHASE_CENTER_HZ) ** 2
+        sig = MaterialSignature(f, np.zeros_like(f), phase)
         assert phase_nonlinearity(sig) == pytest.approx(1.0, rel=0.05)
 
     def test_unknown_kind(self):
@@ -289,7 +295,7 @@ class TestPropagate:
 
 class TestSerialization:
     def test_signature_csv_round_trip(self, tmp_path):
-        sig = material_response("human", points=101)
+        sig = material_response("human")
         path = tmp_path / "sig.csv"
         signature_to_csv(sig, path)
         back = signature_from_csv(read_csv(path))

@@ -62,6 +62,21 @@ def bad_pulse_set(tmp_path, default_pulses) -> str:
     return str(path)
 
 
+def broken_pulse_sets(tmp_path, default_pulses) -> list[str]:
+    """Paths of pulse sets with basis m 0 or 4.9, T 0 or Ns 0, or coefficient rows one short."""
+    paths = []
+    for i, (key, value) in enumerate((("m", 0), ("m", 4.9), ("T", 0), ("Ns", 0), ("coeffs", None))):
+        obj = pulse_set_to_json(default_pulses)
+        if key == "coeffs":
+            obj["coeffs"] = [row[:-1] for row in obj["coeffs"]]
+        else:
+            obj["basis"][key] = value
+        path = tmp_path / f"ps_{i}.json"
+        path.write_text(json.dumps(obj))
+        paths.append(str(path))
+    return paths
+
+
 class TestSweepCommand:
     def test_writes_tables(self, tiny_config_path, tmp_path, capsys, read_sweep_csv):
         assert main(["sweep", "--config", str(tiny_config_path)]) == EXIT_OK
@@ -120,7 +135,8 @@ class TestSweepCommand:
     def test_malformed_pulse_set_exit_code(self, tmp_path, capsys, default_pulses):
         not_json = tmp_path / "not_json.json"
         not_json.write_text("{")
-        for ps_path in (str(not_json), bad_pulse_set(tmp_path, default_pulses)):
+        for ps_path in (str(not_json), bad_pulse_set(tmp_path, default_pulses),
+                        *broken_pulse_sets(tmp_path, default_pulses)):
             cfg = write_config(tmp_path, pulse_set=ps_path)
             assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
             assert ps_path in capsys.readouterr().err
@@ -232,6 +248,8 @@ class TestRejectedValues:
         ({"mask": [{"f_lo_hz": 0, "f_hi_hz": 10e9, "limit_dbm_per_mhz": math.nan}]}, "mask"),
         ({"mask": [{"f_lo_hz": 0, "f_hi_hz": 10e9, "limit_dbm_per_mhz": math.inf}]}, "mask"),
         ({"mask": [{"f_lo_hz": 0, "f_hi_hz": math.inf, "limit_dbm_per_mhz": -41.3}]}, "mask"),
+        # a constant of the search, not a key
+        ({"weight_gram": 1e-6}, "weight_gram"),
     ])
     def test_design_config_value(self, tmp_path, capsys, obj, key):
         path = tmp_path / "design.json"
@@ -325,6 +343,10 @@ class TestRejectedValues:
         ("sweep", {"bounds_tolerance_m": math.nan}, "bounds_tolerance_m"),
         ("sweep", {"room": {"min": [math.nan, 0, 0], "max": [6, 6, 3]}}, "bounds"),
         ("design", {"pulse_duration": math.inf}, "pulse_duration"),
+        ("sweep", {"placement_inset": -0.1}, "placement_inset"),
+        ("sweep", {"symbol_duration": 0}, "symbol_duration"),
+        ("sweep", {"symbol_count": 1}, "symbol_count"),
+        ("sweep", {"bias_gate_m": 1}, "bias_gate_m"),
     ])
     def test_non_finite_or_impossible_value(self, tmp_path, capsys, command, obj, key):
         # each once ended in a traceback, or ran with a gate, rate or box that
@@ -398,6 +420,13 @@ class TestDetectCommand:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["label"] == "human_present"
         assert verdict["thresholds"]["attenuation_db"] == 30.0
+        # a valid threshold flag is used: this signature's 51.8 dB and 2,502 rad fall below
+        for flag, value, key in (("--attenuation-threshold", "60", "attenuation_db"),
+                                 ("--nonlinearity-threshold", "3000", "nonlinearity_rad")):
+            assert main(["detect", "--signature", str(path), flag, value]) == EXIT_OK
+            verdict = json.loads(capsys.readouterr().out)
+            assert verdict["label"] == "artificial_only"
+            assert verdict["thresholds"][key] == float(value)
 
     def test_parsed_defaults_are_the_threshold_defaults(self):
         args = build_parser().parse_args(["detect"])
@@ -416,6 +445,9 @@ class TestDetectCommand:
         assert main(["detect", "--tx", str(tx_path), "--rx", str(rx_path)]) == EXIT_OK
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["label"] == "artificial_only"
+        # a pulse received as sent went through free space
+        assert main(["detect", "--tx", str(tx_path), "--rx", str(tx_path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["label"] == "free_space"
 
     @pytest.mark.parametrize("flag", ["--attenuation-threshold", "--nonlinearity-threshold"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -455,6 +487,7 @@ class TestDetectCommand:
         ("w.csv", "t,amplitude\n0.0,1.0\n5e-11,oops\n"),
         ("w.csv", "t\n0.0\n5e-11\n"),
         ("w.csv", "t,amplitude\n0.0,1.0\n"),
+        ("w.csv", "t,amplitude\n0.0,1.0\n5e-11,0.5\n1.5e-10,0.0\n"),  # jittered t
     ])
     def test_malformed_waveform_exit_code(self, tmp_path, capsys, default_pulses,
                                           flag, name, text):
@@ -481,6 +514,7 @@ class TestDetectCommand:
         "freq_hz,attenuation_db,phase_rad\n1e9,10,0\nnan,10,0\n3e9,10,0\n",
         # well-formed, but a phase-linearity fit needs three frequency points
         "freq_hz,attenuation_db,phase_rad\n1e9,10,0\n2e9,10,0\n",
+        "freq_hz,attenuation_db,phase_rad\n1e9,10,0\n2e9,10,nan\n3e9,10,0\n",
     ])
     def test_malformed_signature_exit_code(self, tmp_path, capsys, text):
         bad = tmp_path / "sig.csv"

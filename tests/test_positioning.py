@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 from uwbloc.positioning import (
     Anchor,
     DegenerateGeometryError,
-    DivergenceError,
     NoRealSolutionError,
     NoValidFixError,
     PositionFix,
     RoomBounds,
     bancroft_solve,
-    gauss_newton_refine,
     position_error,
     select_solution,
 )
 from uwbloc.simulate import SimConfig, config_from_json, config_to_json
+
+from oracles import DivergenceError, gauss_newton_refine
 
 CORNERS = [
     Anchor("a0", (0.0, 0.0, 3.0)),
@@ -214,14 +214,19 @@ class TestSelectSolution:
 
 
 class TestPositionError:
+    @staticmethod
+    def fix_at(position):
+        return PositionFix(position, clock_bias=0.0, residual_rms=0.0, candidate_index=1)
+
     def test_zero(self):
-        assert position_error((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)) == 0.0
+        assert position_error(self.fix_at((1.0, 2.0, 3.0)), (1.0, 2.0, 3.0)) == 0.0
 
     def test_three_four_five(self):
-        assert position_error((0.03, 0.04, 0.0), (0.0, 0.0, 0.0)) == pytest.approx(0.05)
+        err = position_error(self.fix_at((0.03, 0.04, 0.0)), (0.0, 0.0, 0.0))
+        assert err == pytest.approx(0.05)
 
     def test_diagonal(self):
-        err = position_error((0.01, 0.01, 0.01), (0.0, 0.0, 0.0))
+        err = position_error(self.fix_at((0.01, 0.01, 0.01)), (0.0, 0.0, 0.0))
         assert err == pytest.approx(math.sqrt(3) * 0.01, rel=1e-12)
 
 

@@ -2,15 +2,13 @@
 
 A public name is used when the pipeline (``src/uwbloc``) or the benchmark
 (``perfbench``) loads it or looks it up as an attribute; a reference inside
-the name's own definition, such as a recursive call, does not count. A name
-that nothing uses stays public only as a documented cross-check: an
-independent reference the tests compare the pipeline against, which says
-"cross-check" in its own docstring.
+the name's own definition, such as a recursive call, does not count. There
+is no exception: an independent reference the tests compare the pipeline
+against lives in ``tests/oracles.py``, not in the package.
 """
 
 import ast
 import importlib
-import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,16 +50,9 @@ def test_package_reexports_nothing():
     assert not hasattr(importlib.import_module("uwbloc"), "__all__")
 
 
-def test_every_export_is_used_or_a_cross_check():
+def test_every_export_is_used_by_the_pipeline_or_the_benchmark():
     used = set()
     for path in CALLERS:
         used |= used_names(ast.parse(path.read_text(), filename=str(path)))
-    unused = []
-    for module, name in public_names():
-        obj = getattr(module, name)
-        own_doc = obj.__doc__ if inspect.isfunction(obj) or inspect.isclass(obj) else None
-        if name not in used and "cross-check" not in (own_doc or ""):
-            unused.append(f"{module.__name__}.{name}")
-    assert not unused, (
-        f"exported but used by neither src/uwbloc nor perfbench, and not documented "
-        f"as a cross-check: {unused}")
+    unused = [f"{m.__name__}.{name}" for m, name in public_names() if name not in used]
+    assert not unused, f"exported but used by neither src/uwbloc nor perfbench: {unused}"

@@ -29,7 +29,9 @@ from uwbloc.spectrum import (
     mask_violation,
     psd,
 )
-from uwbloc.waveform import Waveform, energy
+from uwbloc.waveform import Waveform
+
+from oracles import energy
 
 
 def cox_de_boor(m: int, x: float) -> float:

@@ -23,10 +23,11 @@ from uwbloc.ranging import (
     make_burst,
     range_from_toa,
     read_window,
-    template_median_offset,
     toa_dirty_template,
 )
-from uwbloc.waveform import Waveform, add_awgn, delay, energy
+from uwbloc.waveform import Waveform, add_awgn, delay
+
+from oracles import energy, template_median_offset
 
 DT = 50e-12
 TSYM = 50e-9

@@ -16,7 +16,9 @@ from uwbloc.spectrum import (
     mask_violation,
     psd,
 )
-from uwbloc.waveform import Waveform, energy
+from uwbloc.waveform import Waveform
+
+from oracles import energy
 
 DT = 50e-12
 
