@@ -10,8 +10,9 @@ with ``waveform.delay``. Materials and bodies are frequency responses
 on the detection path.
 
 Detection filters the same few (pulse, signature) pairs over and over, so
-``apply_signature`` caches the response and the spectrum by content, and
-``detection`` divides by that spectrum; ``propagate``'s delayed input never
+``apply_signature`` caches each pair's filtered record by content and hands
+out that one read-only ``Waveform``; the pulse's spectrum is cached as well,
+and ``detection`` divides by it. ``propagate``'s delayed input never
 repeats, so it filters uncached.
 """
 
@@ -171,11 +172,13 @@ class MaterialSignature:
         if not (f.shape == a.shape == p.shape) or f.ndim != 1 or f.size < 3:
             raise ValueError(
                 "freq, attenuation and phase must be equal-length 1-D arrays of >= 3 points")
-        if not np.all(np.diff(f) > 0):  # NaN fails too
+        # one pass or two each: a NaN fails every comparison, and NaN and
+        # ±inf reach the min or the max
+        if not (f[1:] > f[:-1]).all():
             raise ValueError("frequency grid must be strictly increasing")
-        if not np.all(np.isfinite(a)) or np.any(a < 0):
+        if not ((a >= 0).all() and np.isfinite(a.max())):
             raise ValueError("attenuation must be finite and >= 0")
-        if not np.all(np.isfinite(p)):
+        if not (np.isfinite(p.min()) and np.isfinite(p.max())):
             raise ValueError("phase must be finite")
         object.__setattr__(self, "freq_hz", f)
         object.__setattr__(self, "attenuation_db", a)
@@ -216,40 +219,39 @@ def _fast_len(n: int) -> int:
 def _rfft(samples: bytes, n: int) -> np.ndarray:
     """Read-only n-point rFFT of raw float64 samples.
 
-    ``apply_signature`` filters a TX pulse's spectrum and ``detection``
-    divides by it on the same grid, so both read it from this one cache.
+    ``apply_signature`` filters a TX pulse's spectrum on a record miss and
+    ``detection`` divides by it on the same grid, so both read it from this
+    one cache.
     """
     spectrum = np.fft.rfft(np.frombuffer(samples), n=n)
     spectrum.flags.writeable = False  # shared through the cache
     return spectrum
 
 
-# the six material kinds at one waveform length: the packaged pulses share theirs
+# the six material kinds: every record of one kind keys on the same three strings
 @lru_cache(maxsize=len(MATERIAL_KINDS))
-def _signature_response(
-    freq: bytes, attenuation: bytes, phase: bytes, dt: float, size: int
-) -> tuple[int, np.ndarray]:
-    """FFT length n and read-only response on its rFFT grid of a signature (raw float64 bytes).
+def _interned_signature(freq: bytes, attenuation: bytes, phase: bytes) -> tuple[bytes, ...]:
+    """The first-seen copy of a signature's raw float64 bytes, so ``_filtered`` keys share it."""
+    return freq, attenuation, phase
 
-    The ``size``-sample waveform is zero-padded on the grid past the
-    signature's largest group delay, so the circular convolution cannot
-    wrap. A signature that does not cover [0, Nyquist] raises
-    ``ValueError``, which the cache never stores.
+
+# the detection path's traffic: 4 packaged pulses x the six material kinds
+@lru_cache(maxsize=4 * len(MATERIAL_KINDS))
+def _filtered(samples: bytes, dt: float, signature: tuple[bytes, ...]) -> Waveform:
+    """``apply_signature``'s read-only record of a pulse and a signature (raw float64 bytes).
+
+    The pulse is zero-padded on the grid past the signature's largest group
+    delay, so the circular convolution cannot wrap.
     """
-    freq_hz, attenuation_db, phase_rad = (np.frombuffer(b) for b in (freq, attenuation, phase))
-    nyquist = 0.5 / dt
-    if freq_hz[0] > 1e-9 or freq_hz[-1] < nyquist * (1 - 1e-12):
-        raise ValueError(
-            f"signature grid [{freq_hz[0]:.3g}, {freq_hz[-1]:.3g}] Hz does not "
-            f"cover the waveform band [0, {nyquist:.3g}] Hz")
+    freq_hz, attenuation_db, phase_rad = (np.frombuffer(b) for b in signature)
     group_delay = np.max(np.abs(np.gradient(phase_rad, freq_hz))) / (2.0 * math.pi)
-    pad = int(math.ceil(group_delay / dt)) + 64
-    n = _fast_len(size + 2 * pad)
+    n = _fast_len(len(samples) // 8 + 2 * (int(math.ceil(group_delay / dt)) + 64))
     f = np.fft.rfftfreq(n, d=dt)
-    att = np.interp(f, freq_hz, attenuation_db)
-    h = 10.0 ** (-att / 20.0) * np.exp(1j * np.interp(f, freq_hz, phase_rad))
-    h.flags.writeable = False  # shared through the cache
-    return n, h
+    h = (10.0 ** (-np.interp(f, freq_hz, attenuation_db) / 20.0)
+         * np.exp(1j * np.interp(f, freq_hz, phase_rad)))
+    record = np.fft.irfft(_rfft(samples, n) * h, n=n)
+    record.flags.writeable = False  # shared through the cache
+    return Waveform(record, dt)
 
 
 # Bins per block of the phasor product in ``_tap_sum``; near sqrt(bins) keeps
@@ -296,13 +298,20 @@ def apply_signature(w: Waveform, sig: MaterialSignature) -> Waveform:
     Multiplies the spectrum by 10^(-att/20) * exp(i*phase) (linearly
     interpolated onto the FFT grid) and returns the real time-domain result.
     The waveform is zero-padded past the signature's worst group delay so
-    the circular convolution cannot wrap. The response and the waveform's
-    spectrum are cached by content, so repeating a (waveform, signature)
-    pair repeats only the product and the inverse FFT.
+    the circular convolution cannot wrap. A signature that does not cover
+    [0, Nyquist] raises ``ValueError`` before any cache stores anything.
+
+    The record is cached by the content of the pair, so a repeated pair
+    returns the same ``Waveform``, whose samples are read-only.
     """
-    n, h = _signature_response(sig.freq_hz.tobytes(), sig.attenuation_db.tobytes(),
-                               sig.phase_rad.tobytes(), w.dt, w.samples.size)
-    return Waveform(np.fft.irfft(_rfft(w.samples.tobytes(), n) * h, n=n), w.dt)
+    freq_hz, nyquist = sig.freq_hz, 0.5 / w.dt
+    if freq_hz[0] > 1e-9 or freq_hz[-1] < nyquist * (1 - 1e-12):
+        raise ValueError(
+            f"signature grid [{freq_hz[0]:.3g}, {freq_hz[-1]:.3g}] Hz does not "
+            f"cover the waveform band [0, {nyquist:.3g}] Hz")
+    signature = _interned_signature(freq_hz.tobytes(), sig.attenuation_db.tobytes(),
+                                    sig.phase_rad.tobytes())
+    return _filtered(w.samples.tobytes(), w.dt, signature)
 
 
 def propagate(w: Waveform, distance_m: float, cir: ChannelRealization) -> Waveform:

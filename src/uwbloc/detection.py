@@ -10,7 +10,9 @@ lossy media.
 The module has one cache, ``_tx_reference``: the kept bins of a TX pulse on
 an n-point rFFT, computed once per (pulse, record length), as ``ranging``
 calibrates once per pulse. The spectrum itself is ``channel._rfft``'s, the
-one ``apply_signature`` filtered.
+one ``apply_signature`` filtered. The RX record that ``apply_signature``
+returns is shared and read-only; noise goes on after it (``add_awgn``), so
+what ``estimate_transfer`` divides is never cached.
 
 The phase is ``np.unwrap(np.angle(h))`` in fewer passes (``_unwrap_angle``):
 each step between bins drops its nearest whole turn, a tie ±π none, as in
@@ -177,8 +179,12 @@ def phase_nonlinearity(sig: MaterialSignature) -> float:
     """
     f = sig.freq_hz - sig.freq_hz.mean()
     phi = sig.phase_rad - sig.phase_rad.mean()
-    resid = phi - (f @ phi / (f @ f)) * f
-    return float(np.sqrt(np.mean(resid**2)))
+    # numpy's own loop, not BLAS: OpenBLAS runs ddot on a second thread above
+    # 10,000 elements, a human kind's bin count, and that thread then spins
+    f *= np.einsum("i,i->", f, phi) / np.einsum("i,i->", f, f)
+    phi -= f  # the residual
+    phi *= phi
+    return float(np.sqrt(np.mean(phi)))
 
 
 def mean_attenuation(sig: MaterialSignature) -> float:

@@ -450,15 +450,26 @@ def load_pulse_set(obj: dict, mask: SpectralMask | None = None) -> PulseSet:
     mask is supplied. Without a mask the effectiveness and objective are NaN
     (unknown).
     """
-    def number(where: dict, key: str, integer: bool = False):
-        return json_number(where[key], f"pulse set key {key!r}", integer)
+    def entry(where: dict, key: str):
+        if key not in where:
+            raise ValueError(f"pulse set key {key!r} is missing")
+        return where[key]
 
-    basis = BSplineBasis(number(obj["basis"], "m", integer=True), number(obj["basis"], "T"),
-                         number(obj["basis"], "Ns", integer=True))
-    coeffs = np.array([[json_number(c, "pulse set key 'coeffs'") for c in row]
-                       for row in obj["coeffs"]], dtype=float)
-    if coeffs.ndim != 2 or coeffs.shape[1] != basis.count_ns:
-        raise ValueError("coefficient matrix does not match basis count")
+    def number(where: dict, key: str, integer: bool = False):
+        return json_number(entry(where, key), f"pulse set key {key!r}", integer)
+
+    spec = entry(obj, "basis")
+    if not isinstance(spec, dict):
+        raise ValueError(f"pulse set key 'basis' must be an object of m, T and Ns, got {spec!r}")
+    basis = BSplineBasis(number(spec, "m", integer=True), number(spec, "T"),
+                         number(spec, "Ns", integer=True))
+    rows = entry(obj, "coeffs")
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) and len(row) == basis.count_ns for row in rows)):
+        raise ValueError(f"pulse set key 'coeffs' must be a non-empty list of rows of "
+                         f"{basis.count_ns} numbers, one per basis function")
+    coeffs = np.array([[json_number(c, "pulse set key 'coeffs'") for c in row] for row in rows],
+                      dtype=float)
     ps, failures = _audit(coeffs, basis, number(obj, "dt"), number(obj, "Es"), mask)
     if failures:
         raise ValueError("stored pulse set is invalid: " + "; ".join(failures))

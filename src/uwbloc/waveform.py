@@ -142,15 +142,18 @@ def add_awgn(w: Waveform, snr_db: float, seed: int, power: float | None = None) 
     """
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    out = None
     if power is None and snr_db != math.inf:
-        power = float(np.mean(w.samples**2))
+        # the squares' buffer takes the noise draw below
+        out = np.square(w.samples)
+        power = float(np.mean(out))
     if power is not None and not (math.isfinite(power) and power > 0.0):
         raise ValueError(f"SNR reference power must be finite and > 0, got {power}")
     if snr_db == math.inf:
         return Waveform(w.samples.copy(), w.dt)
     sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
     # sigma * z + x in place: bit-identical to x + rng.normal(0.0, sigma, size)
-    out = np.random.default_rng(seed).standard_normal(w.samples.size)
+    out = np.random.default_rng(seed).standard_normal(w.samples.size, out=out)
     out *= sigma
     out += w.samples
     return Waveform(out, w.dt)

@@ -164,6 +164,17 @@ class TestMaterialResponse:
             MaterialSignature(f, -np.ones(10), np.zeros(10))
         with pytest.raises(ValueError):
             MaterialSignature(f[::-1], np.ones(10), np.zeros(10))
+        repeated = f.copy()
+        repeated[5] = repeated[4]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            MaterialSignature(repeated, np.ones(10), np.zeros(10))
+        messages = ("strictly increasing", "attenuation must be finite", "phase must be finite")
+        for i, message in enumerate(messages):
+            for bad in (math.nan, math.inf, -math.inf):
+                arrays = [f.copy(), np.ones(10), np.zeros(10)]
+                arrays[i][5] = bad
+                with pytest.raises(ValueError, match=message):
+                    MaterialSignature(*arrays)
 
 
 class TestApplySignature:

@@ -62,19 +62,29 @@ def bad_pulse_set(tmp_path, default_pulses) -> str:
     return str(path)
 
 
-def broken_pulse_sets(tmp_path, default_pulses) -> list[str]:
-    """Paths of pulse sets with basis m 0 or 4.9, T 0 or Ns 0, or coefficient rows one short."""
-    paths = []
-    for i, (key, value) in enumerate((("m", 0), ("m", 4.9), ("T", 0), ("Ns", 0), ("coeffs", None))):
+def broken_pulse_sets(tmp_path, default_pulses) -> list[tuple[str, str]]:
+    """(path, what its error names) of broken pulse sets: basis m 0 or 4.9, T 0 or Ns 0;
+    coefficient rows all one short, one row one short, or a number for the rows;
+    a basis that is no object; no Es."""
+    edits = (
+        ("order_m", lambda obj: obj["basis"].update(m=0)),
+        ("pulse set key 'm'", lambda obj: obj["basis"].update(m=4.9)),
+        ("knot_spacing", lambda obj: obj["basis"].update(T=0)),
+        ("count_ns", lambda obj: obj["basis"].update(Ns=0)),
+        ("pulse set key 'coeffs'", lambda obj: obj.update(coeffs=[r[:-1] for r in obj["coeffs"]])),
+        ("pulse set key 'coeffs'", lambda obj: obj["coeffs"][1].pop()),
+        ("pulse set key 'coeffs'", lambda obj: obj.update(coeffs=5)),
+        ("pulse set key 'basis'", lambda obj: obj.update(basis=[4])),
+        ("pulse set key 'Es'", lambda obj: obj.pop("Es")),
+    )
+    broken = []
+    for i, (named, edit) in enumerate(edits):
         obj = pulse_set_to_json(default_pulses)
-        if key == "coeffs":
-            obj["coeffs"] = [row[:-1] for row in obj["coeffs"]]
-        else:
-            obj["basis"][key] = value
+        edit(obj)
         path = tmp_path / f"ps_{i}.json"
         path.write_text(json.dumps(obj))
-        paths.append(str(path))
-    return paths
+        broken.append((str(path), named))
+    return broken
 
 
 class TestSweepCommand:
@@ -135,11 +145,13 @@ class TestSweepCommand:
     def test_malformed_pulse_set_exit_code(self, tmp_path, capsys, default_pulses):
         not_json = tmp_path / "not_json.json"
         not_json.write_text("{")
-        for ps_path in (str(not_json), bad_pulse_set(tmp_path, default_pulses),
-                        *broken_pulse_sets(tmp_path, default_pulses)):
+        for ps_path, named in ((str(not_json), "JSONDecodeError"),
+                               (bad_pulse_set(tmp_path, default_pulses), "Es"),
+                               *broken_pulse_sets(tmp_path, default_pulses)):
             cfg = write_config(tmp_path, pulse_set=ps_path)
             assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
-            assert ps_path in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert ps_path in err and named in err
             assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_missing_pulse_set_exit_code(self, tmp_path):

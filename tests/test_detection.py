@@ -9,8 +9,9 @@ from uwbloc.channel import (
     MATERIAL_KINDS,
     MaterialSignature,
     _fast_len,
+    _filtered,
+    _interned_signature,
     _rfft,
-    _signature_response,
     apply_signature,
     material_response,
 )
@@ -67,8 +68,11 @@ def assert_same_waveform(a, b):
     assert np.array_equal(a.samples, b.samples)
 
 
+DETECTION_CACHES = (_interned_signature, _filtered, _rfft, _tx_reference)
+
+
 def clear_detection_caches():
-    for cache in (_signature_response, _rfft, _tx_reference):
+    for cache in DETECTION_CACHES:
         cache.cache_clear()
 
 
@@ -291,11 +295,22 @@ class TestSignatureCache:
         for (rx, sig), (rx_alone, sig_alone) in zip(interleaved, alone):
             assert_same_waveform(rx, rx_alone)
             assert_same_signature(sig, sig_alone)
-        # both pulses have one length, so each kind is one response; each
-        # (pulse, record length) is one spectrum and one kept-bin mask
-        assert _signature_response.cache_info().misses == 2
+        # each distinct (pulse, kind) is one record, and each kind one interned
+        # key; each (pulse, record length) is one spectrum and one kept-bin mask
+        assert _filtered.cache_info().misses == 4
+        assert _interned_signature.cache_info().misses == 2
         assert _rfft.cache_info().misses == 4
         assert _tx_reference.cache_info().misses == 4
+
+    def test_every_pair_is_filtered_once(self, default_pulses):
+        clear_detection_caches()
+        passes = [[apply_signature(pulse, material_response(kind))
+                   for pulse in default_pulses.pulses for kind in MATERIAL_KINDS]
+                  for _ in range(2)]
+        info = _filtered.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (24, 24, 24)
+        assert _interned_signature.cache_info().currsize == len(MATERIAL_KINDS)
+        assert all(again is first for first, again in zip(*passes))
 
     def test_overwritten_signature_gives_the_new_result(self, tx):
         sig = material_response("human")
@@ -310,25 +325,25 @@ class TestSignatureCache:
     def test_cached_arrays_are_read_only(self, tx):
         sig = material_response("human")
         rx = apply_signature(tx, sig)
-        n, h = _signature_response(sig.freq_hz.tobytes(), sig.attenuation_db.tobytes(),
-                                   sig.phase_rad.tobytes(), tx.dt, len(tx))
-        assert n == len(rx)
-        shared = (h, _rfft(tx.samples.tobytes(), n), _tx_reference(tx.samples.tobytes(), tx.dt, n))
+        assert apply_signature(tx, sig) is rx
+        n = len(rx)
+        shared = (rx.samples, _rfft(tx.samples.tobytes(), n),
+                  _tx_reference(tx.samples.tobytes(), tx.dt, n))
         for values in shared:
             assert not values.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 0
-        # the caller's output is its own
-        assert rx.samples.flags.writeable
+        # noising the shared record makes the caller's own
+        assert add_awgn(rx, 30.0, seed=0).samples.flags.writeable
 
     def test_signature_failing_band_check_is_not_cached(self, tx):
         freq = np.linspace(0.0, 1e9, 64)  # stops far below Nyquist
         sig = MaterialSignature(freq, np.zeros(64), np.zeros(64))
-        _signature_response.cache_clear()
+        clear_detection_caches()
         for _ in range(2):
             with pytest.raises(ValueError, match="does not cover the waveform band"):
                 apply_signature(tx, sig)
-        assert _signature_response.cache_info().currsize == 0
+        assert all(cache.cache_info().currsize == 0 for cache in DETECTION_CACHES)
 
 
 def phase_nonlinearity_reference(sig):
