@@ -11,9 +11,9 @@ on the detection path.
 
 Detection filters the same few (pulse, signature) pairs over and over, so
 ``apply_signature`` caches each pair's filtered record by content and hands
-out that one read-only ``Waveform``; the pulse's spectrum is cached as well,
-and ``detection`` divides by it. ``propagate``'s delayed input never
-repeats, so it filters uncached.
+out that one read-only ``Waveform``; the module's one cache, ``_filtered``,
+takes the pulse's rFFT itself on a miss. ``propagate``'s delayed input
+never repeats, so it filters uncached.
 """
 
 from __future__ import annotations
@@ -176,6 +176,9 @@ class MaterialSignature:
         # ±inf reach the min or the max
         if not (f[1:] > f[:-1]).all():
             raise ValueError("frequency grid must be strictly increasing")
+        # an increasing grid may still start at -inf or end at +inf
+        if not (math.isfinite(f[0]) and math.isfinite(f[-1])):
+            raise ValueError("frequency grid must be finite")
         if not ((a >= 0).all() and np.isfinite(a.max())):
             raise ValueError("attenuation must be finite and >= 0")
         if not (np.isfinite(p.min()) and np.isfinite(p.max())):
@@ -213,43 +216,22 @@ def _fast_len(n: int) -> int:
     return int(math.ceil(n / 2048)) * 2048
 
 
-# the detection path's traffic: 4 packaged pulses x 2 record lengths (the
-# padded human kinds and the rest)
-@lru_cache(maxsize=8)
-def _rfft(samples: bytes, n: int) -> np.ndarray:
-    """Read-only n-point rFFT of raw float64 samples.
-
-    ``apply_signature`` filters a TX pulse's spectrum on a record miss and
-    ``detection`` divides by it on the same grid, so both read it from this
-    one cache.
-    """
-    spectrum = np.fft.rfft(np.frombuffer(samples), n=n)
-    spectrum.flags.writeable = False  # shared through the cache
-    return spectrum
-
-
-# the six material kinds: every record of one kind keys on the same three strings
-@lru_cache(maxsize=len(MATERIAL_KINDS))
-def _interned_signature(freq: bytes, attenuation: bytes, phase: bytes) -> tuple[bytes, ...]:
-    """The first-seen copy of a signature's raw float64 bytes, so ``_filtered`` keys share it."""
-    return freq, attenuation, phase
-
-
 # the detection path's traffic: 4 packaged pulses x the six material kinds
 @lru_cache(maxsize=4 * len(MATERIAL_KINDS))
-def _filtered(samples: bytes, dt: float, signature: tuple[bytes, ...]) -> Waveform:
+def _filtered(samples: bytes, dt: float, freq: bytes, attenuation: bytes,
+              phase: bytes) -> Waveform:
     """``apply_signature``'s read-only record of a pulse and a signature (raw float64 bytes).
 
     The pulse is zero-padded on the grid past the signature's largest group
     delay, so the circular convolution cannot wrap.
     """
-    freq_hz, attenuation_db, phase_rad = (np.frombuffer(b) for b in signature)
+    freq_hz, attenuation_db, phase_rad = (np.frombuffer(b) for b in (freq, attenuation, phase))
     group_delay = np.max(np.abs(np.gradient(phase_rad, freq_hz))) / (2.0 * math.pi)
     n = _fast_len(len(samples) // 8 + 2 * (int(math.ceil(group_delay / dt)) + 64))
     f = np.fft.rfftfreq(n, d=dt)
     h = (10.0 ** (-np.interp(f, freq_hz, attenuation_db) / 20.0)
          * np.exp(1j * np.interp(f, freq_hz, phase_rad)))
-    record = np.fft.irfft(_rfft(samples, n) * h, n=n)
+    record = np.fft.irfft(np.fft.rfft(np.frombuffer(samples), n=n) * h, n=n)
     record.flags.writeable = False  # shared through the cache
     return Waveform(record, dt)
 
@@ -309,9 +291,8 @@ def apply_signature(w: Waveform, sig: MaterialSignature) -> Waveform:
         raise ValueError(
             f"signature grid [{freq_hz[0]:.3g}, {freq_hz[-1]:.3g}] Hz does not "
             f"cover the waveform band [0, {nyquist:.3g}] Hz")
-    signature = _interned_signature(freq_hz.tobytes(), sig.attenuation_db.tobytes(),
-                                    sig.phase_rad.tobytes())
-    return _filtered(w.samples.tobytes(), w.dt, signature)
+    return _filtered(w.samples.tobytes(), w.dt, freq_hz.tobytes(), sig.attenuation_db.tobytes(),
+                     sig.phase_rad.tobytes())
 
 
 def propagate(w: Waveform, distance_m: float, cir: ChannelRealization) -> Waveform:

@@ -7,12 +7,12 @@ body is both strongly lossy and phase-distorting. The classifier requires
 both features to call a human, which suppresses false alarms from merely
 lossy media.
 
-The module has one cache, ``_tx_reference``: the kept bins of a TX pulse on
-an n-point rFFT, computed once per (pulse, record length), as ``ranging``
-calibrates once per pulse. The spectrum itself is ``channel._rfft``'s, the
-one ``apply_signature`` filtered. The RX record that ``apply_signature``
-returns is shared and read-only; noise goes on after it (``add_awgn``), so
-what ``estimate_transfer`` divides is never cached.
+The module has one cache, ``_tx_reference``: the kept-bin mask of a TX pulse
+on an n-point rFFT and the pulse's spectrum on those bins, computed once per
+(pulse, record length), as ``ranging`` calibrates once per pulse. The RX
+record that ``apply_signature`` returns is shared and read-only; noise goes
+on after it (``add_awgn``), so what ``estimate_transfer`` divides is never
+cached.
 
 The phase is ``np.unwrap(np.angle(h))`` in fewer passes (``_unwrap_angle``):
 each step between bins drops its nearest whole turn, a tie ±π none, as in
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import MaterialSignature, _rfft
+from .channel import MaterialSignature
 from .waveform import Waveform, check_grid
 
 __all__ = [
@@ -99,12 +99,11 @@ def estimate_transfer(tx: Waveform, rx: Waveform) -> MaterialSignature:
     """
     check_grid(tx, rx)
     n = max(tx.samples.size, rx.samples.size)
-    samples = tx.samples.tobytes()
-    keep = _tx_reference(samples, tx.dt, n)
+    keep, tx_kept = _tx_reference(tx.samples.tobytes(), tx.dt, n)
     h = np.fft.rfft(rx.samples, n=n)[keep]
     if not h.any():  # 0 / TX has no phase to fit
         raise ValueError("no signal was received in the TX band: every kept RX bin is zero")
-    np.divide(h, _rfft(samples, n)[keep], out=h)
+    np.divide(h, tx_kept, out=h)
     attenuation = np.abs(h)
     np.maximum(attenuation, 1e-300, out=attenuation)
     np.log10(attenuation, out=attenuation)
@@ -139,20 +138,20 @@ def _unwrap_angle(h: np.ndarray) -> np.ndarray:
 # the six material kinds give each pulse 2 record lengths (the padded human
 # kinds and the rest), so the 4 packaged pulses fill 8 entries
 @lru_cache(maxsize=8)
-def _tx_reference(samples: bytes, dt: float, n: int) -> np.ndarray:
-    """Read-only kept-bin mask of a TX pulse (raw float64 bytes) on an n-point rFFT.
+def _tx_reference(samples: bytes, dt: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only kept-bin mask of a TX pulse (raw float64 bytes) on an n-point
+    rFFT, and the read-only spectrum on the kept bins.
 
     A bin is kept inside the band and above the noise floor. An all-zero
     pulse, or fewer than 3 kept bins, which cannot fit a phase line, raise
-    ``ValueError``, which the cache never stores. The spectrum is
-    ``channel._rfft``'s, the one ``apply_signature`` filtered; neither its
-    kept bins nor their frequencies are cached, since a copy would hold up to
-    16 bytes a bin and gathering them costs a negligible share of a call.
+    ``ValueError``, which the cache never stores. The kept bins' frequencies
+    are not cached: ``estimate_transfer`` forms them from the mask's indices.
     """
-    if not np.frombuffer(samples).any():
+    pulse = np.frombuffer(samples)
+    if not pulse.any():
         raise ValueError("the TX pulse is all zeros: a zero-energy pulse has no spectrum "
                          "to divide the RX by")
-    tx_spec = _rfft(samples, n)
+    tx_spec = np.fft.rfft(pulse, n=n)
     tx_mag = np.abs(tx_spec)
     freq = np.fft.rfftfreq(n, d=dt)
     strong = np.nonzero(tx_mag >= tx_mag.max() * 10.0 ** (-BAND_DROP_DB / 20.0))[0]
@@ -164,8 +163,9 @@ def _tx_reference(samples: bytes, dt: float, n: int) -> np.ndarray:
         raise ValueError(
             f"the TX pulse has {kept} usable rFFT bins of {freq.size} "
             f"(band [{f_lo:.3g}, {f_hi:.3g}] Hz); a phase-line fit needs >= 3")
-    keep.flags.writeable = False  # shared through the cache
-    return keep
+    tx_kept = tx_spec[keep]
+    keep.flags.writeable = tx_kept.flags.writeable = False  # shared through the cache
+    return keep, tx_kept
 
 
 def phase_nonlinearity(sig: MaterialSignature) -> float:

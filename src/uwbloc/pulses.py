@@ -470,7 +470,16 @@ def load_pulse_set(obj: dict, mask: SpectralMask | None = None) -> PulseSet:
                          f"{basis.count_ns} numbers, one per basis function")
     coeffs = np.array([[json_number(c, "pulse set key 'coeffs'") for c in row] for row in rows],
                       dtype=float)
-    ps, failures = _audit(coeffs, basis, number(obj, "dt"), number(obj, "Es"), mask)
+    dt = number(obj, "dt")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"pulse set key 'dt' must be positive and finite, got {dt!r}")
+    # DesignConfig's rule, before sample_matrix allocates rows of that length; a
+    # non-finite T, or a support past the float range, has no sample count
+    nfft = DesignConfig.nfft
+    if not basis.support / dt < math.inf or basis.sample_count(dt) > nfft:
+        raise ValueError(f"pulse set key 'basis' spans {basis.support:.3g} s, more than "
+                         f"nfft ({nfft}) samples of dt {dt:.3g} s")
+    ps, failures = _audit(coeffs, basis, dt, number(obj, "Es"), mask)
     if failures:
         raise ValueError("stored pulse set is invalid: " + "; ".join(failures))
     return ps

@@ -175,6 +175,12 @@ class TestMaterialResponse:
                 arrays[i][5] = bad
                 with pytest.raises(ValueError, match=message):
                     MaterialSignature(*arrays)
+        # a grid may increase all the way to +inf or up from -inf
+        for index, end in ((0, -math.inf), (0, math.inf), (-1, -math.inf), (-1, math.inf)):
+            grid = f.copy()
+            grid[index] = end
+            with pytest.raises(ValueError, match="frequency grid must be"):
+                MaterialSignature(grid, np.ones(10), np.zeros(10))
 
 
 class TestApplySignature:

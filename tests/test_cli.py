@@ -11,7 +11,7 @@ from uwbloc.channel import material_response
 from uwbloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, build_parser, main
 from uwbloc.detection import DetectionThresholds
 from uwbloc.positioning import Anchor, RoomBounds
-from uwbloc.pulses import DesignConfig, load_pulse_set, pulse_set_to_json
+from uwbloc.pulses import BSplineBasis, DesignConfig, load_pulse_set, pulse_set_to_json
 from uwbloc.simulate import SimConfig, config_to_json
 from uwbloc.waveform import Waveform
 
@@ -65,7 +65,8 @@ def bad_pulse_set(tmp_path, default_pulses) -> str:
 def broken_pulse_sets(tmp_path, default_pulses) -> list[tuple[str, str]]:
     """(path, what its error names) of broken pulse sets: basis m 0 or 4.9, T 0 or Ns 0;
     coefficient rows all one short, one row one short, or a number for the rows;
-    a basis that is no object; no Es."""
+    a basis that is no object; no Es; dt 0, negative or infinite; a 1 ms T, whose
+    pulses would span 6.6e8 samples."""
     edits = (
         ("order_m", lambda obj: obj["basis"].update(m=0)),
         ("pulse set key 'm'", lambda obj: obj["basis"].update(m=4.9)),
@@ -76,6 +77,10 @@ def broken_pulse_sets(tmp_path, default_pulses) -> list[tuple[str, str]]:
         ("pulse set key 'coeffs'", lambda obj: obj.update(coeffs=5)),
         ("pulse set key 'basis'", lambda obj: obj.update(basis=[4])),
         ("pulse set key 'Es'", lambda obj: obj.pop("Es")),
+        ("pulse set key 'dt'", lambda obj: obj.update(dt=0)),
+        ("pulse set key 'dt'", lambda obj: obj.update(dt=-obj["dt"])),
+        ("pulse set key 'dt'", lambda obj: obj.update(dt=math.inf)),
+        ("pulse set key 'basis'", lambda obj: obj["basis"].update(T=1e-3)),
     )
     broken = []
     for i, (named, edit) in enumerate(edits):
@@ -142,17 +147,26 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
-    def test_malformed_pulse_set_exit_code(self, tmp_path, capsys, default_pulses):
-        not_json = tmp_path / "not_json.json"
-        not_json.write_text("{")
-        for ps_path, named in ((str(not_json), "JSONDecodeError"),
-                               (bad_pulse_set(tmp_path, default_pulses), "Es"),
-                               *broken_pulse_sets(tmp_path, default_pulses)):
+    def test_malformed_pulse_set_exit_code(self, tmp_path, capsys, monkeypatch, default_pulses):
+        def rejected(ps_path, named):
             cfg = write_config(tmp_path, pulse_set=ps_path)
             assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert ps_path in err and named in err
             assert not (tmp_path / "out" / "sweep.csv").exists()
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a broken pulse set reached sample_matrix")
+
+        not_json = tmp_path / "not_json.json"
+        not_json.write_text("{")
+        rejected(str(not_json), "JSONDecodeError")
+        rejected(bad_pulse_set(tmp_path, default_pulses), "Es")  # found by the audit
+        # the rest fail before a pulse is synthesized: a late check on dt or the
+        # pulse length would start an unbounded sample matrix
+        monkeypatch.setattr(BSplineBasis, "sample_matrix", unreachable)
+        for ps_path, named in broken_pulse_sets(tmp_path, default_pulses):
+            rejected(ps_path, named)
 
     def test_missing_pulse_set_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, pulse_set=str(tmp_path / "missing.json"))
@@ -527,6 +541,8 @@ class TestDetectCommand:
         # well-formed, but a phase-linearity fit needs three frequency points
         "freq_hz,attenuation_db,phase_rad\n1e9,10,0\n2e9,10,0\n",
         "freq_hz,attenuation_db,phase_rad\n1e9,10,0\n2e9,10,nan\n3e9,10,0\n",
+        # an increasing grid ending at inf once ended in a traceback from the verdict
+        "freq_hz,attenuation_db,phase_rad\n1e9,10,0\n2e9,10,0\ninf,10,0\n",
     ])
     def test_malformed_signature_exit_code(self, tmp_path, capsys, text):
         bad = tmp_path / "sig.csv"

@@ -10,8 +10,6 @@ from uwbloc.channel import (
     MaterialSignature,
     _fast_len,
     _filtered,
-    _interned_signature,
-    _rfft,
     apply_signature,
     material_response,
 )
@@ -68,7 +66,7 @@ def assert_same_waveform(a, b):
     assert np.array_equal(a.samples, b.samples)
 
 
-DETECTION_CACHES = (_interned_signature, _filtered, _rfft, _tx_reference)
+DETECTION_CACHES = (_filtered, _tx_reference)
 
 
 def clear_detection_caches():
@@ -205,7 +203,7 @@ def unwrap_transfer(tx, rx):
     """``estimate_transfer`` spelled with ``rfftfreq``, out-of-place arithmetic and
     ``np.unwrap``: the outputs its fewer passes must keep."""
     n = max(tx.samples.size, rx.samples.size)
-    keep = _tx_reference(tx.samples.tobytes(), tx.dt, n)
+    keep, _ = _tx_reference(tx.samples.tobytes(), tx.dt, n)
     h = np.fft.rfft(rx.samples, n=n)[keep] / np.fft.rfft(tx.samples, n=n)[keep]
     attenuation = np.clip(-20.0 * np.log10(np.maximum(np.abs(h), 1e-300)), 0.0, None)
     return MaterialSignature(np.fft.rfftfreq(n, d=tx.dt)[keep], attenuation,
@@ -295,11 +293,9 @@ class TestSignatureCache:
         for (rx, sig), (rx_alone, sig_alone) in zip(interleaved, alone):
             assert_same_waveform(rx, rx_alone)
             assert_same_signature(sig, sig_alone)
-        # each distinct (pulse, kind) is one record, and each kind one interned
-        # key; each (pulse, record length) is one spectrum and one kept-bin mask
+        # each distinct (pulse, kind) is one record, and each (pulse, record
+        # length) one kept-bin mask with its TX bins
         assert _filtered.cache_info().misses == 4
-        assert _interned_signature.cache_info().misses == 2
-        assert _rfft.cache_info().misses == 4
         assert _tx_reference.cache_info().misses == 4
 
     def test_every_pair_is_filtered_once(self, default_pulses):
@@ -309,7 +305,6 @@ class TestSignatureCache:
                   for _ in range(2)]
         info = _filtered.cache_info()
         assert (info.misses, info.hits, info.currsize) == (24, 24, 24)
-        assert _interned_signature.cache_info().currsize == len(MATERIAL_KINDS)
         assert all(again is first for first, again in zip(*passes))
 
     def test_overwritten_signature_gives_the_new_result(self, tx):
@@ -327,8 +322,7 @@ class TestSignatureCache:
         rx = apply_signature(tx, sig)
         assert apply_signature(tx, sig) is rx
         n = len(rx)
-        shared = (rx.samples, _rfft(tx.samples.tobytes(), n),
-                  _tx_reference(tx.samples.tobytes(), tx.dt, n))
+        shared = (rx.samples, *_tx_reference(tx.samples.tobytes(), tx.dt, n))
         for values in shared:
             assert not values.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
