@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 DEFAULT_DT = 50e-12  # 20 GSa/s
+# rows of unit-energy lags per lag-by-bin product in the designer: 2 MiB of
+# float64 at the default 2,049 in-band bins, so scoring needs the same small
+# scratch however large the population
+_SCORE_BLOCK_ROWS = 128
 
 
 class InfeasibleDesignError(RuntimeError):
@@ -102,7 +106,11 @@ class BSplineBasis:
 
     def sample_count(self, dt: float) -> int:
         """Number of samples n of a synthesized pulse on the grid of step dt."""
-        return int(math.floor(self.support / dt + 1e-9)) + 1
+        span = self.support / dt
+        if not math.isfinite(span):
+            raise ValueError(f"pulse support {self.support:.3g} s spans no finite number of "
+                             f"samples of dt {dt:.3g} s")
+        return int(math.floor(span + 1e-9)) + 1
 
     def sample_matrix(self, dt: float) -> np.ndarray:
         """(Ns, n) matrix of each shifted basis function on the sample grid."""
@@ -165,7 +173,10 @@ class DesignConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.seed < 0:  # numpy seeds are non-negative
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        n = self.basis.sample_count(self.dt)
+        try:
+            n = self.basis.sample_count(self.dt)
+        except ValueError as exc:  # the support is pulse_duration
+            raise ValueError(f"pulse_duration {self.pulse_duration:.3g} s: {exc}") from exc
         if n > self.nfft:
             raise ValueError(f"the pulse's sample count ({n}) exceeds nfft ({self.nfft})")
 
@@ -221,6 +232,11 @@ class _Evaluator:
     candidates are scored from their n lags by one (lags x in-band bins)
     matrix product, with no nfft-point transform per pulse. ``psd``, which
     the audit of every design uses, stays FFT-based as an independent check.
+    Only each row's peak over the bins is kept, so the (rows x bins) product
+    runs in blocks of ``_SCORE_BLOCK_ROWS`` rows, 2 MiB each at the default
+    2,049 bins, however large the population. The default design is the
+    same bit for bit as with the whole product under OpenBLAS's SkylakeX and
+    Haswell kernels.
     """
 
     def __init__(self, cfg: DesignConfig):
@@ -263,8 +279,11 @@ class _Evaluator:
         safe_e = np.where(ok, energies, 1.0)
         r_n = lagged / safe_e[:, None]  # lags of the unit-energy pulse
         # budget_l = min over bins with power of limit / density = 1 / max(density / limit)
-        peak = np.max(r_n @ self.dens_over_limit, axis=-1, initial=0.0)
-        peak[np.any(r_n @ self.dens_forbidden > 0.0, axis=-1)] = np.inf
+        peak = np.empty(len(r_n))
+        for start in range(0, len(r_n), _SCORE_BLOCK_ROWS):
+            block = slice(start, start + _SCORE_BLOCK_ROWS)
+            np.max(r_n[block] @ self.dens_over_limit, axis=-1, initial=0.0, out=peak[block])
+            peak[block][np.any(r_n[block] @ self.dens_forbidden > 0.0, axis=-1)] = np.inf
         budget_l = np.divide(1.0, peak, out=np.full_like(peak, np.inf), where=peak > 0.0)
         inband = r_n @ self.dens_total  # fraction of unit energy in band
         ok, budget_l, inband = (a.reshape(pulses.shape[:2]) for a in (ok, budget_l, inband))

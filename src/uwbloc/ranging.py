@@ -42,10 +42,14 @@ TDT_TRAINING_PATTERN = (1.0, 1.0, -1.0, -1.0)
 
 
 def _samples_per_symbol(symbol_duration: float, dt: float) -> int:
-    n = round(symbol_duration / dt)
+    ratio = symbol_duration / dt
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"symbol_duration {symbol_duration} spans no finite number of samples (dt={dt})")
+    n = round(ratio)
     if n < 1 or abs(n * dt - symbol_duration) > 1e-6 * dt:
         raise ValueError(
-            f"symbol duration {symbol_duration} is not an integer number of samples (dt={dt})")
+            f"symbol_duration {symbol_duration} is not an integer number of samples (dt={dt})")
     return int(n)
 
 

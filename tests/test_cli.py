@@ -176,7 +176,8 @@ class TestSweepCommand:
         # 50.01 ns is 1000.2 samples of the packaged set's 50 ps grid
         cfg = write_config(tmp_path, symbol_duration=50.01e-9)
         assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
-        assert "integer number of samples" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "integer number of samples" in err and "symbol_duration" in err
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_rejected_sweep_leaves_no_directory(self, tmp_path):
@@ -373,16 +374,20 @@ class TestRejectedValues:
         ("sweep", {"symbol_duration": 0}, "symbol_duration"),
         ("sweep", {"symbol_count": 1}, "symbol_count"),
         ("sweep", {"bias_gate_m": 1}, "bias_gate_m"),
+        # a duration over dt past the float range: once an OverflowError, exit 1
+        ("sweep", {"symbol_duration": 1e300}, "symbol_duration"),
+        ("locate", {"symbol_duration": 1e300}, "symbol_duration"),
+        ("design", {"pulse_duration": 1e300}, "pulse_duration"),
     ])
     def test_non_finite_or_impossible_value(self, tmp_path, capsys, command, obj, key):
         # each once ended in a traceback, or ran with a gate, rate or box that
         # cannot act as intended
         path = tmp_path / "cfg.json"
         out = tmp_path / "o"
-        if command == "sweep":
+        if command in ("sweep", "locate"):
             path.write_text(json.dumps({"trials": 1, "snr_grid_db": [30], "out_dir": str(out),
                                         **obj}))
-            argv = ["sweep", "--config", str(path)]
+            argv = [command, "--config", str(path)]
         else:
             path.write_text(json.dumps({"population": 10, "generations": 2, **obj}))
             argv = ["design", "--config", str(path), "--out", str(out)]

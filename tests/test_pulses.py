@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from uwbloc.pulses import (
     DEFAULT_DT,
+    _SCORE_BLOCK_ROWS,
     BSplineBasis,
     DesignConfig,
     InfeasibleDesignError,
@@ -265,6 +267,36 @@ class TestLagDomainScorer:
         assert np.allclose(gram, ref_gram, rtol=1e-12, atol=0.0)
         if zero != "none":
             assert budget[0 if zero == "pulse" else -1] == 0.0
+
+    @pytest.mark.parametrize("mask", sorted(MASKS))
+    @pytest.mark.parametrize("population", [37, 80])
+    def test_rows_over_several_blocks_match_fft_reference(self, mask, population, rng):
+        ev = _Evaluator(DesignConfig(mask=MASKS[mask]))
+        pop = rng.normal(size=(population, 4, 30))
+        pop -= pop.mean(axis=-1, keepdims=True)
+        pop[-1, 0] = 0.0  # a silent pulse in the last, partial block
+        rows = pop.shape[0] * pop.shape[1]
+        assert rows > _SCORE_BLOCK_ROWS and rows % _SCORE_BLOCK_ROWS  # ends in a partial block
+        budget, xi, gram = ev.shape_metrics(pop)
+        ref_budget, ref_xi, ref_gram = fft_shape_metrics(ev, pop)
+        assert np.allclose(budget, ref_budget, rtol=1e-12, atol=0.0)
+        assert np.allclose(xi, ref_xi, rtol=1e-12, atol=0.0)
+        assert np.allclose(gram, ref_gram, rtol=1e-12, atol=0.0)
+        assert budget[-1] == 0.0
+
+    def test_fitness_scratch_does_not_grow_with_the_population(self, rng):
+        # the whole (rows x bins) lag-by-bin product would be 131 MB here
+        ev = _Evaluator(DesignConfig())
+        pop = rng.normal(size=(2000, 4, 30))
+        pop -= pop.mean(axis=-1, keepdims=True)
+        tracemalloc.start()
+        try:
+            ev.fitness(pop)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows, bins = pop.shape[0] * pop.shape[1], ev.dens_over_limit.shape[1]
+        assert peak < rows * bins * 8 / 4
 
     @pytest.mark.parametrize("mask", ["forbidden_notch", "forbidden_stopband"])
     def test_power_in_a_minus_inf_segment_leaves_no_budget(self, mask, rng):
