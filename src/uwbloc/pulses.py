@@ -283,7 +283,8 @@ class _Evaluator:
         for start in range(0, len(r_n), _SCORE_BLOCK_ROWS):
             block = slice(start, start + _SCORE_BLOCK_ROWS)
             np.max(r_n[block] @ self.dens_over_limit, axis=-1, initial=0.0, out=peak[block])
-            peak[block][np.any(r_n[block] @ self.dens_forbidden > 0.0, axis=-1)] = np.inf
+            if self.dens_forbidden.shape[1]:  # the mask has a -inf dB segment
+                peak[block][np.any(r_n[block] @ self.dens_forbidden > 0.0, axis=-1)] = np.inf
         budget_l = np.divide(1.0, peak, out=np.full_like(peak, np.inf), where=peak > 0.0)
         inband = r_n @ self.dens_total  # fraction of unit energy in band
         ok, budget_l, inband = (a.reshape(pulses.shape[:2]) for a in (ok, budget_l, inband))

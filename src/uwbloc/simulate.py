@@ -12,28 +12,20 @@ the whole record's power, estimates every ToA and solves for position.
 Anchor i sends pulse i mod the set's pulse count, and each anchor's burst
 arrives on its own record: anchors are separated in time, so no record
 holds two bursts and the pulses' orthogonality is not what separates them.
-``sweep_snr`` loops trial-outer, SNR-inner: it builds one scenario per trial
-index, measures it at every SNR point, then drops it, so each worker holds
-one scenario at a time and each one is built once instead of once per SNR
-point. The trial indices are shared round-robin among one worker per core
-the process may run on: the calling process and fork-context
-``multiprocessing`` processes, which send their results back through a pipe
-to be merged in trial order.
 
-Reproducibility scheme: the per-trial seed derives from
-``SeedSequence(entropy=(master_seed, snr_index, trial_index))`` (PCG64
-streams) and drives the noise draws; the scenario (target position and
-per-anchor channel realizations) derives from
-``SeedSequence(entropy=(master_seed, trial_index))`` so every SNR point of a
-sweep reuses the same scenarios and the error-vs-SNR curves are paired
-comparisons rather than scenario lotteries. Sub-streams are spawned in a
-fixed order. Neither the loop order nor the worker count enters the seeds,
-and each SNR row aggregates its trials in trial order, so two sweeps with
-the same master seed produce byte-identical CSV files.
+A sweep's cell is one trial index: ``sweep_snr`` hands the trial indices,
+and a ``measure`` that builds a trial's scenario once and measures it at
+every SNR point, to the cell runner ``_run_cells``. It deals the cells
+round-robin among one worker per usable core (this process and forked ones)
+and merges the results in cell order; ``sweep_snr`` only aggregates them.
 
-The seed families overlap (an open finding): ``SeedSequence`` zero-pads its
-entropy, so ``trial_seed(m, s, 0) == scenario_seed(m, s)``; and when ``run_trial``
-builds its own scenario, anchor k's noise seed is anchor k-1's CIR seed.
+Reproducibility: every seed derives in ``_stream`` from ``SeedSequence``
+entropy (PCG64 streams): the noise of trial t at SNR index s from
+``(master_seed, s, t)`` and its scenario (target and channels) from
+``(master_seed, t)``, so every SNR point reuses the same scenarios and the
+error-vs-SNR curves are paired comparisons. Neither the loop order nor the
+worker count enters the seeds, and each SNR row aggregates its trials in
+trial order, so sweeps at one master seed write byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -42,6 +34,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import traceback
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
@@ -134,8 +127,8 @@ class SimConfig:
     placement_inset: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if not 1 <= self.trials <= sys.maxsize:  # _run_cells takes the trial range's len()
+            raise ConfigError(f"trials must be >= 1 and <= {sys.maxsize}, got {self.trials}")
         if self.master_seed < 0:  # numpy seeds are non-negative
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.snr_grid_db:
@@ -256,17 +249,34 @@ def _resolve_pulses(cfg: SimConfig, pulse_set: PulseSet | None) -> PulseSet:
     return ps
 
 
+def _stream(entropy: int | tuple[int, ...], child: int | None = None) -> np.random.SeedSequence:
+    """The stream every seed derives from: ``SeedSequence(entropy)``, or its
+    ``child``-th spawned child; an integer seed is its first word (``_word``).
+    A cell's scenario and noise seeds are the words of ``(master_seed,
+    trial_index)`` and ``(master_seed, snr_index, trial_index)``. Children 0
+    and 1 + k of a scenario seed draw the target and anchor k's channel, and
+    child k of a noise seed draws anchor k's noise.
+
+    The streams overlap (an open finding): ``SeedSequence`` zero-pads its
+    entropy, so ``trial_seed(m, s, 0) == scenario_seed(m, s)``; and when
+    ``run_trial`` builds its own scenario, anchor k's noise seed is anchor
+    k-1's channel seed.
+    """
+    return np.random.SeedSequence(entropy, spawn_key=() if child is None else (child,))
+
+
+def _word(stream: np.random.SeedSequence) -> int:
+    return int(stream.generate_state(1, dtype=np.uint64)[0])
+
+
 def trial_seed(master_seed: int, snr_index: int, trial_index: int) -> int:
-    """Noise seed of a trial, distinct per (master, snr, trial) but not from the
-    scenario seeds: ``trial_seed(m, s, 0) == scenario_seed(m, s)`` (an open finding)."""
-    ss = np.random.SeedSequence(entropy=(master_seed, snr_index, trial_index))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    """Noise seed of a trial at an SNR index (``_stream``)."""
+    return _word(_stream((master_seed, snr_index, trial_index)))
 
 
 def scenario_seed(master_seed: int, trial_index: int) -> int:
-    """Seed of the SNR-independent part of a trial (target and channels)."""
-    ss = np.random.SeedSequence(entropy=(master_seed, trial_index))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    """Seed of the SNR-independent part of a trial, its target and channels (``_stream``)."""
+    return _word(_stream((master_seed, trial_index)))
 
 
 @dataclass(frozen=True)
@@ -291,8 +301,8 @@ class Scenario:
 def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Scenario:
     """Draw a target and the anchor channels from ``seed`` and receive every burst.
 
-    ``SeedSequence(seed)`` spawns one stream for the target and one CIR
-    stream per anchor, in anchor order. Each anchor's pulse is propagated
+    ``seed`` spawns one stream for the target and one CIR stream per anchor,
+    in anchor order (``_stream``). Each anchor's pulse is propagated
     once, and ``make_burst`` overlap-adds the received pulse into the burst:
     the channel is linear and time-invariant, so this is the burst
     ``make_burst`` sends, received through the same channel. The record is
@@ -303,8 +313,7 @@ def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Sce
     scenario's distances that is at most about 5e-3 of the peak.
     """
     ps = _resolve_pulses(cfg, pulse_set)
-    streams = np.random.SeedSequence(seed).spawn(1 + len(cfg.anchors))
-    truth_rng = np.random.default_rng(streams[0])
+    truth_rng = np.random.default_rng(_stream(seed, 0))
 
     lo = np.asarray(cfg.room.minimum) + cfg.placement_inset
     hi = np.asarray(cfg.room.maximum) - cfg.placement_inset
@@ -319,8 +328,7 @@ def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Sce
     for idx, anchor in enumerate(cfg.anchors):
         pulse = ps.pulses[idx % ps.pulse_count]
         dist = float(np.linalg.norm(np.asarray(truth) - np.asarray(anchor.position)))
-        cir_seed = int(streams[1 + idx].generate_state(1, dtype=np.uint64)[0])
-        cir = sample_cir(cfg.channel, cir_seed)
+        cir = sample_cir(cfg.channel, _word(_stream(seed, 1 + idx)))
         burst = make_burst(propagate(pulse, dist, cir), cfg.symbol_duration,
                            cfg.symbol_count).samples
         length = _record_length(symbol * cfg.symbol_count, dist, cir, ps.dt)
@@ -359,14 +367,12 @@ def run_trial(
     """
     if scenario is None:
         scenario = build_scenario(cfg, None, seed)
-    noise_streams = np.random.SeedSequence(seed).spawn(len(cfg.anchors))
 
     toas, ranges, toa_errs, range_errs = [], [], [], []
     failure: str | None = None
-    for stream, dist, pulse, rx, power in zip(noise_streams, scenario.distances,
-                                              scenario.pulses, scenario.received, scenario.powers):
-        noise_seed = int(stream.generate_state(1, dtype=np.uint64)[0])
-        rx = add_awgn(rx, snr_db, noise_seed, power=power)
+    for idx, (dist, pulse, rx, power) in enumerate(zip(scenario.distances, scenario.pulses,
+                                                       scenario.received, scenario.powers)):
+        rx = add_awgn(rx, snr_db, _word(_stream(seed, idx)), power=power)
         try:
             est = toa_dirty_template(rx, cfg.symbol_duration, cfg.symbol_count, template=pulse)
             toa, rng_m = est.toa, range_from_toa(est)
@@ -402,64 +408,36 @@ def run_trial(
     )
 
 
-def _measure_share(cfg: SimConfig, ps: PulseSet, snrs: list[float],
-                   share: range) -> list[TrialResult]:
-    """Every trial of ``share`` at every SNR point, one scenario held at a time."""
-    results = []
-    for ti in share:
-        scenario = build_scenario(cfg, ps, scenario_seed(cfg.master_seed, ti))
-        for si, snr in enumerate(snrs):
-            results.append(run_trial(
-                cfg, snr, trial_seed(cfg.master_seed, si, ti), trial_id=ti, scenario=scenario))
-        del scenario  # else the next build would run while this one is still held
-    return results
+def _run_cells(keys: range, measure: Callable[[int], list]) -> list:
+    """Every key's ``measure(key)`` results, concatenated in key order.
 
-
-def _send_share(conn, cfg: SimConfig, ps: PulseSet, snrs: list[float], share: range) -> None:
-    """A sweep worker: send ``(None, results)`` of ``share`` through ``conn``, or
-    ``(exception, traceback text)`` if it failed, the exception replaced by a
-    RuntimeError of the text's last line if it would not unpickle."""
-    from multiprocessing.reduction import ForkingPickler
-
-    try:
-        message = (None, _measure_share(cfg, ps, snrs, share))
-    except Exception as exc:  # an interrupt is left to multiprocessing, which prints it
-        text = traceback.format_exc()
-        message = (exc, text)
-        try:
-            ForkingPickler.loads(ForkingPickler.dumps(exc))
-        except Exception:
-            message = (RuntimeError(text.splitlines()[-1]), text)
-    conn.send(message)
-
-
-def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
-    """Run trials at every SNR point and aggregate the error statistics.
-
-    Each trial index builds its scenario once and measures it at every SNR
-    point. The trial indices are dealt round-robin to one worker per usable
-    core (``len(os.sched_getaffinity(0))``, at most ``cfg.trials``): this
-    process measures the first share and a fork-context ``multiprocessing``
-    process per other share measures the rest, each holding one scenario at
-    a time. The results are merged in trial order, so every result is the
-    same for any worker count, and ``taskset`` sets the count. A worker's
-    exception is raised here, chained from a RuntimeError naming the worker,
-    once the workers still pending are killed; an interrupted worker prints
-    multiprocessing's "Process sweep worker ..." traceback to stderr. Rows
-    are ordered by ascending SNR. range NMSE is normalized by
-    (c * symbol_duration)^2 and position NMSE by the room diagonal squared.
-    Failed trials are excluded from position means and surfaced via
-    fix_failure_rate; the NaN entries of anchors without a ToA are excluded
-    from the ToA and range NMSE.
+    The keys are dealt round-robin to one worker per usable core
+    (``len(os.sched_getaffinity(0))``, at most one per key; ``taskset`` sets
+    it): this process measures the first share, and a fork-context
+    ``multiprocessing`` process per other share measures its own and sends
+    the results back through a one-way pipe. A worker's exception is raised
+    here, chained from a RuntimeError naming the worker, once the workers
+    still pending are killed; one that would not unpickle becomes a
+    RuntimeError of its traceback's last line. An interrupted worker prints
+    multiprocessing's "Process sweep worker ..." traceback to stderr.
     """
-    ps = _resolve_pulses(cfg, pulse_set)
-    diag2 = float(np.sum((np.asarray(cfg.room.maximum) - np.asarray(cfg.room.minimum)) ** 2))
-    tsym2 = cfg.symbol_duration**2
-    snrs = sorted(cfg.snr_grid_db)
+    def send_share(conn, share: range) -> None:  # a worker's whole life
+        from multiprocessing.reduction import ForkingPickler
+        try:
+            message = (None, [measure(key) for key in share])
+        except Exception as exc:  # an interrupt is left to multiprocessing, which prints it
+            text = traceback.format_exc()
+            message = (exc, text)
+            try:
+                ForkingPickler.loads(ForkingPickler.dumps(exc))
+            except Exception:
+                message = (RuntimeError(text.splitlines()[-1]), text)
+        conn.send(message)
+
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        workers = min(len(os.sched_getaffinity(0)), cfg.trials)
-    shares = [range(w, cfg.trials, workers) for w in range(workers)]
+        workers = min(len(os.sched_getaffinity(0)), len(keys))
+    shares = [keys[w::workers] for w in range(workers)]
     pending = []
     try:
         if workers > 1:
@@ -467,12 +445,12 @@ def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
             context = multiprocessing.get_context("fork")
             for share in shares[1:]:
                 receive, send = context.Pipe(duplex=False)
-                worker = context.Process(target=_send_share, name=f"sweep worker (trials {share})",
-                                         args=(send, cfg, ps, snrs, share))
+                worker = context.Process(target=send_share, name=f"sweep worker (cells {share})",
+                                         args=(send, share))
                 worker.start()
                 send.close()
                 pending.append((worker, receive))
-        measured = _measure_share(cfg, ps, snrs, shares[0])
+        measured = [[measure(key) for key in shares[0]]]
         while pending:
             worker, receive = pending[0]
             with receive:
@@ -486,14 +464,37 @@ def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
                 raise failure from RuntimeError(f"in {worker.name}:\n{value}")
             if value is None:
                 raise RuntimeError(f"{worker.name} sent no results; exit status {worker.exitcode}")
-            measured += value
+            measured.append(value)
     finally:  # reached with workers pending only on a failure, so their results go unread
         for worker, receive in pending:
             receive.close()
             worker.kill()
             worker.join()
+    return [r for i in range(len(keys)) for r in measured[i % workers][i // workers]]
+
+
+def sweep_snr(cfg: SimConfig, pulse_set: PulseSet | None = None) -> SweepResult:
+    """Run trials at every SNR point and aggregate the error statistics.
+
+    Each trial index is a cell of ``_run_cells`` that builds its scenario
+    once and measures it at every SNR point. Rows are ordered by ascending
+    SNR. range NMSE is normalized by (c * symbol_duration)^2 and position
+    NMSE by the room diagonal squared. Failed trials are excluded from
+    position means and surfaced via fix_failure_rate; the NaN entries of
+    anchors without a ToA are excluded from the ToA and range NMSE.
+    """
+    ps = _resolve_pulses(cfg, pulse_set)
+    diag2 = float(np.sum((np.asarray(cfg.room.maximum) - np.asarray(cfg.room.minimum)) ** 2))
+    tsym2 = cfg.symbol_duration**2
+    snrs = sorted(cfg.snr_grid_db)
+
+    def measure(trial: int) -> list[TrialResult]:
+        scenario = build_scenario(cfg, ps, scenario_seed(cfg.master_seed, trial))
+        return [run_trial(cfg, snr, trial_seed(cfg.master_seed, si, trial), trial_id=trial,
+                          scenario=scenario) for si, snr in enumerate(snrs)]
+
     by_snr: dict[float, list[TrialResult]] = {snr: [] for snr in snrs}
-    for res in sorted(measured, key=lambda r: r.trial_id):
+    for res in _run_cells(range(cfg.trials), measure):
         by_snr[res.snr_db].append(res)
 
     rows = []

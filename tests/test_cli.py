@@ -378,6 +378,8 @@ class TestRejectedValues:
         ("sweep", {"symbol_duration": 1e300}, "symbol_duration"),
         ("locate", {"symbol_duration": 1e300}, "symbol_duration"),
         ("design", {"pulse_duration": 1e300}, "pulse_duration"),
+        # a trial range longer than sys.maxsize has no len(): once an OverflowError, exit 1
+        ("sweep", {"trials": 2**64}, "trials"),
     ])
     def test_non_finite_or_impossible_value(self, tmp_path, capsys, command, obj, key):
         # each once ended in a traceback, or ran with a gate, rate or box that

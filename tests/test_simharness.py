@@ -714,6 +714,40 @@ class TestSweepWorkers:
         assert sweep_snr(self.CFG, default_pulses) == expected
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="cell workers are forked")
+class TestRunCells:
+    """The cell runner alone, with a ``measure`` that does no physics."""
+
+    deadline = TestSweepWorkers.deadline
+    KEYS = range(7)  # uneven shares: 4 + 3 at two workers, 3 + 2 + 2 at three
+
+    @staticmethod
+    def measure(key: int) -> list[tuple[int, int]]:
+        return [(key, j) for j in range(key % 3)]  # 0, 1 or 2 results
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_results_merge_in_key_order(self, monkeypatch, count):
+        use_cores(monkeypatch, count)
+        merged = simulate._run_cells(self.KEYS, self.measure)
+        assert merged == [result for key in self.KEYS for result in self.measure(key)]
+        pids = simulate._run_cells(self.KEYS, lambda key: [os.getpid()])
+        assert len(set(pids)) == count  # one process per share
+        assert no_child_left()
+
+    def test_a_failing_key_in_a_child_raises_chained_and_leaves_no_child(self, monkeypatch):
+        def measure(key):
+            if key == 3:  # dealt to the child at two workers
+                raise ValueError("no result for key 3")
+            return self.measure(key)
+
+        use_cores(monkeypatch, 2)
+        with pytest.raises(ValueError, match="no result for key 3") as info:
+            simulate._run_cells(self.KEYS, measure)
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert "sweep worker (cells range(1, 7, 2))" in str(info.value.__cause__)
+        assert no_child_left()
+
+
 class TestEmitCsv:
     HEADER = "snr_db,toa_nmse,range_nmse,mean_position_error_m,position_nmse,fix_failure_rate"
 
