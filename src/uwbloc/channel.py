@@ -181,8 +181,9 @@ class MaterialSignature:
             raise ValueError("frequency grid must be finite")
         if not ((a >= 0).all() and np.isfinite(a.max())):
             raise ValueError("attenuation must be finite and >= 0")
-        if not (np.isfinite(p.min()) and np.isfinite(p.max())):
-            raise ValueError("phase must be finite")
+        # bounds the phase-line fit's RMS residual, which is at most this span
+        if not np.isfinite(p.max() - p.min()):
+            raise ValueError("phase must be finite, and its span a float")
         object.__setattr__(self, "freq_hz", f)
         object.__setattr__(self, "attenuation_db", a)
         object.__setattr__(self, "phase_rad", p)

@@ -147,10 +147,10 @@ def _cmd_locate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _read_config(SimConfig, args.config, master_seed=args.seed, snr_grid_db=args.snr,
-                       trials=args.trials, out_dir=args.out)
+                       trials=args.trials)
     result = sweep_snr(cfg)
     # made only once the sweep ran, so a rejected config or pulse set leaves no directory
-    out = Path(cfg.out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(result.rows, out / "sweep.csv")
     write_csv(out / "fixes.csv", ["trial", "snr_db", "x", "y", "z", "bias", "residual", "err_m"], (
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="master seed override")
     p.add_argument("--snr", type=float, nargs="+", help="SNR grid override (dB)")
     p.add_argument("--trials", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("detect", help="classify a medium from tx/rx waveforms or a signature")

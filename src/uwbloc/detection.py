@@ -176,20 +176,35 @@ def phase_nonlinearity(sig: MaterialSignature) -> float:
     least-squares intercept is mean(φ) and the slope is f·φ / f·f. The slope
     is taken on the centred phase: f sums to zero only up to rounding, and on
     a grid far from 0 Hz that rounding would otherwise leak mean(φ) into it.
+    Both are first scaled by ``_unit_scale``, so no square over- or underflows.
     """
-    f = sig.freq_hz - sig.freq_hz.mean()
-    phi = sig.phase_rad - sig.phase_rad.mean()
+    freq = sig.freq_hz
+    f = freq * _unit_scale(max(-freq[0], freq[-1]))  # the grid increases
+    f -= f.mean()
+    scale = _unit_scale(max(-sig.phase_rad.min(), sig.phase_rad.max()))
+    phi = sig.phase_rad * scale
+    phi -= phi.mean()
     # numpy's own loop, not BLAS: OpenBLAS runs ddot on a second thread above
     # 10,000 elements, a human kind's bin count, and that thread then spins
     f *= np.einsum("i,i->", f, phi) / np.einsum("i,i->", f, f)
     phi -= f  # the residual
     phi *= phi
-    return float(np.sqrt(np.mean(phi)))
+    return float(np.sqrt(np.mean(phi))) / scale
 
 
 def mean_attenuation(sig: MaterialSignature) -> float:
-    """Arithmetic mean of the attenuation over the signature band."""
-    return float(np.mean(sig.attenuation_db))
+    """Arithmetic mean of the attenuation over the signature band, at ``_unit_scale``."""
+    scale = _unit_scale(sig.attenuation_db.max())  # the attenuation is >= 0
+    return float(np.mean(sig.attenuation_db * scale)) / scale
+
+
+def _unit_scale(peak: float) -> float:
+    """The power of two that takes |peak| into [0.5, 1), or below it for a subnormal
+    peak, whose inverse power would pass the float range; 1 for 0. Scaling by it is
+    exact, so scaled sums and squares round as unscaled ones would where those
+    neither over- nor underflow, and scale back exactly: everyday signatures keep
+    their bits, and any finite one gets finite metrics."""
+    return math.ldexp(1.0, -max(math.frexp(float(peak))[1], -1022))
 
 
 def classify(sig: MaterialSignature, thresholds: DetectionThresholds | None = None) -> DetectionVerdict:

@@ -50,6 +50,20 @@ DEFAULT_DT = 50e-12  # 20 GSa/s
 # float64 at the default 2,049 in-band bins, so scoring needs the same small
 # scratch however large the population
 _SCORE_BLOCK_ROWS = 128
+# Highest B-spline order, 5 times the default's 4. ``bspline_eval``'s closed form
+# sums terms as large as C(m, j) (m - j)^(m - 1) that cancel to at most 1: the
+# shifted splines' partition of unity is off by 6e-7 at order 20, 3e-4 at 25 and
+# 0.18 at 30, and from order 172 (m - 1)! is past the float range.
+MAX_SPLINE_ORDER = 20
+# Most values in one array of the designer, 128 MiB of float64: the population's
+# coefficients (population x pulse_count x basis_count), its pulses' padded lags
+# (population x pulse_count x 2 samples) and the basis's Gram metric
+# (basis_count^2), which also bounds its sample matrix (basis_count x at most
+# nfft = 4,096 samples). The default design's largest, 200 x 4 x 52, is about
+# 1/400 of this.
+MAX_DESIGN_VALUES = 2**24
+# Most generations of a design: the default's 500 is about 1/2,000 of this.
+MAX_GENERATIONS = 2**20
 
 
 class InfeasibleDesignError(RuntimeError):
@@ -92,8 +106,8 @@ class BSplineBasis:
     count_ns: int
 
     def __post_init__(self) -> None:
-        if self.order_m < 1:
-            raise ValueError("order_m must be >= 1")
+        if not 1 <= self.order_m <= MAX_SPLINE_ORDER:
+            raise ValueError(f"order_m must be >= 1 and <= {MAX_SPLINE_ORDER}, got {self.order_m}")
         if self.knot_spacing <= 0:
             raise ValueError("knot_spacing must be positive")
         if self.count_ns < 1:
@@ -166,11 +180,19 @@ class DesignConfig:
     def __post_init__(self) -> None:
         if self.pulse_count < 1:
             raise ValueError("pulse_count must be >= 1")
+        if not 1 <= self.spline_order <= MAX_SPLINE_ORDER:
+            raise ValueError(f"spline_order must be >= 1 and <= {MAX_SPLINE_ORDER}, "
+                             f"got {self.spline_order}")
         if self.basis_count < self.spline_order:
             raise ValueError("basis_count must be >= spline_order")
+        if self.basis_count > math.isqrt(MAX_DESIGN_VALUES):  # before knot_spacing divides
+            raise ValueError(f"basis_count must be <= {math.isqrt(MAX_DESIGN_VALUES)}, "
+                             f"got {self.basis_count}")
         for name in ("population", "generations", "pulse_duration", "dt"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if self.generations > MAX_GENERATIONS:
+            raise ValueError(f"generations must be <= {MAX_GENERATIONS}, got {self.generations}")
         if self.seed < 0:  # numpy seeds are non-negative
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         try:
@@ -179,6 +201,11 @@ class DesignConfig:
             raise ValueError(f"pulse_duration {self.pulse_duration:.3g} s: {exc}") from exc
         if n > self.nfft:
             raise ValueError(f"the pulse's sample count ({n}) exceeds nfft ({self.nfft})")
+        values = self.population * self.pulse_count * max(self.basis_count, 2 * n)
+        if values > MAX_DESIGN_VALUES:
+            raise ValueError(
+                f"population x pulse_count x max(basis_count, 2 x {n} samples) is {values}, "
+                f"more than {MAX_DESIGN_VALUES}")
 
     @property
     def knot_spacing(self) -> float:

@@ -122,8 +122,6 @@ class SimConfig:
     snr_grid_db: tuple[float, ...] = (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
     trials: int = 100
     master_seed: int = 12345
-    out_dir: str = "out"
-    floor_only: bool = True
     placement_inset: float = 0.1
 
     def __post_init__(self) -> None:
@@ -152,10 +150,9 @@ class SimConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.symbol_duration > 0 and self.placement_inset >= 0):
             raise ConfigError("symbol_duration must be positive and placement_inset non-negative")
-        # build_scenario draws x and y, and z unless floor_only, between the insets
-        axes = slice(2 if self.floor_only else 3)
+        # build_scenario draws x and y between the insets; z is the floor
         if not all(lo + self.placement_inset <= hi - self.placement_inset
-                   for lo, hi in zip(self.room.minimum[axes], self.room.maximum[axes])):
+                   for lo, hi in zip(self.room.minimum[:2], self.room.maximum[:2])):
             raise ConfigError(f"placement_inset {self.placement_inset} leaves no placement box")
         # ToA is read modulo one symbol, so a longer range would alias to a short one
         ambiguity_m = SPEED_OF_LIGHT * self.symbol_duration
@@ -315,12 +312,10 @@ def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Sce
     ps = _resolve_pulses(cfg, pulse_set)
     truth_rng = np.random.default_rng(_stream(seed, 0))
 
-    lo = np.asarray(cfg.room.minimum) + cfg.placement_inset
-    hi = np.asarray(cfg.room.maximum) - cfg.placement_inset
-    x = truth_rng.uniform(lo[0], hi[0])
-    y = truth_rng.uniform(lo[1], hi[1])
-    z = cfg.room.minimum[2] if cfg.floor_only else truth_rng.uniform(lo[2], hi[2])
-    truth = (float(x), float(y), float(z))
+    inset = cfg.placement_inset
+    x, y = (float(truth_rng.uniform(lo + inset, hi - inset))
+            for lo, hi in zip(cfg.room.minimum[:2], cfg.room.maximum[:2]))
+    truth = (x, y, float(cfg.room.minimum[2]))  # the target stands on the floor
 
     window = read_window(cfg.symbol_duration, ps.dt, cfg.symbol_count)
     symbol = round(cfg.symbol_duration / ps.dt)  # whole: read_window checked it
@@ -552,15 +547,6 @@ _FIELD_CODECS = {
     "snr_grid_db": (list, lambda obj: _numbers(obj, "an snr point")),
 }
 
-# JSON value types a non-numeric scalar field accepts, by annotation; an int
-# or float field's value is a json_number
-_SCALAR_TYPES = {
-    bool: ("true or false", (bool,)),
-    str: ("a string", (str,)),
-    str | None: ("a string or null", (str, type(None))),
-}
-
-
 def config_to_json(cfg) -> dict:
     """JSON object of a config dataclass, one key per field.
 
@@ -602,10 +588,8 @@ def config_from_json(obj: object, cls: type = SimConfig):
                 val = config_from_json(val, types[key])
             elif types[key] in (int, float):
                 val = json_number(val, key, integer=types[key] is int)
-            elif types[key] in _SCALAR_TYPES:
-                expected, accepted = _SCALAR_TYPES[types[key]]
-                if type(val) not in accepted:
-                    raise ValueError(f"{key} must be {expected}, got {val!r}")
+            elif not isinstance(val, (str, type(None))):  # pulse_set, the one str | None field
+                raise ValueError(f"{key} must be a string or null, got {val!r}")
         except KeyError as exc:
             raise ConfigError(f"{where} lacks the key {exc}") from exc
         except (TypeError, ValueError) as exc:

@@ -181,6 +181,11 @@ class TestMaterialResponse:
             grid[index] = end
             with pytest.raises(ValueError, match="frequency grid must be"):
                 MaterialSignature(grid, np.ones(10), np.zeros(10))
+        # each phase is finite, but the span its line fit leaves is not
+        phase = np.zeros(10)
+        phase[[0, -1]] = -1e308, 1e308
+        with pytest.raises(ValueError, match="phase must be finite"):
+            MaterialSignature(f, np.ones(10), phase)
 
 
 class TestApplySignature:

@@ -23,8 +23,11 @@ E9 = r"-?\d\.\d{9}e[+-]\d{2,3}"
 
 
 def write_config(tmp_path, **fields):
-    """Path of a SimConfig file for a 2-trial, 2-point sweep with ``fields`` changed."""
-    cfg = SimConfig(snr_grid_db=(20.0, 30.0), trials=2, out_dir=str(tmp_path / "out"))
+    """Path of a SimConfig file for a 2-trial, 2-point sweep with ``fields`` changed.
+
+    Its sweeps write to ``tmp_path / "out"`` by ``--out``.
+    """
+    cfg = SimConfig(snr_grid_db=(20.0, 30.0), trials=2)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config_to_json(dataclasses.replace(cfg, **fields)), indent=2))
     return path
@@ -63,12 +66,16 @@ def bad_pulse_set(tmp_path, default_pulses) -> str:
 
 
 def broken_pulse_sets(tmp_path, default_pulses) -> list[tuple[str, str]]:
-    """(path, what its error names) of broken pulse sets: basis m 0 or 4.9, T 0 or Ns 0;
-    coefficient rows all one short, one row one short, or a number for the rows;
-    a basis that is no object; no Es; dt 0, negative or infinite; a 1 ms T, whose
-    pulses would span 6.6e8 samples."""
+    """(path, what its error names) of broken pulse sets: basis m 0, 4.9, 172 or
+    10**400, T 0 or Ns 0; coefficient rows all one short, one row one short, or a
+    number for the rows; a basis that is no object; no Es; dt 0, negative or
+    infinite; a 1 ms T, whose pulses would span 6.6e8 samples."""
     edits = (
         ("order_m", lambda obj: obj["basis"].update(m=0)),
+        # each once ended in an OverflowError, exit 1: 171! is the last factorial
+        # below the float maximum, and 10**400 has no float at all
+        ("order_m", lambda obj: obj["basis"].update(m=172)),
+        ("order_m", lambda obj: obj["basis"].update(m=10**400)),
         ("pulse set key 'm'", lambda obj: obj["basis"].update(m=4.9)),
         ("knot_spacing", lambda obj: obj["basis"].update(T=0)),
         ("count_ns", lambda obj: obj["basis"].update(Ns=0)),
@@ -94,7 +101,8 @@ def broken_pulse_sets(tmp_path, default_pulses) -> list[tuple[str, str]]:
 
 class TestSweepCommand:
     def test_writes_tables(self, tiny_config_path, tmp_path, capsys, read_sweep_csv):
-        assert main(["sweep", "--config", str(tiny_config_path)]) == EXIT_OK
+        assert main(["sweep", "--config", str(tiny_config_path),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
         rows = read_sweep_csv(tmp_path / "out" / "sweep.csv")
         assert [r.snr_db for r in rows] == [20.0, 30.0]
         fixes = (tmp_path / "out" / "fixes.csv").read_text().splitlines()
@@ -133,24 +141,31 @@ class TestSweepCommand:
         bad = tmp_path / "bad.json"
         for text in (json.dumps({"snr_list": [10]}), "{"):
             bad.write_text(text)
-            assert main(["sweep", "--config", str(bad)]) == EXIT_CONFIG
+            assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) \
+                == EXIT_CONFIG
             assert str(bad) in capsys.readouterr().err
 
     @pytest.mark.parametrize("obj, key", [
         ({"refine_toa": True}, "refine_toa"),
         ({"channel": {"gain_law": "rayleigh"}}, "gain_law"),
         ({"orthogonal_assignment": False}, "orthogonal_assignment"),
+        # targets always stand on the floor, and the output directory is only --out
+        ({"floor_only": False}, "floor_only"),
+        ({"out_dir": "x"}, "out_dir"),
     ])
     def test_removed_keys_exit_code(self, tmp_path, capsys, obj, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(obj))
-        assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_pulse_set_exit_code(self, tmp_path, capsys, monkeypatch, default_pulses):
         def rejected(ps_path, named):
             cfg = write_config(tmp_path, pulse_set=ps_path)
-            assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) \
+                == EXIT_CONFIG
             err = capsys.readouterr().err
             assert ps_path in err and named in err
             assert not (tmp_path / "out" / "sweep.csv").exists()
@@ -170,12 +185,13 @@ class TestSweepCommand:
 
     def test_missing_pulse_set_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, pulse_set=str(tmp_path / "missing.json"))
-        assert main(["sweep", "--config", str(cfg)]) == EXIT_IO
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_IO
 
     def test_symbol_off_the_sample_grid_exit_code(self, tmp_path, capsys):
         # 50.01 ns is 1000.2 samples of the packaged set's 50 ps grid
         cfg = write_config(tmp_path, symbol_duration=50.01e-9)
-        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "integer number of samples" in err and "symbol_duration" in err
         assert not (tmp_path / "out" / "sweep.csv").exists()
@@ -189,8 +205,8 @@ class TestSweepCommand:
             ({"trials": 1, "snr_grid_db": [30], "symbol_duration": 50}, EXIT_CONFIG),
             ({"pulse_set": str(tmp_path / "missing.json")}, EXIT_IO),
         ):
-            path.write_text(json.dumps({**obj, "out_dir": str(out)}))
-            assert main(["sweep", "--config", str(path)]) == code
+            path.write_text(json.dumps(obj))
+            assert main(["sweep", "--config", str(path), "--out", str(out)]) == code
             assert not out.exists()
 
     @pytest.mark.parametrize("symbol_duration, code", [
@@ -201,7 +217,7 @@ class TestSweepCommand:
         # template, so every trial would record "no usable signal"
         cfg = write_config(tmp_path, snr_grid_db=(30.0,), symbol_duration=symbol_duration,
                            **SMALL_ROOM)
-        assert main(["sweep", "--config", str(cfg)]) == code
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
         if code == EXIT_CONFIG:
             assert "58-sample calibration template" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
@@ -232,8 +248,7 @@ class TestRejectedValues:
         ({"master_seed": -1}, "master_seed"),
         ({"symbol_count": 20.0}, "symbol_count"),
         ({"pulse_set": 5}, "pulse_set"),
-        ({"out_dir": 5}, "out_dir"),
-        ({"floor_only": "no"}, "floor_only"),
+        ({"pulse_set": True}, "pulse_set"),
         ({"channel": {"tap_count_min": 2.5}}, "tap_count_min"),
         # a bool inside a list or object once read as 1.0
         ({"snr_grid_db": [30, True]}, "snr_grid_db"),
@@ -277,8 +292,22 @@ class TestRejectedValues:
         ({"mask": [{"f_lo_hz": 0, "f_hi_hz": math.inf, "limit_dbm_per_mhz": -41.3}]}, "mask"),
         # a constant of the search, not a key
         ({"weight_gram": 1e-6}, "weight_gram"),
+        # work no design can hold: generations 2**64 once ended in np.empty's
+        # ValueError, exit 1, and the rest would have grown memory without bound
+        ({"generations": 2**64}, "generations"),
+        ({"basis_count": 2**64}, "basis_count"),
+        ({"population": 2**64}, "population"),
+        ({"pulse_count": 2**64}, "pulse_count"),
+        # each once ended in an OverflowError, exit 1: from the knot spacing, and
+        # from 199! in the B-spline's closed form
+        ({"basis_count": 10**400}, "basis_count"),
+        ({"spline_order": 200, "basis_count": 200}, "spline_order"),
     ])
-    def test_design_config_value(self, tmp_path, capsys, obj, key):
+    def test_design_config_value(self, tmp_path, capsys, monkeypatch, obj, key):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a rejected design config started work")
+
+        monkeypatch.setattr(BSplineBasis, "sample_matrix", unreachable)
         path = tmp_path / "design.json"
         path.write_text(json.dumps(obj))
         assert main(["design", "--config", str(path), "--out", str(tmp_path / "o")]) \
@@ -287,7 +316,7 @@ class TestRejectedValues:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("obj, key", [
-        ({"out_dir": 5}, "out_dir"),
+        ({"trials": "2"}, "trials"),
         ({"master_seed": 1.5}, "master_seed"),
         ({"trials": 0}, "trials"),
         ({"snr_grid_db": [30, 30]}, "snr"),
@@ -305,10 +334,12 @@ class TestRejectedValues:
 
     def test_overlong_record(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"trials": 1, "snr_grid_db": [30], "symbol_duration": 50,
-                                    "out_dir": str(tmp_path / "out")}))
+        path.write_text(json.dumps({"trials": 1, "snr_grid_db": [30], "symbol_duration": 50}))
+        out = tmp_path / "out"
         for command in ("sweep", "locate"):
-            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            argv = [command, "--config", str(path)]
+            assert main(argv + (["--out", str(out)] if command == "sweep" else [])) \
+                == EXIT_CONFIG
             assert "symbol_duration" in capsys.readouterr().err
 
     @pytest.mark.parametrize("channel, key, commands", [
@@ -334,11 +365,11 @@ class TestRejectedValues:
             monkeypatch.setattr(module, name, unreachable)
         path = tmp_path / "cfg.json"
         out = tmp_path / "o"
-        path.write_text(json.dumps({"channel": channel, "trials": 1, "snr_grid_db": [30],
-                                    "out_dir": str(out)}))
+        path.write_text(json.dumps({"channel": channel, "trials": 1, "snr_grid_db": [30]}))
         for command in commands:
             argv = [command, "--config", str(path)]
-            assert main(argv + (["--out", str(out)] if command == "cir" else [])) == EXIT_CONFIG
+            assert main(argv + (["--out", str(out)] if command != "locate" else [])) \
+                == EXIT_CONFIG
             assert key in capsys.readouterr().err
         assert not out.exists()
 
@@ -348,10 +379,11 @@ class TestRejectedValues:
         anchors[2]["id"] = "a0"
         path = tmp_path / "cfg.json"
         out = tmp_path / "o"
-        path.write_text(json.dumps({"anchors": anchors, "trials": 1, "out_dir": str(out)}))
+        path.write_text(json.dumps({"anchors": anchors, "trials": 1}))
         for command in ("locate", "sweep", "cir"):
             argv = [command, "--config", str(path)]
-            assert main(argv + (["--out", str(out)] if command == "cir" else [])) == EXIT_CONFIG
+            assert main(argv + (["--out", str(out)] if command != "locate" else [])) \
+                == EXIT_CONFIG
             err = capsys.readouterr().err
             assert "anchors" in err and "'a0'" in err
         assert not out.exists()
@@ -387,9 +419,9 @@ class TestRejectedValues:
         path = tmp_path / "cfg.json"
         out = tmp_path / "o"
         if command in ("sweep", "locate"):
-            path.write_text(json.dumps({"trials": 1, "snr_grid_db": [30], "out_dir": str(out),
-                                        **obj}))
+            path.write_text(json.dumps({"trials": 1, "snr_grid_db": [30], **obj}))
             argv = [command, "--config", str(path)]
+            argv += ["--out", str(out)] if command == "sweep" else []
         else:
             path.write_text(json.dumps({"population": 10, "generations": 2, **obj}))
             argv = ["design", "--config", str(path), "--out", str(out)]
@@ -481,6 +513,25 @@ class TestDetectCommand:
         # a pulse received as sent went through free space
         assert main(["detect", "--tx", str(tx_path), "--rx", str(tx_path)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["label"] == "free_space"
+
+    def test_any_finite_sample_interval(self, tmp_path, capsys, default_pulses):
+        # at dt 1e200 s the rFFT grid steps by 1e-202 Hz, whose square once underflowed
+        # in the phase fit: a NaN verdict, and a ValueError traceback (exit 1). The
+        # phase-line residual does not depend on the frequency unit.
+        tx = default_pulses.pulses[0]
+        rx = Waveform(np.concatenate([np.zeros(5), 0.3 * tx.samples]), tx.dt)
+        verdicts = []
+        for dt in (tx.dt, 1e200, 1e300):
+            paths = []
+            for name, w in (("tx", tx), ("rx", rx)):
+                paths.append(tmp_path / f"{name}.json")
+                paths[-1].write_text(json.dumps({"dt": dt, "samples": w.samples.tolist()}))
+            assert main(["detect", "--tx", str(paths[0]), "--rx", str(paths[1])]) == EXIT_OK
+            verdicts.append(json.loads(capsys.readouterr().out))
+        for verdict in verdicts[1:]:
+            assert verdict["label"] == verdicts[0]["label"]
+            for metric in ("mean_attenuation_db", "phase_nonlinearity"):
+                assert verdict[metric] == pytest.approx(verdicts[0][metric], rel=1e-9)
 
     @pytest.mark.parametrize("flag", ["--attenuation-threshold", "--nonlinearity-threshold"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -412,6 +412,23 @@ class TestPhaseNonlinearity:
         shifted = MaterialSignature(f, np.ones(257), wiggle + 3.0 - 2e-9 * f)
         assert phase_nonlinearity(base) == pytest.approx(phase_nonlinearity(shifted), rel=1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(sig=signatures(), freq_exp=st.integers(-1000, 980), phase_exp=st.integers(-900, 900))
+    def test_a_unit_of_any_size_scales_the_metric_exactly(self, sig, freq_exp, phase_exp):
+        # a power-of-two unit is exact, and no square on the way over- or underflows:
+        # the same bits in units of 2**-1000 Hz as in hertz (once a NaN or inf)
+        scaled = MaterialSignature(np.ldexp(sig.freq_hz, freq_exp), sig.attenuation_db,
+                                   np.ldexp(sig.phase_rad, phase_exp))
+        assert phase_nonlinearity(scaled) == math.ldexp(phase_nonlinearity(sig), phase_exp)
+
+    def test_subnormal_phase(self):
+        # no power of two takes a subnormal into [0.5, 1), and its squares once
+        # underflowed to a metric of 0: the residual here is sqrt(2/9) of the bump
+        sig = MaterialSignature(np.array([1e9, 2e9, 3e9]), np.zeros(3),
+                                np.array([0.0, 1e-310, 0.0]))
+        expected = math.sqrt(2 / 9) * 1e-310
+        assert phase_nonlinearity(sig) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
     def test_too_few_points(self):
         # a line fits any two points, so a signature needs three
         with pytest.raises(ValueError, match=">= 3 points"):
@@ -428,6 +445,12 @@ class TestMeanAttenuation:
 
     def test_human_signature_level(self):
         assert mean_attenuation(material_response("human")) == pytest.approx(50.0, abs=2.0)
+
+    def test_near_the_float_maximum(self):
+        # the sum of ten such values once overflowed, and the verdict's inf raised
+        f = np.linspace(0.5e9, 2.5e9, 10)
+        assert mean_attenuation(MaterialSignature(f, np.full(10, 1.5e308), np.zeros(10))) \
+            == 1.5e308
 
 
 class TestThresholds:

@@ -1,4 +1,4 @@
-"""The exit-code contract as a property, for the JSON inputs that start work.
+"""The exit-code contract as a property, for every input file.
 
 A sim config, a design config and a pulse set each have a valid form. The
 strategy below replaces one or two of its leaves with an adversarial value.
@@ -7,6 +7,11 @@ the input or reject it with a ConfigError (an OSError for a pulse-set path
 that names no file). Through ``cli.main``, a rejected input exits 2, 3 or 4
 before work starts, and an accepted one reaches the work, which is patched
 to raise ``ReachedWork``. No other exception may escape.
+
+The detect command's inputs, a waveform (JSON or CSV) and a signature CSV,
+get the same strategy, over the leaves of a JSON object or the cells of a
+table. Detection is the work itself, so it runs whole: it gives a verdict or
+a ConfigError, and ``cli.main`` exits 0, 2 or 4.
 """
 
 import copy
@@ -16,11 +21,14 @@ import operator
 import os
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uwbloc import cli, simulate
+from uwbloc.channel import material_response, signature_from_csv
+from uwbloc.detection import classify, estimate_transfer
 from uwbloc.pulses import BSplineBasis, DesignConfig, pulse_set_to_json
 from uwbloc.simulate import (
     ConfigError,
@@ -31,6 +39,9 @@ from uwbloc.simulate import (
     load_default_pulse_set,
     read_input,
 )
+from uwbloc.waveform import Waveform
+
+from conftest import waveform_to_json
 
 ADVERSARIAL = st.one_of(
     st.sampled_from([0, 1, -1, 0.5, 1e300, -1e300, 1e-300, 2**64, True, "x", None,
@@ -134,7 +145,7 @@ def test_cli_exits_before_work_or_reaches_it(tmp_path, fmt, data):
     path = str(tmp_path / "input.json")
     expect_work = accepted(fmt, obj, path)
     with pytest.MonkeyPatch.context() as mp:
-        mp.chdir(tmp_path)  # nothing is written, but a relative out_dir would land here
+        mp.chdir(tmp_path)  # nothing is written, but the default --out would land here
         mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # no fork
         for module, name in ((simulate, "sample_cir"), (simulate, "propagate")):
             mp.setattr(module, name, reached_work)
@@ -146,3 +157,75 @@ def test_cli_exits_before_work_or_reaches_it(tmp_path, fmt, data):
                 cli.main(argv)
         else:
             assert cli.main(argv) in (cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE, cli.EXIT_IO)
+
+
+# -- the detect command's inputs ----------------------------------------------
+
+TX = load_default_pulse_set().pulses[0]
+RX = Waveform(np.concatenate([np.zeros(5), 0.3 * TX.samples]), TX.dt)
+SIGNATURE = material_response("human")
+
+# each format: a valid JSON object or table of cells (the rows below the header),
+# the file suffix, and whether it is a waveform, read as --tx or --rx
+DETECT_FORMATS = {
+    "waveform JSON": (waveform_to_json(RX), ".json", True),
+    "waveform CSV": ([[t, x] for t, x in zip(RX.times.tolist(), RX.samples.tolist())], ".csv",
+                     True),
+    # every 100th point of the 2,001: a valid signature, and a table small enough to write
+    "signature CSV": ([list(row) for row in zip(*(a[::100].tolist() for a in (
+        SIGNATURE.freq_hz, SIGNATURE.attenuation_db, SIGNATURE.phase_rad)))], ".csv", False),
+}
+
+
+def write_input(path: str, obj) -> str:
+    """``obj`` as a JSON file, or as a CSV table under a header line; a cell is
+    written as Python writes it (a float by ``repr``, so it reads back the same)."""
+    if path.endswith(".json"):
+        return write_json(path, obj)
+    with open(path, "w") as fh:
+        fh.write("header\n" + "".join(",".join(map(repr, row)) + "\n" for row in obj))
+    return path
+
+
+def detect_inputs(data, fmt: str, tmp_path) -> tuple[str, ...]:
+    """Paths of a drawn detect input: ``(signature,)`` or ``(tx, rx)``, one of
+    which holds the mutated form of ``fmt`` and the other the valid pulse."""
+    valid, suffix, is_waveform = DETECT_FORMATS[fmt]
+    path = write_input(str(tmp_path / f"input{suffix}"), data.draw(mutated(valid)))
+    if not is_waveform:
+        return (path,)
+    other = write_json(str(tmp_path / "other.json"), waveform_to_json(TX))
+    return (path, other) if data.draw(st.booleans()) else (other, path)
+
+
+def detect_verdict(paths: tuple[str, ...]):
+    """The detect command's verdict on its input files, or its ConfigError."""
+    if len(paths) == 1:
+        return classify(read_input(paths[0], signature_from_csv))
+    tx, rx = (read_input(p, cli._decode_waveform) for p in paths)
+    try:
+        sig = estimate_transfer(tx, rx)
+    except ValueError as exc:  # each file is valid, the pair is not: the CLI says so
+        raise ConfigError(str(exc)) from exc
+    return classify(sig)
+
+
+@pytest.mark.parametrize("fmt", DETECT_FORMATS)
+@settings(max_examples=150, **SETTINGS)
+@given(data=st.data())
+def test_detection_gives_a_verdict_or_config_error(tmp_path, fmt, data):
+    paths = detect_inputs(data, fmt, tmp_path)
+    try:
+        detect_verdict(paths)
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("fmt", DETECT_FORMATS)
+@settings(max_examples=6, **SETTINGS)
+@given(data=st.data())
+def test_detect_command_exits_0_2_or_4(tmp_path, fmt, data):
+    paths = detect_inputs(data, fmt, tmp_path)
+    argv = ["detect", "--signature", *paths] if len(paths) == 1 else \
+        ["detect", "--tx", paths[0], "--rx", paths[1]]
+    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO)

@@ -160,6 +160,30 @@ class TestBancroft:
         with pytest.raises(DegenerateGeometryError):
             bancroft_solve(collinear, [1.0, 1.0, 1.0, 1.0])
 
+    def test_range_column_of_anchor_columns_falls_back_to_one_zero_bias_fix(self):
+        # each range is x + y + z, so B has rank 3 while the anchor differences
+        # span 3-D: the zero-bias system is square and has one least-squares point
+        anchors = [Anchor(f"a{i}", p) for i, p in
+                   enumerate([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 1.0)])]
+        (fix,) = bancroft_solve(anchors, [1.0, 1.0, 1.0, 3.0])
+        assert np.allclose(fix.position, (-1.5, -1.5, -1.5), atol=1e-9)
+        assert fix.clock_bias == 0.0 and fix.candidate_index == 1
+
+    def test_equal_ranges_too_short_for_the_anchor_plane(self):
+        # 4 m spheres around the corners of the 6 m square never meet: its centre
+        # is sqrt(18) = 4.24 m from each corner within the anchor plane
+        with pytest.raises(NoRealSolutionError, match=r"negative discriminant \(-2\)"):
+            bancroft_solve(CORNERS, [4.0] * 4)
+
+    def test_quadratic_collapsed(self):
+        # u solves B u = 1, so it shrinks as the geometry grows: at 1e152 m its
+        # Lorentz square underflows the 1e-300 guard, whatever the shape
+        scale = 1e152
+        anchors = [Anchor(a.id, tuple(scale * c for c in a.position)) for a in CORNERS]
+        ranges = [scale * r for r in ranges_from(CORNERS, (1.0, 2.0, 0.0))]
+        with pytest.raises(DegenerateGeometryError, match="quadratic collapsed"):
+            bancroft_solve(anchors, ranges)
+
 
 class TestSelectSolution:
     def test_symmetric_case_selects_floor(self):

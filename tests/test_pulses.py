@@ -10,11 +10,16 @@ from hypothesis import strategies as st
 
 from uwbloc.pulses import (
     DEFAULT_DT,
+    MAX_DESIGN_VALUES,
+    MAX_GENERATIONS,
+    MAX_SPLINE_ORDER,
     _SCORE_BLOCK_ROWS,
     BSplineBasis,
     DesignConfig,
     InfeasibleDesignError,
     _Evaluator,
+    _orthogonalize_rows,
+    _project_zero_sum,
     bspline_eval,
     design_pulses,
     load_pulse_set,
@@ -70,6 +75,17 @@ class TestBsplineEval:
         pts = np.random.default_rng(m).uniform((m - 1) * t_spacing, 10 * t_spacing, 200)
         total = sum(bspline_eval(m, t_spacing, pts - k * t_spacing) for k in range(-m, 14))
         assert np.max(np.abs(total - 1.0)) < 1e-9
+
+    def test_closed_form_holds_up_to_the_order_cap(self):
+        # the alternating sum cancels terms up to C(m, j) (m - j)^(m - 1), most where
+        # all m shifts overlap: the partition of unity is 6e-7 off there at order 20,
+        # the cap, and 0.18 at order 30
+        m = MAX_SPLINE_ORDER
+        xs = np.linspace(m - 1, m, 101)
+        total = sum(bspline_eval(m, 1.0, xs - k) for k in range(m))
+        assert np.max(np.abs(total - 1.0)) < 1e-6
+        with pytest.raises(ValueError, match="order_m"):
+            BSplineBasis(m + 1, 1e-10, 30)
 
     def test_support(self):
         m, t_spacing = 4, 1.0
@@ -180,6 +196,42 @@ class TestDesign:
             DesignConfig(basis_count=2, spline_order=4)
         with pytest.raises(ValueError):
             DesignConfig(pulse_count=0)
+
+    def test_caps_bound_the_design_work(self):
+        side = math.isqrt(MAX_DESIGN_VALUES)
+        # at each cap: a 4,096-function basis, 2**20 generations, and 2**24 values of
+        # padded lags (one 4,096-sample pulse, twice its length, 2,048 candidates)
+        DesignConfig(basis_count=side)
+        DesignConfig(generations=MAX_GENERATIONS)
+        long_pulse = (DesignConfig.nfft - 1) * DEFAULT_DT
+        DesignConfig(pulse_count=1, pulse_duration=long_pulse,
+                     population=MAX_DESIGN_VALUES // (2 * DesignConfig.nfft))
+        for kwargs, key in (
+                ({"basis_count": side + 1}, "basis_count"),
+                ({"generations": MAX_GENERATIONS + 1}, "generations"),
+                ({"pulse_count": 1, "pulse_duration": long_pulse,
+                  "population": MAX_DESIGN_VALUES // (2 * DesignConfig.nfft) + 1}, "population"),
+                ({"spline_order": MAX_SPLINE_ORDER + 1, "basis_count": 30}, "spline_order"),
+                ({"spline_order": 0}, "spline_order")):
+            with pytest.raises(ValueError, match=key):
+                DesignConfig(**kwargs)
+
+    def test_mask_forbidding_part_of_the_band_leaves_no_energy(self):
+        # every candidate has power above 5 GHz, where the mask allows none
+        half = SpectralMask(((0.0, 5e9, -41.3), (5e9, 10e9, -math.inf)))
+        with pytest.raises(InfeasibleDesignError, match="no positive mask-compliant energy"):
+            design_pulses(small_config(mask=half, population=4, generations=2))
+
+    def test_collapsed_row_restarts_from_a_random_zero_sum_row(self):
+        cfg = small_config()
+        phi = cfg.basis.sample_matrix(cfg.dt)
+        metric = phi @ phi.T * cfg.dt
+        row = _project_zero_sum(np.random.default_rng(1).normal(size=cfg.basis_count))
+        out = _orthogonalize_rows(np.vstack([row, row]), metric, np.random.default_rng(2))
+        # the copy loses all of itself to the first row, so it is drawn anew
+        assert not np.allclose(out[1], out[0])
+        assert np.all(np.abs(out.sum(axis=1)) < 1e-12 * np.abs(out).sum(axis=1))
+        assert np.allclose(np.einsum("ij,jk,ik->i", out, metric, out), 1.0)
 
     def test_fields_are_the_problem_and_budget(self):
         # the search's operators and weights are constants, like the audit grid

@@ -128,12 +128,11 @@ class TestConfig:
         assert max(abs(e) for e in trial.toa_err_s) < 1e-12
 
     def test_placement_box_must_survive_the_inset(self):
-        # the default room is 6 x 6 x 3 m; floor targets never draw z
-        SimConfig(placement_inset=1.5, floor_only=False)  # z narrows to one height
+        # the default room is 6 x 6 x 3 m; targets stand on the floor, so z is never drawn
         SimConfig(placement_inset=3.0)  # x and y narrow to one point
-        for inset, floor_only in ((2.0, False), (3.5, True), (4.0, True)):
+        for inset in (3.5, 4.0):
             with pytest.raises(ConfigError, match="placement_inset"):
-                SimConfig(placement_inset=inset, floor_only=floor_only)
+                SimConfig(placement_inset=inset)
 
     def test_range_aliasing_room_rejected(self):
         # ToA wraps at c * symbol_duration = 14.99 m; the default room's
@@ -245,8 +244,6 @@ class TestConfig:
             "snr_grid_db": tuple(data.draw(st.lists(_floats(-50.0, 100.0), min_size=1, unique=True))),
             "trials": data.draw(_other_than(st.integers(1, 10**6), 100)),
             "master_seed": data.draw(_other_than(st.integers(0, 2**63), 12345)),
-            "out_dir": data.draw(_other_than(st.text(), "out")),
-            "floor_only": False,
             # at most 0.2 m, so the placement box survives the smallest 0.5 m room
             "placement_inset": data.draw(_other_than(_floats(0.0, 0.2), 0.1)),
         }
@@ -338,12 +335,6 @@ class TestRunTrial:
             x, y, z = res.truth
             assert z == 0.0
             assert 0.1 <= x <= 5.9 and 0.1 <= y <= 5.9
-
-    def test_full_3d_placement_flag(self):
-        cfg = SimConfig(floor_only=False)
-        zs = {run_trial(cfg, math.inf, trial_seed(2, 0, ti)).truth[2]
-              for ti in range(4)}
-        assert any(z > 0.0 for z in zs)
 
     def test_exact_linear_ranging_relation(self):
         cfg = SimConfig()
