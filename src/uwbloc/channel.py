@@ -238,8 +238,9 @@ def _filtered(samples: bytes, dt: float, freq: bytes, attenuation: bytes,
 
 
 # Bins per block of the phasor product in ``_tap_sum``; near sqrt(bins) keeps
-# both exponential tables small for the 1k-3k-bin grids of one propagated pulse
-# (2,048-6,144-point records).
+# both phasor tables small for the 1k-3k-bin grids of one propagated pulse
+# (2,048-6,144-point records). It is also the run of products between two
+# exact exponentials in ``_phasor_columns``.
 _PHASOR_BLOCK = 64
 
 # Multiply-adds per matrix product in ``_tap_sum``. OpenBLAS 0.3.31 runs a
@@ -251,13 +252,33 @@ _PHASOR_BLOCK = 64
 _SINGLE_THREAD_PRODUCT = 2**15
 
 
+def _phasor_columns(scale: np.ndarray | float, rate: np.ndarray, count: int) -> np.ndarray:
+    """(count, taps) table of scale[t] * exp(rate[t] * j) for j < count.
+
+    Each column is a running product of the one phasor exp(rate[t]) that
+    restarts from an exact exponential, times the scale, every
+    ``_PHASOR_BLOCK`` rows: no entry is more than ``_PHASOR_BLOCK - 1``
+    products deep at any count, and a column costs 1 + ceil(count / 64)
+    exponentials instead of count.
+    """
+    segments = -(-count // _PHASOR_BLOCK)
+    table = np.empty((segments, _PHASOR_BLOCK, rate.size), dtype=complex)
+    table[:] = np.exp(rate)
+    table[:, 0] = np.exp(np.multiply.outer(np.arange(0, count, _PHASOR_BLOCK), rate)) * scale
+    np.cumprod(table, axis=1, out=table)
+    return table.reshape(-1, rate.size)[:count]
+
+
 def _tap_sum(taps: tuple[tuple[float, float], ...], df: float, bins: int) -> np.ndarray:
     """H[k] = sum over taps of gain * exp(-2 pi i k df delay), for k < bins.
 
     With k = B*b + j the phasor factors into a per-block term and a
     within-block term, so the tap sum is a (blocks x taps) @ (taps x B)
-    complex matrix product: taps * (bins/B + B) exponentials instead of
-    taps * bins. The product runs in chunks of block rows, each under
+    complex matrix product. ``_phasor_columns`` builds both tables by
+    products of one phasor per tap, exp(rate) and exp(B * rate), with the
+    scaled gains in the across-block table's restarts: 3 + ceil(blocks / B)
+    exponentials per tap, 4 up to 4,096 bins, instead of B + blocks. The
+    product runs in chunks of block rows, each under
     ``_SINGLE_THREAD_PRODUCT`` multiply-adds where the tap count allows.
     A lone unit tap at delay 0 gives exactly 1 on every bin.
     """
@@ -266,9 +287,9 @@ def _tap_sum(taps: tuple[tuple[float, float], ...], df: float, bins: int) -> np.
     # rounds once, not in every product; a sampled channel's LOS gain 1 needs none
     shift = math.frexp(float(np.max(np.abs(gains))))[1] - 1
     rate = -2j * math.pi * df * delays
-    within = np.exp(np.outer(rate, np.arange(_PHASOR_BLOCK)))
-    across = (np.ldexp(gains, -shift)[:, None] * np.exp(
-        np.outer(rate, np.arange(0, bins, _PHASOR_BLOCK)))).T
+    within = _phasor_columns(1.0, rate, _PHASOR_BLOCK).T
+    across = _phasor_columns(np.ldexp(gains, -shift), _PHASOR_BLOCK * rate,
+                             -(-bins // _PHASOR_BLOCK))
     rows = max(1, _SINGLE_THREAD_PRODUCT // (delays.size * _PHASOR_BLOCK))
     total = np.concatenate([across[i:i + rows] @ within
                             for i in range(0, across.shape[0], rows)]).ravel()[:bins]

@@ -188,6 +188,11 @@ class DesignConfig:
         if self.basis_count > math.isqrt(MAX_DESIGN_VALUES):  # before knot_spacing divides
             raise ValueError(f"basis_count must be <= {math.isqrt(MAX_DESIGN_VALUES)}, "
                              f"got {self.basis_count}")
+        # zero-sum coefficient rows span basis_count - 1 dimensions, so no more
+        # pulses than that can be orthogonal
+        if self.pulse_count >= self.basis_count:
+            raise ValueError(f"pulse_count must be < basis_count, got pulse_count "
+                             f"{self.pulse_count} and basis_count {self.basis_count}")
         for name in ("population", "generations", "pulse_duration", "dt"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -410,9 +415,8 @@ def design_pulses(cfg: DesignConfig) -> PulseSet:
 
     # scale every row to the common compliant energy, then re-project
     pulses_raw = best @ ev.phi
+    # positive: e_s > 0 only if every pulse has energy above shape_metrics' 1e-30
     row_energy = np.sum(pulses_raw**2, axis=-1) * cfg.dt
-    if np.min(row_energy) <= 0.0:
-        raise InfeasibleDesignError("best candidate contains a zero pulse")
     coeffs = best * np.sqrt(e_s / row_energy)[:, None]
     coeffs = _project_zero_sum(coeffs)
 

@@ -71,7 +71,8 @@ def calibration_samples(pulse: Waveform) -> int:
     return pulse.samples.size + SINC_HALF_WIDTH
 
 
-def make_burst(pulse: Waveform, symbol_duration: float, symbol_count: int) -> Waveform:
+def make_burst(pulse: Waveform, symbol_duration: float, symbol_count: int,
+               length: int | None = None) -> Waveform:
     """Overlap-add symbol_count pattern-signed copies of the pulse at symbol spacing, from t = 0.
 
     Every burst carries ``TDT_TRAINING_PATTERN`` and starts at t = 0: the
@@ -79,16 +80,24 @@ def make_burst(pulse: Waveform, symbol_duration: float, symbol_count: int) -> Wa
     longer than a symbol, such as a received one with its multipath tail,
     overlaps the next copies; the burst is ``(symbol_count - 1)`` symbols
     plus the longer of a symbol and the pulse.
+
+    With ``length`` the record has exactly that many samples: the burst cut
+    there, or zero-padded to it, bit for bit. The copies are added straight
+    into that record, and none is added past its end.
     """
     if symbol_count < 2:
         raise ValueError("symbol_count must be >= 2")
     n = _samples_per_symbol(symbol_duration, pulse.dt)
     p = pulse.samples
-    out = np.zeros((symbol_count - 1) * n + max(n, p.size))
+    if length is None:
+        length = (symbol_count - 1) * n + max(n, p.size)
+    elif length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    out = np.zeros(length)
     for i, sign in enumerate(_pattern_signs(symbol_count)):
         seg = out[i * n : i * n + p.size]
         # a +-1 sign: subtracting is adding sign * p, bit for bit, without the product
-        (np.add if sign > 0 else np.subtract)(seg, p, out=seg)
+        (np.add if sign > 0 else np.subtract)(seg, p[: seg.size], out=seg)
     return Waveform(out, pulse.dt)
 
 
@@ -295,9 +304,8 @@ def _reference_notch(pulse: Waveform, bank: np.ndarray, rel: np.ndarray) -> floa
     appended: the estimator reads one symbol past it.
     """
     n = rel.size
-    burst = make_burst(pulse, n * pulse.dt, _REFERENCE_SYMBOLS)
-    ref = np.concatenate([burst.samples, np.zeros(n)])
-    return _notch_position(ref, n, _REFERENCE_SYMBOLS, bank, rel)[0]
+    ref = make_burst(pulse, n * pulse.dt, _REFERENCE_SYMBOLS, (_REFERENCE_SYMBOLS + 1) * n)
+    return _notch_position(ref.samples, n, _REFERENCE_SYMBOLS, bank, rel)[0]
 
 
 def range_from_toa(est: ToaEstimate) -> float:

@@ -302,12 +302,14 @@ def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Sce
     in anchor order (``_stream``). Each anchor's pulse is propagated
     once, and ``make_burst`` overlap-adds the received pulse into the burst:
     the channel is linear and time-invariant, so this is the burst
-    ``make_burst`` sends, received through the same channel. The record is
-    cut or zero-padded to the length ``propagate`` returns for that burst
-    (``channel._record_length``). Both records differ only where the tap
-    filter, circular over its record, wraps the taps' sinc tails: within
-    each copy's record here, within the whole record there. At a default
-    scenario's distances that is at most about 5e-3 of the peak.
+    ``make_burst`` sends, received through the same channel. ``make_burst``
+    builds the record at the length ``propagate`` returns for that burst
+    (``channel._record_length``), which is zero-padded further only where it
+    ends within the read window, as a line-of-sight-only record can. Both
+    records differ only where the tap filter, circular over its record,
+    wraps the taps' sinc tails: within each copy's record here, within the
+    whole record there. At a default scenario's distances that is at most
+    about 5e-3 of the peak.
     """
     ps = _resolve_pulses(cfg, pulse_set)
     truth_rng = np.random.default_rng(_stream(seed, 0))
@@ -324,12 +326,11 @@ def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Sce
         pulse = ps.pulses[idx % ps.pulse_count]
         dist = float(np.linalg.norm(np.asarray(truth) - np.asarray(anchor.position)))
         cir = sample_cir(cfg.channel, _word(_stream(seed, 1 + idx)))
-        burst = make_burst(propagate(pulse, dist, cir), cfg.symbol_duration,
-                           cfg.symbol_count).samples
         length = _record_length(symbol * cfg.symbol_count, dist, cir, ps.dt)
-        # zero-padded to at least (symbol_count + 1) whole symbols
-        samples = np.zeros(max(length, window + 1))
-        samples[: min(length, burst.size)] = burst[:length]
+        samples = make_burst(propagate(pulse, dist, cir), cfg.symbol_duration,
+                             cfg.symbol_count, length).samples
+        if length <= window:  # zero-padded to (symbol_count + 1) whole symbols
+            samples = np.concatenate([samples, np.zeros(window + 1 - length)])
         powers.append(float(np.mean(samples**2)))
         samples = samples[:window]
         samples.flags.writeable = False

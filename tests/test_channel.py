@@ -20,7 +20,9 @@ from uwbloc.channel import (
     propagate,
     sample_cir,
     signature_from_csv,
+    _PHASOR_BLOCK,
     _fast_len,
+    _phasor_columns,
     _tap_sum,
 )
 from uwbloc.detection import phase_nonlinearity
@@ -265,6 +267,48 @@ class TestTapSum:
     @pytest.mark.parametrize("bins", [1, 127, 128, 129, 12289])
     def test_unit_los_tap_is_exactly_one(self, bins):
         assert np.array_equal(_tap_sum(((0.0, 1.0),), 1.0 / (24576 * DT), bins), np.ones(bins))
+
+
+def per_tap_tolerance(taps):
+    """``TestTapSum.test_matches_per_tap_sum``'s bound on |_tap_sum - reference_tap_sum|.
+
+    1e-12 of the gain sum, plus the rounding of each tap's phase 2*pi*f*delay
+    (thousands of radians at 150 ns), which a float64 per-tap sum carries too,
+    plus one subnormal unit per tap, where the relative terms underflow to 0.
+    """
+    f_max = 0.5 / DT
+    phase_ulps = 4 * np.finfo(float).eps * 2 * np.pi * f_max
+    tiny = np.nextafter(0.0, 1.0)
+    return sum(abs(g) * (1e-12 + phase_ulps * d) + tiny for d, g in taps)
+
+
+class TestPhasorRestarts:
+    def test_long_record_within_the_per_tap_tolerance(self):
+        # 16,385 blocks of a 2**21-point record. The middle delay's across-block
+        # phasor drifts most, unrestarted, of 4,000 delays tried from 0.5 to 20 ns,
+        # but only to 9.3e-13, inside this tolerance: the next test pins the restarts
+        taps = ((0.0, 1.0), (17.5765e-9, -0.5), (150e-9, 0.25))
+        n = 2**21
+        ref = reference_tap_sum(taps, n, DT)
+        got = _tap_sum(taps, 1.0 / (n * DT), n // 2 + 1)
+        assert np.max(np.abs(got - ref)) <= per_tap_tolerance(taps)
+
+    def test_phasor_columns_restart_every_block(self):
+        # no entry is more than _PHASOR_BLOCK - 1 products from an exact exponential:
+        # the error stays at a block's worth of roundings, plus the rounding of the
+        # reference's own phase rate * j, at any length (here 0.65 of the bound). A
+        # running product over all 65,541 rows drifts to about 20 times the bound.
+        rng = np.random.default_rng(7)
+        rate = -1j * rng.uniform(0.0, 0.01, 8)
+        scale = rng.uniform(-1.0, 1.0, 8)
+        count = 2**16 + 5
+        j = np.arange(count)[:, None]
+        ref = np.exp(j * rate) * scale
+        eps = np.finfo(float).eps
+        bound = np.abs(scale) * (eps * np.abs(rate) * j + 4 * _PHASOR_BLOCK * eps)
+        got = _phasor_columns(scale, rate, count)
+        assert got.shape == (count, rate.size)
+        assert np.all(np.abs(got - ref) <= bound)
 
 
 class TestPropagate:

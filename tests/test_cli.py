@@ -302,6 +302,10 @@ class TestRejectedValues:
         # from 199! in the B-spline's closed form
         ({"basis_count": 10**400}, "basis_count"),
         ({"spline_order": 200, "basis_count": 200}, "spline_order"),
+        # zero-sum rows of 4 coefficients hold 3 orthogonal pulses: this once ran
+        # the whole search and exited 3
+        ({"pulse_count": 4, "basis_count": 4, "spline_order": 4, "population": 20,
+          "generations": 20}, "pulse_count must be < basis_count"),
     ])
     def test_design_config_value(self, tmp_path, capsys, monkeypatch, obj, key):
         def unreachable(*args, **kwargs):

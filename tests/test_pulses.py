@@ -196,6 +196,9 @@ class TestDesign:
             DesignConfig(basis_count=2, spline_order=4)
         with pytest.raises(ValueError):
             DesignConfig(pulse_count=0)
+        with pytest.raises(ValueError, match="pulse_count must be < basis_count"):
+            DesignConfig(pulse_count=4, basis_count=4)
+        DesignConfig(pulse_count=3, basis_count=4)
 
     def test_caps_bound_the_design_work(self):
         side = math.isqrt(MAX_DESIGN_VALUES)
@@ -303,7 +306,9 @@ class TestLagDomainScorer:
     )
     def test_matches_fft_reference(self, order, extra_basis, pulse_count, population,
                                    mask, zero, seed):
-        cfg = DesignConfig(pulse_count=pulse_count, basis_count=order + extra_basis,
+        # zero-sum rows hold fewer pulses than basis functions; ``zero`` draws silent ones
+        cfg = DesignConfig(pulse_count=pulse_count,
+                           basis_count=max(order, pulse_count + 1) + extra_basis,
                            spline_order=order, mask=MASKS[mask])
         ev = _Evaluator(cfg)
         pop = np.random.default_rng(seed).normal(size=(population, pulse_count, cfg.basis_count))

@@ -77,16 +77,28 @@ class TestMakeBurst:
     @settings(max_examples=150, deadline=None)
     @given(samples=st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]),
                             min_size=1, max_size=40),
-           spare=st.integers(-39, 30), symbol_count=st.integers(2, 30))
-    def test_equals_one_placement_per_symbol(self, samples, spare, symbol_count):
+           spare=st.integers(-39, 30), symbol_count=st.integers(2, 30),
+           extra=st.none() | st.integers(-80, 80))
+    def test_equals_one_placement_per_symbol(self, samples, spare, symbol_count, extra):
         # every sample, signed zeros included, is what one += per symbol writes;
-        # a negative spare makes the pulse longer than a symbol, so copies overlap
+        # a negative spare makes the pulse longer than a symbol, so copies overlap.
+        # A length is the whole burst's plus extra: cut below it, padded above it
         pulse = Waveform(np.asarray(samples), DT)
         n = max(1, len(samples) + spare)
-        burst = make_burst(pulse, n * DT, symbol_count).samples
         loop = make_burst_reference(pulse, n, symbol_count)
+        if extra is None:
+            burst = make_burst(pulse, n * DT, symbol_count).samples
+        else:
+            length = max(1, loop.size + extra)
+            burst = make_burst(pulse, n * DT, symbol_count, length).samples
+            loop = np.concatenate([loop[:length], np.zeros(length - min(length, loop.size))])
         assert np.array_equal(burst, loop)
         assert np.array_equal(np.signbit(burst), np.signbit(loop))
+
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_empty_length_rejected(self, pulse, length):
+        with pytest.raises(ValueError, match="length"):
+            make_burst(pulse, TSYM, SYMBOLS, length)
 
 
 class TestToaDirtyTemplate:

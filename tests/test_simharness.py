@@ -449,6 +449,29 @@ class TestScenario:
         assert (run_trial(cfg, 20.0, seed, scenario=build_scenario(cfg, default_pulses, seed))
                 == run_trial(cfg, 20.0, seed))
 
+    def test_line_of_sight_record_padded_to_the_window(self, default_pulses):
+        # a lone LOS tap adds no delay spread, so the record can end within the read
+        # window: 4 of the first 4 trials' 16 anchors. Each record is the whole burst
+        # cut to the record length, on zeros as long as (symbol_count + 1) symbols
+        cfg = SimConfig(channel=ChannelProfile(tap_count_min=1, tap_count_max=1))
+        los = ChannelRealization(((0.0, 1.0),))
+        window = read_window(cfg.symbol_duration, default_pulses.dt, cfg.symbol_count)
+        padded = 0
+        for trial in range(4):
+            scenario = build_scenario(cfg, default_pulses, scenario_seed(cfg.master_seed, trial))
+            for rx, power, dist, pulse in zip(scenario.received, scenario.powers,
+                                              scenario.distances, scenario.pulses):
+                length = _record_length(round(cfg.symbol_duration / pulse.dt)
+                                        * cfg.symbol_count, dist, los, pulse.dt)
+                burst = make_burst(propagate(pulse, dist, los), cfg.symbol_duration,
+                                   cfg.symbol_count).samples
+                record = np.zeros(max(length, window + 1))
+                record[: min(length, burst.size)] = burst[:length]
+                assert np.array_equal(rx.samples, record[:window])
+                assert power == float(np.mean(record**2))
+                padded += length <= window
+        assert padded == 4
+
     def test_received_samples_read_only(self, default_pulses):
         scenario = build_scenario(SimConfig(), default_pulses, 7)
         for rx in scenario.received:
@@ -493,10 +516,9 @@ class TestReceivedBurst:
             for dist in np.geomspace(0.02, 9.0, 62):
                 length = _record_length(round(cfg.symbol_duration / pulse.dt) * cfg.symbol_count,
                                         dist, los, pulse.dt)
-                burst = make_burst(propagate(pulse, dist, los), cfg.symbol_duration,
-                                   cfg.symbol_count).samples
-                record = np.zeros(max(length, window + 1))
-                record[: min(length, burst.size)] = burst[:length]
+                record = make_burst(propagate(pulse, dist, los), cfg.symbol_duration,
+                                    cfg.symbol_count, length).samples
+                record = np.concatenate([record, np.zeros(max(0, window - length))])
                 est = toa_dirty_template(Waveform(record[:window], pulse.dt),
                                          cfg.symbol_duration, cfg.symbol_count, template=pulse)
                 worst = max(worst, abs(est.toa - dist / SPEED_OF_LIGHT))
