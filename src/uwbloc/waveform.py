@@ -138,25 +138,45 @@ def add_awgn(w: Waveform, snr_db: float, seed: int, power: float | None = None) 
     > 0; ``snr_db = inf`` is the no-noise sentinel; NaN and ``-inf`` are
     rejected. Deterministic: the output is a pure function of
     (w, snr_db, seed, power) via PCG64, and noising a prefix of a record at
-    the record's power gives the prefix of the noised record.
+    the record's power gives the prefix of the noised record. It is
+    ``_unit_noise``'s draw scaled by ``_add_noise``.
     """
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    if snr_db == math.inf:
+        if power is not None:
+            _check_power(power)
+        return Waveform(w.samples.copy(), w.dt)
     out = None
-    if power is None and snr_db != math.inf:
+    if power is None:
         # the squares' buffer takes the noise draw below
         out = np.square(w.samples)
         power = float(np.mean(out))
-    if power is not None and not (math.isfinite(power) and power > 0.0):
+    return _add_noise(w, snr_db, power, _unit_noise(w.samples.size, seed, out=out))
+
+
+def _check_power(power: float) -> None:
+    if not (math.isfinite(power) and power > 0.0):
         raise ValueError(f"SNR reference power must be finite and > 0, got {power}")
-    if snr_db == math.inf:
-        return Waveform(w.samples.copy(), w.dt)
+
+
+def _unit_noise(size: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``size`` unit-variance Gaussian samples from PCG64 seeded with ``seed``.
+
+    The one noise draw: numpy fills the record without holding the GIL.
+    """
+    return np.random.default_rng(seed).standard_normal(size, out=out)
+
+
+def _add_noise(w: Waveform, snr_db: float, power: float, noise: np.ndarray) -> Waveform:
+    """``w`` plus ``noise``, a ``_unit_noise`` record of its length, scaled in
+    place to a finite ``snr_db`` against ``power``: the one SNR scaling."""
+    _check_power(power)
     sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
     # sigma * z + x in place: bit-identical to x + rng.normal(0.0, sigma, size)
-    out = np.random.default_rng(seed).standard_normal(w.samples.size, out=out)
-    out *= sigma
-    out += w.samples
-    return Waveform(out, w.dt)
+    noise *= sigma
+    noise += w.samples
+    return Waveform(noise, w.dt)
 
 
 # -- serialization ----------------------------------------------------------

@@ -175,14 +175,39 @@ class TestBancroft:
         with pytest.raises(NoRealSolutionError, match=r"negative discriminant \(-2\)"):
             bancroft_solve(CORNERS, [4.0] * 4)
 
-    def test_quadratic_collapsed(self):
-        # u solves B u = 1, so it shrinks as the geometry grows: at 1e152 m its
-        # Lorentz square underflows the 1e-300 guard, whatever the shape
-        scale = 1e152
+    @pytest.mark.parametrize("exponent", [-500, 500])
+    def test_candidates_scale_with_the_length_unit(self, exponent):
+        # u solves B u = 1, so it shrinks as the geometry grows: at 2**500 m its
+        # Lorentz square is about 1e-302, yet it is all of sum(u_i^2)
+        scale = 2.0**exponent
+        truth = (1.0, 2.0, 0.0)
+        base = bancroft_solve(CORNERS, ranges_from(CORNERS, truth))
         anchors = [Anchor(a.id, tuple(scale * c for c in a.position)) for a in CORNERS]
-        ranges = [scale * r for r in ranges_from(CORNERS, (1.0, 2.0, 0.0))]
-        with pytest.raises(DegenerateGeometryError, match="quadratic collapsed"):
-            bancroft_solve(anchors, ranges)
+        scaled = bancroft_solve(anchors, [scale * r for r in ranges_from(CORNERS, truth)])
+        assert len(scaled) == len(base) == 2
+        assert any(np.allclose(fix.position, truth, atol=1e-9) for fix in base)
+        for fix, ref in zip(scaled, base):
+            assert fix.candidate_index == ref.candidate_index
+            assert np.allclose(np.asarray(fix.position) / scale, ref.position, rtol=1e-12, atol=1e-9)
+            assert fix.clock_bias / scale == pytest.approx(ref.clock_bias, rel=1e-12, abs=1e-9)
+            assert fix.residual_rms / scale == pytest.approx(ref.residual_rms, abs=1e-9)
+
+    def test_quadratic_collapsed(self):
+        # x + range = 1 at every anchor, so B u = 1 has the lightlike solution
+        # u = (1, 0, 0, 1): the quadratic collapses on every such geometry, not
+        # only where the solve rounds u's first and last entries equal
+        rng = np.random.default_rng(20261020)
+        draws = 0
+        while draws < 5_000:
+            n = 4 + draws % 2
+            x, y, z = rng.integers(-64, 64, (3, n)) / 64.0  # dyadic, and x < 1
+            b_mat = np.column_stack([x, y, z, 1.0 - x])
+            if not np.linalg.cond(b_mat) < 1e6:  # no zero-bias fallback
+                continue
+            anchors = [Anchor(f"a{i}", p) for i, p in enumerate(zip(x, y, z))]
+            with pytest.raises(DegenerateGeometryError, match="quadratic collapsed"):
+                bancroft_solve(anchors, 1.0 - x)
+            draws += 1
 
 
 class TestSelectSolution:

@@ -4,6 +4,9 @@ import json
 import math
 import os
 import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -348,6 +351,32 @@ class TestRunTrial:
         for field in (res.toa_s, res.range_m, res.toa_err_s, res.range_err_m):
             assert len(field) == len(cfg.anchors)
 
+    def test_no_thread_outlives_the_trial(self):
+        before = threading.active_count()
+        run_trial(SimConfig(), 30.0, seed=5)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("name", ["sample_cir", "_unit_noise"])  # the scenario, the noise
+    def test_no_thread_outlives_a_trial_that_raises(self, monkeypatch, name):
+        class Sentinel(Exception):
+            pass
+
+        draw = simulate._unit_noise
+
+        def slow_draw(*args, **kwargs):  # outlasts a failed build unless the trial joins it
+            time.sleep(0.02)
+            return draw(*args, **kwargs)
+
+        def fail(*args, **kwargs):
+            raise Sentinel(name)
+
+        monkeypatch.setattr(simulate, "_unit_noise", slow_draw)
+        monkeypatch.setattr(simulate, name, fail)
+        before = threading.active_count()
+        with pytest.raises(Sentinel, match=name):
+            run_trial(SimConfig(), 30.0, seed=5)
+        assert threading.active_count() == before
+
     def test_solver_failure_recorded_not_raised(self, monkeypatch):
         # the smallest positive bias gate turns every fix into a recorded failure
         monkeypatch.setattr(positioning, "BIAS_GATE_M", math.ulp(0.0))
@@ -384,6 +413,22 @@ class TestRunTrial:
         expect_toa = np.mean(np.square(finite)) / cfg.symbol_duration**2
         assert row.toa_nmse == pytest.approx(expect_toa, rel=1e-12)
         assert math.isfinite(row.range_nmse)
+
+
+FIVE_ANCHORS = default_anchors() + (Anchor("a4", (3.0, 3.0, 3.0)),)
+
+
+def count_thread_starts(monkeypatch) -> list[str]:
+    """The names of the threads started from now on, in start order."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
 
 
 def full_records(cfg, scenario, seed):
@@ -442,12 +487,34 @@ class TestScenario:
         assert result.failure is None
         assert result == run_trial(cfg, snr_db, noise_seed, scenario=oracle)
 
-    def test_prebuilt_equals_seeded(self, default_pulses):
+    @pytest.mark.parametrize("anchors", [default_anchors(), FIVE_ANCHORS], ids=["4", "5"])
+    @pytest.mark.parametrize("snr_db", [10.0, 30.0, math.inf])
+    def test_prebuilt_equals_seeded(self, default_pulses, monkeypatch, anchors, snr_db):
+        # without a scenario, the trial seed draws it, and a finite SNR's noise is
+        # drawn on one helper thread meanwhile; both schedules share one arithmetic
+        cfg = SimConfig(anchors=anchors)
+        started = count_thread_starts(monkeypatch)
+        for trial in range(3):
+            seed = trial_seed(cfg.master_seed, 2, trial)
+            prebuilt = run_trial(cfg, snr_db, seed,
+                                 scenario=build_scenario(cfg, default_pulses, seed))
+            assert len(started) == (trial if math.isfinite(snr_db) else 0)
+            seeded = run_trial(cfg, snr_db, seed)
+            assert len(started) == (trial + 1 if math.isfinite(snr_db) else 0)
+            np.testing.assert_equal(dataclasses.asdict(seeded), dataclasses.asdict(prebuilt))
+
+    def test_seeded_equals_prebuilt_under_a_short_switch_interval(self, default_pulses):
+        # the helper and the trial hand the GIL back and forth about every microsecond
         cfg = SimConfig()
-        seed = trial_seed(cfg.master_seed, 2, 3)
-        # without a scenario, the trial seed draws it
-        assert (run_trial(cfg, 20.0, seed, scenario=build_scenario(cfg, default_pulses, seed))
-                == run_trial(cfg, 20.0, seed))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            seeded = [run_trial(cfg, 30.0, seed) for seed in range(4)]
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, result in enumerate(seeded):
+            assert result == run_trial(cfg, 30.0, seed,
+                                       scenario=build_scenario(cfg, default_pulses, seed))
 
     def test_line_of_sight_record_padded_to_the_window(self, default_pulses):
         # a lone LOS tap adds no delay spread, so the record can end within the read
@@ -715,6 +782,15 @@ class TestSweepWorkers:
         monkeypatch.setattr(simulate, "build_scenario", failing)
         with pytest.raises(RuntimeError, match="TwoArgumentError: trial 1: no scenario$"):
             sweep_snr(self.CFG, default_pulses)
+        assert no_child_left()
+
+    def test_a_sweep_forked_right_after_a_locate_trial(self, default_pulses, monkeypatch):
+        # the trial's helper thread is joined before it returns, so the fork copies no thread
+        cfg = dataclasses.replace(self.CFG, trials=2)
+        use_cores(monkeypatch, 2)
+        alone = sweep_snr(cfg, default_pulses)
+        run_trial(SimConfig(), 30.0, seed=5)
+        assert sweep_snr(cfg, default_pulses) == alone
         assert no_child_left()
 
     def test_one_core_forks_nothing(self, default_pulses, monkeypatch):
