@@ -119,28 +119,9 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     # --snr is checked as a one-point grid, like sweep's --snr
     cfg = _read_config(SimConfig, args.config,
                        snr_grid_db=None if args.snr is None else [args.snr])
-    snr = max(cfg.snr_grid_db)
     seed = args.seed if args.seed is not None else trial_seed(cfg.master_seed, 0, 0)
-    res = run_trial(cfg, snr, seed)
-    out = {
-        "snr_db": res.snr_db,
-        "seed": seed,
-        "truth": list(res.truth),
-        "anchors": [a.id for a in cfg.anchors],
-        "toa_s": list(res.toa_s),
-        "range_m": list(res.range_m),
-        "toa_err_s": list(res.toa_err_s),
-        "range_err_m": list(res.range_err_m),
-        "fix": None if res.fix is None else {
-            "position": list(res.fix.position),
-            "clock_bias_m": res.fix.clock_bias,
-            "residual_rms_m": res.fix.residual_rms,
-            "candidate_index": res.fix.candidate_index,
-            "selection_rule": res.fix.selection_rule,
-        },
-        "failure": res.failure,
-        "position_error_m": res.position_error_m,
-    }
+    res = run_trial(cfg, max(cfg.snr_grid_db), seed)
+    out = {"seed": seed, "anchors": [a.id for a in cfg.anchors], **config_to_json(res)}
     print(json.dumps(out, indent=2))
     return EXIT_OK
 

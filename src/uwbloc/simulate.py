@@ -10,10 +10,11 @@ a record as long as ``propagate`` returns for the whole burst.
 The measurement (``run_trial``) adds noise to that burst, at an SNR against
 the whole record's power, estimates every ToA and solves for position.
 A trial that builds its own scenario (``uwbloc locate``) at a finite SNR
-draws its noise records on one helper thread while the scenario is built:
-the Gaussian draw is the largest single cost of a measurement and numpy
-runs it without the GIL. A sweep's trials are given their scenario and draw
-inline, since its cell runner already puts a worker on every core. The
+starts one helper thread drawing its noise records, then builds the
+scenario: numpy runs the Gaussian draw, a measurement's largest cost,
+without the GIL, but after the first record the helper mostly waits for the
+GIL until the trial joins it. A sweep's trials are given their scenario and
+draw inline, since its cell runner already puts a worker on every core. The
 helper draws the same records from the same seeds, so no output depends on
 which thread drew them.
 Anchor i sends pulse i mod the set's pulse count, and each anchor's burst
@@ -182,6 +183,17 @@ class SimConfig:
 
 @dataclass(frozen=True, slots=True)
 class TrialResult:
+    """One trial's measurement; ``uwbloc locate`` prints it (``config_to_json``).
+
+    ``snr_db`` is in dB; ``truth``, ``range_m``, ``range_err_m``,
+    ``position_error_m`` and the fix's position, ``clock_bias`` and
+    ``residual_rms`` are in metres, ``toa_s`` and ``toa_err_s`` in seconds.
+    The per-anchor tuples are in anchor order, errors are estimate minus
+    truth, and an anchor without a usable ToA gets NaN entries. A trial
+    without a fix has ``fix`` and ``position_error_m`` None and ``failure``
+    naming its error. ``trial_id`` is the sweep's trial index, 0 outside one.
+    """
+
     trial_id: int
     snr_db: float
     truth: tuple[float, float, float]
@@ -268,7 +280,7 @@ def _stream(entropy: int | tuple[int, ...], child: int | None = None) -> np.rand
     A cell's scenario and noise seeds are the words of ``(master_seed,
     trial_index)`` and ``(master_seed, snr_index, trial_index)``. Children 0
     and 1 + k of a scenario seed draw the target and anchor k's channel, and
-    child k of a noise seed draws anchor k's noise.
+    child k of a noise seed draws anchor k's noise (``_anchor_noise_seed``).
 
     The streams overlap (an open finding): ``SeedSequence`` zero-pads its
     entropy, so ``trial_seed(m, s, 0) == scenario_seed(m, s)``; and when
@@ -290,6 +302,11 @@ def trial_seed(master_seed: int, snr_index: int, trial_index: int) -> int:
 def scenario_seed(master_seed: int, trial_index: int) -> int:
     """Seed of the SNR-independent part of a trial, its target and channels (``_stream``)."""
     return _word(_stream((master_seed, trial_index)))
+
+
+def _anchor_noise_seed(seed: int, anchor_index: int) -> int:
+    """Seed of anchor ``anchor_index``'s noise record in a trial of noise seed ``seed``."""
+    return _word(_stream(seed, anchor_index))
 
 
 @dataclass(frozen=True)
@@ -358,8 +375,9 @@ def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Sce
 
 def _build_scenario_drawing_noise(cfg: SimConfig, seed: int) -> tuple[Scenario, list[np.ndarray]]:
     """``build_scenario(cfg, None, seed)`` and every anchor's unit noise record,
-    the one ``add_awgn`` draws from ``seed`` over the read window, drawn
-    meanwhile on a helper thread that is joined before this returns.
+    the one ``add_awgn`` draws from ``seed`` over the read window, drawn on a
+    helper thread joined before this returns; after its first record it
+    mostly waits for the GIL, which the build rarely releases, until joined.
 
     The helper calls no layer function a tracer wraps, so every span stays
     on the calling thread. A failed draw is raised here, once the scenario
@@ -371,7 +389,7 @@ def _build_scenario_drawing_noise(cfg: SimConfig, seed: int) -> tuple[Scenario, 
 
     def draw() -> None:
         try:
-            drawn.append([_unit_noise(size, _word(_stream(seed, k)))
+            drawn.append([_unit_noise(size, _anchor_noise_seed(seed, k))
                           for k in range(len(cfg.anchors))])
         except BaseException as exc:  # raised again on the calling thread
             drawn.append(exc)
@@ -400,10 +418,10 @@ def run_trial(
     sweep can hold the scenario fixed while varying SNR; it carries its
     pulses. Without one, the scenario is built from ``seed`` with the pulse
     set ``cfg`` names, and at a finite SNR each anchor's unit noise record
-    is drawn meanwhile on one helper thread, joined before the scenario is
-    used (``_build_scenario_drawing_noise``); the result is bit-identical to
-    drawing inline, as a given scenario's trial does, and no thread outlives
-    the call.
+    is drawn on a helper thread that overlaps the build only in part and is
+    joined before the scenario is used (``_build_scenario_drawing_noise``);
+    the result is bit-identical to drawing inline, as a given scenario's
+    trial does, and no thread outlives the call.
     The fix is the one ``select_solution`` accepts in ``cfg.room``.
     Failures are recorded in the result rather than raised: an anchor
     without a usable ToA gets NaN ToA and range entries and skips the solve;
@@ -423,7 +441,7 @@ def run_trial(
     for idx, (dist, pulse, rx, power) in enumerate(zip(scenario.distances, scenario.pulses,
                                                        scenario.received, scenario.powers)):
         if noise is None:
-            rx = add_awgn(rx, snr_db, _word(_stream(seed, idx)), power=power)
+            rx = add_awgn(rx, snr_db, _anchor_noise_seed(seed, idx), power=power)
         else:
             rx = _add_noise(rx, snr_db, power, noise[idx])
         try:
@@ -606,9 +624,9 @@ _FIELD_CODECS = {
 }
 
 def config_to_json(cfg) -> dict:
-    """JSON object of a config dataclass, one key per field.
-
-    The CLI writes the ``detect`` verdict and ``mask.json`` with it; every
+    """JSON object of a config, ``detect`` verdict or ``TrialResult``, one key
+    per field; a nested dataclass becomes an object. The CLI writes
+    ``mask.json``, the verdict and the ``locate`` record with it; every
     config field round-trips through it and ``config_from_json``.
     """
     obj = {}

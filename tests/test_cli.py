@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from uwbloc import cli, simulate
-from uwbloc.channel import material_response
+from uwbloc.channel import SPEED_OF_LIGHT, material_response
 from uwbloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, build_parser, main
 from uwbloc.detection import DetectionThresholds
-from uwbloc.positioning import Anchor, RoomBounds
+from uwbloc.positioning import Anchor, DegenerateGeometryError, PositionFix, RoomBounds
 from uwbloc.pulses import BSplineBasis, DesignConfig, load_pulse_set, pulse_set_to_json
 from uwbloc.simulate import SimConfig, config_to_json
 from uwbloc.waveform import Waveform
@@ -444,13 +444,36 @@ class TestRejectedValues:
 
 
 class TestLocateCommand:
-    def test_verbose_json(self, tiny_config_path, capsys):
-        assert main(["locate", "--config", str(tiny_config_path), "--seed", "4",
-                     "--snr", "30"]) == EXIT_OK
-        out = json.loads(capsys.readouterr().out)
-        assert out["snr_db"] == 30.0
-        assert len(out["toa_s"]) == 4
-        assert out["fix"] is None or "position" in out["fix"]
+    def test_verbose_json(self, tiny_config_path, capsys, monkeypatch):
+        # the whole TrialResult, as config_to_json writes it, with the seed and anchor ids
+        cfg = simulate.config_from_json(json.loads(tiny_config_path.read_text()))
+        keys = {f.name for f in dataclasses.fields(simulate.TrialResult)} | {"seed", "anchors"}
+
+        def locate() -> dict:
+            assert main(["locate", "--config", str(tiny_config_path), "--seed", "4",
+                         "--snr", "30"]) == EXIT_OK
+            out = json.loads(capsys.readouterr().out)
+            record = {"seed": 4, "anchors": [a.id for a in cfg.anchors],
+                      **config_to_json(simulate.run_trial(cfg, 30.0, 4))}
+            assert out == json.loads(json.dumps(record))
+            assert set(out) == keys
+            assert out["snr_db"] == 30.0 and out["anchors"] == ["a0", "a1", "a2", "a3"]
+            for toa, rng in zip(out["toa_s"], out["range_m"], strict=True):
+                assert abs(rng - SPEED_OF_LIGHT * toa) <= 1e-12  # acceptance criterion 7
+            return out
+
+        def degenerate(*args, **kwargs):
+            raise DegenerateGeometryError("anchors are coplanar")
+
+        out = locate()
+        assert out["failure"] is None
+        assert set(out["fix"]) == {f.name for f in dataclasses.fields(PositionFix)}
+        # a trial whose solve fails prints its whole record too: no fix, the failure named
+        monkeypatch.setattr(simulate, "bancroft_solve", degenerate)
+        out = locate()
+        assert out["fix"] is None and out["position_error_m"] is None
+        assert out["failure"] == "DegenerateGeometryError: anchors are coplanar"
+        assert len(out["range_m"]) == 4
 
     def test_one_snr_point(self, tiny_config_path, capsys):
         # one trial has one SNR: a second value is an argument error, not ignored

@@ -23,7 +23,14 @@ from uwbloc.channel import (
     sample_cir,
 )
 from uwbloc.positioning import Anchor, RoomBounds
-from uwbloc.pulses import DesignConfig, load_pulse_set, pulse_set_to_json
+from uwbloc.pulses import (
+    DEFAULT_DT,
+    MAX_GENERATIONS,
+    MAX_SPLINE_ORDER,
+    DesignConfig,
+    load_pulse_set,
+    pulse_set_to_json,
+)
 from uwbloc.ranging import TDT_TRAINING_PATTERN, make_burst, read_window, toa_dirty_template
 from uwbloc.simulate import (
     ConfigError,
@@ -41,6 +48,7 @@ from uwbloc.simulate import (
     sweep_snr,
     trial_seed,
 )
+from uwbloc.spectrum import SpectralMask
 from uwbloc.waveform import Waveform, waveform_from_json
 
 from conftest import waveform_to_json
@@ -254,6 +262,36 @@ class TestConfig:
         assert set(kwargs) == {f.name for f in dataclasses.fields(SimConfig)}
         cfg = SimConfig(**kwargs)
         assert config_from_json(json.loads(json.dumps(config_to_json(cfg)))) == cfg
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_design_field_round_trips(self, data):
+        # a mask of 1-5 contiguous segments, one of them a forbidden (-inf) band
+        edges = sorted(data.draw(st.lists(_floats(0.0, 2e10), min_size=2, max_size=6,
+                                          unique=True)))
+        limits = data.draw(st.lists(_floats(-120.0, 0.0), min_size=len(edges) - 1,
+                                    max_size=len(edges) - 1))
+        limits[data.draw(st.integers(0, len(limits) - 1))] = -math.inf
+        spline_order = data.draw(_other_than(st.integers(1, MAX_SPLINE_ORDER), 4))
+        basis_count = data.draw(_other_than(st.integers(max(spline_order, 2), 60), 30))
+        dt = data.draw(_other_than(_floats(1e-12, 1e-9), DEFAULT_DT))
+        kwargs = {
+            "pulse_count": data.draw(_other_than(st.integers(1, basis_count - 1), 4)),
+            "basis_count": basis_count,
+            "spline_order": spline_order,
+            # at most 4,001 samples, inside the audit's 4,096-point FFT
+            "pulse_duration": data.draw(_other_than(_floats(dt, 4000 * dt), 1.28e-9)),
+            "mask": SpectralMask(tuple(zip(edges, edges[1:], limits))),
+            "dt": dt,
+            # 20 x 59 pulses x 2 x 4,001 samples stays inside MAX_DESIGN_VALUES
+            "population": data.draw(st.integers(1, 20)),
+            "generations": data.draw(_other_than(st.integers(1, MAX_GENERATIONS), 500)),
+            "seed": data.draw(_other_than(st.integers(0, 2**63), 0)),
+        }
+        assert set(kwargs) == {f.name for f in dataclasses.fields(DesignConfig)}
+        cfg = DesignConfig(**kwargs)
+        decoded = config_from_json(json.loads(json.dumps(config_to_json(cfg))), DesignConfig)
+        assert decoded == cfg
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
