@@ -122,8 +122,17 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else trial_seed(cfg.master_seed, 0, 0)
     res = run_trial(cfg, max(cfg.snr_grid_db), seed)
     out = {"seed": seed, "anchors": [a.id for a in cfg.anchors], **config_to_json(res)}
-    print(json.dumps(out, indent=2))
+    print(json.dumps(_null_non_finite(out), indent=2, allow_nan=False))
     return EXIT_OK
+
+
+def _null_non_finite(value):
+    """``value`` with each float that is not finite as None: strict JSON has no NaN."""
+    if isinstance(value, dict):
+        return {key: _null_non_finite(val) for key, val in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_non_finite(val) for val in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

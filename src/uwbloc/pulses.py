@@ -46,10 +46,14 @@ __all__ = [
 ]
 
 DEFAULT_DT = 50e-12  # 20 GSa/s
-# rows of unit-energy lags per lag-by-bin product in the designer: 2 MiB of
-# float64 at the default 2,049 in-band bins, so scoring needs the same small
-# scratch however large the population
+# rows of unit-energy lags per product of the designer's peak search, so scoring
+# needs the same small scratch however large the population
 _SCORE_BLOCK_ROWS = 128
+# widest gap of the designer's coarse grid, in bins, and the most its
+# Bernstein slack delta may be (``_Evaluator``): 8 bins give delta = 0.0118 at
+# the default 26-sample pulse; a longer pulse gets a finer grid
+_COARSE_STRIDE = 8
+_MAX_DELTA = 0.125
 # Highest B-spline order, 5 times the default's 4. ``bspline_eval``'s closed form
 # sums terms as large as C(m, j) (m - j)^(m - 1) that cancel to at most 1: the
 # shifted splines' partition of unity is off by 6e-7 at order 20, 3e-4 at 25 and
@@ -256,19 +260,76 @@ def _project_zero_sum(pop: np.ndarray) -> np.ndarray:
     return pop - pop.mean(axis=-1, keepdims=True)
 
 
+def _unit_energy_lags(rows: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(has energy, autocorrelation at lags 0..n-1 of the unit-energy pulse) per row.
+
+    A row with no energy above 1e-30 keeps its own lags unscaled.
+    """
+    n = rows.shape[-1]
+    padded = np.concatenate([rows, np.zeros_like(rows)], axis=-1)
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, n, axis=-1)[:, :n, :]
+    lagged = np.einsum("rt,rmt->rm", rows, shifted)  # one 2-D product, not P small ones
+    energies = lagged[:, 0] * dt
+    ok = energies > 1e-30
+    return ok, lagged / np.where(ok, energies, 1.0)[:, None]
+
+
 class _Evaluator:
     """Batched fitness evaluation for a (P, L, Ns) population.
 
     A pulse of n samples has the power spectrum |X_k|^2 = r_0 + 2 sum_{m>=1}
     r_m cos(2 pi k m / nfft) of its autocorrelation r (Wiener-Khinchin), so
-    candidates are scored from their n lags by one (lags x in-band bins)
-    matrix product, with no nfft-point transform per pulse. ``psd``, which
-    the audit of every design uses, stays FFT-based as an independent check.
-    Only each row's peak over the bins is kept, so the (rows x bins) product
-    runs in blocks of ``_SCORE_BLOCK_ROWS`` rows, 2 MiB each at the default
-    2,049 bins, however large the population. The default design is the
-    same bit for bit as with the whole product under OpenBLAS's SkylakeX and
-    Haswell kernels.
+    candidates are scored from their n lags by (bins x lags) matrix products,
+    with no nfft-point transform per pulse. ``psd``, which the audit of every
+    design uses, stays FFT-based as an independent check.
+
+    A budget needs only each pulse's peak of density over limit on the
+    in-band grid (``dens_over_limit``), and that peak is found without
+    evaluating most bins. The unit-energy density P(theta) = dt^2 (r_0 + 2
+    sum r_m cos(m theta)) is a cosine polynomial of degree N = n - 1, which
+    the nfft-point grid oversamples about nfft / (2 N) fold (80 at the
+    default). Bernstein's inequality for trigonometric polynomials (Zygmund,
+    *Trigonometric Series*, 3rd ed., 2002), applied twice, gives |P''| <=
+    N^2 M with M the largest P on [0, pi]. So between bins a and b at most h
+    radians apart P(theta) <= max(P(a), P(b)) + delta M, delta = N^2 h^2 / 8.
+
+    - *Coarse grid.* Every ``_COARSE_STRIDE``-th bin (a smaller stride where
+      delta would pass ``_MAX_DELTA``) plus both edge bins of every run of
+      equal bin weight over limit, so DC, Nyquist and each mask-segment edge
+      are coarse and each window between coarse bins lies in one run, at one
+      scale. Bins outside the mask or in a -inf dB segment are coarse too:
+      they bound M, which covers all of [0, pi], and never enter the peak.
+    - *Chunks.* Eight windows of one run form a chunk. ``coarse_table`` holds
+      each chunk's nine coarse bins chunk-major, so one max over a (9,
+      chunks, rows) view of a block's product gives every chunk's maximum,
+      and M <= (largest coarse P) / (1 - delta) (``peak_bound``).
+    - *Refinement.* A chunk's skipped bins are evaluated only for the rows
+      whose maximum there, plus the chunk's scale times (delta + a rounding
+      margin) M, exceeds their coarse peak: about 1.3 chunks a row at the
+      default. The margin, at least 1e-12, is 8 times the n u (2n - 1)
+      relative error of an n-lag dot product. Rows are sorted by the chunk of
+      their coarse peak, and each 128-row group is refined on the union of
+      the chunks its rows need, by products of at most 8 chunks' skipped
+      bins (``fine_columns``), gathered from the bin-major transpose of
+      ``dens_over_limit``.
+
+    Every value kept is an element of the full-grid product, and no skipped
+    bin can exceed the kept peak, so the peak is the full-grid peak, and so
+    are the budget, xi and the design. An element has the bits it has in
+    the 128-row blocks of the full-grid product (the oracle in the tests)
+    when its product has at least 2 rows and a multiple of 8 bins: a
+    one-row or one-bin product differed in every probe, and a 13-bin one
+    under Haswell, so groups keep 2 rows, and the chunk count and a chunk's
+    skipped bins are multiples of 8. The whole 800-row product is not the
+    128-row blocks bit for bit either (about 1e-4 of its elements differ
+    under SkylakeX), though its row maxima are. Probed against the full-grid
+    blocks, the budgets of 100 generations of the default design (20,200)
+    and of 4,000 random candidates under each of the default, notched,
+    forbidden-notch and 0-6 GHz masks were equal under the SkylakeX, Haswell
+    and Prescott kernels, except 25 of the 0-6 GHz mask's under SkylakeX, by
+    at most 6.2e-16 relative: their peaks are on the last in-band bins,
+    which the full-grid product leaves to its remainder kernel. Products run
+    on at most 128 rows, so the scratch does not grow with the population.
     """
 
     def __init__(self, cfg: DesignConfig):
@@ -279,44 +340,120 @@ class _Evaluator:
         band = ~np.isnan(limits_db)
         if not np.any(band):
             raise InfeasibleDesignError("mask does not cover the sampled band")
-        limits_lin = 10.0 ** (limits_db[band] / 10.0)
+        limits_lin = 10.0 ** (limits_db / 10.0)
         df_mhz = float(freq[1] - freq[0]) / HZ_PER_MHZ
         self.mask_integral = cfg.mask.integral_linear()
         if self.mask_integral <= 0.0:
             raise InfeasibleDesignError("mask allows zero power; design infeasible")
-        # density per MHz at each in-band bin from the lags of a unit-energy
-        # pulse; k*m is reduced modulo nfft so each cosine argument is < 2 pi
-        lags = np.arange(self.phi.shape[1])
-        phase = np.outer(lags, np.flatnonzero(band)) % cfg.nfft * (2.0 * math.pi / cfg.nfft)
-        lag_weights = np.where(lags == 0, 1.0, 2.0) * cfg.dt**2
-        bin_weights = _one_sided_weights(cfg.nfft)[band] * HZ_PER_MHZ
-        dens = lag_weights[:, None] * np.cos(phase) * bin_weights
-        allowed = limits_lin > 0.0
-        self.dens_over_limit = dens[:, allowed] / limits_lin[allowed]
+        # density per MHz at each bin from the lags of a unit-energy pulse; k*m
+        # is reduced modulo nfft so each cosine argument is < 2 pi. In place: the
+        # (lags x bins) tables are the largest arrays a design sets up
+        n = self.phi.shape[1]
+        lags = np.arange(n)
+        cosines = np.outer(lags, np.arange(len(freq))) % cfg.nfft * (2.0 * math.pi / cfg.nfft)
+        np.cos(cosines, out=cosines)
+        cosines *= (np.where(lags == 0, 1.0, 2.0) * cfg.dt**2)[:, None]
+        bin_weights = _one_sided_weights(cfg.nfft) * HZ_PER_MHZ
+        # C order, which a boolean index on axis 1 would not keep: ``dens_total``'s
+        # pairwise sum over bins rounds by it
+        dens = np.compress(band, cosines, axis=1)
+        dens *= bin_weights[band]
+        allowed = band & (limits_lin > 0.0)
+        scale = np.ones(len(freq))  # bin weight over limit in the objective, 1 elsewhere
+        scale[allowed] = bin_weights[allowed] / limits_lin[allowed]
+        self.dens_over_limit = dens[:, allowed[band]]  # F order: a C-ordered transpose
+        self.dens_over_limit /= limits_lin[allowed]
         # bins of a -inf dB segment: any power there leaves no compliant energy
-        self.dens_forbidden = dens[:, ~allowed]
+        self.dens_forbidden = dens[:, ~allowed[band]]
         self.dens_total = dens.sum(axis=1) * df_mhz
+        del dens
+        self._build_coarse_grid(cosines, allowed, scale)
+
+    def _build_coarse_grid(self, cosines: np.ndarray, allowed: np.ndarray, scale: np.ndarray):
+        """The coarse table and fine columns of the certified peak search (class docstring)."""
+        n = self.phi.shape[1]
+
+        def bend(stride: int) -> float:  # delta = N^2 h^2 / 8 at a gap of ``stride`` bins
+            return ((n - 1) * stride * 2.0 * math.pi / self.cfg.nfft) ** 2 / 8.0
+
+        stride = next((s for s in range(_COARSE_STRIDE, 1, -1) if bend(s) <= _MAX_DELTA), 1)
+        # with every bin coarse nothing is skipped, so no bound is needed
+        self.delta = bend(stride) if stride > 1 else 0.0
+        column = np.cumsum(allowed) - 1  # an objective bin's column of dens_over_limit
+        cut = np.flatnonzero((allowed[1:] != allowed[:-1]) | (scale[1:] != scale[:-1])) + 1
+        chunks = {True: [], False: []}  # objective chunks first, then those bounding M alone
+        for lo, hi in zip(np.r_[0, cut], np.r_[cut, len(scale)] - 1):
+            points = list(range(lo, hi, stride)) + [hi]
+            for k in range(0, max(len(points) - 1, 1), 8):
+                coarse = points[k:k + 9]
+                fine = [b for a, z in zip(coarse, coarse[1:]) for b in range(a + 1, z)]
+                chunks[bool(allowed[lo])].append((
+                    coarse + coarse[-1:] * (9 - len(coarse)),
+                    fine + coarse[:1] * (8 * (stride - 1) - len(fine)),
+                    scale[lo]))
+        objective = chunks[True]
+        everything = objective + chunks[False]
+        everything += everything[:1] * (-len(everything) % 8)  # products 8k wide keep their bits
+        self.coarse_bins = np.array([c for c, _, _ in everything]).T  # (9, chunks)
+        # (9 x chunks, lags): each bin's row of dens_over_limit where it counts
+        bins = self.coarse_bins.ravel()
+        self.coarse_table = np.ascontiguousarray(cosines.T[bins])
+        scored = allowed[bins]
+        self.coarse_table[scored] = self.dens_over_limit.T[column[bins[scored]]]
+        self.chunk_inv_scale = 1.0 / np.array([s for _, _, s in everything])[:, None]
+        self.objective_scale = np.array([s for _, _, s in objective])[:, None]
+        fine_bins = np.array([f for _, f, _ in objective], dtype=int)
+        # (objective chunks, skipped bins): their columns of dens_over_limit
+        self.fine_columns = column[fine_bins.reshape(len(objective), 8 * (stride - 1))]
+        # dot products of n lags err by at most about n u (2n - 1) M relative to the scale
+        self.margin = max(1e-12, 4.0 * n * (2 * n - 1) * np.finfo(float).eps)
+
+    def peak_bound(self, chunk_peak: np.ndarray) -> np.ndarray:
+        """M per row: a bound on its unit-energy density over [0, pi] from its
+        (chunks, rows) coarse maxima."""
+        return np.max(chunk_peak * self.chunk_inv_scale, axis=0) / (1.0 - self.delta)
+
+    def row_peaks(self, r_n: np.ndarray) -> np.ndarray:
+        """Each lag row's largest density over limit on the in-band grid.
+
+        Infinite for a row with power in a -inf dB segment, and 0 for a row
+        with no positive density anywhere in the band. Every product has at
+        least 2 rows.
+        """
+        rows, objective = len(r_n), len(self.objective_scale)
+        chunk_peak = np.empty((len(self.chunk_inv_scale), rows))
+        forbidden = np.zeros(rows, dtype=bool)
+        for start in range(0, rows, _SCORE_BLOCK_ROWS):
+            block = slice(max(min(start, rows - 2), 0), start + _SCORE_BLOCK_ROWS)
+            coarse = self.coarse_table @ r_n[block].T
+            np.max(coarse.reshape(9, len(chunk_peak), -1), axis=0, out=chunk_peak[:, block])
+            if self.dens_forbidden.shape[1]:  # the mask has a -inf dB segment
+                forbidden[block] = np.any(r_n[block] @ self.dens_forbidden > 0.0, axis=-1)
+        peak = np.max(chunk_peak[:objective], axis=0, initial=0.0)
+        if self.fine_columns.size:
+            slack = self.peak_bound(chunk_peak) * (self.delta + self.margin)
+            need = chunk_peak[:objective] + self.objective_scale * slack > peak
+            order = np.argsort(np.argmax(chunk_peak[:objective], axis=0), kind="stable")
+            r_sorted, need, sorted_peak = r_n[order], need[:, order], peak[order]
+            fine_rows = self.dens_over_limit.T  # C order: one lag row per bin
+            for start in range(0, rows, _SCORE_BLOCK_ROWS):
+                group = slice(max(min(start, rows - 2), 0), start + _SCORE_BLOCK_ROWS)
+                union = np.flatnonzero(np.any(need[:, group], axis=1))
+                for first in range(0, union.size, 8):  # 8 chunks a product: small scratch
+                    columns = self.fine_columns[union[first:first + 8]].ravel()
+                    fine = fine_rows[columns] @ r_sorted[group].T
+                    np.maximum(sorted_peak[group], np.max(fine, axis=0), out=sorted_peak[group])
+            peak[order] = sorted_peak
+        peak[forbidden] = np.inf
+        return peak
 
     def shape_metrics(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-candidate (budget energy, xi_l, normalized Gram) at best scale."""
         cfg = self.cfg
         pulses = pop @ self.phi  # (P, L, n)
-        n = pulses.shape[-1]
-        rows = pulses.reshape(-1, n)  # one 2-D product below, not P small ones
-        padded = np.concatenate([rows, np.zeros_like(rows)], axis=-1)
-        shifted = np.lib.stride_tricks.sliding_window_view(padded, n, axis=-1)[:, :n, :]
-        lagged = np.einsum("rt,rmt->rm", rows, shifted)  # autocorrelation at lags 0..n-1
-        energies = lagged[:, 0] * cfg.dt
-        ok = energies > 1e-30
-        safe_e = np.where(ok, energies, 1.0)
-        r_n = lagged / safe_e[:, None]  # lags of the unit-energy pulse
+        ok, r_n = _unit_energy_lags(pulses.reshape(-1, pulses.shape[-1]), cfg.dt)
         # budget_l = min over bins with power of limit / density = 1 / max(density / limit)
-        peak = np.empty(len(r_n))
-        for start in range(0, len(r_n), _SCORE_BLOCK_ROWS):
-            block = slice(start, start + _SCORE_BLOCK_ROWS)
-            np.max(r_n[block] @ self.dens_over_limit, axis=-1, initial=0.0, out=peak[block])
-            if self.dens_forbidden.shape[1]:  # the mask has a -inf dB segment
-                peak[block][np.any(r_n[block] @ self.dens_forbidden > 0.0, axis=-1)] = np.inf
+        peak = self.row_peaks(r_n)
         budget_l = np.divide(1.0, peak, out=np.full_like(peak, np.inf), where=peak > 0.0)
         inband = r_n @ self.dens_total  # fraction of unit energy in band
         ok, budget_l, inband = (a.reshape(pulses.shape[:2]) for a in (ok, budget_l, inband))

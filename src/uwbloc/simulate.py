@@ -189,7 +189,8 @@ class TrialResult:
     ``position_error_m`` and the fix's position, ``clock_bias`` and
     ``residual_rms`` are in metres, ``toa_s`` and ``toa_err_s`` in seconds.
     The per-anchor tuples are in anchor order, errors are estimate minus
-    truth, and an anchor without a usable ToA gets NaN entries. A trial
+    truth, and an anchor without a usable ToA gets NaN entries, which
+    ``uwbloc locate`` prints as null so its record stays strict JSON. A trial
     without a fix has ``fix`` and ``position_error_m`` None and ``failure``
     naming its error. ``trial_id`` is the sweep's trial index, 0 outside one.
     """

@@ -1,8 +1,9 @@
 """Independent references the tests compare the pipeline against.
 
 None of these is a pipeline step: the pipeline's fix is the closed-form
-Bancroft solve, its ToA calibration a synthetic reference burst, and no
-pipeline step needs a signal's energy or its cross-correlation. Each is a
+Bancroft solve, its ToA calibration a synthetic reference burst, its
+designer scores candidates from their lags on a certified coarse grid, and
+no pipeline step needs a signal's energy or its cross-correlation. Each is a
 second way to compute something the pipeline computes, so a test can check
 that the two agree.
 """
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from uwbloc.positioning import Anchor, PositionFix, _residual_rms
+from uwbloc.spectrum import HZ_PER_MHZ, _one_sided_weights
 from uwbloc.waveform import Waveform, check_grid
 
 # Gauss-Newton stops after this many iterations, or once a step is this short (m)
@@ -110,3 +112,50 @@ def template_median_offset(template: Waveform) -> float:
     idx = int(np.searchsorted(q, target)) - 1
     frac = (target - q[idx]) / (q[idx + 1] - q[idx]) if q[idx + 1] > q[idx] else 0.0
     return (idx + frac) * template.dt
+
+
+def fft_shape_metrics(ev, pop):
+    """Reference scorer: each pulse's zero-padded rFFT, as the designer once scored it.
+
+    Returns the (budget, xi, normalized Gram) of ``_Evaluator.shape_metrics``
+    for the evaluator ``ev`` and the (P, L, Ns) population ``pop``.
+    """
+    cfg = ev.cfg
+    freq = np.fft.rfftfreq(cfg.nfft, d=cfg.dt)
+    limits_db = cfg.mask.limit_at(freq)
+    band = ~np.isnan(limits_db)
+    limits_lin = 10.0 ** (limits_db[band] / 10.0)
+    weights = _one_sided_weights(cfg.nfft)[band] * HZ_PER_MHZ
+    df_mhz = float(freq[1] - freq[0]) / HZ_PER_MHZ
+    pulses = pop @ ev.phi
+    energies = np.sum(pulses**2, axis=-1) * cfg.dt
+    spec = np.fft.rfft(pulses, n=cfg.nfft, axis=-1) * cfg.dt
+    lin = (np.abs(spec[..., band]) ** 2) * weights
+    ok = energies > 1e-30
+    d1 = lin / np.where(ok, energies, 1.0)[..., None]
+    with np.errstate(divide="ignore"):
+        budget_l = np.min(
+            np.where(d1 > 0.0, limits_lin / np.where(d1 > 0, d1, 1.0), np.inf), axis=-1)
+    budget = np.min(np.where(ok, budget_l, 0.0), axis=-1)
+    inband = np.sum(d1, axis=-1) * df_mhz
+    xi = np.where(ok, budget[:, None] * inband / ev.mask_integral, 0.0)
+    gram = pulses @ pulses.transpose(0, 2, 1) * cfg.dt
+    diag = np.sqrt(np.clip(np.einsum("pll->pl", gram), 1e-300, None))
+    return budget, xi, gram / (diag[:, :, None] * diag[:, None, :])
+
+
+def full_grid_peak(ev, r_n):
+    """Each lag row's peak density over limit on every in-band bin of ``ev``.
+
+    The whole (rows x lags) @ (lags x bins) product with ``ev.dens_over_limit``
+    in 128-row blocks, the designer's scoring before its certified coarse
+    grid: infinite for a row with power in a -inf dB segment, 0 for a row with
+    no positive density in the band.
+    """
+    peak = np.empty(len(r_n))
+    for start in range(0, len(r_n), 128):
+        block = slice(start, start + 128)
+        np.max(r_n[block] @ ev.dens_over_limit, axis=-1, initial=0.0, out=peak[block])
+        if ev.dens_forbidden.shape[1]:  # the mask has a -inf dB segment
+            peak[block][np.any(r_n[block] @ ev.dens_forbidden > 0.0, axis=-1)] = np.inf
+    return peak

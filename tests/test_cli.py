@@ -475,6 +475,30 @@ class TestLocateCommand:
         assert out["failure"] == "DegenerateGeometryError: anchors are coplanar"
         assert len(out["range_m"]) == 4
 
+    def test_anchor_without_a_toa_prints_strict_json(self, tiny_config_path, capsys,
+                                                     monkeypatch):
+        # its NaN entries print as null, so a parser that knows no NaN reads the record
+        calls = []
+        estimate = simulate.toa_dirty_template
+
+        def second_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("no usable signal")
+            return estimate(*args, **kwargs)
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        monkeypatch.setattr(simulate, "toa_dirty_template", second_fails)
+        assert main(["locate", "--config", str(tiny_config_path), "--seed", "4",
+                     "--snr", "30"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert out["failure"] == "ValueError: no usable signal" and out["fix"] is None
+        for key in ("toa_s", "range_m", "toa_err_s", "range_err_m"):
+            assert out[key][1] is None
+            assert all(isinstance(v, float) and math.isfinite(v) for v in out[key][::2])
+
     def test_one_snr_point(self, tiny_config_path, capsys):
         # one trial has one SNR: a second value is an argument error, not ignored
         with pytest.raises(SystemExit) as exc:

@@ -20,6 +20,7 @@ from uwbloc.pulses import (
     _Evaluator,
     _orthogonalize_rows,
     _project_zero_sum,
+    _unit_energy_lags,
     bspline_eval,
     design_pulses,
     load_pulse_set,
@@ -28,9 +29,7 @@ from uwbloc.pulses import (
     synthesize_pulse,
 )
 from uwbloc.spectrum import (
-    HZ_PER_MHZ,
     SpectralMask,
-    _one_sided_weights,
     effectiveness,
     fcc_like_mask,
     mask_violation,
@@ -38,7 +37,7 @@ from uwbloc.spectrum import (
 )
 from uwbloc.waveform import Waveform
 
-from oracles import energy
+from oracles import energy, fft_shape_metrics, full_grid_peak
 
 
 def cox_de_boor(m: int, x: float) -> float:
@@ -258,32 +257,6 @@ class TestDesign:
         assert ps.energy_es == pytest.approx(default_pulses.energy_es, rel=1e-12, abs=0.0)
 
 
-def fft_shape_metrics(ev, pop):
-    """Reference scorer: each pulse's zero-padded rFFT, as the designer once scored it."""
-    cfg = ev.cfg
-    freq = np.fft.rfftfreq(cfg.nfft, d=cfg.dt)
-    limits_db = cfg.mask.limit_at(freq)
-    band = ~np.isnan(limits_db)
-    limits_lin = 10.0 ** (limits_db[band] / 10.0)
-    weights = _one_sided_weights(cfg.nfft)[band] * HZ_PER_MHZ
-    df_mhz = float(freq[1] - freq[0]) / HZ_PER_MHZ
-    pulses = pop @ ev.phi
-    energies = np.sum(pulses**2, axis=-1) * cfg.dt
-    spec = np.fft.rfft(pulses, n=cfg.nfft, axis=-1) * cfg.dt
-    lin = (np.abs(spec[..., band]) ** 2) * weights
-    ok = energies > 1e-30
-    d1 = lin / np.where(ok, energies, 1.0)[..., None]
-    with np.errstate(divide="ignore"):
-        budget_l = np.min(
-            np.where(d1 > 0.0, limits_lin / np.where(d1 > 0, d1, 1.0), np.inf), axis=-1)
-    budget = np.min(np.where(ok, budget_l, 0.0), axis=-1)
-    inband = np.sum(d1, axis=-1) * df_mhz
-    xi = np.where(ok, budget[:, None] * inband / ev.mask_integral, 0.0)
-    gram = pulses @ pulses.transpose(0, 2, 1) * cfg.dt
-    diag = np.sqrt(np.clip(np.einsum("pll->pl", gram), 1e-300, None))
-    return budget, xi, gram / (diag[:, :, None] * diag[:, None, :])
-
-
 MASKS = {
     "default": fcc_like_mask(),
     "notched": SpectralMask(((0.0, 0.5e9, -51.3), (0.5e9, 1.0e9, -41.3), (1.0e9, 1.3e9, -65.0),
@@ -293,7 +266,32 @@ MASKS = {
                                      (2.5e9, 10e9, -51.3))),
     "forbidden_stopband": SpectralMask(((0.0, 0.5e9, -math.inf), (0.5e9, 2.5e9, -41.3),
                                         (2.5e9, 10e9, -math.inf))),
+    # the rFFT band runs to 10 GHz, past this mask's coverage
+    "partial_band": SpectralMask(((0.0, 0.5e9, -51.3), (0.5e9, 2.5e9, -41.3), (2.5e9, 6e9, -51.3))),
 }
+
+
+def edge_peaked_rows(ev, offsets):
+    """Coefficient rows of cosine pulses at ``offsets`` bins from each mask-segment edge.
+
+    The edges are each segment's first bin and the bin past the mask's last
+    segment.
+    """
+    cfg = ev.cfg
+    freq = np.fft.rfftfreq(cfg.nfft, d=cfg.dt)
+    edges = np.searchsorted(freq, [lo for lo, _, _ in cfg.mask.segments[1:]] + [cfg.mask.f_hi])
+    bins = np.clip(np.add.outer(edges, offsets).ravel(), 0, cfg.nfft // 2)
+    pulses = np.cos(2.0 * math.pi * np.outer(bins, np.arange(ev.phi.shape[1])) / cfg.nfft)
+    coeffs, *_ = np.linalg.lstsq(ev.phi.T, pulses.T, rcond=None)  # the nearest spline pulse
+    return coeffs.T
+
+
+def full_grid_budgets(ev, pop):
+    """``shape_metrics``' candidate budgets from the full-grid peak of every pulse."""
+    ok, r_n = _unit_energy_lags((pop @ ev.phi).reshape(-1, ev.phi.shape[1]), ev.cfg.dt)
+    peak = full_grid_peak(ev, r_n)
+    budget_l = np.divide(1.0, peak, out=np.full_like(peak, np.inf), where=peak > 0.0)
+    return np.min(np.where(ok, budget_l, 0.0).reshape(pop.shape[:2]), axis=-1)
 
 
 class TestLagDomainScorer:
@@ -362,6 +360,92 @@ class TestLagDomainScorer:
         pop -= pop.mean(axis=-1, keepdims=True)
         budget, xi, _ = ev.shape_metrics(pop)
         assert np.all(budget == 0.0) and np.all(xi == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mask=st.sampled_from(sorted(MASKS)), pulse_count=st.integers(1, 4),
+        population=st.integers(1, 80), silent=st.booleans(),
+        offsets=st.lists(st.integers(-7, 7), min_size=1, max_size=3),
+        length=st.sampled_from([26, 60, 130, 400]), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_certified_search_keeps_the_full_grid_budgets(self, mask, pulse_count, population,
+                                                         silent, offsets, length, seed):
+        # pulses of 26 and 60 samples get a coarse bin every 8, of 130 every 5, of 400 every bin
+        cfg = DesignConfig(pulse_count=pulse_count, mask=MASKS[mask],
+                           pulse_duration=(length - 1) * DEFAULT_DT)
+        ev = _Evaluator(cfg)
+        pop = np.random.default_rng(seed).normal(size=(population, pulse_count, cfg.basis_count))
+        pop -= pop.mean(axis=-1, keepdims=True)
+        built = edge_peaked_rows(ev, offsets)
+        pop.reshape(-1, cfg.basis_count)[:len(built)] = built[:pop.shape[0] * pulse_count]
+        if silent:
+            pop[-1, -1] = 0.0
+        budget, _, _ = ev.shape_metrics(pop)
+        assert np.allclose(budget, full_grid_budgets(ev, pop), rtol=1e-14, atol=0.0)
+        if silent:
+            assert budget[-1] == 0.0
+
+    @pytest.mark.parametrize("mask", sorted(MASKS))
+    def test_rows_peaking_beside_a_segment_edge_keep_their_peak(self, mask):
+        ev = _Evaluator(DesignConfig(mask=MASKS[mask]))
+        coeffs = edge_peaked_rows(ev, [-7, -5, -3, -2, -1, 1, 2, 3, 5, 7])
+        _, r_n = _unit_energy_lags(coeffs @ ev.phi, ev.cfg.dt)
+        assert np.allclose(ev.row_peaks(r_n), full_grid_peak(ev, r_n), rtol=1e-14, atol=0.0)
+        if mask in ("default", "notched", "partial_band"):  # no -inf segment: finite peaks
+            # the full-grid peak of some row is a skipped bin at most 7 bins from an edge
+            freq = np.fft.rfftfreq(ev.cfg.nfft, d=ev.cfg.dt)
+            objective_bins = np.flatnonzero(ev.cfg.mask.limit_at(freq) > -math.inf)
+            peak_bins = objective_bins[np.argmax(r_n @ ev.dens_over_limit, axis=1)]
+            edges = np.searchsorted(freq, [lo for lo, _, _ in ev.cfg.mask.segments[1:]])
+            beside = np.min(np.abs(peak_bins[:, None] - edges), axis=1) <= 7
+            assert np.any(beside & ~np.isin(peak_bins, ev.coarse_bins))
+
+    def test_a_peak_outside_the_coarse_peak_chunk_is_found(self):
+        # two tones of the default 26-sample pulse near equal height: where the 1,500-bin
+        # tone's coarse bins top the 700-bin tone's, its true peak can still be lower
+        ev = _Evaluator(DesignConfig())
+        t = np.arange(ev.phi.shape[1])
+        ratios = np.linspace(1.0, 1.015, 1501)
+        pulses = np.cos(2.0 * math.pi * 700 * t / ev.cfg.nfft) \
+            + ratios[:, None] * np.cos(2.0 * math.pi * 1500 * t / ev.cfg.nfft)
+        _, r_n = _unit_energy_lags(pulses, ev.cfg.dt)
+        full = r_n @ ev.dens_over_limit  # one column per bin: the default mask covers them all
+        objective = len(ev.objective_scale)
+        coarse_peak_chunk = np.argmax(np.max(full[:, ev.coarse_bins[:, :objective]], axis=1), axis=1)
+        peak_bin = np.argmax(full, axis=1)
+        outside = (peak_bin < ev.coarse_bins[0, coarse_peak_chunk]) \
+            | (peak_bin > ev.coarse_bins[-1, coarse_peak_chunk])
+        assert np.any(outside)
+        r_n = r_n[outside]  # scored alone, so no other row's refinement covers their peaks
+        assert np.allclose(ev.row_peaks(r_n), full_grid_peak(ev, r_n), rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        length=st.integers(2, 300), mask=st.sampled_from(sorted(MASKS)),
+        narrowband=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bernstein_bound_covers_every_skipped_bin(self, length, mask, narrowband, seed):
+        # a pulse of ``length`` samples: its density is a cosine polynomial of degree length - 1
+        cfg = DesignConfig(pulse_duration=(length - 1) * DEFAULT_DT, mask=MASKS[mask])
+        ev = _Evaluator(cfg)
+        rng = np.random.default_rng(seed)
+        pulses = rng.normal(size=(16, length))
+        if narrowband:  # a tone over the whole pulse: the sharpest peak of its degree
+            pulses = np.cos(np.outer(rng.uniform(0.0, math.pi, 16), np.arange(length))
+                            + rng.uniform(0.0, math.pi, (16, 1)))
+        assert ev.phi.shape[1] == length
+        _, r_n = _unit_energy_lags(pulses, cfg.dt)
+        # unit-energy density at every rFFT bin, from each pulse's own rFFT
+        dens = np.abs(np.fft.rfft(pulses, n=cfg.nfft)) ** 2 * cfg.dt / np.sum(pulses**2, axis=1,
+                                                                              keepdims=True)
+        coarse = dens[:, ev.coarse_bins]  # (rows, 9, chunks)
+        m_bound = ev.peak_bound(np.max(coarse, axis=1).T / ev.chunk_inv_scale)
+        assert np.all(m_bound >= np.max(dens, axis=1) * (1.0 - 1e-12))
+        slack = (ev.delta + 1e-12) * m_bound[:, None]
+        for a, b in zip(ev.coarse_bins[:-1].ravel(), ev.coarse_bins[1:].ravel()):
+            if b > a + 1:  # a window with skipped bins
+                bound = np.maximum(dens[:, a], dens[:, b])[:, None] + slack
+                assert np.all(dens[:, a + 1:b] <= bound)
 
 
 class TestOrthogonalityMatrix:
