@@ -46,9 +46,14 @@ __all__ = [
 ]
 
 DEFAULT_DT = 50e-12  # 20 GSa/s
-# rows of unit-energy lags per product of the designer's peak search, so scoring
-# needs the same small scratch however large the population
+# most rows of unit-energy lags in one product of the designer's peak search:
+# its scratch is the same however large the population, and from 197 rows a
+# product's elements rounded apart from those of these 128-row blocks
 _SCORE_BLOCK_ROWS = 128
+# fewest (bins x rows) values in one product of the peak search: OpenBLAS's
+# SkylakeX kernel hands a product of at most 1,200 values over 32 or more lags
+# to its small-matrix kernel, whose sums round apart from the full grid's
+_MIN_PRODUCT_VALUES = 1201
 # widest gap of the designer's coarse grid, in bins, and the most its
 # Bernstein slack delta may be (``_Evaluator``): 8 bins give delta = 0.0118 at
 # the default 26-sample pulse; a longer pulse gets a finer grid
@@ -305,31 +310,44 @@ class _Evaluator:
       and M <= (largest coarse P) / (1 - delta) (``peak_bound``).
     - *Refinement.* A chunk's skipped bins are evaluated only for the rows
       whose maximum there, plus the chunk's scale times (delta + a rounding
-      margin) M, exceeds their coarse peak: about 1.3 chunks a row at the
-      default. The margin, at least 1e-12, is 8 times the n u (2n - 1)
-      relative error of an n-lag dot product. Rows are sorted by the chunk of
-      their coarse peak, and each 128-row group is refined on the union of
-      the chunks its rows need, by products of at most 8 chunks' skipped
-      bins (``fine_columns``), gathered from the bin-major transpose of
-      ``dens_over_limit``.
+      margin) M, exceeds their coarse peak: 1.5 to 1.7 chunks a row over
+      the default design. The margin, at least 1e-12, is 8 times the
+      n u (2n - 1) relative error of an n-lag dot product. The needed
+      (chunk, row) pairs are listed chunk-major, so each chunk's rows are
+      one run, and a run is refined by products of that chunk's skipped
+      bins, one slice of the chunk-major ``fine_table``, with at most 128
+      of its rows. No product evaluates a pair that is not needed, apart
+      from the spare rows that fill a product to its fewest rows.
 
     Every value kept is an element of the full-grid product, and no skipped
     bin can exceed the kept peak, so the peak is the full-grid peak, and so
     are the budget, xi and the design. An element has the bits it has in
     the 128-row blocks of the full-grid product (the oracle in the tests)
-    when its product has at least 2 rows and a multiple of 8 bins: a
-    one-row or one-bin product differed in every probe, and a 13-bin one
-    under Haswell, so groups keep 2 rows, and the chunk count and a chunk's
-    skipped bins are multiples of 8. The whole 800-row product is not the
-    128-row blocks bit for bit either (about 1e-4 of its elements differ
-    under SkylakeX), though its row maxima are. Probed against the full-grid
-    blocks, the budgets of 100 generations of the default design (20,200)
-    and of 4,000 random candidates under each of the default, notched,
-    forbidden-notch and 0-6 GHz masks were equal under the SkylakeX, Haswell
-    and Prescott kernels, except 25 of the 0-6 GHz mask's under SkylakeX, by
-    at most 6.2e-16 relative: their peaks are on the last in-band bins,
-    which the full-grid product leaves to its remainder kernel. Products run
-    on at most 128 rows, so the scratch does not grow with the population.
+    when its product has 2 to 128 rows, a multiple of 8 bins and more than
+    1,200 values (``_MIN_PRODUCT_VALUES``); in a one-row or one-bin product,
+    or one of 197 or more rows, elements differed. So a row set smaller than
+    ``coarse_rows`` is scored repeated to that many rows, a fine product is
+    filled to ``fine_rows`` with spare rows, and the chunk count and a
+    chunk's skipped bins are multiples of 8. The whole 800-row product is
+    not the 128-row blocks bit for bit either (about 1e-4 of its elements
+    differ under SkylakeX), though its row maxima are. Probed against the
+    full-grid blocks, the budgets of 100 generations of the default design
+    (20,200) and of 4,000 random candidates under each of the default,
+    notched, forbidden-notch and 0-6 GHz masks were equal under the
+    SkylakeX, Haswell and Prescott kernels, except 25 of the 0-6 GHz mask's
+    under SkylakeX, by at most 6.2e-16 relative: their peaks are on the last
+    in-band bins, which the full-grid product leaves to its remainder
+    kernel. At 40 to 250 lags, random rows under the same masks kept the
+    full-grid peaks under both kernels, bar 3 of 2,884 under the 0-6 GHz
+    mask at 40 lags, but nothing bounds the rounding there: a product that
+    two OpenBLAS threads split can round apart (56 bins of 78 or more rows
+    at 130 lags did).
+
+    The coarse products run on at most 128 rows and the fine ones gather at
+    most 128, so the scratch grows with the population only by per-row
+    arrays (pairs, peaks, bounds), not by a product's bins. One coarse block
+    is reused by every call (``_coarse``), so an evaluator scores one row set
+    at a time.
     """
 
     def __init__(self, cfg: DesignConfig):
@@ -370,7 +388,7 @@ class _Evaluator:
         self._build_coarse_grid(cosines, allowed, scale)
 
     def _build_coarse_grid(self, cosines: np.ndarray, allowed: np.ndarray, scale: np.ndarray):
-        """The coarse table and fine columns of the certified peak search (class docstring)."""
+        """The coarse and fine tables of the certified peak search (class docstring)."""
         n = self.phi.shape[1]
 
         def bend(stride: int) -> float:  # delta = N^2 h^2 / 8 at a gap of ``stride`` bins
@@ -403,8 +421,15 @@ class _Evaluator:
         self.chunk_inv_scale = 1.0 / np.array([s for _, _, s in everything])[:, None]
         self.objective_scale = np.array([s for _, _, s in objective])[:, None]
         fine_bins = np.array([f for _, f, _ in objective], dtype=int)
-        # (objective chunks, skipped bins): their columns of dens_over_limit
-        self.fine_columns = column[fine_bins.reshape(len(objective), 8 * (stride - 1))]
+        # (objective chunks, skipped bins, lags): each skipped bin's row of
+        # dens_over_limit, chunk-major, so a chunk's bins are one C-ordered slice
+        self.fine_table = self.dens_over_limit.T[column[fine_bins.reshape(len(objective), -1)]]
+        # fewest rows of a coarse and of a fine product (class docstring)
+        self.coarse_rows, self.fine_rows = (
+            max(2, -(-_MIN_PRODUCT_VALUES // max(width, 1)))
+            for width in (len(self.coarse_table), self.fine_table.shape[1]))
+        # one block's coarse product, which every row_peaks call reuses
+        self._coarse = np.empty(len(self.coarse_table) * _SCORE_BLOCK_ROWS)
         # dot products of n lags err by at most about n u (2n - 1) M relative to the scale
         self.margin = max(1e-12, 4.0 * n * (2 * n - 1) * np.finfo(float).eps)
 
@@ -417,33 +442,45 @@ class _Evaluator:
         """Each lag row's largest density over limit on the in-band grid.
 
         Infinite for a row with power in a -inf dB segment, and 0 for a row
-        with no positive density anywhere in the band. Every product has at
-        least 2 rows.
+        with no positive density anywhere in the band. Each row's coarse
+        maxima come from 128-row blocks; its skipped bins are refined chunk
+        by chunk, only for the (chunk, row) pairs that can hold its peak.
+        Every product has the rows and bins that keep the full grid's bits
+        (class docstring).
         """
         rows, objective = len(r_n), len(self.objective_scale)
+        if rows < self.coarse_rows:  # too few for a product with the full grid's bits
+            return self.row_peaks(np.resize(r_n, (self.coarse_rows, r_n.shape[1])))[:rows]
         chunk_peak = np.empty((len(self.chunk_inv_scale), rows))
         forbidden = np.zeros(rows, dtype=bool)
         for start in range(0, rows, _SCORE_BLOCK_ROWS):
-            block = slice(max(min(start, rows - 2), 0), start + _SCORE_BLOCK_ROWS)
-            coarse = self.coarse_table @ r_n[block].T
-            np.max(coarse.reshape(9, len(chunk_peak), -1), axis=0, out=chunk_peak[:, block])
+            block = slice(min(start, rows - self.coarse_rows), start + _SCORE_BLOCK_ROWS)
+            width = len(r_n[block])
+            coarse = self._coarse[:len(self.coarse_table) * width].reshape(-1, width)
+            np.matmul(self.coarse_table, r_n[block].T, out=coarse)
+            # a new, contiguous array: a strided ``out`` takes twice as long
+            chunk_peak[:, block] = np.maximum.reduce(coarse.reshape(9, len(chunk_peak), -1))
             if self.dens_forbidden.shape[1]:  # the mask has a -inf dB segment
                 forbidden[block] = np.any(r_n[block] @ self.dens_forbidden > 0.0, axis=-1)
         peak = np.max(chunk_peak[:objective], axis=0, initial=0.0)
-        if self.fine_columns.size:
+        if self.fine_table.size:
             slack = self.peak_bound(chunk_peak) * (self.delta + self.margin)
             need = chunk_peak[:objective] + self.objective_scale * slack > peak
-            order = np.argsort(np.argmax(chunk_peak[:objective], axis=0), kind="stable")
-            r_sorted, need, sorted_peak = r_n[order], need[:, order], peak[order]
-            fine_rows = self.dens_over_limit.T  # C order: one lag row per bin
-            for start in range(0, rows, _SCORE_BLOCK_ROWS):
-                group = slice(max(min(start, rows - 2), 0), start + _SCORE_BLOCK_ROWS)
-                union = np.flatnonzero(np.any(need[:, group], axis=1))
-                for first in range(0, union.size, 8):  # 8 chunks a product: small scratch
-                    columns = self.fine_columns[union[first:first + 8]].ravel()
-                    fine = fine_rows[columns] @ r_sorted[group].T
-                    np.maximum(sorted_peak[group], np.max(fine, axis=0), out=sorted_peak[group])
-            peak[order] = sorted_peak
+            # the needed (chunk, row) pairs, chunk-major: each chunk's rows are one run
+            chunk, row = np.divmod(np.flatnonzero(need), rows)
+            counts = np.bincount(chunk, minlength=objective)
+            first = np.cumsum(counts) - counts
+            # spare rows past the last, so a chunk that few rows need still fills a product
+            row_at = np.concatenate([row, np.zeros(self.fine_rows - 1, dtype=row.dtype)])
+            fine_peak = np.empty(row.size)
+            for c in np.flatnonzero(counts):
+                end = first[c] + counts[c]
+                for start in range(first[c], end, _SCORE_BLOCK_ROWS):
+                    stop = min(start + _SCORE_BLOCK_ROWS, end)
+                    lags = r_n[row_at[start:max(stop, start + self.fine_rows)]]
+                    fine = self.fine_table[c] @ lags.T
+                    np.maximum.reduce(fine[:, :stop - start], out=fine_peak[start:stop])
+            np.maximum.at(peak, row, fine_peak)
         peak[forbidden] = np.inf
         return peak
 
@@ -497,6 +534,31 @@ def _orthogonalize_rows(cand: np.ndarray, gram_metric: np.ndarray, rng: np.rando
     return out
 
 
+def _offspring(pop: np.ndarray, fit: np.ndarray, rng: np.random.Generator,
+               sigma: float) -> np.ndarray:
+    """One generation's children of the (P, L, Ns) population ``pop``, before elitism.
+
+    Tournament selection by ``fit``, uniform crossover of consecutive parent
+    pairs, Gaussian mutation of step ``sigma``, then the zero-sum projection,
+    with ``DesignConfig``'s operator settings.
+    """
+    cfg = DesignConfig
+    population, l_count, ns = pop.shape
+    draws = rng.integers(0, population, size=(population, cfg.tournament_k))
+    parents = draws[np.arange(population), np.argmax(fit[draws], axis=1)]
+    children = pop[parents]
+
+    half = population // 2
+    do_cross = rng.random(half) < cfg.crossover_rate
+    swap = (rng.random((half, l_count, ns)) < 0.5) & do_cross[:, None, None]
+    a, b = children[0::2][:half], children[1::2][:half]  # views: crossed over in place
+    a[...], b[...] = np.where(swap, b, a), np.where(swap, a, b)
+
+    mutate = rng.random(children.shape) < cfg.mutation_rate
+    children += mutate * rng.normal(0.0, sigma, size=children.shape)
+    return _project_zero_sum(children)
+
+
 def design_pulses(cfg: DesignConfig) -> PulseSet:
     """Run the genetic search and return a verified pulse set.
 
@@ -520,25 +582,8 @@ def design_pulses(cfg: DesignConfig) -> PulseSet:
     for gen in range(cfg.generations):
         order = np.argsort(fit)[::-1]
         history[gen] = fit[order[0]]
-        elite = pop[order[: cfg.elitism]].copy()
-
-        # tournament selection of parent indices
-        draws = rng.integers(0, cfg.population, size=(cfg.population, cfg.tournament_k))
-        parents = draws[np.arange(cfg.population), np.argmax(fit[draws], axis=1)]
-        children = pop[parents].copy()
-
-        # uniform crossover between consecutive parent pairs, in place through views
-        half = cfg.population // 2
-        do_cross = rng.random(half) < cfg.crossover_rate
-        swap = (rng.random((half, l_count, ns)) < 0.5) & do_cross[:, None, None]
-        a, b = children[0::2][:half], children[1::2][:half]
-        a[swap], b[swap] = b[swap], a[swap]
-
-        sigma = cfg.sigma_start * sigma_decay**gen
-        mutate = rng.random(children.shape) < cfg.mutation_rate
-        children += mutate * rng.normal(0.0, sigma, size=children.shape)
-        children = _project_zero_sum(children)
-
+        elite = pop[order[: cfg.elitism]]
+        children = _offspring(pop, fit, rng, cfg.sigma_start * sigma_decay**gen)
         children[: cfg.elitism] = elite
         pop = children
         fit = ev.fitness(pop)

@@ -116,6 +116,12 @@ class ConfigError(ValueError):
 # symbol_duration / dt samples each. The default config's is 20,999 samples,
 # 1/800 of this; a longer one is a typo (ns written as seconds), not a simulation.
 MAX_RECORD_SAMPLES = 2**24
+# Largest |SNR|, in dB, of a finite snr point. One float64 rounding step is
+# 2.2e-16 of a value, 313 dB in power: past +300 dB the noise is below a
+# rounding step of the signal, and past -300 dB the signal is below one of the
+# noise, so neither runs a different trial. The noise scale 10^(SNR / 10) also
+# leaves the float range near +-3,080 dB.
+MAX_SNR_DB = 300.0
 
 
 def default_anchors() -> tuple[Anchor, ...]:
@@ -154,6 +160,9 @@ class SimConfig:
         if any(math.isnan(snr) or snr == -math.inf for snr in self.snr_grid_db):
             # +inf stays valid: it runs a noiseless trial
             raise ConfigError(f"snr points must be numbers or +inf: {list(self.snr_grid_db)}")
+        if any(abs(snr) > MAX_SNR_DB for snr in self.snr_grid_db if snr != math.inf):
+            raise ConfigError(f"snr_grid_db points must be within +-{MAX_SNR_DB:g} dB or +inf, "
+                              f"got {list(self.snr_grid_db)}")
         if len(self.anchors) < 4:
             raise ConfigError("need at least 4 anchors")
         ids = [a.id for a in self.anchors]

@@ -135,11 +135,13 @@ def add_awgn(w: Waveform, snr_db: float, seed: int, power: float | None = None) 
     waveform extent (including any zero padding), the conventional
     definition in ranging simulations. A caller that noises only a prefix of
     a record passes the whole record's power. ``power`` must be finite and
-    > 0; ``snr_db = inf`` is the no-noise sentinel; NaN and ``-inf`` are
-    rejected. Deterministic: the output is a pure function of
-    (w, snr_db, seed, power) via PCG64, and noising a prefix of a record at
-    the record's power gives the prefix of the noised record. It is
-    ``_unit_noise``'s draw scaled by ``_add_noise``.
+    > 0; ``snr_db = inf`` is the no-noise sentinel; NaN, ``-inf`` and a
+    finite ``snr_db`` that scales the noise to 0 or past the float range
+    (beyond about +-3,080 dB) are rejected with a ``ValueError``.
+    Deterministic: the output is a pure function of (w, snr_db, seed, power)
+    via PCG64, and noising a prefix of a record at the record's power gives
+    the prefix of the noised record. It is ``_unit_noise``'s draw scaled by
+    ``_add_noise``.
     """
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
@@ -172,7 +174,13 @@ def _add_noise(w: Waveform, snr_db: float, power: float, noise: np.ndarray) -> W
     """``w`` plus ``noise``, a ``_unit_noise`` record of its length, scaled in
     place to a finite ``snr_db`` against ``power``: the one SNR scaling."""
     _check_power(power)
-    sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
+    try:
+        sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):  # 10^(snr/10) past the float range
+        sigma = math.nan
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"snr_db {snr_db} scales the noise of power {power:.3g} to "
+                         f"sigma {sigma}, which is not positive and finite")
     # sigma * z + x in place: bit-identical to x + rng.normal(0.0, sigma, size)
     noise *= sigma
     noise += w.samples

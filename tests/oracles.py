@@ -2,10 +2,10 @@
 
 None of these is a pipeline step: the pipeline's fix is the closed-form
 Bancroft solve, its ToA calibration a synthetic reference burst, its
-designer scores candidates from their lags on a certified coarse grid, and
-no pipeline step needs a signal's energy or its cross-correlation. Each is a
-second way to compute something the pipeline computes, so a test can check
-that the two agree.
+designer scores candidates from their lags on a certified coarse grid and
+crosses them over with ``np.where``, and no pipeline step needs a signal's
+energy or its cross-correlation. Each is a second way to compute something
+the pipeline computes, so a test can check that the two agree.
 """
 
 import math
@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from uwbloc.positioning import Anchor, PositionFix, _residual_rms
+from uwbloc.pulses import DesignConfig
 from uwbloc.spectrum import HZ_PER_MHZ, _one_sided_weights
 from uwbloc.waveform import Waveform, check_grid
 
@@ -159,3 +160,24 @@ def full_grid_peak(ev, r_n):
         if ev.dens_forbidden.shape[1]:  # the mask has a -inf dB segment
             peak[block][np.any(r_n[block] @ ev.dens_forbidden > 0.0, axis=-1)] = np.inf
     return peak
+
+
+def masked_swap_offspring(pop, fit, rng, sigma):
+    """Reference genetic step: ``pulses._offspring`` as the designer first wrote it.
+
+    Tournament selection, then uniform crossover by boolean-mask swaps of
+    consecutive parent pairs, a multiply-add Gaussian mutation and the
+    zero-sum projection, drawing from ``rng`` in the same order.
+    """
+    population, l_count, ns = pop.shape
+    draws = rng.integers(0, population, size=(population, DesignConfig.tournament_k))
+    parents = draws[np.arange(population), np.argmax(fit[draws], axis=1)]
+    children = pop[parents].copy()
+    half = population // 2
+    do_cross = rng.random(half) < DesignConfig.crossover_rate
+    swap = (rng.random((half, l_count, ns)) < 0.5) & do_cross[:, None, None]
+    a, b = children[0::2][:half], children[1::2][:half]
+    a[swap], b[swap] = b[swap], a[swap]
+    mutate = rng.random(children.shape) < DesignConfig.mutation_rate
+    children += mutate * rng.normal(0.0, sigma, size=children.shape)
+    return children - children.mean(axis=-1, keepdims=True)

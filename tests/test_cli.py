@@ -127,6 +127,18 @@ class TestSweepCommand:
             assert code == EXIT_CONFIG
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["locate", "--snr", "4000", "--seed", "1"],  # once an OverflowError, exit 1
+        ["locate", "--snr", "-4000", "--seed", "1"],  # once a ZeroDivisionError
+        ["locate", "--snr", "-3090", "--seed", "1"],  # once a non-finite noised record
+        ["sweep", "--snr", "-4000", "--trials", "1"],
+    ])
+    def test_snr_past_the_noise_scaling_exit_code(self, tmp_path, capsys, argv):
+        argv = argv + (["--out", str(tmp_path)] if argv[0] == "sweep" else [])
+        assert main(argv) == EXIT_CONFIG
+        assert "snr_grid_db" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_overrides(self, tiny_config_path, tmp_path, read_sweep_csv):
         out = tmp_path / "alt"
         code = main([

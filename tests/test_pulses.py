@@ -18,6 +18,7 @@ from uwbloc.pulses import (
     DesignConfig,
     InfeasibleDesignError,
     _Evaluator,
+    _offspring,
     _orthogonalize_rows,
     _project_zero_sum,
     _unit_energy_lags,
@@ -37,7 +38,7 @@ from uwbloc.spectrum import (
 )
 from uwbloc.waveform import Waveform
 
-from oracles import energy, fft_shape_metrics, full_grid_peak
+from oracles import energy, fft_shape_metrics, full_grid_peak, masked_swap_offspring
 
 
 def cox_de_boor(m: int, x: float) -> float:
@@ -339,19 +340,22 @@ class TestLagDomainScorer:
         assert np.allclose(gram, ref_gram, rtol=1e-12, atol=0.0)
         assert budget[-1] == 0.0
 
-    def test_fitness_scratch_does_not_grow_with_the_population(self, rng):
-        # the whole (rows x bins) lag-by-bin product would be 131 MB here
+    def test_fitness_scratch_grows_by_each_rows_arrays_not_a_product_row(self, rng):
+        # an added pulse row adds its own pulse, padded pulse and lags, about 1.1 KB;
+        # forming the whole (rows x bins) lag-by-bin product would add bins x 8 = 16 KB
         ev = _Evaluator(DesignConfig())
-        pop = rng.normal(size=(2000, 4, 30))
-        pop -= pop.mean(axis=-1, keepdims=True)
-        tracemalloc.start()
-        try:
-            ev.fitness(pop)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        rows, bins = pop.shape[0] * pop.shape[1], ev.dens_over_limit.shape[1]
-        assert peak < rows * bins * 8 / 4
+        peaks = []
+        for population in (1000, 2000):
+            pop = rng.normal(size=(population, 4, 30))
+            pop -= pop.mean(axis=-1, keepdims=True)
+            tracemalloc.start()
+            try:
+                ev.fitness(pop)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_row = (peaks[1] - peaks[0]) / (1000 * pop.shape[1])
+        assert per_row < 2048 < ev.dens_over_limit.shape[1] * 8 / 4
 
     @pytest.mark.parametrize("mask", ["forbidden_notch", "forbidden_stopband"])
     def test_power_in_a_minus_inf_segment_leaves_no_budget(self, mask, rng):
@@ -446,6 +450,44 @@ class TestLagDomainScorer:
             if b > a + 1:  # a window with skipped bins
                 bound = np.maximum(dens[:, a], dens[:, b])[:, None] + slack
                 assert np.all(dens[:, a + 1:b] <= bound)
+
+
+class FixedCoins:
+    """A generator whose uniform draws all equal ``value``, so every crossover
+    and mutation coin falls one way; its integer and normal draws are ``rng``'s."""
+
+    def __init__(self, rng: np.random.Generator, value: float):
+        self.rng, self.value = rng, value
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def normal(self, *args, **kwargs):
+        return self.rng.normal(*args, **kwargs)
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+class TestGeneticStep:
+    @pytest.mark.parametrize("population", [1, 2, 3, 8, 9, 200])
+    @pytest.mark.parametrize("coins", ["random", "every pair swaps every gene", "none swaps"])
+    def test_matches_masked_swap_reference(self, population, coins):
+        # a uniform draw of 0.0 is below the crossover rate, 1/2 and the mutation rate,
+        # so every pair crosses, swaps every gene and mutates; 0.99 is above all three
+        source = np.random.default_rng(population)
+        pop = _project_zero_sum(source.normal(size=(population, 4, 30)))
+        fit = source.normal(size=population)
+        before = pop.copy()
+        gens = [np.random.default_rng(11), np.random.default_rng(11)]
+        draws = [gen if coins == "random" else FixedCoins(gen, 0.0 if coins.startswith("every")
+                                                          else 0.99) for gen in gens]
+        children = _offspring(pop, fit, draws[0], 0.05)
+        expected = masked_swap_offspring(pop, fit, draws[1], 0.05)
+        assert children.shape == pop.shape
+        assert children.tobytes() == expected.tobytes()
+        assert gens[0].bit_generator.state == gens[1].bit_generator.state
+        assert np.array_equal(pop, before)
 
 
 class TestOrthogonalityMatrix:

@@ -33,6 +33,7 @@ from uwbloc.pulses import (
 )
 from uwbloc.ranging import TDT_TRAINING_PATTERN, make_burst, read_window, toa_dirty_template
 from uwbloc.simulate import (
+    MAX_SNR_DB,
     ConfigError,
     SimConfig,
     SweepRow,
@@ -130,6 +131,14 @@ class TestConfig:
                 SimConfig(snr_grid_db=(30.0, bad), trials=2)
         with pytest.raises(ConfigError):
             config_from_json(json.loads('{"snr_grid_db": [20, NaN]}'))
+
+    @pytest.mark.parametrize("snr", [-4000.0, -3090.0, -300.5, 300.5, 4000.0, 1e308])
+    def test_snr_point_past_the_noise_scaling_rejected(self, snr):
+        # each of these once ended a trial in an OverflowError, a ZeroDivisionError
+        # or a non-finite record, outside the trial's failure handling
+        with pytest.raises(ConfigError, match="snr_grid_db"):
+            SimConfig(snr_grid_db=(30.0, snr), trials=2)
+        SimConfig(snr_grid_db=(-MAX_SNR_DB, MAX_SNR_DB, math.inf), trials=2)
 
     def test_infinite_snr_point_runs(self):
         # +inf is the noiseless sentinel of add_awgn, not a malformed point
@@ -357,6 +366,15 @@ class TestTrialSeeds:
 
 
 class TestRunTrial:
+    @settings(max_examples=25, deadline=None)
+    @given(snr_db=st.floats(-MAX_SNR_DB, MAX_SNR_DB) | st.just(math.inf),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_accepted_snr_runs_a_trial(self, snr_db, seed):
+        # failures at a hopeless SNR are recorded in the result, never raised
+        cfg = SimConfig(snr_grid_db=(snr_db,))
+        res = run_trial(cfg, snr_db, seed)
+        assert res.snr_db == snr_db and len(res.toa_s) == len(cfg.anchors)
+
     def test_deterministic(self):
         cfg = SimConfig()
         a = run_trial(cfg, 20.0, seed=77)

@@ -232,6 +232,12 @@ class TestAwgn:
             with pytest.raises(ValueError, match="snr_db"):
                 add_awgn(bl_pulse(), snr, seed=0)
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+    def test_snr_past_the_noise_scaling_rejected(self, snr_db):
+        # 10^(snr/10) leaves the float range: once an OverflowError or a ZeroDivisionError
+        with pytest.raises(ValueError, match="snr_db"):
+            add_awgn(bl_pulse(), snr_db, seed=0)
+
     def test_empirical_snr(self):
         n = 200_000
         rng = np.random.default_rng(5)
