@@ -12,10 +12,9 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable
 
 from .channel import cir_to_csv, sample_cir, signature_from_csv
-from .detection import DEFAULT_THRESHOLDS, DetectionThresholds, classify, estimate_transfer
+from .detection import DetectionThresholds, classify, estimate_transfer
 from .pulses import DesignConfig, InfeasibleDesignError, design_pulses, pulse_set_to_json
 from .simulate import (
     ConfigError,
@@ -54,27 +53,6 @@ def _read_config(cls: type, path: str | None, **flags):
     return read_input(path, decode) if path else decode({})
 
 
-def _finite(text: str) -> float:
-    """argparse type of a threshold: NaN never compares true, and JSON has no inf."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
-
-
-def _threshold(field: str) -> Callable[[str], float]:
-    """argparse type of a ``DetectionThresholds`` field: finite, and a value the field accepts."""
-    def threshold(text: str) -> float:
-        value = _finite(text)
-        try:
-            DetectionThresholds(**{field: value})
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-        return value
-
-    return threshold
-
-
 def _seed(text: str) -> int:
     """argparse type of a seed that is not a config field: numpy seeds are >= 0."""
     seed = int(text)
@@ -111,7 +89,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
         "energy_es": ps.energy_es,
         "effectiveness": ps.effectiveness.tolist(),
         "objective": ps.objective,
-    }, indent=2))
+    }, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -155,10 +133,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    thresholds = DetectionThresholds(
-        attenuation_db=args.attenuation_threshold,
-        nonlinearity_rad=args.nonlinearity_threshold,
-    )
+    # decoded before any input file is read, so a bad threshold fails first
+    thresholds = _read_config(DetectionThresholds, None, attenuation_db=args.attenuation_threshold,
+                              nonlinearity_rad=args.nonlinearity_threshold)
     if args.signature:
         sig = read_input(args.signature, signature_from_csv)
     else:
@@ -170,7 +147,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             sig = estimate_transfer(tx, rx)
         except ValueError as exc:  # each file is valid, the pair is not
             raise ConfigError(f"{args.tx} and {args.rx}: {exc}") from exc
-    print(json.dumps(config_to_json(classify(sig, thresholds)), indent=2))
+    print(json.dumps(config_to_json(classify(sig, thresholds)), indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -217,10 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tx", help="transmitted waveform (CSV or JSON)")
     p.add_argument("--rx", help="received waveform (CSV or JSON)")
     p.add_argument("--signature", help="signature CSV (freq_hz,attenuation_db,phase_rad)")
-    p.add_argument("--attenuation-threshold", type=_threshold("attenuation_db"),
-                   default=DEFAULT_THRESHOLDS.attenuation_db)
-    p.add_argument("--nonlinearity-threshold", type=_threshold("nonlinearity_rad"),
-                   default=DEFAULT_THRESHOLDS.nonlinearity_rad)
+    p.add_argument("--attenuation-threshold", type=float, help="attenuation_db override (dB)")
+    p.add_argument("--nonlinearity-threshold", type=float, help="nonlinearity_rad override (rad)")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("cir", help="dump one channel impulse response as CSV")

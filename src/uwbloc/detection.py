@@ -53,17 +53,19 @@ class DetectionThresholds:
 
     A medium under ``ARTIFICIAL_FLOOR_DB`` is free space, and every phase
     nonlinearity is >= 0, so attenuation_db >= that floor and nonlinearity_rad > 0.
+    Both are finite: NaN never calls a human, and JSON has no inf.
     """
 
     attenuation_db: float = 30.0
     nonlinearity_rad: float = 0.3
 
     def __post_init__(self) -> None:
-        if not self.attenuation_db >= ARTIFICIAL_FLOOR_DB:
-            raise ValueError(f"attenuation threshold must be >= the {ARTIFICIAL_FLOOR_DB} dB "
-                             f"free-space floor, got {self.attenuation_db}")
-        if not self.nonlinearity_rad > 0.0:
-            raise ValueError(f"nonlinearity threshold must be > 0, got {self.nonlinearity_rad}")
+        if not ARTIFICIAL_FLOOR_DB <= self.attenuation_db < math.inf:
+            raise ValueError(f"attenuation_db threshold must be finite and >= the "
+                             f"{ARTIFICIAL_FLOOR_DB} dB free-space floor, got {self.attenuation_db}")
+        if not 0.0 < self.nonlinearity_rad < math.inf:
+            raise ValueError(f"nonlinearity_rad threshold must be finite and > 0, "
+                             f"got {self.nonlinearity_rad}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -328,8 +328,11 @@ class _Evaluator:
     or one of 197 or more rows, elements differed. So a row set smaller than
     ``coarse_rows`` is scored repeated to that many rows, a fine product is
     filled to ``fine_rows`` with spare rows, and the chunk count and a
-    chunk's skipped bins are multiples of 8. The whole 800-row product is
-    not the 128-row blocks bit for bit either (about 1e-4 of its elements
+    chunk's skipped bins are multiples of 8. The oracle repeats a block of
+    fewer than 8 rows to 8 for the same reason: its lone rows and short
+    last blocks rounded apart from these elements, and under Haswell so did
+    blocks of 3, 5 or 7 rows repeated to only 2. The whole 800-row product
+    is not the 128-row blocks bit for bit either (about 1e-4 of its elements
     differ under SkylakeX), though its row maxima are. Probed against the
     full-grid blocks, the budgets of 100 generations of the default design
     (20,200) and of 4,000 random candidates under each of the default,

@@ -151,14 +151,19 @@ def full_grid_peak(ev, r_n):
     The whole (rows x lags) @ (lags x bins) product with ``ev.dens_over_limit``
     in 128-row blocks, the designer's scoring before its certified coarse
     grid: infinite for a row with power in a -inf dB segment, 0 for a row with
-    no positive density in the band.
+    no positive density in the band. A block of fewer than 8 rows, a lone row
+    or a short last block, is repeated to 8 rows, as ``row_peaks`` repeats a
+    small row set: OpenBLAS rounded a product of fewer rows apart from the
+    full blocks, under Haswell even a block of 3 to 7 rows repeated to 2.
     """
     peak = np.empty(len(r_n))
     for start in range(0, len(r_n), 128):
-        block = slice(start, start + 128)
-        np.max(r_n[block] @ ev.dens_over_limit, axis=-1, initial=0.0, out=peak[block])
+        rows = r_n[start:start + 128]
+        block = np.resize(rows, (max(len(rows), 8), rows.shape[1]))
+        out = peak[start:start + len(rows)]
+        out[:] = np.max(block @ ev.dens_over_limit, axis=-1, initial=0.0)[:len(rows)]
         if ev.dens_forbidden.shape[1]:  # the mask has a -inf dB segment
-            peak[block][np.any(r_n[block] @ ev.dens_forbidden > 0.0, axis=-1)] = np.inf
+            out[np.any(block @ ev.dens_forbidden > 0.0, axis=-1)[:len(rows)]] = np.inf
     return peak
 
 

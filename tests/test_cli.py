@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from uwbloc import cli, simulate
-from uwbloc.channel import SPEED_OF_LIGHT, material_response
-from uwbloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, build_parser, main
-from uwbloc.detection import DetectionThresholds
+from uwbloc.channel import MATERIAL_KINDS, SPEED_OF_LIGHT, material_response
+from uwbloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
 from uwbloc.positioning import Anchor, DegenerateGeometryError, PositionFix, RoomBounds
 from uwbloc.pulses import BSplineBasis, DesignConfig, load_pulse_set, pulse_set_to_json
 from uwbloc.simulate import SimConfig, config_to_json
@@ -540,6 +539,11 @@ class TestLocateCommand:
         assert ps_path in capsys.readouterr().err
 
 
+# the DetectionThresholds key each detect flag sets, which a rejection names
+THRESHOLD_KEYS = {"--attenuation-threshold": "attenuation_db",
+                  "--nonlinearity-threshold": "nonlinearity_rad"}
+
+
 class TestDetectCommand:
     def test_from_signature_csv(self, tmp_path, capsys):
         path = tmp_path / "sig.csv"
@@ -556,10 +560,18 @@ class TestDetectCommand:
             assert verdict["label"] == "artificial_only"
             assert verdict["thresholds"][key] == float(value)
 
-    def test_parsed_defaults_are_the_threshold_defaults(self):
-        args = build_parser().parse_args(["detect"])
-        assert (args.attenuation_threshold, args.nonlinearity_threshold) == \
-            dataclasses.astuple(DetectionThresholds())
+    @pytest.mark.parametrize("kind", MATERIAL_KINDS)
+    @pytest.mark.parametrize("flags", [[], ["--attenuation-threshold", "60"]])
+    def test_verdict_is_strict_json(self, tmp_path, capsys, kind, flags):
+        path = tmp_path / "sig.csv"
+        signature_to_csv(material_response(kind), path)
+        assert main(["detect", "--signature", str(path), *flags]) == EXIT_OK
+
+        def reject(token):
+            raise AssertionError(f"non-JSON token {token}")
+
+        verdict = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert verdict["thresholds"]["attenuation_db"] == (60.0 if flags else 30.0)
 
     def test_from_waveform_files(self, tmp_path, capsys, default_pulses):
         from uwbloc.channel import apply_signature
@@ -604,7 +616,7 @@ class TestDetectCommand:
         signature_to_csv(material_response("human"), path)
         assert exit_code(["detect", "--signature", str(path), f"{flag}={value}"]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert captured.out == "" and flag in captured.err
+        assert captured.out == "" and THRESHOLD_KEYS[flag] in captured.err
 
     @pytest.mark.parametrize("flag, value", [
         ("--attenuation-threshold", "-5"),
@@ -618,11 +630,14 @@ class TestDetectCommand:
         signature_to_csv(material_response("free_space"), path)
         assert exit_code(["detect", "--signature", str(path), f"{flag}={value}"]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert captured.out == "" and flag in captured.err
+        assert captured.out == "" and THRESHOLD_KEYS[flag] in captured.err
 
     def test_missing_inputs(self, tmp_path):
         assert main(["detect"]) == EXIT_CONFIG
         assert main(["detect", "--signature", str(tmp_path / "missing.csv")]) == EXIT_IO
+        # the thresholds are decoded before any input file is read
+        assert main(["detect", "--signature", str(tmp_path / "missing.csv"),
+                     "--attenuation-threshold", "2"]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("flag", ["--tx", "--rx"])
     @pytest.mark.parametrize("name, text", [

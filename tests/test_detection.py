@@ -458,12 +458,18 @@ class TestThresholds:
         {"attenuation_db": -5.0},
         {"attenuation_db": ARTIFICIAL_FLOOR_DB - 0.01},
         {"attenuation_db": math.nan},
+        {"attenuation_db": math.inf},
+        {"attenuation_db": -math.inf},
         {"nonlinearity_rad": 0.0},
         {"nonlinearity_rad": -0.3},
         {"nonlinearity_rad": math.nan},
+        {"nonlinearity_rad": math.inf},
+        {"nonlinearity_rad": -math.inf},
     ])
     def test_meaningless_threshold_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="threshold"):
+        # inf too: JSON has no inf, so a verdict holding it could not be printed
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=f"{field} threshold"):
             DetectionThresholds(**kwargs)
 
     def test_lowest_thresholds_never_call_a_transparent_medium_human(self):

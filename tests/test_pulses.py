@@ -423,6 +423,17 @@ class TestLagDomainScorer:
         r_n = r_n[outside]  # scored alone, so no other row's refinement covers their peaks
         assert np.allclose(ev.row_peaks(r_n), full_grid_peak(ev, r_n), rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("mask", sorted(MASKS))
+    def test_a_rows_peak_does_not_depend_on_the_rows_scored_with_it(self, mask, rng):
+        # bit for bit, which a relative tolerance cannot see: a lone row and a 3-row set
+        # are repeated to a product's fewest rows, and 200 rows span two coarse blocks
+        ev = _Evaluator(DesignConfig(mask=MASKS[mask]))
+        _, r_n = _unit_energy_lags(rng.normal(size=(200, ev.phi.shape[0])) @ ev.phi, ev.cfg.dt)
+        together = ev.row_peaks(r_n)
+        alone = [ev.row_peaks(r_n[i:i + 1])[0] for i in range(len(r_n))]
+        threes = np.concatenate([ev.row_peaks(r_n[i:i + 3]) for i in range(0, len(r_n), 3)])
+        assert np.array_equal(alone, together) and np.array_equal(threes, together)
+
     @settings(max_examples=40, deadline=None)
     @given(
         length=st.integers(2, 300), mask=st.sampled_from(sorted(MASKS)),

@@ -22,6 +22,7 @@ from uwbloc.channel import (
     propagate,
     sample_cir,
 )
+from uwbloc.detection import ARTIFICIAL_FLOOR_DB, DetectionThresholds
 from uwbloc.positioning import Anchor, RoomBounds
 from uwbloc.pulses import (
     DEFAULT_DT,
@@ -301,6 +302,22 @@ class TestConfig:
         cfg = DesignConfig(**kwargs)
         decoded = config_from_json(json.loads(json.dumps(config_to_json(cfg))), DesignConfig)
         assert decoded == cfg
+
+    @settings(max_examples=60, deadline=None)
+    @given(attenuation_db=st.floats(min_value=ARTIFICIAL_FLOOR_DB, allow_infinity=False),
+           nonlinearity_rad=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_every_threshold_field_round_trips(self, attenuation_db, nonlinearity_rad):
+        th = DetectionThresholds(attenuation_db, nonlinearity_rad)
+        text = json.dumps(config_to_json(th), allow_nan=False)
+        assert config_from_json(json.loads(text), DetectionThresholds) == th
+
+    @pytest.mark.parametrize("key, value", [
+        *(("attenuation_db", v) for v in (math.nan, math.inf, -math.inf, 2.9, -5.0)),
+        *(("nonlinearity_rad", v) for v in (math.nan, math.inf, -math.inf, 0.0, -0.3)),
+    ])
+    def test_a_threshold_out_of_range_is_rejected_by_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_json({key: value}, DetectionThresholds)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
