@@ -82,10 +82,6 @@ class DetectionVerdict:
             raise ValueError("phase nonlinearity must be finite and >= 0")
 
 
-# frozen, so every classify call without thresholds shares it
-DEFAULT_THRESHOLDS = DetectionThresholds()
-
-
 def estimate_transfer(tx: Waveform, rx: Waveform) -> MaterialSignature:
     """Estimate the medium's frequency response as the spectral ratio RX/TX.
 
@@ -209,17 +205,16 @@ def _unit_scale(peak: float) -> float:
     return math.ldexp(1.0, -max(math.frexp(float(peak))[1], -1022))
 
 
-def classify(sig: MaterialSignature, thresholds: DetectionThresholds | None = None) -> DetectionVerdict:
+def classify(sig: MaterialSignature, thresholds: DetectionThresholds = DetectionThresholds()) -> DetectionVerdict:
     """Label a signature from its two fingerprint metrics.
 
     human_present needs high attenuation AND nonlinear phase; a lossy medium
     failing either test is artificial_only; anything nearly transparent is
     free_space.
     """
-    th = thresholds or DEFAULT_THRESHOLDS
     atten = mean_attenuation(sig)
     nonlin = phase_nonlinearity(sig)
-    if atten >= th.attenuation_db and nonlin >= th.nonlinearity_rad:
+    if atten >= thresholds.attenuation_db and nonlin >= thresholds.nonlinearity_rad:
         label = "human_present"
     elif atten >= ARTIFICIAL_FLOOR_DB:
         label = "artificial_only"
@@ -229,5 +224,5 @@ def classify(sig: MaterialSignature, thresholds: DetectionThresholds | None = No
         label=label,
         mean_attenuation_db=atten,
         phase_nonlinearity=nonlin,
-        thresholds=th,
+        thresholds=thresholds,
     )

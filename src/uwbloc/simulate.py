@@ -9,14 +9,21 @@ and time-invariant, so each anchor's pulse is propagated once and
 a record as long as ``propagate`` returns for the whole burst.
 The measurement (``run_trial``) adds noise to that burst, at an SNR against
 the whole record's power, estimates every ToA and solves for position.
-A trial that builds its own scenario (``uwbloc locate``) at a finite SNR
-starts one helper thread drawing its noise records, then builds the
-scenario: numpy runs the Gaussian draw, a measurement's largest cost,
-without the GIL, but after the first record the helper mostly waits for the
-GIL until the trial joins it. A sweep's trials are given their scenario and
-draw inline, since its cell runner already puts a worker on every core. The
-helper draws the same records from the same seeds, so no output depends on
-which thread drew them.
+Every trial draws its anchors' unit noise records in ``_trial_noise`` and
+scales each with ``waveform._add_noise``. A sweep's trials are given their
+scenario and draw inline, since its cell runner already puts a worker on
+every core. A trial that builds its own scenario (``uwbloc locate``) at a
+finite SNR starts one helper thread on the draw and builds the scenario
+meanwhile. It joins the helper, also when the build raises, so no thread
+outlives the trial; a failed draw is raised once the scenario is built.
+numpy runs the Gaussian draw, a measurement's largest cost, without the
+GIL, but after the first record the helper mostly waits for the GIL until
+the trial joins it. The helper calls no layer function a tracer wraps, so
+every span stays on the calling thread, and it draws the same records from
+the same seeds, so no output depends on which thread drew them. A
+one-thread ``concurrent.futures`` executor takes fewer lines, but on a
+2-core host it made the ``locate`` benchmark's median trial 3-4 % slower and
+its peak RSS 0.4-1.8 MB larger (two sets of 6 alternating runs).
 Anchor i sends pulse i mod the set's pulse count, and each anchor's burst
 arrives on its own record: anchors are separated in time, so no record
 holds two bursts and the pulses' orthogonality is not what separates them.
@@ -81,7 +88,6 @@ from .waveform import (
     Waveform,
     _add_noise,
     _unit_noise,
-    add_awgn,
     json_number,
     read_csv,
     write_csv,
@@ -290,7 +296,7 @@ def _stream(entropy: int | tuple[int, ...], child: int | None = None) -> np.rand
     A cell's scenario and noise seeds are the words of ``(master_seed,
     trial_index)`` and ``(master_seed, snr_index, trial_index)``. Children 0
     and 1 + k of a scenario seed draw the target and anchor k's channel, and
-    child k of a noise seed draws anchor k's noise (``_anchor_noise_seed``).
+    child k of a noise seed draws anchor k's noise (``_trial_noise``).
 
     The streams overlap (an open finding): ``SeedSequence`` zero-pads its
     entropy, so ``trial_seed(m, s, 0) == scenario_seed(m, s)``; and when
@@ -312,11 +318,6 @@ def trial_seed(master_seed: int, snr_index: int, trial_index: int) -> int:
 def scenario_seed(master_seed: int, trial_index: int) -> int:
     """Seed of the SNR-independent part of a trial, its target and channels (``_stream``)."""
     return _word(_stream((master_seed, trial_index)))
-
-
-def _anchor_noise_seed(seed: int, anchor_index: int) -> int:
-    """Seed of anchor ``anchor_index``'s noise record in a trial of noise seed ``seed``."""
-    return _word(_stream(seed, anchor_index))
 
 
 @dataclass(frozen=True)
@@ -383,36 +384,10 @@ def build_scenario(cfg: SimConfig, pulse_set: PulseSet | None, seed: int) -> Sce
     return Scenario(truth, tuple(distances), tuple(pulses), tuple(received), tuple(powers))
 
 
-def _build_scenario_drawing_noise(cfg: SimConfig, seed: int) -> tuple[Scenario, list[np.ndarray]]:
-    """``build_scenario(cfg, None, seed)`` and every anchor's unit noise record,
-    the one ``add_awgn`` draws from ``seed`` over the read window, drawn on a
-    helper thread joined before this returns; after its first record it
-    mostly waits for the GIL, which the build rarely releases, until joined.
-
-    The helper calls no layer function a tracer wraps, so every span stays
-    on the calling thread. A failed draw is raised here, once the scenario
-    is built.
-    """
-    ps = _resolve_pulses(cfg, None)
-    size = read_window(cfg.symbol_duration, ps.dt, cfg.symbol_count)
-    drawn: list = []
-
-    def draw() -> None:
-        try:
-            drawn.append([_unit_noise(size, _anchor_noise_seed(seed, k))
-                          for k in range(len(cfg.anchors))])
-        except BaseException as exc:  # raised again on the calling thread
-            drawn.append(exc)
-
-    helper = threading.Thread(target=draw, name="uwbloc noise draw")
-    helper.start()
-    try:
-        scenario = build_scenario(cfg, ps, seed)
-    finally:
-        helper.join()
-    if isinstance(drawn[0], BaseException):
-        raise drawn[0]
-    return scenario, drawn[0]
+def _trial_noise(seed: int, sizes: list[int]) -> list[np.ndarray]:
+    """Every anchor's unit noise record in a trial of noise seed ``seed``: anchor
+    k's is ``sizes[k]`` samples from child k of ``seed`` (``_stream``)."""
+    return [_unit_noise(size, _word(_stream(seed, k))) for k, size in enumerate(sizes)]
 
 
 def run_trial(
@@ -427,11 +402,10 @@ def run_trial(
     ``seed`` drives the noise. ``scenario`` is a prebuilt ``Scenario``, so a
     sweep can hold the scenario fixed while varying SNR; it carries its
     pulses. Without one, the scenario is built from ``seed`` with the pulse
-    set ``cfg`` names, and at a finite SNR each anchor's unit noise record
-    is drawn on a helper thread that overlaps the build only in part and is
-    joined before the scenario is used (``_build_scenario_drawing_noise``);
-    the result is bit-identical to drawing inline, as a given scenario's
-    trial does, and no thread outlives the call.
+    set ``cfg`` names, and at a finite SNR the noise is drawn on a helper
+    thread meanwhile (module docstring); the result is bit-identical to
+    drawing inline, as a given scenario's trial does. At +inf dB nothing is
+    drawn; NaN and -inf raise ``_add_noise``'s ValueError.
     The fix is the one ``select_solution`` accepts in ``cfg.room``.
     Failures are recorded in the result rather than raised: an anchor
     without a usable ToA gets NaN ToA and range entries and skips the solve;
@@ -441,18 +415,37 @@ def run_trial(
     for fixed (cfg, snr_db, seed, scenario).
     """
     noise = None
-    if scenario is None and math.isfinite(snr_db):
-        scenario, noise = _build_scenario_drawing_noise(cfg, seed)
-    elif scenario is None:
+    if scenario is not None:
+        if snr_db != math.inf:
+            noise = _trial_noise(seed, [rx.samples.size for rx in scenario.received])
+    elif snr_db == math.inf:
         scenario = build_scenario(cfg, None, seed)
+    else:
+        ps = _resolve_pulses(cfg, None)
+        size = read_window(cfg.symbol_duration, ps.dt, cfg.symbol_count)
+        drawn: list = []
+
+        def draw() -> None:
+            try:
+                drawn.append(_trial_noise(seed, [size] * len(cfg.anchors)))
+            except BaseException as exc:  # raised again on the calling thread
+                drawn.append(exc)
+
+        helper = threading.Thread(target=draw, name="uwbloc noise draw")
+        helper.start()
+        try:
+            scenario = build_scenario(cfg, ps, seed)
+        finally:
+            helper.join()
+        noise = drawn[0]
+        if isinstance(noise, BaseException):
+            raise noise
 
     toas, ranges, toa_errs, range_errs = [], [], [], []
     failure: str | None = None
     for idx, (dist, pulse, rx, power) in enumerate(zip(scenario.distances, scenario.pulses,
                                                        scenario.received, scenario.powers)):
-        if noise is None:
-            rx = add_awgn(rx, snr_db, _anchor_noise_seed(seed, idx), power=power)
-        else:
+        if noise is not None:
             rx = _add_noise(rx, snr_db, power, noise[idx])
         try:
             est = toa_dirty_template(rx, cfg.symbol_duration, cfg.symbol_count, template=pulse)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -382,6 +383,9 @@ class TestTrialSeeds:
             assert a.toa_err_s != b.toa_err_s
 
 
+FIVE_ANCHORS = default_anchors() + (Anchor("a4", (3.0, 3.0, 3.0)),)
+
+
 class TestRunTrial:
     @settings(max_examples=25, deadline=None)
     @given(snr_db=st.floats(-MAX_SNR_DB, MAX_SNR_DB) | st.just(math.inf),
@@ -450,6 +454,65 @@ class TestRunTrial:
             run_trial(SimConfig(), 30.0, seed=5)
         assert threading.active_count() == before
 
+    def count_draws(self, monkeypatch) -> list[int]:
+        """The sizes of the unit noise records drawn from now on, in draw order."""
+        draw = simulate._unit_noise
+        sizes = []
+
+        def counted(size, seed):
+            sizes.append(size)
+            return draw(size, seed)
+
+        monkeypatch.setattr(simulate, "_unit_noise", counted)
+        return sizes
+
+    def test_a_sweep_draws_once_per_anchor_and_snr_point(self, default_pulses, monkeypatch):
+        # one worker, so every draw is made in this process
+        cfg = SimConfig(snr_grid_db=(20.0, 30.0, math.inf), trials=3)
+        use_cores(monkeypatch, 1)
+        sizes = self.count_draws(monkeypatch)
+        sweep_snr(cfg, default_pulses)
+        window = read_window(cfg.symbol_duration, default_pulses.dt, cfg.symbol_count)
+        assert sizes == [window] * (3 * 2 * len(cfg.anchors))
+
+    @pytest.mark.parametrize("anchors", [default_anchors(), FIVE_ANCHORS], ids=["4", "5"])
+    def test_a_self_built_trial_draws_once_per_anchor(self, default_pulses, monkeypatch,
+                                                      anchors):
+        cfg = SimConfig(anchors=anchors)
+        sizes = self.count_draws(monkeypatch)
+        run_trial(cfg, 30.0, seed=5)
+        window = read_window(cfg.symbol_duration, default_pulses.dt, cfg.symbol_count)
+        assert sizes == [window] * len(anchors)
+
+    @pytest.mark.parametrize("prebuilt", [False, True])
+    def test_a_noiseless_trial_draws_nothing_and_starts_no_thread(self, default_pulses,
+                                                                  monkeypatch, prebuilt):
+        cfg = SimConfig()
+        scenario = build_scenario(cfg, default_pulses, 5) if prebuilt else None
+        sizes = self.count_draws(monkeypatch)
+        started = count_thread_starts(monkeypatch)
+        run_trial(cfg, math.inf, seed=5, scenario=scenario)
+        assert sizes == [] and started == []
+
+    @pytest.mark.parametrize("prebuilt", [False, True])
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_nan_and_minus_inf_raise(self, default_pulses, prebuilt, snr_db):
+        cfg = SimConfig()
+        scenario = build_scenario(cfg, default_pulses, 5) if prebuilt else None
+        with pytest.raises(ValueError, match="snr_db"):
+            run_trial(cfg, snr_db, seed=5, scenario=scenario)
+
+    def test_importing_the_cli_loads_no_worker_machinery(self):
+        # a sweep imports multiprocessing only when it forks; loaded at import, it or
+        # a thread pool's concurrent.futures would cost every command its load time
+        script = ("import sys\n"
+                  "import uwbloc.cli\n"
+                  "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(simulate.__file__))}
+        fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               check=True, env=env, timeout=120)
+        assert fresh.stdout.strip() == "[]"
+
     def test_solver_failure_recorded_not_raised(self, monkeypatch):
         # the smallest positive bias gate turns every fix into a recorded failure
         monkeypatch.setattr(positioning, "BIAS_GATE_M", math.ulp(0.0))
@@ -486,9 +549,6 @@ class TestRunTrial:
         expect_toa = np.mean(np.square(finite)) / cfg.symbol_duration**2
         assert row.toa_nmse == pytest.approx(expect_toa, rel=1e-12)
         assert math.isfinite(row.range_nmse)
-
-
-FIVE_ANCHORS = default_anchors() + (Anchor("a4", (3.0, 3.0, 3.0)),)
 
 
 def count_thread_starts(monkeypatch) -> list[str]:
