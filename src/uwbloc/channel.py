@@ -324,9 +324,9 @@ def propagate(w: Waveform, distance_m: float, cir: ChannelRealization) -> Wavefo
     applied as band-limited delays on the n // 2 + 1 bins of an n-point rFFT,
     so a single unit tap reproduces ``delay(w, distance/c)`` exactly. The
     output spans all n samples of the record (``_record_length``); its mean
-    power over all of them is the SNR reference (``add_awgn``'s default,
-    ``Scenario.powers``). Materials filter only the detection path
-    (``apply_signature``).
+    power over all of them is the SNR reference (``Scenario.powers``, and
+    ``add_awgn``'s for a whole record). Materials filter only the detection
+    path (``apply_signature``).
     """
     if distance_m <= 0:
         raise ValueError(f"distance must be positive, got {distance_m}")

@@ -17,13 +17,18 @@ finite SNR starts one helper thread on the draw and builds the scenario
 meanwhile. It joins the helper, also when the build raises, so no thread
 outlives the trial; a failed draw is raised once the scenario is built.
 numpy runs the Gaussian draw, a measurement's largest cost, without the
-GIL, but after the first record the helper mostly waits for the GIL until
-the trial joins it. The helper calls no layer function a tracer wraps, so
-every span stays on the calling thread, and it draws the same records from
-the same seeds, so no output depends on which thread drew them. A
-one-thread ``concurrent.futures`` executor takes fewer lines, but on a
-2-core host it made the ``locate`` benchmark's median trial 3-4 % slower and
-its peak RSS 0.4-1.8 MB larger (two sets of 6 alternating runs).
+GIL, but the helper needs the GIL back after each record. In timestamped
+probes on a 2-core host, all four draws returned before the build ended in
+350 of 440 trials; in 89, none did, and the helper drew records 2-4 while
+the trial waited on the join. Against the draw inline after the build, the
+helper cut the ``locate`` benchmark's median trial from 5.83 to 5.29 ms
+(6 alternating 10 s pairs, 6 of 6). The helper calls no layer function a
+tracer wraps, so every span stays on the calling thread, and it draws the
+same records from the same seeds, so no output depends on which thread
+drew them. A one-thread ``concurrent.futures`` executor takes fewer
+lines, but on a 2-core host it made the ``locate`` benchmark's median trial
+3-4 % slower and its peak RSS 0.4-1.8 MB larger (two sets of 6 alternating
+runs).
 Anchor i sends pulse i mod the set's pulse count, and each anchor's burst
 arrives on its own record: anchors are separated in time, so no record
 holds two bursts and the pulses' orthogonality is not what separates them.

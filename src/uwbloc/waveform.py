@@ -128,38 +128,25 @@ def delay(w: Waveform, tau: float) -> Waveform:
     return Waveform(out, w.dt)
 
 
-def add_awgn(w: Waveform, snr_db: float, seed: int, power: float | None = None) -> Waveform:
+def add_awgn(w: Waveform, snr_db: float, seed: int) -> Waveform:
     """Add white Gaussian noise at the requested SNR.
 
-    SNR is defined against ``power``, by default the mean power of the full
-    waveform extent (including any zero padding), the conventional
-    definition in ranging simulations. A caller that noises only a prefix of
-    a record passes the whole record's power. ``power`` must be finite and
-    > 0; ``snr_db = inf`` is the no-noise sentinel; NaN, ``-inf`` and a
-    finite ``snr_db`` that scales the noise to 0 or past the float range
-    (beyond about +-3,080 dB) are rejected with a ``ValueError``.
-    Deterministic: the output is a pure function of (w, snr_db, seed, power)
-    via PCG64, and noising a prefix of a record at the record's power gives
-    the prefix of the noised record. It is ``_unit_noise``'s draw scaled by
+    SNR is defined against the mean power of the full waveform extent
+    (including any zero padding), the conventional definition in ranging
+    simulations. ``snr_db = inf`` is the no-noise sentinel; NaN, ``-inf``, a
+    waveform without power and a finite ``snr_db`` that scales the noise to 0
+    or past the float range (beyond about +-3,080 dB) are rejected with a
+    ``ValueError``. Deterministic: the output is a pure function of
+    (w, snr_db, seed) via PCG64. It is ``_unit_noise``'s draw scaled by
     ``_add_noise``.
     """
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
     if snr_db == math.inf:
-        if power is not None:
-            _check_power(power)
         return Waveform(w.samples.copy(), w.dt)
-    out = None
-    if power is None:
-        # the squares' buffer takes the noise draw below
-        out = np.square(w.samples)
-        power = float(np.mean(out))
-    return _add_noise(w, snr_db, power, _unit_noise(w.samples.size, seed, out=out))
-
-
-def _check_power(power: float) -> None:
-    if not (math.isfinite(power) and power > 0.0):
-        raise ValueError(f"SNR reference power must be finite and > 0, got {power}")
+    # the squares' buffer takes the noise draw below
+    out = np.square(w.samples)
+    return _add_noise(w, snr_db, float(np.mean(out)), _unit_noise(w.samples.size, seed, out=out))
 
 
 def _unit_noise(size: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -172,8 +159,12 @@ def _unit_noise(size: int, seed: int, out: np.ndarray | None = None) -> np.ndarr
 
 def _add_noise(w: Waveform, snr_db: float, power: float, noise: np.ndarray) -> Waveform:
     """``w`` plus ``noise``, a ``_unit_noise`` record of its length, scaled in
-    place to a finite ``snr_db`` against ``power``: the one SNR scaling."""
-    _check_power(power)
+    place to a finite ``snr_db`` against ``power``: the one SNR scaling.
+
+    A caller that noises only a prefix of a record passes the whole record's
+    power, and gets the prefix of the noised record."""
+    if not (math.isfinite(power) and power > 0.0):
+        raise ValueError(f"SNR reference power must be finite and > 0, got {power}")
     try:
         sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
     except (OverflowError, ZeroDivisionError):  # 10^(snr/10) past the float range

@@ -7,6 +7,17 @@ from uwbloc.simulate import SweepRow, load_default_pulse_set
 from uwbloc.waveform import read_csv, write_csv
 
 
+# The label classify should give each material_response kind.
+MATERIAL_LABELS = {
+    "free_space": "free_space",
+    "wood_door": "artificial_only",
+    "brick_wall": "artificial_only",
+    "human": "human_present",
+    "human_behind_door": "human_present",
+    "human_behind_wall": "human_present",
+}
+
+
 # Writers of the CLI's input files; the package only reads them.
 
 def waveform_to_csv(w, path):

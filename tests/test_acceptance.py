@@ -30,6 +30,7 @@ from uwbloc.simulate import SimConfig, emit_csv, load_default_pulse_set, sweep_s
 from uwbloc.spectrum import mask_violation, psd
 from uwbloc.waveform import add_awgn
 
+from conftest import MATERIAL_LABELS
 from oracles import gauss_newton_refine
 
 
@@ -208,14 +209,6 @@ class TestCriterion5SymmetricDisambiguation:
 class TestCriterion6DetectionSeparation:
     def test_noisy_classification_and_signature_metrics(self):
         tx = load_default_pulse_set().pulses[0]
-        expected = {
-            "free_space": "free_space",
-            "wood_door": "artificial_only",
-            "brick_wall": "artificial_only",
-            "human": "human_present",
-            "human_behind_door": "human_present",
-            "human_behind_wall": "human_present",
-        }
         accuracy = {}
         for kind in MATERIAL_KINDS:
             sig = material_response(kind)
@@ -224,7 +217,7 @@ class TestCriterion6DetectionSeparation:
             for seed in range(100):
                 rx = add_awgn(clean_rx, 30.0, seed=seed)
                 verdict = classify(estimate_transfer(tx, rx))
-                hits += verdict.label == expected[kind]
+                hits += verdict.label == MATERIAL_LABELS[kind]
             accuracy[kind] = hits / 100.0
 
         artificial_nl = max(

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from uwbloc import cli, simulate
-from uwbloc.channel import MATERIAL_KINDS, SPEED_OF_LIGHT, material_response
+from uwbloc.channel import MATERIAL_KINDS, SPEED_OF_LIGHT, apply_signature, material_response
 from uwbloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
 from uwbloc.positioning import Anchor, DegenerateGeometryError, PositionFix, RoomBounds
 from uwbloc.pulses import BSplineBasis, DesignConfig, load_pulse_set, pulse_set_to_json
 from uwbloc.simulate import SimConfig, config_to_json
-from uwbloc.waveform import Waveform
+from uwbloc.waveform import Waveform, add_awgn
 
-from conftest import signature_to_csv, waveform_to_csv, waveform_to_json
+from conftest import MATERIAL_LABELS, signature_to_csv, waveform_to_csv, waveform_to_json
 
 
 # a table cell written by write_csv with the default 9 digits
@@ -574,8 +574,6 @@ class TestDetectCommand:
         assert verdict["thresholds"]["attenuation_db"] == (60.0 if flags else 30.0)
 
     def test_from_waveform_files(self, tmp_path, capsys, default_pulses):
-        from uwbloc.channel import apply_signature
-
         tx = default_pulses.pulses[0]
         rx = apply_signature(tx, material_response("wood_door"))
         tx_path = tmp_path / "tx.csv"
@@ -588,6 +586,18 @@ class TestDetectCommand:
         # a pulse received as sent went through free space
         assert main(["detect", "--tx", str(tx_path), "--rx", str(tx_path)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["label"] == "free_space"
+
+    @pytest.mark.parametrize("kind", MATERIAL_KINDS)
+    def test_from_noisy_csv_files(self, tmp_path, capsys, kind):
+        # a differentiated 65-sample Gaussian at 50 ps through the medium at 30 dB, as
+        # 12-digit `t,amplitude` files
+        tx = Waveform(np.diff(np.exp(-0.5 * ((np.arange(65) - 32) / 4.0) ** 2)), 5e-11)
+        rx = add_awgn(apply_signature(tx, material_response(kind)), 30.0, seed=1)
+        paths = [tmp_path / "tx.csv", tmp_path / "rx.csv"]
+        for w, path in zip((tx, rx), paths):
+            waveform_to_csv(w, path)
+        assert main(["detect", "--tx", str(paths[0]), "--rx", str(paths[1])]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["label"] == MATERIAL_LABELS[kind]
 
     def test_any_finite_sample_interval(self, tmp_path, capsys, default_pulses):
         # at dt 1e200 s the rFFT grid steps by 1e-202 Hz, whose square once underflowed

@@ -27,6 +27,8 @@ from uwbloc.detection import (
 )
 from uwbloc.waveform import Waveform, add_awgn, delay
 
+from conftest import MATERIAL_LABELS
+
 DT = 50e-12
 
 
@@ -547,15 +549,7 @@ class TestRoundTrip:
     def test_end_to_end_noiseless_all_kinds(self, tx):
         from uwbloc.channel import MATERIAL_KINDS
 
-        expected = {
-            "free_space": "free_space",
-            "wood_door": "artificial_only",
-            "brick_wall": "artificial_only",
-            "human": "human_present",
-            "human_behind_door": "human_present",
-            "human_behind_wall": "human_present",
-        }
         for kind in MATERIAL_KINDS:
             rx = apply_signature(tx, material_response(kind))
             verdict = classify(estimate_transfer(tx, rx))
-            assert verdict.label == expected[kind], kind
+            assert verdict.label == MATERIAL_LABELS[kind], kind

@@ -849,16 +849,23 @@ class TestSweepWorkers:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
+    # five records a trial, the first anchor's pulse sent again by the fifth; and
+    # line-of-sight-only channels, whose records end within the read window and get padded
+    @pytest.mark.parametrize("cfg", [
+        CFG,
+        dataclasses.replace(CFG, anchors=FIVE_ANCHORS),
+        dataclasses.replace(CFG, channel=ChannelProfile(tap_count_min=1, tap_count_max=1)),
+    ], ids=["four_anchors", "five_anchors", "line_of_sight"])
     def test_results_and_files_do_not_depend_on_the_worker_count(
-            self, default_pulses, monkeypatch, tmp_path):
+            self, default_pulses, monkeypatch, tmp_path, cfg):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_to_json(cfg)))
         results, files = [], []
         for count in (1, 2, 3):
             use_cores(monkeypatch, count)
-            results.append(sweep_snr(self.CFG, default_pulses))
+            results.append(sweep_snr(cfg, default_pulses))
             out = tmp_path / f"workers{count}"
-            argv = ["sweep", "--seed", "7", "--trials", "5", "--snr", "20", "30",
-                    "--out", str(out)]
-            assert cli.main(argv) == 0
+            assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 0
             files.append([(out / name).read_bytes() for name in ("sweep.csv", "fixes.csv")])
         assert results[0].rows == results[1].rows == results[2].rows
         assert results[0].trials == results[1].trials == results[2].trials
